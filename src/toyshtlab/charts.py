@@ -127,10 +127,6 @@ def series_matrix_as(M):
     return [[x - x.qth_power() for x in row] for row in M]
 
 
-def series_matrix_frobenius(M):
-    return [[x.qth_power() for x in row] for row in M]
-
-
 # ---------------------------------------------------------------------------
 # charts and the Artin-Schreier presentation
 

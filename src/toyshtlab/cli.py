@@ -21,13 +21,22 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
 from . import charts, divisors, tate, toysht
-from .errors import BudgetExceededError, ConfigParseError, UnknownCheckError
+from .errors import (
+    BudgetExceededError,
+    ConfigParseError,
+    ToyshtError,
+    UnknownCheckError,
+)
 from .gf import DEFAULT_BUDGET, field_make
 from .linalg import echelonize, enumerate_grassmannian, gauss_binomial
 
 SCHEMA_VERSION = "toyshtlab-report-v1"
 
 BUDGET_ENV = "TOYSHT_BUDGET"
+
+# what a check may raise on a bad parameter or an overrun; run() turns these
+# into a failing report instead of aborting the suite
+CHECK_ERRORS = (ToyshtError, KeyError, ValueError)
 
 
 @dataclass
@@ -80,7 +89,7 @@ def check_chart_equivalence(params: dict, seed: int):
     F = _field(params, default_m=2)
     N, n = int(params["N"]), int(params["n"])
     counters = {"charts": 0, "matrices": 0, "witnesses": []}
-    for W in enumerate_grassmannian(F, N, N - n, subfield_only=True):
+    for W in enumerate_grassmannian(F, N, N - n, subfield_only=True, budget=_budget(params)):
         chart = charts.canonical_chart(F, W)
         rep = charts.chart_equivalence_check(F, N, n, chart)
         counters["charts"] += 1
@@ -97,11 +106,12 @@ def check_chart_equivalence(params: dict, seed: int):
 def check_trivial_locus_count(params: dict, seed: int):
     F = _field(params, default_m=2)
     N, n = int(params["N"]), int(params["n"])
+    budget = _budget(params)
     trivial = set()
-    for pt in toysht.enumerate_toysht(F, N, n):
+    for pt in toysht.enumerate_toysht(F, N, n, budget=budget):
         if toysht.is_trivial(pt.L):
             trivial.add(pt.L)
-    rational = set(enumerate_grassmannian(F, N, n, subfield_only=True))
+    rational = set(enumerate_grassmannian(F, N, n, subfield_only=True, budget=budget))
     expected = gauss_binomial(N, n, F.q)
     counters = {
         "trivial": len(trivial),
@@ -136,12 +146,13 @@ def check_grassmannian_count(params: dict, seed: int):
 def check_dichotomy(params: dict, seed: int):
     F = _field(params, default_m=2)
     N = int(params["N"])
+    budget = _budget(params)
     counters = {"pairs": 0, "witnesses": []}
     subs = []
     for d in range(N + 1):
-        subs.extend(enumerate_grassmannian(F, N, d, subfield_only=True))
+        subs.extend(enumerate_grassmannian(F, N, d, subfield_only=True, budget=budget))
     for n in range(1, N):
-        for pt in toysht.enumerate_toysht(F, N, n):
+        for pt in toysht.enumerate_toysht(F, N, n, budget=budget):
             for W in subs:
                 try:
                     toysht.dichotomy_check(pt, W)
@@ -182,11 +193,13 @@ def check_partial_frobenius_composition(params: dict, seed: int):
 def check_schubert_decomposition(params: dict, seed: int):
     F = _field(params, default_m=2)
     N, n = int(params["N"]), int(params["n"])
+    budget = _budget(params)
     rng = random.Random(seed)
     counters = {"centers": 0, "points": 0, "probe_orders": [], "witnesses": []}
     vacuous = True
-    for W in enumerate_grassmannian(F, N, N - n, subfield_only=True):
-        rep = divisors.schubert_decomposition_check(F, N, n, W, rng=rng)
+    locus = divisors.toy_locus(F, N, n, budget=budget)
+    for W in enumerate_grassmannian(F, N, N - n, subfield_only=True, budget=budget):
+        rep = divisors.schubert_decomposition_check(F, N, n, W, rng=rng, locus=locus)
         counters["centers"] += 1
         counters["points"] += rep["points"]
         if not rep["vacuous"]:
@@ -422,16 +435,28 @@ DEFAULT_SUITE = [
 ]
 
 
+def _raised_witness(spec: CheckSpec, ex: Exception) -> dict:
+    """The witness of a check that raised: the check as it ran, with the
+    budget pinned for an overrun, and the exception it raised."""
+    params = dict(spec.params)
+    kind = "exception"
+    if isinstance(ex, BudgetExceededError):
+        kind = "budget_exceeded"
+        params["budget"] = _budget(spec.params)
+    return {"kind": kind, "check": spec.name, "params": params, "seed": spec.seed,
+            "type": type(ex).__name__, "message": str(ex)}
+
+
 def run(spec: CheckSpec) -> Report:
     if spec.name not in REGISTRY:
         raise UnknownCheckError(spec.name)
     start = time.monotonic()
     try:
         verdict, mode, counters = REGISTRY[spec.name](spec.params, spec.seed)
-    except BudgetExceededError as ex:
-        # an overrun cannot certify anything, but it must not kill a suite
+    except CHECK_ERRORS as ex:
+        # a check that raised certifies nothing, but it must not kill a suite
         verdict, mode = "fail", "exhaustive"
-        counters = {"witnesses": [{"kind": "budget_exceeded", "message": str(ex)}]}
+        counters = {"witnesses": [_raised_witness(spec, ex)]}
     elapsed = int((time.monotonic() - start) * 1000)
     return Report(
         name=spec.name,
@@ -512,8 +537,15 @@ def replay_witness(witness: dict) -> bool:
         return (toysht.is_trivial(L) and L not in rational) or (
             not toysht.is_trivial(L) and L in rational
         )
-    if kind == "budget_exceeded":
-        return "exceeds budget" in witness.get("message", "") or bool(witness)
+    if kind in ("budget_exceeded", "exception"):
+        # rerun the check; the failure reproduces iff it raises the same type
+        try:
+            REGISTRY[witness["check"]](dict(witness["params"]), witness["seed"])
+        except CHECK_ERRORS as ex:
+            return type(ex).__name__ == witness["type"]
+        return False
+    if kind in ("schubert_set", "schubert_codim2"):
+        return _replay_schubert(witness)
     if kind == "transversality":
         F = field_make(witness["p"], witness["e"], 1)
         A = tuple(tuple(r) for r in witness["A"])
@@ -524,6 +556,33 @@ def replay_witness(witness: dict) -> bool:
         col_zero = all(A[i][witness["b"]] == 0 for i in range(witness["s"]))
         return got != (not (row_zero and col_zero))
     raise UnknownCheckError(f"no replay rule for witness kind {kind!r}")
+
+
+def _replay_schubert(witness: dict) -> bool:
+    """Recompute the Schubert claims at (W, L) with direct containment loops
+    over the rational subspaces, independent of divisors.toy_locus."""
+    F = field_make(witness["p"], witness["e"], witness["m"])
+    N = witness["N"]
+    W = echelonize(F, [tuple(r) for r in witness["W"]], N)
+    L = echelonize(F, [tuple(r) for r in witness["L"]], N)
+    if L.dim != witness["n"] or L.is_rational() or not toysht.is_toy_shtuka(L):
+        return False
+    deficit = divisors.schubert_deficit(L, W)
+
+    def rational(d):
+        return enumerate_grassmannian(F, N, d, subfield_only=True)
+
+    if witness["kind"] == "schubert_set":
+        horo = any(H.contains(W) and H.contains(L) for H in rational(N - 1)) or any(
+            W.contains(J) and L.contains(J) for J in rational(1)
+        )
+        return (deficit > 0) != horo
+    if deficit < 2:
+        return False
+    return not (
+        any(W.contains(P) and L.contains(P) for P in rational(2))
+        or any(H.contains(W) and H.contains(L) for H in rational(N - 2))
+    )
 
 
 def _report_doc(reports):

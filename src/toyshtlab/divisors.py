@@ -18,6 +18,7 @@ from .linalg import (
     gauss_binomial,
     induced_map,
     perp,
+    rational_hyperplanes,
     rational_lines,
 )
 from .toysht import (
@@ -25,6 +26,7 @@ from .toysht import (
     ToyPoint,
     enumerate_flags,
     enumerate_toysht,
+    horospherical_membership,
     partial_frobenius_plus,
 )
 
@@ -255,22 +257,46 @@ def is_principal_pair(d: HoroDivisor) -> bool:
     return lam == d.lam
 
 
+def schubert_deficit(L: Subspace, W: Subspace) -> int:
+    """dim L - rank(L -> V/W), which is dim(L cap W)."""
+    if W.dim != L.ambient_dim - L.dim:
+        raise DimensionMismatchError("W must have codimension dim L")
+    return L.dim - induced_map(L, W).rank()
+
+
 def schubert_membership(point: ToyPoint, W: Subspace) -> bool:
     """True iff the map L -> V/W drops rank, i.e. L meets W."""
-    L = point.L
-    n = L.dim
-    if W.dim != L.ambient_dim - n:
-        raise DimensionMismatchError("W must have codimension dim L")
-    return induced_map(L, W).rank() < n
+    return schubert_deficit(point.L, W) > 0
+
+
+def toy_locus(field: Field, N: int, n: int, budget=None) -> list:
+    """The nontrivial toy points of dimension n in enumeration order, each as
+    (point, rational hyperplanes containing L, rational lines inside L)."""
+    hyperplanes, lines = rational_hyperplanes(field, N), rational_lines(field, N)
+    return [
+        (pt, *horospherical_membership(pt, hyperplanes, lines))
+        for pt in enumerate_toysht(field, N, n, nontrivial_only=True, budget=budget)
+    ]
 
 
 def schubert_decomposition_check(
-    field: Field, N: int, n: int, W: Subspace, rng=None, probe_repeats: int = 5
+    field: Field,
+    N: int,
+    n: int,
+    W: Subspace,
+    rng=None,
+    probe_repeats: int = 5,
+    locus=None,
 ) -> dict:
     """Set-level equality of the Schubert locus with the union of
     horospherical pieces for W, the codimension-two bound on the deeper
     degeneracy locus, and sampled multiplicity-one probes.
+
+    locus is toy_locus(field, N, n), enumerated here when not given; callers
+    that sweep several centers pass one locus to every call.
     """
+    if locus is None:
+        locus = toy_locus(field, N, n)
     hyperplanes = [
         H
         for H in enumerate_grassmannian(field, N, N - 1, subfield_only=True)
@@ -281,6 +307,7 @@ def schubert_decomposition_check(
         for J in enumerate_grassmannian(field, N, 1, subfield_only=True)
         if W.contains(J)
     ]
+    hyper_set, line_set = set(hyperplanes), set(lines)
     planes2 = None
     hyper2 = None
     report = {
@@ -290,16 +317,13 @@ def schubert_decomposition_check(
         "probes": {},
         "vacuous": True,
     }
-    for pt in enumerate_toysht(field, N, n, nontrivial_only=True):
+    for pt, H_set, J_set in locus:
         report["vacuous"] = False
         report["points"] += 1
-        member = schubert_membership(pt, W)
-        horo = any(H.contains(pt.L) for H in hyperplanes) or any(
-            pt.L.contains(J) for J in lines
-        )
-        if member != horo:
+        deficit = schubert_deficit(pt.L, W)
+        horo = not hyper_set.isdisjoint(H_set) or not line_set.isdisjoint(J_set)
+        if (deficit > 0) != horo:
             report["counterexamples"].append(pt.L.basis)
-        deficit = n - induced_map(pt.L, W).rank()
         if deficit >= 2:
             if planes2 is None:
                 planes2 = [
@@ -319,44 +343,32 @@ def schubert_decomposition_check(
                 report["codim2_failures"].append(pt.L.basis)
     if rng is not None and not report["vacuous"]:
         report["probes"] = _sampled_multiplicity_probes(
-            field, N, n, W, hyperplanes, lines, rng, probe_repeats
+            field, N, n, W, hyperplanes, lines, rng, probe_repeats, locus
         )
     return report
 
 
-def _component_points(field, N, n, component, others):
-    """Nontrivial toy points on one horospherical component and off the rest."""
-    kind, sub = component
-    pts = []
-    for pt in enumerate_toysht(field, N, n, nontrivial_only=True):
-        if kind == "H" and not sub.contains(pt.L):
-            continue
-        if kind == "J" and not pt.L.contains(sub):
-            continue
-        clean = True
-        for okind, osub in others:
-            if (okind, osub) == (kind, sub):
-                continue
-            if okind == "H" and osub.contains(pt.L):
-                clean = False
-                break
-            if okind == "J" and pt.L.contains(osub):
-                clean = False
-                break
-        if clean:
-            pts.append(pt.L)
-    return pts
+def _component_points(components, locus) -> dict:
+    """For each component, the points of the locus on it and on no other
+    component, in locus order."""
+    out = {c: [] for c in components}
+    for pt, H_set, J_set in locus:
+        on = [c for c in components if c[1] in (H_set if c[0] == "H" else J_set)]
+        if len(on) == 1:
+            out[on[0]].append(pt.L)
+    return out
 
 
-def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, repeats):
+def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, repeats, locus):
     """Probe every component of the Schubert divisor that carries points
     clean of the other components."""
     components = [("H", H) for H in hyperplanes if n < N - 1]
     components += [("J", J) for J in lines if n > 1]
+    clean = _component_points(components, locus)
     out = {}
     for component in components:
         kind, sub = component
-        pts = _component_points(field, N, n, component, components)
+        pts = clean[component]
         if not pts:
             continue
         orders = []

@@ -11,6 +11,7 @@ L + sigma(L) above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import InvalidFlagError, NotAToyShtukaError, TrivialPointError
 from .gf import Field
@@ -22,13 +23,15 @@ from .linalg import (
     intersect,
     rational_hyperplanes,
     rational_lines,
+    rref,
     span_sum,
 )
 
 
 @dataclass(frozen=True)
 class ToyPoint:
-    """A toy shtuka point with its cached Frobenius twist."""
+    """A toy shtuka point with its cached Frobenius twist and, computed on
+    first use, its flag."""
 
     L: Subspace
     sigma_L: Subspace = dc_field(compare=False, default=None)
@@ -37,17 +40,32 @@ class ToyPoint:
         if self.sigma_L is None:
             object.__setattr__(self, "sigma_L", self.L.frobenius_image())
 
+    @cached_property
+    def flag(self):
+        """(L cap sigma L, L + sigma L), computed once per point; raises
+        NotAToyShtukaError when the sum exceeds dim L + 1."""
+        L, sL = self.L, self.sigma_L
+        total = span_sum(L, sL)
+        if total.dim > L.dim + 1:
+            raise NotAToyShtukaError("rank condition fails")
+        return intersect(L, sL), total
+
 
 def sigma(L: Subspace) -> Subspace:
     return L.frobenius_image()
 
 
+def _sum_rank(a: Subspace, b: Subspace) -> int:
+    """dim(a + b), from one rref of the stacked bases."""
+    return len(rref(a.field, a.basis + b.basis, a.ambient_dim)[0])
+
+
 def is_toy_shtuka(L: Subspace) -> bool:
-    """True iff dim(L cap sigma L) >= dim L - 1."""
+    """True iff dim(L cap sigma L) >= dim L - 1, i.e. iff the stacked bases
+    of L and sigma L have rank at most dim L + 1."""
     if L.dim <= 1 or L.dim >= L.ambient_dim:
         return True
-    sL = L.frobenius_image()
-    return intersect(L, sL).dim >= L.dim - 1
+    return _sum_rank(L, L.frobenius_image()) <= L.dim + 1
 
 
 def is_trivial(L: Subspace) -> bool:
@@ -67,14 +85,9 @@ def enumerate_toysht(field: Field, N: int, n: int, nontrivial_only: bool = False
 
 def split_nontrivial(point: ToyPoint):
     """The canonical flag (L cap sigma L, L + sigma L) of a nontrivial point."""
-    L, sL = point.L, point.sigma_L
-    if sL == L:
+    if point.sigma_L == point.L:
         raise TrivialPointError("point is Frobenius-fixed")
-    if not is_toy_shtuka(L):
-        raise NotAToyShtukaError("rank condition fails")
-    inter = intersect(L, sL)
-    total = span_sum(L, sL)
-    return inter, total
+    return point.flag
 
 
 @dataclass(frozen=True)
@@ -181,17 +194,19 @@ def enumerate_flags(field: Field, N: int, n: int, kind: str):
 
 def dichotomy_check(point: ToyPoint, W: Subspace):
     """For rational W, at least one of L cap W and im(L -> V/W) is
-    Frobenius-fixed.  Returns both flags and asserts the disjunction."""
-    L, sL = point.L, point.sigma_L
-    if not is_toy_shtuka(L):
-        raise NotAToyShtukaError("rank condition fails")
+    Frobenius-fixed.  Returns both flags and asserts the disjunction.
+
+    As W is rational, L cap W is fixed iff it lies in M = L cap sigma L, iff
+    dim M - rank(M + W) = dim L - rank(L + W); and the image is fixed iff
+    L + W is rational, iff rank(L + sigma L + W) = rank(L + W).
+    """
+    inter, total = point.flag
     if not W.is_rational():
         raise ValueError("W must be F_q-rational")
-    Lp = intersect(L, W)
-    sub_fixed = Lp.frobenius_image() == Lp
-    qm = QuotientMap(W)
-    Lpp = qm.image_subspace(L)
-    quot_fixed = Lpp.frobenius_image() == Lpp
+    L = point.L
+    r = _sum_rank(L, W)
+    sub_fixed = inter.dim - _sum_rank(inter, W) == L.dim - r
+    quot_fixed = _sum_rank(total, W) == r
     assert sub_fixed or quot_fixed, "dichotomy violated"
     return {"sub_fixed": sub_fixed, "quot_fixed": quot_fixed}
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from toyshtlab import divisors
 from toyshtlab.cli import (
     DEFAULT_SUITE,
     REGISTRY,
@@ -14,6 +15,11 @@ from toyshtlab.cli import (
     run_suite,
 )
 from toyshtlab.errors import ConfigParseError, UnknownCheckError
+from toyshtlab.gf import field_make
+from toyshtlab.linalg import echelonize
+from toyshtlab.toysht import enumerate_toysht
+
+F4 = field_make(2, 1, 2)
 
 
 def test_registry_names():
@@ -193,3 +199,103 @@ def test_budget_env_override(monkeypatch):
     )
     assert [x.verdict for x in reports] == ["fail", "pass"] and code == 1
     monkeypatch.delenv("TOYSHT_BUDGET")
+
+
+def test_budget_env_bounds_dichotomy(monkeypatch):
+    monkeypatch.setenv("TOYSHT_BUDGET", "100")
+    r = run(CheckSpec("dichotomy", {"p": 2, "e": 1, "m": 2, "N": 4}))
+    assert r.verdict == "fail"
+    (w,) = r.counters["witnesses"]
+    assert w["kind"] == "budget_exceeded" and w["params"]["budget"] == 100
+    assert replay_witness(w)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("trivial_locus_count", {"N": 3, "n": 1}),
+        ("chart_equivalence", {"N": 4, "n": 2}),
+        ("schubert_decomposition", {"N": 3, "n": 1}),
+    ],
+)
+def test_budget_bounds_locus_checks(name, params):
+    spec = CheckSpec(name, {"p": 2, "e": 1, "m": 2, **params, "budget": 10})
+    r = run(spec)
+    assert r.verdict == "fail"
+    (w,) = r.counters["witnesses"]
+    assert w["kind"] == "budget_exceeded"
+    assert replay_witness(w)
+    # negated: under a budget that covers the check there is no overrun
+    assert not replay_witness({**w, "params": {**w["params"], "budget": 1 << 20}})
+
+
+def test_check_exceptions_become_reports():
+    specs = [
+        CheckSpec("radon_fourier_square", {"p": 2, "e": 1, "D": 3, "c": 0}),
+        CheckSpec("chart_equivalence", {"p": 2, "e": 1, "m": 2, "N": 3}),
+        CheckSpec("picard_relation", {"p": 2, "e": 1, "D": 4, "c": -2}),
+    ]
+    reports, code = run_suite(specs)
+    assert [r.verdict for r in reports] == ["fail", "fail", "pass"] and code == 1
+    types = []
+    for r in reports[:2]:
+        (w,) = r.counters["witnesses"]
+        assert w["kind"] == "exception" and w["check"] == r.name
+        types.append(w["type"])
+        assert replay_witness(w)
+        assert not replay_witness({**w, "type": "ZeroDivisionError"})
+    assert types == ["NotAdmissibleError", "KeyError"]
+    # negated: with the missing parameter supplied the check no longer raises
+    w = reports[1].counters["witnesses"][0]
+    assert not replay_witness({**w, "params": {**w["params"], "n": 1}})
+
+
+def schubert_witness(kind, N, W_rows, L_rows):
+    W, L = echelonize(F4, W_rows, N), echelonize(F4, L_rows, N)
+    return {"kind": kind, "p": 2, "e": 1, "m": 2, "N": N, "n": L.dim,
+            "W": W.basis, "L": L.basis}
+
+
+def test_schubert_set_replay_is_independent_of_the_index(monkeypatch):
+    # a broken index reports counterexamples that the direct loops refute
+    monkeypatch.setattr(divisors, "horospherical_membership", lambda pt, h, l: (set(), set()))
+    r = run(CheckSpec("schubert_decomposition", {"p": 2, "e": 1, "m": 2, "N": 3, "n": 1}))
+    assert r.verdict == "fail"
+    kinds = {w["kind"] for w in r.counters["witnesses"]}
+    assert kinds == {"schubert_set"}
+    assert not any(replay_witness(w) for w in r.counters["witnesses"])
+
+
+def test_schubert_set_replay():
+    g = F4.generator
+    L = [(1, 1, g)]
+    # a line inside an irrational center lies on no rational piece of it
+    assert replay_witness(schubert_witness("schubert_set", 3, [(1, 0, 0), (0, 1, g)], L))
+    # negated: inside a rational center the plane itself is the piece
+    assert not replay_witness(
+        schubert_witness("schubert_set", 3, [(1, 0, 0), (0, 1, 0)], [(1, g, 0)])
+    )
+    # negated: a rational L is not a point of the nontrivial locus
+    assert not replay_witness(
+        schubert_witness("schubert_set", 3, [(1, 0, 0), (0, 1, g)], [(1, 1, 1)])
+    )
+
+
+def test_schubert_codim2_replay():
+    g = F4.generator
+    L = [(1, g, 0, 0, 0), (0, 0, 1, 0, 0)]
+    assert replay_witness(
+        schubert_witness("schubert_codim2", 5, L + [(0, 0, 0, 1, g)], L)
+    )
+    # negated: a rational center containing L is itself the deep piece
+    assert not replay_witness(
+        schubert_witness("schubert_codim2", 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0),
+                                                (0, 0, 1, 0, 0)], L)
+    )
+    # negated: L meets this center in a line only
+    assert not replay_witness(
+        schubert_witness("schubert_codim2", 5, [(1, g, 0, 0, 0), (0, 0, 0, 1, 0),
+                                                (0, 0, 0, 0, 1)], L)
+    )
+    pt = next(iter(enumerate_toysht(F4, 4, 2, nontrivial_only=True)))
+    assert replay_witness(schubert_witness("schubert_codim2", 4, pt.L.basis, pt.L.basis))

@@ -14,11 +14,12 @@ from toyshtlab.divisors import (
     radon_forward,
     schubert_decomposition_check,
     schubert_membership,
+    toy_locus,
     zero_coeffs,
 )
 from toyshtlab.errors import DimensionMismatchError, SumNotZeroError
 from toyshtlab.gf import field_make
-from toyshtlab.linalg import echelonize, gauss_binomial, intersect
+from toyshtlab.linalg import echelonize, enumerate_grassmannian, gauss_binomial, intersect
 from toyshtlab.toysht import ToyPoint, enumerate_toysht
 
 F2 = field_make(2, 1, 1)
@@ -196,6 +197,17 @@ def test_schubert_decomposition_n3():
         assert rep["probes"]
         for orders in rep["probes"].values():
             assert orders == [1] * 5
+
+
+def test_schubert_decomposition_same_with_shared_locus():
+    # the shared locus must not move a single rng draw
+    locus = toy_locus(F4, 3, 1)
+    for k, W in enumerate(enumerate_grassmannian(F4, 3, 2, subfield_only=True)):
+        own, shared = random.Random(k), random.Random(k)
+        rep = schubert_decomposition_check(F4, 3, 1, W, rng=own)
+        assert rep == schubert_decomposition_check(F4, 3, 1, W, rng=shared, locus=locus)
+        assert own.getstate() == shared.getstate()
+        assert rep["probes"]
 
 
 def test_schubert_decomposition_vacuous_over_prime_field():

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from toyshtlab.errors import InvalidFlagError, TrivialPointError
+from toyshtlab.errors import InvalidFlagError, NotAToyShtukaError, TrivialPointError
 from toyshtlab.gf import field_make
 from toyshtlab.linalg import (
+    QuotientMap,
     echelonize,
     enumerate_grassmannian,
     full_space,
     gauss_binomial,
+    intersect,
     perp,
     zero_subspace,
 )
@@ -27,6 +30,9 @@ from toyshtlab.toysht import (
 
 F2 = field_make(2, 1, 1)
 F4 = field_make(2, 1, 2)
+F8 = field_make(2, 1, 3)
+F9 = field_make(3, 1, 2)
+F16 = field_make(2, 1, 4)
 
 # brute-force census over F_4, frozen: all 2-subspaces of F_4^4 passing the
 # intersection condition, and the Frobenius-fixed ones among them
@@ -241,3 +247,73 @@ def test_deep_interior_nonempty():
         in_deep_interior(p)
         for p in enumerate_toysht(F4, 3, 1, nontrivial_only=True)
     )
+
+
+# --- rank forms against the subspace forms they replace ---------------------
+
+
+def toy_by_intersection(L):
+    return intersect(L, L.frobenius_image()).dim >= L.dim - 1
+
+
+def dichotomy_by_subspaces(point, W):
+    Lp = intersect(point.L, W)
+    Lpp = QuotientMap(W).image_subspace(point.L)
+    return {
+        "sub_fixed": Lp.frobenius_image() == Lp,
+        "quot_fixed": Lpp.frobenius_image() == Lpp,
+    }
+
+
+@pytest.mark.parametrize("field,N", [(F4, 4), (F9, 3)], ids=["F4^4", "F9^3"])
+def test_rank_form_toy_predicate_exhaustive(field, N):
+    for n in range(N + 1):
+        for L in enumerate_grassmannian(field, N, n):
+            assert is_toy_shtuka(L) == toy_by_intersection(L), L
+
+
+@pytest.mark.parametrize("field", [F4, F9], ids=["F4", "F9"])
+def test_rank_form_dichotomy_exhaustive_n3(field):
+    rational = [
+        W for d in range(4) for W in enumerate_grassmannian(field, 3, d, subfield_only=True)
+    ]
+    for n in range(4):
+        for pt in enumerate_toysht(field, 3, n):
+            for W in rational:
+                assert dichotomy_check(pt, W) == dichotomy_by_subspaces(pt, W), (pt.L, W)
+
+
+def test_flag_is_cached_and_rejects_non_toy_points():
+    pt = next(iter(enumerate_toysht(F4, 4, 2, nontrivial_only=True)))
+    assert split_nontrivial(pt) is pt.flag
+    assert pt.flag == (
+        intersect(pt.L, pt.sigma_L),
+        echelonize(F4, pt.L.basis + pt.sigma_L.basis, 4),
+    )
+    bad = next(L for L in enumerate_grassmannian(F4, 4, 2) if not is_toy_shtuka(L))
+    with pytest.raises(NotAToyShtukaError):
+        split_nontrivial(ToyPoint(bad))
+    with pytest.raises(NotAToyShtukaError):
+        dichotomy_check(ToyPoint(bad), zero_subspace(F4, 4))
+
+
+@st.composite
+def subspace_and_rational(draw):
+    field = draw(st.sampled_from([F8, F16]))
+    N = draw(st.integers(2, 5))
+    elem = st.integers(0, field.order - 1)
+    sub = st.sampled_from(field.subfield_elements())
+    rows = draw(st.lists(st.tuples(*[elem] * N), min_size=0, max_size=N))
+    wrows = draw(st.lists(st.tuples(*[sub] * N), min_size=0, max_size=N))
+    return echelonize(field, rows, N), echelonize(field, wrows, N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_and_rational())
+def test_rank_forms_on_random_bases(pair):
+    L, W = pair
+    toy = is_toy_shtuka(L)
+    assert toy == toy_by_intersection(L)
+    if toy:
+        pt = ToyPoint(L)
+        assert dichotomy_check(pt, W) == dichotomy_by_subspaces(pt, W)
