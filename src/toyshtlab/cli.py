@@ -88,8 +88,12 @@ def _default_chain(model: tate.FiniteTateModel):
 def check_chart_equivalence(params: dict, seed: int):
     F = _field(params, default_m=2)
     N, n = int(params["N"]), int(params["n"])
+    budget = _budget(params)
+    sweep = F.order ** (n * (N - n))
+    if sweep > budget:
+        raise BudgetExceededError(f"{sweep} matrices per chart exceeds budget {budget}")
     counters = {"charts": 0, "matrices": 0, "witnesses": []}
-    for W in enumerate_grassmannian(F, N, N - n, subfield_only=True, budget=_budget(params)):
+    for W in enumerate_grassmannian(F, N, N - n, subfield_only=True, budget=budget):
         chart = charts.canonical_chart(F, W)
         rep = charts.chart_equivalence_check(F, N, n, chart)
         counters["charts"] += 1
@@ -239,10 +243,13 @@ def check_radon_duality(params: dict, seed: int):
     for hk in keys:
         if len(inc[hk]) != per_hyperplane:
             counters["witnesses"].append({"kind": "incidence_count", "H": hk})
-    through = gauss_binomial(N - 1, N - 2, F.q)
+    through = dict.fromkeys(keys, 0)
+    for hk in keys:
+        for jk in inc[hk]:
+            through[jk] += 1
+    per_line = gauss_binomial(N - 1, N - 2, F.q)
     for jk in keys:
-        cnt = sum(1 for hk in keys if jk in set(inc[hk]))
-        if cnt != through:
+        if through[jk] != per_line:
             counters["witnesses"].append({"kind": "incidence_count", "J": jk})
     p = F.p
     for _ in range(trials):
@@ -262,6 +269,10 @@ def check_radon_duality(params: dict, seed: int):
 def check_transversality_locus(params: dict, seed: int):
     F = _field(params, default_m=1)
     s, t = int(params["s"]), int(params["t"])
+    budget = _budget(params)
+    sweep = F.order ** (s * t)
+    if sweep > budget:
+        raise BudgetExceededError(f"{sweep} matrices exceeds budget {budget}")
     from itertools import product as iproduct
 
     counters = {"matrices": 0, "witnesses": []}

@@ -152,34 +152,29 @@ class HoroDivisor:
             {k: -v for k, v in self.mu.items()},
         )
 
-    def le(self, other: "HoroDivisor") -> bool:
-        """Pointwise partial order on coefficients."""
-        return all(self.lam[k] <= other.lam[k] for k in self.lam) and all(
-            self.mu[k] <= other.mu[k] for k in self.mu
-        )
-
 
 _incidence_cache: dict = {}
 
 
 def line_keys(field: Field, N: int):
     """Canonical keys for the rational lines: their echelon generator rows."""
-    keys, _ = _incidence(field, N)
-    return list(keys)
+    return list(incidence_lists(field, N))
 
 
-def incidence_lists(field: Field, N: int):
-    """For each hyperplane key (a perp line) the list of line keys inside it."""
-    _, inc = _incidence(field, N)
-    return inc
+def incidence_lists(field: Field, N: int) -> dict:
+    """The line/hyperplane incidence of the rational projective space: for
+    each line key, in rational_lines order, the line keys perpendicular to it
+    under the standard pairing.  Read as hyperplane key (a perp line) to the
+    lines inside it, or, the pairing being symmetric, as line key to the
+    hyperplanes through it.
 
-
-def _incidence(field: Field, N: int):
-    tag = (id(field), N)
+    Cached by the field's value, so equal fields built separately share one
+    entry.
+    """
+    tag = (field.p, field.e, field.m, field.modulus, N)
     if tag not in _incidence_cache:
         keys = [L.basis[0] for L in rational_lines(field, N)]
         inc = {hk: [] for hk in keys}
-        through = {jk: [] for jk in keys}
         for hk in keys:
             for jk in keys:
                 acc = 0
@@ -188,15 +183,8 @@ def _incidence(field: Field, N: int):
                         acc = field.add(acc, field.mul(a, b))
                 if acc == 0:
                     inc[hk].append(jk)
-                    through[jk].append(hk)
-        _incidence_cache[tag] = (keys, inc, through)
-    return _incidence_cache[tag][:2]
-
-
-def hyperplanes_through(field: Field, N: int):
-    """For each line key the list of hyperplane keys containing it."""
-    _incidence(field, N)
-    return _incidence_cache[(id(field), N)][2]
+        _incidence_cache[tag] = inc
+    return _incidence_cache[tag]
 
 
 def zero_coeffs(field: Field, N: int) -> dict:
@@ -204,44 +192,31 @@ def zero_coeffs(field: Field, N: int) -> dict:
     return {k: zero for k in line_keys(field, N)}
 
 
-def radon_forward(field: Field, mu: dict, n: int, N: int) -> dict:
-    """lambda_H = q^(n-(N-1)) * sum of mu over lines inside H."""
-    p, e = field.p, field.e
+def _incidence_sums(field: Field, d: int, values: dict, power: int) -> dict:
+    """q^power times the sum of a zero-sum coefficient family over each
+    incidence list of P^(d-1), keyed and ordered like the input."""
+    p = field.p
     total = PAdicRational.integer(p, 0)
-    for v in mu.values():
+    for v in values.values():
         total = total + v
     if not total.is_zero():
-        raise SumNotZeroError("mu must sum to zero")
-    keys = list(mu.keys())
-    vals, k = _common_ints([mu[j] for j in keys], p)
+        raise SumNotZeroError("coefficients must sum to zero")
+    keys = list(values)
+    vals, k = _common_ints([values[j] for j in keys], p)
     byk = dict(zip(keys, vals))
-    inc = incidence_lists(field, N)
-    factor = PAdicRational.q_power(p, e, n - (N - 1))
-    out = {}
-    for hk in keys:
-        s = sum(byk[jk] for jk in inc[hk])
-        out[hk] = PAdicRational(p, s, k) * factor
-    return out
+    inc = incidence_lists(field, d)
+    factor = PAdicRational.q_power(p, field.e, power)
+    return {hk: PAdicRational(p, sum(byk[jk] for jk in inc[hk]), k) * factor for hk in keys}
+
+
+def radon_forward(field: Field, mu: dict, n: int, N: int) -> dict:
+    """lambda_H = q^(n-(N-1)) * sum of mu over lines inside H."""
+    return _incidence_sums(field, N, mu, n - (N - 1))
 
 
 def radon_backward(field: Field, lam: dict, n: int, N: int) -> dict:
     """mu_J = q^(1-n) * sum of lambda over hyperplanes through J."""
-    p, e = field.p, field.e
-    total = PAdicRational.integer(p, 0)
-    for v in lam.values():
-        total = total + v
-    if not total.is_zero():
-        raise SumNotZeroError("lambda must sum to zero")
-    keys = list(lam.keys())
-    vals, k = _common_ints([lam[h] for h in keys], p)
-    byk = dict(zip(keys, vals))
-    through = hyperplanes_through(field, N)
-    factor = PAdicRational.q_power(p, e, 1 - n)
-    out = {}
-    for jk in keys:
-        s = sum(byk[hk] for hk in through[jk])
-        out[jk] = PAdicRational(p, s, k) * factor
-    return out
+    return _incidence_sums(field, N, lam, 1 - n)
 
 
 def is_principal_pair(d: HoroDivisor) -> bool:

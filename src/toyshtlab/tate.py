@@ -17,11 +17,10 @@ from .errors import (
     LatticeNotNestedError,
     NotAdmissibleError,
     NotInvariantError,
-    SumNotZeroError,
     WrongChainError,
     WrongIndexError,
 )
-from .divisors import PAdicRational
+from .divisors import PAdicRational, _incidence_sums, incidence_lists
 from .gf import Field
 from .linalg import QuotientMap, Subspace, echelonize, perp, solve
 
@@ -43,8 +42,8 @@ class FiniteTateModel:
         self.c = c
         self.c_star = -c - D
         self._vectors = None
+        self._line_index = None
         self._lines = None
-        self._pair_zero = None
 
     def n(self, lattice: Subspace) -> int:
         return lattice.dim + self.c
@@ -74,22 +73,23 @@ class FiniteTateModel:
             out = out * q + x
         return out
 
-    def lines(self):
-        """Normalized representatives of the scalar orbits of nonzero vectors."""
-        if self._lines is None:
+    def line_index(self):
+        """For each vector index, the normalized representative of the
+        vector's line (first nonzero coordinate 1); None at 0."""
+        if self._line_index is None:
             f = self.field
-            reps = []
-            seen = set()
-            for v in self.vectors():
-                if all(x == 0 for x in v):
-                    continue
-                i = next(k for k, x in enumerate(v) if x != 0)
-                inv = f.inv(v[i])
-                rep = tuple(f.mul(inv, x) for x in v)
-                if rep not in seen:
-                    seen.add(rep)
-                    reps.append(rep)
-            self._lines = reps
+            out = [None]
+            for v in self.vectors()[1:]:
+                inv = f.inv(next(x for x in v if x != 0))
+                out.append(tuple(f.mul(inv, x) for x in v))
+            self._line_index = out
+        return self._line_index
+
+    def lines(self):
+        """Normalized representatives of the scalar orbits of nonzero
+        vectors, in order of first appearance among the vectors."""
+        if self._lines is None:
+            self._lines = list(dict.fromkeys(self.line_index()[1:]))
         return self._lines
 
     def pairing(self, a, b) -> int:
@@ -100,30 +100,13 @@ class FiniteTateModel:
                 acc = f.add(acc, f.mul(x, y))
         return acc
 
-    def pair_zero_table(self):
-        """For each line representative, the 0/1 incidence with every vector
-        of the dual coordinate space under the standard pairing."""
-        if self._pair_zero is None:
-            vecs = self.vectors()
-            self._pair_zero = [
-                bytes(1 if self.pairing(rep, w) == 0 else 0 for w in vecs)
-                for rep in self.lines()
-            ]
-        return self._pair_zero
+    def pair_zero_table(self) -> dict:
+        """For each line representative, the representatives perpendicular
+        to it under the standard pairing: incidence_lists at d = D."""
+        return incidence_lists(self.field, self.D)
 
     def subspace(self, rows) -> Subspace:
         return echelonize(self.field, rows, self.D)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteTateModel)
-            and self.field is other.field
-            and self.D == other.D
-            and self.c == other.c
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.D, self.c))
 
 
 class TateFn:
@@ -238,19 +221,20 @@ def fourier(f: TateFn) -> TateFn:
     model = f.model
     p, e = model.field.p, model.field.e
     q = model.q
-    size = q**model.D
     k = max([v.exp for v in f.values] + [0])
     nums = [v.scaled_numerator(k) for v in f.values]
-    reps = model.lines()
-    table = model.pair_zero_table()
-    out = [nums[0]] * size
-    for li, rep in enumerate(reps):
-        c = nums[model.index(rep)]
-        if c == 0:
-            continue
-        row = table[li]
-        for w in range(size):
-            out[w] += c * (q - 1) if row[w] else -c
+    # the orbit sum over c != 0 of psi(c <v, w>) is q-1 when v is
+    # perpendicular to w and -1 otherwise, so the value on a line l' is
+    # f(0) + q * (sum of f over lines perpendicular to l') - (sum over all)
+    inc = model.pair_zero_table()
+    at = {rep: nums[model.index(rep)] for rep in inc}
+    total = sum(at.values())
+    zero = nums[0]
+    per_line = {
+        rep: zero + q * sum(at[jk] for jk in perp_lines) - total
+        for rep, perp_lines in inc.items()
+    }
+    out = [zero + (q - 1) * total] + [per_line[rep] for rep in model.line_index()[1:]]
     pm = PAdicRational.q_power(p, e, model.offset(f.side))
     other = "T*" if f.side == "T" else "T"
     return TateFn(model, other, [PAdicRational(p, x, k) * pm for x in out])
@@ -359,25 +343,10 @@ def radon_finite(model: FiniteTateModel, g: dict, inner: Subspace, outer: Subspa
     hyperplanes keyed by their normal lines."""
     if not is_admissible(model, inner, outer):
         raise NotAdmissibleError("lattice pair violates the admissibility bounds")
-    p, e = model.field.p, model.field.e
-    total = PAdicRational.integer(p, 0)
-    for v in g.values():
-        total = total + v
-    if not total.is_zero():
-        raise SumNotZeroError("input must sum to zero")
-    sq = SubquotientCoords(model, inner, outer)
-    reps = sq.quotient_lines()
-    k = max([v.exp for v in g.values()] + [0])
-    nums = {key: g[key].scaled_numerator(k) for key in g}
-    factor = PAdicRational.q_power(p, e, model.n(inner) + 1)
-    out = {}
-    for hk in reps:
-        s = 0
-        for jk in reps:
-            if model.pairing(hk, jk) == 0:
-                s += nums[jk]
-        out[hk] = PAdicRational(p, s, k) * factor
-    return out
+    # quotient line representatives are the kernel's line keys; the kernel
+    # raises SumNotZeroError on input that does not sum to zero
+    d = outer.dim - inner.dim
+    return _incidence_sums(model.field, d, g, model.n(inner) + 1)
 
 
 def radon_fourier_commutativity_check(

@@ -229,6 +229,23 @@ def test_budget_bounds_locus_checks(name, params):
     assert not replay_witness({**w, "params": {**w["params"], "budget": 1 << 20}})
 
 
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        # 35 centers fit the budget; the 4^4 matrices per center do not
+        ("chart_equivalence", {"N": 4, "n": 2}),
+        ("transversality_locus", {"s": 2, "t": 2}),
+    ],
+)
+def test_budget_bounds_matrix_sweeps(name, params):
+    r = run(CheckSpec(name, {"p": 2, "e": 1, "m": 2, **params, "budget": 100}))
+    assert r.verdict == "fail"
+    (w,) = r.counters["witnesses"]
+    assert w["kind"] == "budget_exceeded" and w["params"]["budget"] == 100
+    assert replay_witness(w)
+    assert not replay_witness({**w, "params": {**w["params"], "budget": 1 << 20}})
+
+
 def test_check_exceptions_become_reports():
     specs = [
         CheckSpec("radon_fourier_square", {"p": 2, "e": 1, "D": 3, "c": 0}),

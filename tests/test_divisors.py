@@ -5,7 +5,7 @@ import pytest
 from toyshtlab.divisors import (
     HoroDivisor,
     PAdicRational,
-    hyperplanes_through,
+    _incidence_cache,
     incidence_lists,
     is_principal_pair,
     line_keys,
@@ -48,18 +48,52 @@ def test_padic_denominators_are_p_powers_only():
             assert v.num == 0 or v.num % 3 != 0
 
 
+def _hyperplanes_through_counts(field, N):
+    inc = incidence_lists(field, N)
+    counts = dict.fromkeys(inc, 0)
+    for perp_lines in inc.values():
+        for jk in perp_lines:
+            counts[jk] += 1
+    return counts
+
+
 def test_incidence_structure_pg22():
     inc = incidence_lists(F2, 3)
     assert all(len(v) == 3 for v in inc.values())
-    through = hyperplanes_through(F2, 3)
-    assert all(len(v) == 3 for v in through.values())
+    assert all(c == 3 for c in _hyperplanes_through_counts(F2, 3).values())
 
 
 def test_incidence_counts_match_gauss_binomial():
     for field, N in ((F2, 4), (F3, 3)):
-        through = hyperplanes_through(field, N)
         expected = gauss_binomial(N - 1, N - 2, field.q)
-        assert all(len(v) == expected for v in through.values())
+        counts = _hyperplanes_through_counts(field, N)
+        assert all(c == expected for c in counts.values())
+
+
+@pytest.mark.parametrize(
+    "field", [F2, F3, F4, field_make(3, 2, 1)], ids=["F2", "F3", "F4", "F9"]
+)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_incidence_lists_match_pairing_double_loop(field, d):
+    keys = [L.basis[0] for L in enumerate_grassmannian(field, d, 1, subfield_only=True)]
+
+    def pairing(a, b):
+        acc = 0
+        for x, y in zip(a, b):
+            acc = field.add(acc, field.mul(x, y))
+        return acc
+
+    expected = {hk: [jk for jk in keys if pairing(hk, jk) == 0] for hk in keys}
+    inc = incidence_lists(field, d)
+    assert list(inc) == keys == line_keys(field, d)
+    assert inc == expected
+
+
+def test_incidence_cache_keyed_by_field_value():
+    fields = [field_make(2, 1, 1) for _ in range(200)]
+    for field in fields:
+        assert incidence_lists(field, 3) is incidence_lists(fields[0], 3)
+    assert sum(1 for tag in _incidence_cache if tag[:3] == (2, 1, 1) and tag[-1] == 3) == 1
 
 
 def test_radon_delta_difference_pg22():
@@ -159,13 +193,6 @@ def test_principal_set_subgroup_and_level_shift():
             F2, 3, 1, a.lam, {k: qv * v for k, v in a.mu.items()}
         )
         assert is_principal_pair(shifted)
-
-
-def test_partial_order():
-    keys = line_keys(F2, 3)
-    zero = zero_coeffs(F2, 3)
-    one = {k: PAdicRational.integer(2, 1) for k in keys}
-    assert HoroDivisor(F2, 3, 1, zero, zero).le(HoroDivisor(F2, 3, 1, one, one))
 
 
 def test_schubert_membership_matches_intersection_oracle():

@@ -127,7 +127,7 @@ def _character_sum_fourier(model, f, k):
     return [pm * v for v in out]
 
 
-@pytest.mark.parametrize("field,D", [(F2, 3), (F3, 3)])
+@pytest.mark.parametrize("field,D", [(F2, 3), (F3, 3), (F3, 4)])
 def test_fourier_matches_character_sum_oracle(field, D):
     # the orbit-collapsed transform equals the direct character sum for
     # every nontrivial character, which also checks character independence
