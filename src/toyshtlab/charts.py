@@ -25,6 +25,7 @@ from .linalg import (
     echelonize,
     enumerate_grassmannian,
     intersect,
+    pairing,
     perp,
     solve,
 )
@@ -482,16 +483,15 @@ def schubert_multiplicity_probe(
 
     if kind == "H":
         phi = perp(sub).basis[0]
-        pairing = [
-            sum_pairing(field, phi, w) for w in chart.w_basis
-        ]  # phi(w_j) for each center basis vector
+        # phi(w_j) for each center basis vector
+        phi_w = [pairing(field, phi, w) for w in chart.w_basis]
 
         def crosses(Adot):
             # d/dt of phi(wp_i + B(wp_i)) is sum_j Adot[i][j] phi(w_j)
             for i in range(n):
                 acc = 0
                 for j in range(width):
-                    acc = field.add(acc, field.mul(Adot[i][j], pairing[j]))
+                    acc = field.add(acc, field.mul(Adot[i][j], phi_w[j]))
                 if acc != 0:
                     return True
             return False
@@ -540,15 +540,6 @@ def schubert_multiplicity_probe(
             continue
         return order
     raise NotOnVarietyError("no transversal probe direction found")
-
-
-def sum_pairing(field: Field, a, b) -> int:
-    """The standard bilinear pairing sum_i a_i b_i."""
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
 from . import charts, divisors, tate, toysht
@@ -173,9 +172,10 @@ def check_dichotomy(params: dict, seed: int):
 def check_partial_frobenius_composition(params: dict, seed: int):
     F = _field(params, default_m=2)
     N = int(params["N"])
+    budget = _budget(params)
     counters = {"flags": 0, "witnesses": []}
     for n in range(0, N):
-        for f in toysht.enumerate_flags(F, N, n, "right"):
+        for f in toysht.enumerate_flags(F, N, n, "right", budget=budget):
             back = toysht.partial_frobenius_minus(toysht.partial_frobenius_plus(f))
             counters["flags"] += 1
             if back != f.frobenius_image():
@@ -183,7 +183,7 @@ def check_partial_frobenius_composition(params: dict, seed: int):
                     {"kind": "composition", "small": f.small.basis, "big": f.big.basis}
                 )
     for n in range(1, N + 1):
-        for f in toysht.enumerate_flags(F, N, n, "left"):
+        for f in toysht.enumerate_flags(F, N, n, "left", budget=budget):
             back = toysht.partial_frobenius_plus(toysht.partial_frobenius_minus(f))
             counters["flags"] += 1
             if back != f.frobenius_image():
@@ -375,7 +375,7 @@ def check_pullback_multiplicity(params: dict, seed: int):
     divisor_type = params.get("type", "J")
     rng = random.Random(seed)
     rep = divisors.partial_frobenius_divisor_pullback_check(
-        F, N, n, divisor_type, rng=rng
+        F, N, n, divisor_type, rng=rng, budget=_budget(params)
     )
     counters = {
         "flags": rep["flags"],
@@ -480,15 +480,9 @@ def run(spec: CheckSpec) -> Report:
     )
 
 
-def run_suite(specs, jobs: int = 1):
-    """Run the given specs, in spec order in the output; exit code 0 unless
-    some check fails."""
-    specs = list(specs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run, specs))
-    else:
-        reports = [run(s) for s in specs]
+def run_suite(specs):
+    """Run the given specs in order; exit code 0 unless some check fails."""
+    reports = [run(s) for s in specs]
     exit_code = 0 if all(r.verdict != "fail" for r in reports) else 1
     return reports, exit_code
 
@@ -630,7 +624,6 @@ def main(argv=None) -> int:
         help="parameter override for --check (repeatable)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", help="write the report document here")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args(argv)
@@ -651,7 +644,7 @@ def main(argv=None) -> int:
     else:
         specs = [CheckSpec(s.name, dict(s.params), args.seed) for s in DEFAULT_SUITE]
 
-    reports, exit_code = run_suite(specs, jobs=args.jobs)
+    reports, exit_code = run_suite(specs)
     text = _to_json(reports) if args.format == "json" else _to_csv(reports)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -13,10 +13,12 @@ from .charts import jtype_flag_pullback_probe, schubert_multiplicity_probe
 from .errors import DimensionMismatchError, SumNotZeroError
 from .gf import Field
 from .linalg import (
+    DEFAULT_ENUM_BUDGET,
     Subspace,
     enumerate_grassmannian,
     gauss_binomial,
     induced_map,
+    pairing,
     perp,
     rational_hyperplanes,
     rational_lines,
@@ -174,16 +176,9 @@ def incidence_lists(field: Field, N: int) -> dict:
     tag = (field.p, field.e, field.m, field.modulus, N)
     if tag not in _incidence_cache:
         keys = [L.basis[0] for L in rational_lines(field, N)]
-        inc = {hk: [] for hk in keys}
-        for hk in keys:
-            for jk in keys:
-                acc = 0
-                for a, b in zip(hk, jk):
-                    if a and b:
-                        acc = field.add(acc, field.mul(a, b))
-                if acc == 0:
-                    inc[hk].append(jk)
-        _incidence_cache[tag] = inc
+        _incidence_cache[tag] = {
+            hk: [jk for jk in keys if pairing(field, hk, jk) == 0] for hk in keys
+        }
     return _incidence_cache[tag]
 
 
@@ -357,7 +352,13 @@ def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, repeat
 
 
 def partial_frobenius_divisor_pullback_check(
-    field: Field, N: int, n: int, divisor_type: str, rng=None, probe_repeats: int = 5
+    field: Field,
+    N: int,
+    n: int,
+    divisor_type: str,
+    rng=None,
+    probe_repeats: int = 5,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict:
     """Set-level identification of the preimage of a horospherical component
     under the plus partial Frobenius, with sampled multiplicity probes
@@ -369,12 +370,11 @@ def partial_frobenius_divisor_pullback_check(
     model, where perpendicularity turns it into a J case.
     """
     report = {"flags": 0, "set_failures": [], "probes": {}, "mode": "exhaustive"}
-    flags = list(enumerate_flags(field, N, n, "right"))
-    if divisor_type == "H":
-        markers = enumerate_grassmannian(field, N, N - 1, subfield_only=True)
-    else:
-        markers = enumerate_grassmannian(field, N, 1, subfield_only=True)
-    markers = list(markers)
+    flags = list(enumerate_flags(field, N, n, "right", budget=budget))
+    marker_dim = N - 1 if divisor_type == "H" else 1
+    markers = list(
+        enumerate_grassmannian(field, N, marker_dim, subfield_only=True, budget=budget)
+    )
     for f in flags:
         report["flags"] += 1
         image = partial_frobenius_plus(f)

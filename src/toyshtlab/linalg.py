@@ -145,6 +145,15 @@ def span_sum(a: Subspace, b: Subspace) -> Subspace:
     return echelonize(a.field, a.basis + b.basis, a.ambient_dim)
 
 
+def pairing(field: Field, a, b) -> int:
+    """The standard bilinear pairing sum_i a_i b_i."""
+    acc = 0
+    for x, y in zip(a, b):
+        if x and y:
+            acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
 def perp(a: Subspace) -> Subspace:
     """Annihilator under the standard pairing (kernel of the basis matrix)."""
     f = a.field

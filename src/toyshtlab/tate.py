@@ -13,6 +13,8 @@ leave Z[1/p] and are independent of the character.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import (
     LatticeNotNestedError,
     NotAdmissibleError,
@@ -20,9 +22,16 @@ from .errors import (
     WrongChainError,
     WrongIndexError,
 )
-from .divisors import PAdicRational, _incidence_sums, incidence_lists
+from .divisors import PAdicRational, _incidence_sums, incidence_lists, line_keys
 from .gf import Field
-from .linalg import QuotientMap, Subspace, echelonize, perp, solve
+from .linalg import Subspace, echelonize, pairing, perp
+
+
+def _line_key(field: Field, v):
+    """The normalized representative of the line through a nonzero vector:
+    its first nonzero coordinate scaled to 1, as in line_keys."""
+    inv = field.inv(next(x for x in v if x != 0))
+    return tuple(field.mul(inv, x) for x in v)
 
 
 class FiniteTateModel:
@@ -44,6 +53,7 @@ class FiniteTateModel:
         self._vectors = None
         self._line_index = None
         self._lines = None
+        self._shell_keys = {}
 
     def n(self, lattice: Subspace) -> int:
         return lattice.dim + self.c
@@ -60,8 +70,6 @@ class FiniteTateModel:
     def vectors(self):
         """All vectors, listed so that position agrees with index()."""
         if self._vectors is None:
-            from itertools import product
-
             elems = tuple(self.field.elements())
             self._vectors = [tuple(reversed(v)) for v in product(elems, repeat=self.D)]
         return self._vectors
@@ -78,11 +86,7 @@ class FiniteTateModel:
         vector's line (first nonzero coordinate 1); None at 0."""
         if self._line_index is None:
             f = self.field
-            out = [None]
-            for v in self.vectors()[1:]:
-                inv = f.inv(next(x for x in v if x != 0))
-                out.append(tuple(f.mul(inv, x) for x in v))
-            self._line_index = out
+            self._line_index = [None] + [_line_key(f, v) for v in self.vectors()[1:]]
         return self._line_index
 
     def lines(self):
@@ -91,14 +95,6 @@ class FiniteTateModel:
         if self._lines is None:
             self._lines = list(dict.fromkeys(self.line_index()[1:]))
         return self._lines
-
-    def pairing(self, a, b) -> int:
-        f = self.field
-        acc = 0
-        for x, y in zip(a, b):
-            if x and y:
-                acc = f.add(acc, f.mul(x, y))
-        return acc
 
     def pair_zero_table(self) -> dict:
         """For each line representative, the representatives perpendicular
@@ -246,69 +242,57 @@ def fourier_inverse_check(f: TateFn) -> bool:
     return fourier(fourier(f)) == f.reflect()
 
 
-class SubquotientCoords:
-    """Coordinates on the quotient of two nested subspaces, with lifts."""
+def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
+    """The shell between nested lattices, keyed by the projective quotient
+    outer/inner: (vector index, quotient-line key) for each vector of outer
+    outside inner, and (functional index, key of the induced form) for each
+    functional of perp(inner) outside perp(outer).
 
-    def __init__(self, model: FiniteTateModel, inner: Subspace, outer: Subspace):
-        if not outer.contains(inner):
-            raise LatticeNotNestedError("inner lattice must sit inside the outer one")
-        self.model = model
-        self.inner = inner
-        self.outer = outer
-        f = model.field
-        inner_rows = [solve(f, outer.basis, b) for b in inner.basis]
-        self._inner_in_outer = echelonize(f, inner_rows, outer.dim)
-        self._qm = QuotientMap(self._inner_in_outer)
-        self.dim = outer.dim - inner.dim
-
-    def to_quotient(self, v):
-        coords = solve(self.model.field, self.outer.basis, v)
-        if coords is None:
-            raise ValueError("vector is outside the outer lattice")
-        return self._qm.apply(coords)
-
-    def lift(self, qvec):
-        f = self.model.field
-        coords = self._qm.lift(qvec)
-        out = [0] * self.model.D
-        for c, row in zip(coords, self.outer.basis):
+    Both sides take quotient coordinates against one set of rows of outer
+    completing inner, so two keys pair to zero iff the vector and functional
+    do.  Keys are normalized like line_keys(field, dim outer - dim inner).
+    Cached on the model by the value of (inner, outer).
+    """
+    cached = model._shell_keys.get((inner, outer))
+    if cached is not None:
+        return cached
+    if not outer.contains(inner):
+        raise LatticeNotNestedError("inner lattice must sit inside the outer one")
+    f, D = model.field, model.D
+    span, rows = inner, []
+    for row in outer.basis:
+        if not span.contains_vector(row):
+            rows.append(row)
+            span = echelonize(f, span.basis + (row,), D)
+    # outer is {sum a_i rows_i + u : u in inner}, with quotient coordinates a
+    inner_vectors = list(inner.vectors())
+    vectors = []
+    for a in product(tuple(f.elements()), repeat=len(rows)):
+        if not any(a):
+            continue
+        key = _line_key(f, a)
+        base = [0] * D
+        for c, row in zip(a, rows):
             if c:
-                for j in range(self.model.D):
-                    out[j] = f.add(out[j], f.mul(c, row[j]))
-        return tuple(out)
-
-    def line_rep(self, qvec):
-        f = self.model.field
-        i = next(k for k, x in enumerate(qvec) if x != 0)
-        inv = f.inv(qvec[i])
-        return tuple(f.mul(inv, x) for x in qvec)
-
-    def quotient_lines(self):
-        from itertools import product
-
-        f = self.model.field
-        seen = set()
-        reps = []
-        for v in product(f.elements(), repeat=self.dim):
-            if all(x == 0 for x in v):
-                continue
-            rep = self.line_rep(v)
-            if rep not in seen:
-                seen.add(rep)
-                reps.append(rep)
-        return reps
+                base = [f.add(x, f.mul(c, y)) for x, y in zip(base, row)]
+        for u in inner_vectors:
+            vectors.append((model.index([f.add(x, y) for x, y in zip(base, u)]), key))
+    # w in perp(inner) induces a -> sum a_i <w, rows_i>, zero iff w in perp(outer)
+    functionals = []
+    for w in perp(inner).vectors():
+        form = tuple(pairing(f, w, row) for row in rows)
+        if any(form):
+            functionals.append((model.index(w), _line_key(f, form)))
+    model._shell_keys[(inner, outer)] = vectors, functionals
+    return vectors, functionals
 
 
 def eps_extend(model: FiniteTateModel, g: dict, inner: Subspace, outer: Subspace) -> TateFn:
     """Pull a function on the projective quotient back to the shell between
     the lattices and extend by zero."""
-    sq = SubquotientCoords(model, inner, outer)
     out = TateFn.zero(model, "T")
-    for v in outer.vectors():
-        if inner.contains_vector(v):
-            continue
-        rep = sq.line_rep(sq.to_quotient(v))
-        out.values[model.index(v)] = g[rep]
+    for i, key in shell_keys(model, inner, outer)[0]:
+        out.values[i] = g[key]
     return out
 
 
@@ -316,20 +300,9 @@ def eps_extend_dual(model: FiniteTateModel, gstar: dict, inner: Subspace, outer:
     """Dual version, supported on the perp shell of the dual space; the
     hyperplane of the quotient seen by a functional is keyed by the
     normalized vector of its induced form."""
-    sq = SubquotientCoords(model, inner, outer)
-    f = model.field
-    inner_perp = perp(inner)
-    outer_perp = perp(outer)
     out = TateFn.zero(model, "T*")
-    basis_lifts = [
-        sq.lift(tuple(1 if k == i else 0 for k in range(sq.dim))) for i in range(sq.dim)
-    ]
-    for w in inner_perp.vectors():
-        if outer_perp.contains_vector(w):
-            continue
-        induced = tuple(model.pairing(w, lift) for lift in basis_lifts)
-        rep = sq.line_rep(induced)
-        out.values[model.index(w)] = gstar[rep]
+    for i, key in shell_keys(model, inner, outer)[1]:
+        out.values[i] = gstar[key]
     return out
 
 
@@ -357,8 +330,7 @@ def radon_fourier_commutativity_check(
     if not is_admissible(model, inner, outer):
         raise NotAdmissibleError("lattice pair violates the admissibility bounds")
     p = model.field.p
-    sq = SubquotientCoords(model, inner, outer)
-    reps = sq.quotient_lines()
+    reps = line_keys(model.field, outer.dim - inner.dim)
     failures = 0
     for _ in range(trials):
         vals = [rng.randrange(-9, 10) for _ in reps]

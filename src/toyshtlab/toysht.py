@@ -16,6 +16,7 @@ from functools import cached_property
 from .errors import InvalidFlagError, NotAToyShtukaError, TrivialPointError
 from .gf import Field
 from .linalg import (
+    DEFAULT_ENUM_BUDGET,
     QuotientMap,
     Subspace,
     echelonize,
@@ -140,19 +141,19 @@ def partial_frobenius_minus(f: FlagPoint) -> FlagPoint:
     return out
 
 
-def superspaces_one_more(L: Subspace):
+def superspaces_one_more(L: Subspace, budget: int = DEFAULT_ENUM_BUDGET):
     """All subspaces of dimension dim L + 1 containing L."""
     qm = QuotientMap(L)
-    for line in enumerate_grassmannian(L.field, qm.dim, 1):
+    for line in enumerate_grassmannian(L.field, qm.dim, 1, budget=budget):
         gen = qm.lift(line.basis[0])
         yield span_sum(L, echelonize(L.field, [gen], L.ambient_dim))
 
 
-def subspaces_one_less(L: Subspace):
+def subspaces_one_less(L: Subspace, budget: int = DEFAULT_ENUM_BUDGET):
     """All hyperplanes of L, via coordinates in a basis of L."""
     f = L.field
     k = L.dim
-    for H in enumerate_grassmannian(f, k, k - 1):
+    for H in enumerate_grassmannian(f, k, k - 1, budget=budget):
         rows = []
         for coeffs in H.basis:
             v = [0] * L.ambient_dim
@@ -164,26 +165,29 @@ def subspaces_one_less(L: Subspace):
         yield echelonize(f, rows, L.ambient_dim)
 
 
-def enumerate_flags(field: Field, N: int, n: int, kind: str):
+def enumerate_flags(
+    field: Field, N: int, n: int, kind: str, budget: int = DEFAULT_ENUM_BUDGET
+):
     """Stream all flags of the given kind at level n.
 
     Right flags at level n pair an n-dimensional toy point with an
     (n+1)-dimensional cover; left flags at level n pair an (n-1)-dimensional
     base with an n-dimensional toy point.  Over a nontrivial point the
     partner is forced; over a trivial one it ranges over a projective fiber.
+    The budget bounds the points and each fiber, as in enumerate_toysht.
     """
     if kind == "right":
-        for pt in enumerate_toysht(field, N, n):
+        for pt in enumerate_toysht(field, N, n, budget=budget):
             if is_trivial(pt.L):
-                for big in superspaces_one_more(pt.L):
+                for big in superspaces_one_more(pt.L, budget):
                     yield FlagPoint(pt.L, big, "right")
             else:
                 _, total = split_nontrivial(pt)
                 yield FlagPoint(pt.L, total, "right")
     elif kind == "left":
-        for pt in enumerate_toysht(field, N, n):
+        for pt in enumerate_toysht(field, N, n, budget=budget):
             if is_trivial(pt.L):
-                for small in subspaces_one_less(pt.L):
+                for small in subspaces_one_less(pt.L, budget):
                     yield FlagPoint(small, pt.L, "left")
             else:
                 inter, _ = split_nontrivial(pt)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -12,10 +13,9 @@ from toyshtlab.errors import (
     WrongIndexError,
 )
 from toyshtlab.gf import field_make
-from toyshtlab.linalg import perp
+from toyshtlab.linalg import gauss_binomial, pairing, perp
 from toyshtlab.tate import (
     FiniteTateModel,
-    SubquotientCoords,
     TateFn,
     TatePair,
     canonical_generators,
@@ -34,6 +34,7 @@ from toyshtlab.tate import (
     radon_finite,
     radon_fourier_commutativity_check,
     schubert_pair,
+    shell_keys,
 )
 
 F2 = field_make(2, 1, 1)
@@ -117,7 +118,7 @@ def _character_sum_fourier(model, f, k):
         buckets = [0] * p
         for v, nv in zip(model.vectors(), nums):
             if nv:
-                buckets[model.field.mul(k, model.pairing(w, v))] += nv
+                buckets[model.field.mul(k, pairing(model.field, w, v))] += nv
         # sum_j buckets[j] zeta^j with 1 + zeta + ... + zeta^(p-1) = 0:
         # subtract the top bucket from every coefficient
         coeffs = [b - buckets[p - 1] for b in buckets[: p - 1]]
@@ -177,35 +178,70 @@ def test_fourier_requires_invariance():
         fourier(f)
 
 
+# (field, D, c, dim inner, dim outer) of the shells checked exhaustively
+SHELLS = [(F2, 5, -2, 1, 4), (F2, 6, -3, 1, 5), (F3, 4, -2, 0, 4), (F3, 4, -2, 1, 3)]
+
+
+def _shell(field, D, c, din, dout):
+    m = FiniteTateModel(field, D, c)
+    return m, standard(m, din), standard(m, dout), line_keys(field, dout - din)
+
+
+def _assert_keys_on_classes(m, keyed, small, big):
+    """keyed covers big minus small once, is constant on F^x v + small, and
+    takes one value per line of the quotient big/small."""
+    f = m.field
+    key = dict(keyed)
+    assert len(key) == len(keyed)
+    assert set(key) == {m.index(v) for v in big.vectors() if not small.contains_vector(v)}
+    small_vectors = list(small.vectors())
+    for v in big.vectors():
+        if small.contains_vector(v):
+            continue
+        for c, u in product(tuple(f.elements())[1:], small_vectors):
+            w = tuple(f.add(f.mul(c, x), y) for x, y in zip(v, u))
+            assert key[m.index(w)] == key[m.index(v)]
+    d = big.dim - small.dim
+    assert len(set(key.values())) == gauss_binomial(d, 1, f.q)
+
+
 def test_eps_extend_support_and_values():
-    m = model_q2(5, -2)
-    inner, outer = standard(m, 1), standard(m, 4)
-    sq = SubquotientCoords(m, inner, outer)
-    reps = sq.quotient_lines()
-    one = PAdicRational.integer(2, 1)
-    g = {rep: one for rep in reps}
-    f = eps_extend(m, g, inner, outer)
-    for v in m.vectors():
-        val = f.value(v)
-        in_shell = outer.contains_vector(v) and not inner.contains_vector(v)
-        assert val == (one if in_shell else PAdicRational.integer(2, 0))
-    zero_g = {rep: PAdicRational.integer(2, 0) for rep in reps}
-    assert eps_extend(m, zero_g, inner, outer) == TateFn.zero(m, "T")
-    with pytest.raises(LatticeNotNestedError):
-        eps_extend(m, g, outer, inner)
+    for shape in SHELLS:
+        m, inner, outer, reps = _shell(*shape)
+        p = m.field.p
+        vectors, _ = shell_keys(m, inner, outer)
+        _assert_keys_on_classes(m, vectors, inner, outer)
+        assert {k for _, k in vectors} == set(reps)
+        g = {rep: PAdicRational.integer(p, i + 1) for i, rep in enumerate(reps)}
+        f = eps_extend(m, g, inner, outer)
+        key = dict(vectors)
+        for i, val in enumerate(f.values):
+            assert val == (g[key[i]] if i in key else PAdicRational.integer(p, 0))
+        zero_g = {rep: PAdicRational.integer(p, 0) for rep in reps}
+        assert eps_extend(m, zero_g, inner, outer) == TateFn.zero(m, "T")
+        with pytest.raises(LatticeNotNestedError):
+            eps_extend(m, g, outer, inner)
 
 
 def test_eps_extend_dual_support():
-    m = model_q2(5, -2)
-    inner, outer = standard(m, 1), standard(m, 4)
-    sq = SubquotientCoords(m, inner, outer)
-    one = PAdicRational.integer(2, 1)
-    g = {rep: one for rep in sq.quotient_lines()}
-    f = eps_extend_dual(m, g, inner, outer)
-    ip, op = perp(inner), perp(outer)
-    for w in m.vectors():
-        in_shell = ip.contains_vector(w) and not op.contains_vector(w)
-        assert (not f.value(w).is_zero()) == in_shell
+    for shape in SHELLS:
+        m, inner, outer, reps = _shell(*shape)
+        f = m.field
+        vectors, functionals = shell_keys(m, inner, outer)
+        _assert_keys_on_classes(m, functionals, perp(outer), perp(inner))
+        assert {k for _, k in functionals} == set(reps)
+        # one completion on both sides: keys pair to zero iff vectors do
+        vs = m.vectors()
+        for i, kv in vectors:
+            for j, kw in functionals:
+                assert (pairing(f, vs[i], vs[j]) == 0) == (pairing(f, kv, kw) == 0)
+        g = {rep: PAdicRational.integer(f.p, i + 1) for i, rep in enumerate(reps)}
+        out = eps_extend_dual(m, g, inner, outer)
+        key = dict(functionals)
+        for j, val in enumerate(out.values):
+            assert val == (g[key[j]] if j in key else PAdicRational.integer(f.p, 0))
+    # cached on the model by the value of the pair, not the objects
+    assert shell_keys(m, inner, outer) is shell_keys(m, standard(m, 1), standard(m, 3))
 
 
 def test_radon_finite_delta_difference():
@@ -214,8 +250,7 @@ def test_radon_finite_delta_difference():
     m = model_q2(5, -2)
     inner, outer = standard(m, 0), standard(m, 4)
     assert is_admissible(m, inner, outer)
-    sq = SubquotientCoords(m, inner, outer)
-    reps = sq.quotient_lines()
+    reps = line_keys(F2, 4)
     g = {rep: PAdicRational.integer(2, 0) for rep in reps}
     g[reps[0]] = PAdicRational.integer(2, 1)
     g[reps[1]] = PAdicRational.integer(2, -1)
@@ -243,8 +278,7 @@ def test_radon_finite_matches_projective_radon():
 def test_radon_finite_guards():
     m = model_q2(4, -2)
     inner, outer = standard(m, 0), standard(m, 4)
-    sq = SubquotientCoords(m, inner, outer)
-    reps = sq.quotient_lines()
+    reps = line_keys(F2, 4)
     bad = {rep: PAdicRational.integer(2, 1) for rep in reps}
     with pytest.raises(SumNotZeroError):
         radon_finite(m, bad, inner, outer)
