@@ -70,6 +70,16 @@ def _field(params: dict, default_m: int = 1):
     return field_make(p, e, m, budget=_budget(params))
 
 
+def _tate_model(params: dict) -> tate.FiniteTateModel:
+    """The check's Tate model over F_q, gated up front on its q**D vectors."""
+    F = _field(params, default_m=1)
+    D, c = int(params["D"]), int(params["c"])
+    budget = _budget(params)
+    if F.q**D > budget:
+        raise BudgetExceededError(f"{F.q**D} vectors exceeds budget {budget}")
+    return tate.FiniteTateModel(F, D, c)
+
+
 def _standard_flag(model: tate.FiniteTateModel, dim: int):
     rows = [
         tuple(1 if k == i else 0 for k in range(model.D)) for i in range(dim)
@@ -233,6 +243,10 @@ def check_schubert_decomposition(params: dict, seed: int):
 def check_radon_duality(params: dict, seed: int):
     F = _field(params, default_m=1)
     N, n = int(params["N"]), int(params["n"])
+    budget = _budget(params)
+    lines = gauss_binomial(N, 1, F.q)
+    if lines > budget:
+        raise BudgetExceededError(f"{lines} rational lines exceeds budget {budget}")
     trials = int(params.get("trials", 200))
     rng = random.Random(seed)
     keys = divisors.line_keys(F, N)
@@ -300,12 +314,11 @@ def check_transversality_locus(params: dict, seed: int):
 
 
 def check_radon_fourier_square(params: dict, seed: int):
-    F = _field(params, default_m=1)
-    D, c = int(params["D"]), int(params["c"])
+    model = _tate_model(params)
+    D, c = model.D, model.c
     inner_dim = int(params.get("inner_dim", max(0, -2 - c)))
     outer_dim = int(params.get("outer_dim", D))
     trials = int(params.get("trials", 100))
-    model = tate.FiniteTateModel(F, D, c)
     inner = _standard_flag(model, inner_dim)
     outer = _standard_flag(model, outer_dim)
     rng = random.Random(seed)
@@ -319,19 +332,16 @@ def check_radon_fourier_square(params: dict, seed: int):
 
 
 def check_picard_relation(params: dict, seed: int):
-    F = _field(params, default_m=1)
-    D, c = int(params["D"]), int(params["c"])
-    model = tate.FiniteTateModel(F, D, c)
+    model = _tate_model(params)
     ok = tate.picard_relation_check(model, _default_chain(model))
-    counters = {"witnesses": [] if ok else [{"kind": "picard", "D": D, "c": c}]}
+    counters = {"witnesses": [] if ok else [{"kind": "picard", "D": model.D, "c": model.c}]}
     return ("pass" if ok else "fail"), "exhaustive", counters
 
 
 def check_gamma_identity(params: dict, seed: int):
-    F = _field(params, default_m=1)
-    D, c = int(params["D"]), int(params["c"])
+    model = _tate_model(params)
+    F, D, c = model.field, model.D, model.c
     trials = int(params.get("trials", 50))
-    model = tate.FiniteTateModel(F, D, c)
     chain = _default_chain(model)
     rng = random.Random(seed)
     counters = {"trials": trials, "witnesses": []}
@@ -353,9 +363,8 @@ def check_gamma_identity(params: dict, seed: int):
 
 
 def check_canonical_preimage(params: dict, seed: int):
-    F = _field(params, default_m=1)
-    D, c = int(params["D"]), int(params["c"])
-    model = tate.FiniteTateModel(F, D, c)
+    model = _tate_model(params)
+    F, D, c = model.field, model.D, model.c
     chain = _default_chain(model)
     ok = tate.canonical_preimage_check(model, chain)
     # a perturbed pair must leave the membership set

@@ -5,7 +5,10 @@ the coefficients of a residue polynomial modulo a fixed monic irreducible
 polynomial of degree e*m over F_p.  The modulus and a multiplicative
 generator are found by a seeded deterministic search, so encodings are
 reproducible run to run.  Multiplication, inversion and the relative
-Frobenius x -> x^q go through precomputed exp/log tables.
+Frobenius x -> x^q go through precomputed exp/log tables.  In characteristic
+2 addition is xor; in odd characteristic it goes through Zech logarithms,
+g^i + g^j = g^(i + Z(j - i)) with Z(d) = log(1 + g^d), and -1 = g^((order-1)/2).
+Every table has O(order) entries, each filled in one step.
 """
 
 from __future__ import annotations
@@ -212,13 +215,17 @@ class Field:
             frob[x] = exp[(log[x] * self.q) % n1] if n1 else x
         self._frob = frob
 
-        self._addtab = None
-        if p == 2:
-            pass  # xor fast path, no table needed
-        elif order <= 1024:
-            self._addtab = [
-                [self._digit_add(a, b) for b in range(order)] for a in range(order)
-            ]
+        if p != 2:
+            # zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0 (d = half);
+            # adding 1 changes only the constant digit
+            zech = [-1] * n1
+            for d in range(n1):
+                x = exp[d]
+                s = x - x % p + (x + 1) % p
+                if s:
+                    zech[d] = log[s]
+            self._zech = zech
+            self._half = n1 // 2
 
     def _int_to_poly(self, x: int) -> tuple[int, ...]:
         p = self.p
@@ -240,37 +247,24 @@ class Field:
         c = list(self._int_to_poly(x))
         return tuple(c + [0] * (self.degree - len(c)))
 
-    def _digit_add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
     # arithmetic
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._addtab is not None:
-            return self._addtab[a][b]
-        return self._digit_add(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        # a negative index wraps mod order - 1, as log b - log a must
+        z = self._zech[self._log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[self._log[a] + self._half]
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:

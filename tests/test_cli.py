@@ -177,14 +177,16 @@ def test_budget_env_override(monkeypatch):
     r = run(CheckSpec("grassmannian_count", {"p": 2, "e": 1, "m": 1, "N": 3, "n": 1}))
     assert r.verdict == "fail"
     assert r.counters["witnesses"][0]["kind"] == "budget_exceeded"
-    # a budget overrun does not abort the rest of a suite
+    # a budget overrun does not abort the rest of a suite; the Tate model
+    # of picard_relation has 2**D vectors, so only D=2 fits the budget
     reports, code = run_suite(
         [
             CheckSpec("grassmannian_count", {"p": 2, "e": 1, "m": 1, "N": 3, "n": 1}),
             CheckSpec("picard_relation", {"p": 2, "e": 1, "D": 4, "c": -2}),
+            CheckSpec("picard_relation", {"p": 2, "e": 1, "D": 2, "c": -1}),
         ]
     )
-    assert [x.verdict for x in reports] == ["fail", "pass"] and code == 1
+    assert [x.verdict for x in reports] == ["fail", "fail", "pass"] and code == 1
     monkeypatch.delenv("TOYSHT_BUDGET")
 
 
@@ -231,6 +233,26 @@ def test_budget_bounds_matrix_sweeps(name, params):
     assert r.verdict == "fail"
     (w,) = r.counters["witnesses"]
     assert w["kind"] == "budget_exceeded" and w["params"]["budget"] == 100
+    assert replay_witness(w)
+    assert not replay_witness({**w, "params": {**w["params"], "budget": 1 << 20}})
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        # q**D model vectors: 32 and 81; radon_duality: 121 rational lines
+        ("radon_fourier_square", {"p": 2, "D": 5, "c": -2, "trials": 5}),
+        ("gamma_identity", {"p": 3, "D": 4, "c": -2, "trials": 5}),
+        ("picard_relation", {"p": 3, "D": 4, "c": -2}),
+        ("canonical_preimage", {"p": 3, "D": 4, "c": -2}),
+        ("radon_duality", {"p": 3, "N": 5, "n": 2, "trials": 5}),
+    ],
+)
+def test_budget_bounds_tate_checks(name, params):
+    r = run(CheckSpec(name, {"e": 1, **params, "budget": 10}))
+    assert r.verdict == "fail"
+    (w,) = r.counters["witnesses"]
+    assert w["kind"] == "budget_exceeded" and w["params"]["budget"] == 10
     assert replay_witness(w)
     assert not replay_witness({**w, "params": {**w["params"], "budget": 1 << 20}})
 

@@ -1,7 +1,18 @@
+import random
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
 from toyshtlab.errors import BudgetExceededError, NonPrimeError
-from toyshtlab.gf import field_make
+from toyshtlab.gf import DEFAULT_BUDGET, _is_irreducible, field_make, is_prime
+
+# every odd-p tower of the odd_fields benchmark workload, and F_{7^4}
+ODD_TOWERS = [(3, 1, 2), (5, 1, 4), (3, 1, 6), (3, 2, 3), (7, 1, 3), (3, 1, 7), (7, 1, 4)]
+# every odd prime power up to 81, as (p, degree)
+SMALL_ODD = [(p, d) for p in range(3, 82, 2) if is_prime(p) for d in range(1, 5) if p**d <= 81]
 
 
 def test_prime_field():
@@ -123,3 +134,105 @@ def test_coeffs_roundtrip():
         c = F.coeffs(x)
         assert len(c) == 2
         assert x == c[0] + 3 * c[1]
+
+
+# per-digit reference arithmetic, independent of the field's tables
+
+
+def _digits(F, x):
+    return [x // F.p**i % F.p for i in range(F.degree)]
+
+
+def _undigits(F, ds):
+    return sum(d * F.p**i for i, d in enumerate(ds))
+
+
+def ref_add(F, a, b):
+    return _undigits(F, [(x + y) % F.p for x, y in zip(_digits(F, a), _digits(F, b))])
+
+
+def ref_neg(F, a):
+    return _undigits(F, [-x % F.p for x in _digits(F, a)])
+
+
+def ref_sub(F, a, b):
+    return _undigits(F, [(x - y) % F.p for x, y in zip(_digits(F, a), _digits(F, b))])
+
+
+def _check_against_reference(F, pairs):
+    for a, b in pairs:
+        assert F.add(a, b) == ref_add(F, a, b), (a, b)
+        assert F.sub(a, b) == ref_sub(F, a, b), (a, b)
+    rng = random.Random(F.order)
+    for a in F.elements():
+        assert F.neg(a) == ref_neg(F, a)
+        assert F.add(a, F.neg(a)) == 0
+        b = rng.randrange(F.order)
+        assert F.sub(a, b) == F.add(a, F.neg(b))
+
+
+@pytest.mark.parametrize("p,d", SMALL_ODD)
+def test_add_sub_neg_match_digit_reference_exhaustive(p, d):
+    F = field_make(p, d, 1)
+    _check_against_reference(F, product(F.elements(), repeat=2))
+
+
+@pytest.mark.parametrize("p,e,m", ODD_TOWERS)
+def test_add_sub_neg_match_digit_reference_sampled(p, e, m):
+    F = field_make(p, e, m)
+    rng = random.Random(f"{p},{e},{m}")
+    pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(5000)]
+    pairs += [(a, 0) for a in range(5)] + [(0, a) for a in range(5)] + [(1, F.neg(1))]
+    _check_against_reference(F, pairs)
+
+
+# sympy's galoistools as an independent oracle: its polynomials are
+# coefficient lists, highest degree first
+
+
+def _sympy_poly(F, x):
+    return gf_strip(list(reversed(F.coeffs(x))))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_matches_sympy(p):
+    for d in range(1, 5):
+        for low in product(range(p), repeat=d):
+            f = low + (1,)
+            assert _is_irreducible(f, p) == gf_irreducible_p(list(reversed(f)), p, ZZ), f
+
+
+@pytest.mark.parametrize("p,e,m", [(3, 1, 2), (5, 1, 4), (3, 1, 6), (3, 2, 3), (3, 1, 7)])
+def test_add_mul_match_sympy(p, e, m):
+    F = field_make(p, e, m)
+    mod = list(reversed(F.modulus))
+    assert gf_irreducible_p(mod, p, ZZ)
+    rng = random.Random(f"sympy:{p},{e},{m}")
+    for _ in range(2000):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        fa, fb = _sympy_poly(F, a), _sympy_poly(F, b)
+        assert _sympy_poly(F, F.add(a, b)) == gf_add(fa, fb, p, ZZ), (a, b)
+        assert _sympy_poly(F, F.mul(a, b)) == gf_rem(gf_mul(fa, fb, p, ZZ), mod, p, ZZ), (a, b)
+
+
+LARGE_ODD = [field_make(5, 1, 4), field_make(3, 1, 6), field_make(3, 1, 7)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LARGE_ODD), st.data())
+def test_field_axioms_property_large_odd(F, data):
+    a, b, c = (data.draw(st.integers(0, F.order - 1)) for _ in range(3))
+    assert F.add(a, b) == F.add(b, a)
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
+
+
+def test_tables_are_linear_in_order():
+    F = field_make(7, 1, 4, budget=DEFAULT_BUDGET)
+    assert not hasattr(F, "_addtab")
+    tables = [v for v in vars(F).values() if isinstance(v, (list, tuple))]
+    assert tables
+    for t in tables:
+        assert len(t) <= 2 * F.order
+        assert all(isinstance(x, int) for x in t)
