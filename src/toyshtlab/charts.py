@@ -355,10 +355,6 @@ def random_series(field: Field, rng, T: int, const: int = 0, lead=None) -> Trunc
     return TruncSeries(field, coeffs, T)
 
 
-def _nonzero_random(field: Field, rng) -> int:
-    return 1 + rng.randrange(field.order - 1)
-
-
 def rank1_curve(field: Field, rng, A0, T: int):
     """A random curve of rank-at-most-one matrices through the nonzero A0,
     as an outer product of perturbed factor curves."""

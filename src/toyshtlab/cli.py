@@ -1,10 +1,11 @@
 """Batch driver: named verification checks over configurable parameters,
 machine-readable reports, and a suite runner with deterministic seeding.
 
-Every check maps a parameter dictionary and a seed to a verdict in
-{pass, fail, vacuous}, a mode in {exhaustive, probabilistic}, and counters.
-Failing checks serialize at least one witness that replay_witness() can
-re-execute against the library.
+A check maps a parameter dictionary and a seed to a mode, counters and
+witnesses: the kind of each failure and the input it failed at, as JSON-native
+values.  run() stamps every witness with the spec it came from and fails the
+check iff there is one.  CHECKS declares each check with the kinds it emits and
+the rule that replays each kind from the stamped shape, with the same parsers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field
+from itertools import product
 
 from . import charts, divisors, tate, toysht
 from .errors import (
@@ -63,6 +66,14 @@ def _budget(params: dict) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
+def _gate(size: int, params: dict, what: str) -> int:
+    """The budget, once size is known not to exceed it."""
+    budget = _budget(params)
+    if size > budget:
+        raise BudgetExceededError(f"{size} {what} exceeds budget {budget}")
+    return budget
+
+
 def _field(params: dict, default_m: int = 1):
     p = int(params.get("p", 2))
     e = int(params.get("e", 1))
@@ -74,9 +85,7 @@ def _tate_model(params: dict) -> tate.FiniteTateModel:
     """The check's Tate model over F_q, gated up front on its q**D vectors."""
     F = _field(params, default_m=1)
     D, c = int(params["D"]), int(params["c"])
-    budget = _budget(params)
-    if F.q**D > budget:
-        raise BudgetExceededError(f"{F.q**D} vectors exceeds budget {budget}")
+    _gate(F.q**D, params, "vectors")
     return tate.FiniteTateModel(F, D, c)
 
 
@@ -91,54 +100,58 @@ def _default_chain(model: tate.FiniteTateModel):
     return tuple(_standard_flag(model, i - model.c) for i in (-1, 0, 1))
 
 
-# --- individual checks ------------------------------------------------------
+# --- individual checks and their replay rules ---------------------------------
+
+
+def _decode(w: dict, *keys):
+    """A witness's field and N, and the subspaces spanned by its rows under keys."""
+    F = _field(w["params"], default_m=2)
+    N = int(w["params"]["N"])
+    return (F, N, *(echelonize(F, [tuple(r) for r in w[k]], N) for k in keys))
 
 
 def check_chart_equivalence(params: dict, seed: int):
     F = _field(params, default_m=2)
     N, n = int(params["N"]), int(params["n"])
-    budget = _budget(params)
-    sweep = F.order ** (n * (N - n))
-    if sweep > budget:
-        raise BudgetExceededError(f"{sweep} matrices per chart exceeds budget {budget}")
-    counters = {"charts": 0, "matrices": 0, "witnesses": []}
+    budget = _gate(F.order ** (n * (N - n)), params, "matrices per chart")
+    counters = {"charts": 0, "matrices": 0}
+    witnesses = []
     for W in enumerate_grassmannian(F, N, N - n, subfield_only=True, budget=budget):
-        chart = charts.canonical_chart(F, W)
-        rep = charts.chart_equivalence_check(F, N, n, chart)
+        rep = charts.chart_equivalence_check(F, N, n, charts.canonical_chart(F, W))
         counters["charts"] += 1
         counters["matrices"] += rep["checked"]
-        for A in rep["counterexamples"]:
-            counters["witnesses"].append(
-                {"kind": "chart_mismatch", "p": F.p, "e": F.e, "m": F.m,
-                 "N": N, "n": n, "W": W.basis, "A": A}
-            )
-    verdict = "pass" if not counters["witnesses"] else "fail"
-    return verdict, "exhaustive", counters
+        witnesses += [{"kind": "chart_mismatch", "W": W.basis, "A": A}
+                      for A in rep["counterexamples"]]
+    return "exhaustive", counters, witnesses
+
+
+def _replay_chart_mismatch(w: dict) -> bool:
+    F, _, W = _decode(w, "W")
+    chart = charts.canonical_chart(F, W)
+    A = tuple(tuple(r) for r in w["A"])
+    lhs = toysht.is_toy_shtuka(chart.graph(A))
+    return lhs != charts.rank_le1(F, charts.artin_schreier(F, A))
 
 
 def check_trivial_locus_count(params: dict, seed: int):
     F = _field(params, default_m=2)
     N, n = int(params["N"]), int(params["n"])
     budget = _budget(params)
-    trivial = set()
-    for pt in toysht.enumerate_toysht(F, N, n, budget=budget):
-        if toysht.is_trivial(pt.L):
-            trivial.add(pt.L)
+    trivial = {pt.L for pt in toysht.enumerate_toysht(F, N, n, budget=budget)
+               if toysht.is_trivial(pt.L)}
     rational = set(enumerate_grassmannian(F, N, n, subfield_only=True, budget=budget))
     expected = gauss_binomial(N, n, F.q)
-    counters = {
-        "trivial": len(trivial),
-        "expected": expected,
-        "witnesses": [],
-    }
-    ok = trivial == rational and len(trivial) == expected
-    if not ok:
-        for L in trivial.symmetric_difference(rational):
-            counters["witnesses"].append(
-                {"kind": "trivial_locus", "p": F.p, "e": F.e, "m": F.m,
-                 "N": N, "n": n, "rows": L.basis}
-            )
-    return ("pass" if ok else "fail"), "exhaustive", counters
+    witnesses = [{"kind": "trivial_locus", "rows": L.basis} for L in trivial ^ rational]
+    if len(trivial) != expected:
+        witnesses.append({"kind": "trivial_count", "count": len(trivial), "expected": expected})
+    return "exhaustive", {"trivial": len(trivial), "expected": expected}, witnesses
+
+
+def _replay_trivial_locus(w: dict) -> bool:
+    F, N, L = _decode(w, "rows")
+    n, budget = int(w["params"]["n"]), _budget(w["params"])
+    rational = enumerate_grassmannian(F, N, n, subfield_only=True, budget=budget)
+    return toysht.is_trivial(L) != (L in set(rational))
 
 
 def check_grassmannian_count(params: dict, seed: int):
@@ -146,62 +159,66 @@ def check_grassmannian_count(params: dict, seed: int):
     N, n = int(params["N"]), int(params["n"])
     count = sum(1 for _ in enumerate_grassmannian(F, N, n, budget=_budget(params)))
     expected = gauss_binomial(N, n, F.order)
-    counters = {"count": count, "expected": expected, "witnesses": []}
-    ok = count == expected
-    if not ok:
-        counters["witnesses"].append(
-            {"kind": "grass_count", "p": F.p, "e": F.e, "m": F.m, "N": N, "n": n,
-             "count": count, "expected": expected}
-        )
-    return ("pass" if ok else "fail"), "exhaustive", counters
+    counters = {"count": count, "expected": expected}
+    witnesses = [] if count == expected else [{"kind": "grass_count", **counters}]
+    return "exhaustive", counters, witnesses
 
 
 def check_dichotomy(params: dict, seed: int):
     F = _field(params, default_m=2)
     N = int(params["N"])
     budget = _budget(params)
-    counters = {"pairs": 0, "witnesses": []}
-    subs = []
-    for d in range(N + 1):
-        subs.extend(enumerate_grassmannian(F, N, d, subfield_only=True, budget=budget))
+    counters = {"pairs": 0}
+    witnesses = []
+    subs = [W for d in range(N + 1)
+            for W in enumerate_grassmannian(F, N, d, subfield_only=True, budget=budget)]
     for n in range(1, N):
         for pt in toysht.enumerate_toysht(F, N, n, budget=budget):
             for W in subs:
                 try:
                     toysht.dichotomy_check(pt, W)
                 except AssertionError:
-                    counters["witnesses"].append(
-                        {"kind": "dichotomy", "p": F.p, "e": F.e, "m": F.m,
-                         "N": N, "L": pt.L.basis, "W": W.basis}
-                    )
+                    witnesses.append({"kind": "dichotomy", "L": pt.L.basis, "W": W.basis})
                 counters["pairs"] += 1
-    verdict = "pass" if not counters["witnesses"] else "fail"
-    return verdict, "exhaustive", counters
+    return "exhaustive", counters, witnesses
+
+
+def _replay_dichotomy(w: dict) -> bool:
+    _, _, L, W = _decode(w, "L", "W")
+    try:
+        toysht.dichotomy_check(toysht.ToyPoint(L), W)
+    except AssertionError:
+        return True
+    return False
+
+
+def _frobenius_round_trip(f):
+    """plus then minus on a right flag, minus then plus on a left one."""
+    if f.kind == "right":
+        return toysht.partial_frobenius_minus(toysht.partial_frobenius_plus(f))
+    return toysht.partial_frobenius_plus(toysht.partial_frobenius_minus(f))
 
 
 def check_partial_frobenius_composition(params: dict, seed: int):
     F = _field(params, default_m=2)
     N = int(params["N"])
     budget = _budget(params)
-    counters = {"flags": 0, "witnesses": []}
-    for n in range(0, N):
-        for f in toysht.enumerate_flags(F, N, n, "right", budget=budget):
-            back = toysht.partial_frobenius_minus(toysht.partial_frobenius_plus(f))
-            counters["flags"] += 1
-            if back != f.frobenius_image():
-                counters["witnesses"].append(
-                    {"kind": "composition", "small": f.small.basis, "big": f.big.basis}
-                )
-    for n in range(1, N + 1):
-        for f in toysht.enumerate_flags(F, N, n, "left", budget=budget):
-            back = toysht.partial_frobenius_plus(toysht.partial_frobenius_minus(f))
-            counters["flags"] += 1
-            if back != f.frobenius_image():
-                counters["witnesses"].append(
-                    {"kind": "composition", "small": f.small.basis, "big": f.big.basis}
-                )
-    verdict = "pass" if not counters["witnesses"] else "fail"
-    return verdict, "exhaustive", counters
+    counters = {"flags": 0}
+    witnesses = []
+    for side, levels in (("right", range(0, N)), ("left", range(1, N + 1))):
+        for n in levels:
+            for f in toysht.enumerate_flags(F, N, n, side, budget=budget):
+                counters["flags"] += 1
+                if _frobenius_round_trip(f) != f.frobenius_image():
+                    witnesses.append({"kind": "composition", "side": side,
+                                      "small": f.small.basis, "big": f.big.basis})
+    return "exhaustive", counters, witnesses
+
+
+def _replay_composition(w: dict) -> bool:
+    f = toysht.FlagPoint(*_decode(w, "small", "big")[2:], w["side"])
+    f.validate()
+    return _frobenius_round_trip(f) != f.frobenius_image()
 
 
 def check_schubert_decomposition(params: dict, seed: int):
@@ -209,200 +226,220 @@ def check_schubert_decomposition(params: dict, seed: int):
     N, n = int(params["N"]), int(params["n"])
     budget = _budget(params)
     rng = random.Random(seed)
-    counters = {"centers": 0, "points": 0, "probe_orders": [], "witnesses": []}
+    counters = {"centers": 0, "points": 0, "probe_orders": []}
+    witnesses = []
     vacuous = True
     locus = divisors.toy_locus(F, N, n, budget=budget)
     for W in enumerate_grassmannian(F, N, N - n, subfield_only=True, budget=budget):
         rep = divisors.schubert_decomposition_check(F, N, n, W, rng=rng, locus=locus)
         counters["centers"] += 1
         counters["points"] += rep["points"]
-        if not rep["vacuous"]:
-            vacuous = False
-        for rows in rep["counterexamples"]:
-            counters["witnesses"].append(
-                {"kind": "schubert_set", "p": F.p, "e": F.e, "m": F.m,
-                 "N": N, "n": n, "W": W.basis, "L": rows}
-            )
-        for rows in rep["codim2_failures"]:
-            counters["witnesses"].append(
-                {"kind": "schubert_codim2", "p": F.p, "e": F.e, "m": F.m,
-                 "N": N, "n": n, "W": W.basis, "L": rows}
-            )
+        vacuous = vacuous and rep["vacuous"]
+        witnesses += [{"kind": "schubert_set", "W": W.basis, "L": rows}
+                      for rows in rep["counterexamples"]]
+        witnesses += [{"kind": "schubert_codim2", "W": W.basis, "L": rows}
+                      for rows in rep["codim2_failures"]]
         for orders in rep["probes"].values():
             counters["probe_orders"].extend(orders)
             if any(o != 1 for o in orders):
-                counters["witnesses"].append(
-                    {"kind": "schubert_multiplicity", "W": W.basis, "orders": orders}
-                )
-    if vacuous:
-        return "vacuous", "exhaustive", counters
-    verdict = "pass" if not counters["witnesses"] else "fail"
-    return verdict, "probabilistic", counters
+                witnesses.append({"kind": "schubert_multiplicity", "W": W.basis, "orders": orders})
+    return ("vacuous" if vacuous else "probabilistic"), counters, witnesses
+
+
+def _replay_schubert(witness: dict) -> bool:
+    """Recompute the Schubert claims at (W, L) with direct containment loops
+    over the rational subspaces, independent of divisors.toy_locus."""
+    params = witness["params"]
+    F, N, W, L = _decode(witness, "W", "L")
+    if L.dim != int(params["n"]) or L.is_rational() or not toysht.is_toy_shtuka(L):
+        return False
+    deficit = divisors.schubert_deficit(L, W)
+
+    def rational(d):
+        return enumerate_grassmannian(F, N, d, subfield_only=True, budget=_budget(params))
+
+    if witness["kind"] == "schubert_set":
+        horo = any(H.contains(W) and H.contains(L) for H in rational(N - 1)) or any(
+            W.contains(J) and L.contains(J) for J in rational(1)
+        )
+        return (deficit > 0) != horo
+    if deficit < 2:
+        return False
+    return not (
+        any(W.contains(P) and L.contains(P) for P in rational(2))
+        or any(H.contains(W) and H.contains(L) for H in rational(N - 2))
+    )
+
+
+def _radon_space(params: dict):
+    """The check's field, N and n, gated up front on the rational lines."""
+    F = _field(params, default_m=1)
+    N, n = int(params["N"]), int(params["n"])
+    _gate(gauss_binomial(N, 1, F.q), params, "rational lines")
+    return F, N, n
+
+
+def _radon_round_trips(F, N: int, n: int, vals, denom: int) -> bool:
+    """Whether radon_backward inverts radon_forward at vals / p**denom on the line keys."""
+    mu = {k: divisors.PAdicRational(F.p, v, denom) for k, v in zip(divisors.line_keys(F, N), vals)}
+    return divisors.radon_backward(F, divisors.radon_forward(F, mu, n, N), n, N) == mu
 
 
 def check_radon_duality(params: dict, seed: int):
-    F = _field(params, default_m=1)
-    N, n = int(params["N"]), int(params["n"])
-    budget = _budget(params)
-    lines = gauss_binomial(N, 1, F.q)
-    if lines > budget:
-        raise BudgetExceededError(f"{lines} rational lines exceeds budget {budget}")
+    F, N, n = _radon_space(params)
     trials = int(params.get("trials", 200))
     rng = random.Random(seed)
     keys = divisors.line_keys(F, N)
     inc = divisors.incidence_lists(F, N)
-    counters = {"trials": trials, "witnesses": []}
     # incidence counts behind the inversion, checked exhaustively
     per_hyperplane = gauss_binomial(N - 1, 1, F.q)
-    for hk in keys:
-        if len(inc[hk]) != per_hyperplane:
-            counters["witnesses"].append({"kind": "incidence_count", "H": hk})
-    through = dict.fromkeys(keys, 0)
-    for hk in keys:
-        for jk in inc[hk]:
-            through[jk] += 1
+    witnesses = [{"kind": "incidence_count", "H": hk}
+                 for hk in keys if len(inc[hk]) != per_hyperplane]
+    through = Counter(jk for hk in keys for jk in inc[hk])
     per_line = gauss_binomial(N - 1, N - 2, F.q)
-    for jk in keys:
-        if through[jk] != per_line:
-            counters["witnesses"].append({"kind": "incidence_count", "J": jk})
-    p = F.p
+    witnesses += [{"kind": "incidence_count", "J": jk}
+                  for jk in keys if through[jk] != per_line]
     for _ in range(trials):
         vals = [rng.randrange(-9, 10) for _ in keys]
         vals[-1] -= sum(vals)
         denom = rng.randrange(3)
-        mu = {k: divisors.PAdicRational(p, v, denom) for k, v in zip(keys, vals)}
-        lam = divisors.radon_forward(F, mu, n, N)
-        if divisors.radon_backward(F, lam, n, N) != mu:
-            counters["witnesses"].append(
-                {"kind": "radon_roundtrip", "mu": [(k, str(v)) for k, v in mu.items()]}
-            )
-    verdict = "pass" if not counters["witnesses"] else "fail"
-    return verdict, "exhaustive", counters
+        if not _radon_round_trips(F, N, n, vals, denom):
+            witnesses.append({"kind": "radon_roundtrip", "vals": vals, "denom": denom})
+    return "exhaustive", {"trials": trials}, witnesses
+
+
+def _replay_radon_roundtrip(w: dict) -> bool:
+    F, N, n = _radon_space(w["params"])
+    return not _radon_round_trips(F, N, n, w["vals"], w["denom"])
+
+
+def _transversality_mismatch(F, s: int, t: int, a: int, b: int, A) -> bool:
+    """Whether transversality at the zero entry (a, b) of A disagrees with
+    'row a or column b is nonzero'."""
+    row_zero = all(x == 0 for x in A[a])
+    col_zero = all(A[i][b] == 0 for i in range(s))
+    return charts.transversality_check(F, s, t, a, b, A) == (row_zero and col_zero)
 
 
 def check_transversality_locus(params: dict, seed: int):
     F = _field(params, default_m=1)
     s, t = int(params["s"]), int(params["t"])
-    budget = _budget(params)
-    sweep = F.order ** (s * t)
-    if sweep > budget:
-        raise BudgetExceededError(f"{sweep} matrices exceeds budget {budget}")
-    from itertools import product as iproduct
-
-    counters = {"matrices": 0, "witnesses": []}
-    elems = tuple(F.elements())
-    for flat in iproduct(elems, repeat=s * t):
+    _gate(F.order ** (s * t), params, "matrices")
+    counters = {"matrices": 0}
+    witnesses = []
+    for flat in product(tuple(F.elements()), repeat=s * t):
         A = tuple(tuple(flat[i * t : (i + 1) * t]) for i in range(s))
         if not charts.rank_le1(F, A):
             continue
         counters["matrices"] += 1
         for a in range(s):
             for b in range(t):
-                if A[a][b] != 0:
-                    continue
-                got = charts.transversality_check(F, s, t, a, b, A)
-                row_zero = all(x == 0 for x in A[a])
-                col_zero = all(A[i][b] == 0 for i in range(s))
-                expected = not (row_zero and col_zero)
-                if got != expected:
-                    counters["witnesses"].append(
-                        {"kind": "transversality", "p": F.p, "e": F.e,
-                         "s": s, "t": t, "a": a, "b": b, "A": A}
-                    )
-    verdict = "pass" if not counters["witnesses"] else "fail"
-    return verdict, "exhaustive", counters
+                if A[a][b] == 0 and _transversality_mismatch(F, s, t, a, b, A):
+                    witnesses.append({"kind": "transversality", "a": a, "b": b, "A": A})
+    return "exhaustive", counters, witnesses
+
+
+def _replay_transversality(w: dict) -> bool:
+    F = _field(w["params"], default_m=1)
+    s, t = int(w["params"]["s"]), int(w["params"]["t"])
+    A = tuple(tuple(r) for r in w["A"])
+    return _transversality_mismatch(F, s, t, w["a"], w["b"], A)
+
+
+def _radon_fourier_pair(params: dict):
+    """The check's Tate model and its (inner, outer) lattice pair."""
+    model = _tate_model(params)
+    inner = _standard_flag(model, int(params.get("inner_dim", max(0, -2 - model.c))))
+    outer = _standard_flag(model, int(params.get("outer_dim", model.D)))
+    return model, inner, outer
 
 
 def check_radon_fourier_square(params: dict, seed: int):
-    model = _tate_model(params)
-    D, c = model.D, model.c
-    inner_dim = int(params.get("inner_dim", max(0, -2 - c)))
-    outer_dim = int(params.get("outer_dim", D))
+    model, inner, outer = _radon_fourier_pair(params)
     trials = int(params.get("trials", 100))
-    inner = _standard_flag(model, inner_dim)
-    outer = _standard_flag(model, outer_dim)
-    rng = random.Random(seed)
-    rep = tate.radon_fourier_commutativity_check(model, inner, outer, trials, rng)
-    counters = {"trials": rep["trials"], "failures": rep["failures"], "witnesses": []}
-    if rep["failures"]:
-        counters["witnesses"].append(
-            {"kind": "radon_fourier", "D": D, "c": c, "failures": rep["failures"]}
-        )
-    return ("pass" if not rep["failures"] else "fail"), "probabilistic", counters
+    rep = tate.radon_fourier_commutativity_check(model, inner, outer, trials, random.Random(seed))
+    witnesses = [{"kind": "radon_fourier", "vals": vals, "denom": denom}
+                 for vals, denom in rep["counterexamples"]]
+    return "probabilistic", {"trials": rep["trials"], "failures": rep["failures"]}, witnesses
+
+
+def _replay_radon_fourier(w: dict) -> bool:
+    model, inner, outer = _radon_fourier_pair(w["params"])
+    return not tate.radon_fourier_commutes(model, inner, outer, w["vals"], w["denom"])
 
 
 def check_picard_relation(params: dict, seed: int):
     model = _tate_model(params)
     ok = tate.picard_relation_check(model, _default_chain(model))
-    counters = {"witnesses": [] if ok else [{"kind": "picard", "D": model.D, "c": model.c}]}
-    return ("pass" if ok else "fail"), "exhaustive", counters
+    return "exhaustive", {}, [] if ok else [{"kind": "picard"}]
+
+
+def _invariant_fn(model: tate.FiniteTateModel, origin: int, lines) -> tate.TateFn:
+    """The scalar-invariant function with value origin at 0 and num / p**den
+    on the k-th line of model.lines(), for lines[k] = [num, den]."""
+    p = model.field.p
+    on_line = {rep: divisors.PAdicRational(p, num, den)
+               for rep, (num, den) in zip(model.lines(), lines)}
+    values = [divisors.PAdicRational(p, origin, 0)]
+    return tate.TateFn(model, "T", values + [on_line[k] for k in model.line_index()[1:]])
 
 
 def check_gamma_identity(params: dict, seed: int):
     model = _tate_model(params)
-    F, D, c = model.field, model.D, model.c
     trials = int(params.get("trials", 50))
     chain = _default_chain(model)
     rng = random.Random(seed)
-    counters = {"trials": trials, "witnesses": []}
-    p = F.p
+    witnesses = []
     for _ in range(trials):
-        f = tate.TateFn.zero(model, "T")
-        f.values[0] = divisors.PAdicRational(p, rng.randrange(-6, 7), 0)
-        for rep in model.lines():
-            v = divisors.PAdicRational(p, rng.randrange(-6, 7), rng.randrange(2))
-            for cc in F.elements():
-                if cc == 0:
-                    continue
-                w = tuple(F.mul(cc, x) for x in rep)
-                f.values[model.index(w)] = v
-        if not tate.gamma_identity_check(model, f, chain):
-            counters["witnesses"].append({"kind": "gamma", "D": D, "c": c})
-    verdict = "pass" if not counters["witnesses"] else "fail"
-    return verdict, "probabilistic", counters
+        origin = rng.randrange(-6, 7)
+        lines = [[rng.randrange(-6, 7), rng.randrange(2)] for _ in model.lines()]
+        if not tate.gamma_identity_check(model, _invariant_fn(model, origin, lines), chain):
+            witnesses.append({"kind": "gamma", "origin": origin, "lines": lines})
+    return "probabilistic", {"trials": trials}, witnesses
+
+
+def _replay_gamma(w: dict) -> bool:
+    model = _tate_model(w["params"])
+    f = _invariant_fn(model, w["origin"], w["lines"])
+    return not tate.gamma_identity_check(model, f, _default_chain(model))
 
 
 def check_canonical_preimage(params: dict, seed: int):
     model = _tate_model(params)
-    F, D, c = model.field, model.D, model.c
     chain = _default_chain(model)
     ok = tate.canonical_preimage_check(model, chain)
     # a perturbed pair must leave the membership set
     g1 = tate.canonical_generators(model, chain)[0]
     bad = tate.TateFn.zero(model, "T*")
-    bad.values[model.index(model.lines()[0])] = divisors.PAdicRational(F.p, 1, 0)
-    perturbed_ok = tate.fourier(g1[1]) == (g1[0] + bad)
-    counters = {"witnesses": []}
-    if not ok or perturbed_ok:
-        counters["witnesses"].append({"kind": "canonical_preimage", "D": D, "c": c})
-    return ("pass" if ok and not perturbed_ok else "fail"), "exhaustive", counters
+    bad.values[model.index(model.lines()[0])] = divisors.PAdicRational(model.field.p, 1, 0)
+    ok = ok and tate.fourier(g1[1]) != (g1[0] + bad)
+    return "exhaustive", {}, [] if ok else [{"kind": "canonical_preimage"}]
 
 
 def check_pullback_multiplicity(params: dict, seed: int):
     F = _field(params, default_m=2)
     N, n = int(params["N"]), int(params["n"])
-    divisor_type = params.get("type", "J")
-    rng = random.Random(seed)
     rep = divisors.partial_frobenius_divisor_pullback_check(
-        F, N, n, divisor_type, rng=rng, budget=_budget(params)
+        F, N, n, params.get("type", "J"), rng=random.Random(seed), budget=_budget(params)
     )
-    counters = {
-        "flags": rep["flags"],
-        "set_failures": len(rep["set_failures"]),
-        "probes": {str(k): v for k, v in rep["probes"].items()},
-        "witnesses": [],
-    }
-    ok = not rep["set_failures"]
-    for orders in rep["probes"].values():
-        for v_id, v_frob in orders:
-            if v_id != 1 or v_frob != F.q:
-                ok = False
-                counters["witnesses"].append(
-                    {"kind": "pullback_multiplicity", "orders": [v_id, v_frob]}
-                )
-    for w in rep["set_failures"]:
-        counters["witnesses"].append({"kind": "pullback_set", "flag": w[:2]})
-    return ("pass" if ok else "fail"), rep["mode"], counters
+    counters = {"flags": rep["flags"], "set_failures": len(rep["set_failures"]),
+                "probes": {str(k): v for k, v in rep["probes"].items()}}
+    witnesses = [{"kind": "pullback_multiplicity", "orders": [v_id, v_frob]}
+                 for orders in rep["probes"].values() for v_id, v_frob in orders
+                 if v_id != 1 or v_frob != F.q]
+    witnesses += [{"kind": "pullback_set", "small": small, "big": big, "marker": mk}
+                  for small, big, mk in rep["set_failures"]]
+    return rep["mode"], counters, witnesses
+
+
+def _replay_pullback_set(w: dict) -> bool:
+    _, _, small, big, mk = _decode(w, "small", "big", "marker")
+    f = toysht.FlagPoint(small, big, "right")
+    f.validate()
+    image, divisor_type = toysht.partial_frobenius_plus(f), w["params"].get("type", "J")
+    return divisors.on_component(image, mk, divisor_type) != divisors.on_component(
+        f, mk, divisor_type
+    )
 
 
 def check_selftest_negated(params: dict, seed: int):
@@ -410,33 +447,72 @@ def check_selftest_negated(params: dict, seed: int):
     nontrivial point is trivial and must therefore fail with a witness."""
     F = _field(params, default_m=2)
     N = int(params.get("N", 2))
-    counters = {"witnesses": []}
-    for pt in toysht.enumerate_toysht(F, N, 1, nontrivial_only=True):
+    points = toysht.enumerate_toysht(F, N, 1, nontrivial_only=True, budget=_budget(params))
+    for pt in points:
         if not toysht.is_trivial(pt.L):
-            counters["witnesses"].append(
-                {"kind": "negated_trivial", "p": F.p, "e": F.e, "m": F.m,
-                 "N": N, "rows": pt.L.basis}
-            )
-            break
-    return ("pass" if not counters["witnesses"] else "fail"), "exhaustive", counters
+            return "exhaustive", {}, [{"kind": "negated_trivial", "rows": pt.L.basis}]
+    return "exhaustive", {}, []
 
 
-REGISTRY = {
-    "chart_equivalence": check_chart_equivalence,
-    "schubert_decomposition": check_schubert_decomposition,
-    "radon_duality": check_radon_duality,
-    "dichotomy": check_dichotomy,
-    "partial_frobenius_composition": check_partial_frobenius_composition,
-    "radon_fourier_square": check_radon_fourier_square,
-    "picard_relation": check_picard_relation,
-    "gamma_identity": check_gamma_identity,
-    "canonical_preimage": check_canonical_preimage,
-    "transversality_locus": check_transversality_locus,
-    "pullback_multiplicity": check_pullback_multiplicity,
-    "trivial_locus_count": check_trivial_locus_count,
-    "grassmannian_count": check_grassmannian_count,
-    "selftest_negated": check_selftest_negated,
+def _replay_negated_trivial(w: dict) -> bool:
+    F = _field(w["params"], default_m=2)
+    L = echelonize(F, [tuple(r) for r in w["rows"]], int(w["params"].get("N", 2)))
+    return not toysht.is_trivial(L)
+
+
+def _replay_rerun(w: dict) -> bool:
+    """Rerun the check from the stamped spec, for the kinds whose input is
+    the spec itself or its seeded probes; the failure reproduces iff the
+    check raises the same exception type or emits the same witness again."""
+    try:
+        _, _, again = REGISTRY[w["check"]](dict(w["params"]), w["seed"])
+    except CHECK_ERRORS as ex:
+        return type(ex).__name__ == w.get("type")
+    payload = {k: v for k, v in w.items() if k not in ("check", "params", "seed")}
+    return json.dumps(payload, sort_keys=True) in {json.dumps(x, sort_keys=True) for x in again}
+
+
+# check name -> (check, {witness kind it emits: replay rule}); REGISTRY and
+# the replay dispatch are both read off this one table
+CHECKS = {
+    "chart_equivalence": (check_chart_equivalence, {"chart_mismatch": _replay_chart_mismatch}),
+    "schubert_decomposition": (check_schubert_decomposition, {
+        "schubert_set": _replay_schubert,
+        "schubert_codim2": _replay_schubert,
+        "schubert_multiplicity": _replay_rerun,
+    }),
+    "radon_duality": (check_radon_duality, {
+        "incidence_count": _replay_rerun,
+        "radon_roundtrip": _replay_radon_roundtrip,
+    }),
+    "dichotomy": (check_dichotomy, {"dichotomy": _replay_dichotomy}),
+    "partial_frobenius_composition": (
+        check_partial_frobenius_composition, {"composition": _replay_composition}
+    ),
+    "radon_fourier_square": (check_radon_fourier_square, {"radon_fourier": _replay_radon_fourier}),
+    "picard_relation": (check_picard_relation, {"picard": _replay_rerun}),
+    "gamma_identity": (check_gamma_identity, {"gamma": _replay_gamma}),
+    "canonical_preimage": (check_canonical_preimage, {"canonical_preimage": _replay_rerun}),
+    "transversality_locus": (
+        check_transversality_locus, {"transversality": _replay_transversality}
+    ),
+    "pullback_multiplicity": (check_pullback_multiplicity, {
+        "pullback_multiplicity": _replay_rerun,
+        "pullback_set": _replay_pullback_set,
+    }),
+    "trivial_locus_count": (check_trivial_locus_count, {
+        "trivial_locus": _replay_trivial_locus,
+        "trivial_count": _replay_rerun,
+    }),
+    "grassmannian_count": (check_grassmannian_count, {"grass_count": _replay_rerun}),
+    "selftest_negated": (check_selftest_negated, {"negated_trivial": _replay_negated_trivial}),
 }
+
+REGISTRY = {name: check for name, (check, _) in CHECKS.items()}
+
+# any check may also raise, which run() reports as one of the last two kinds
+REPLAY = {kind: rule for _, rules in CHECKS.values() for kind, rule in rules.items()}
+REPLAY |= {"budget_exceeded": _replay_rerun, "exception": _replay_rerun}
 
 DEFAULT_SUITE = [
     CheckSpec("grassmannian_count", {"p": 2, "e": 1, "m": 1, "N": 4, "n": 2}),
@@ -455,34 +531,32 @@ DEFAULT_SUITE = [
 ]
 
 
-def _raised_witness(spec: CheckSpec, ex: Exception) -> dict:
-    """The witness of a check that raised: the check as it ran, with the
-    budget pinned for an overrun, and the exception it raised."""
-    params = dict(spec.params)
-    kind = "exception"
-    if isinstance(ex, BudgetExceededError):
-        kind = "budget_exceeded"
-        params["budget"] = _budget(spec.params)
-    return {"kind": kind, "check": spec.name, "params": params, "seed": spec.seed,
-            "type": type(ex).__name__, "message": str(ex)}
-
-
 def run(spec: CheckSpec) -> Report:
     if spec.name not in REGISTRY:
         raise UnknownCheckError(spec.name)
     start = time.monotonic()
+    # the check runs with its budget pinned, and its witnesses carry it, so
+    # that a replay runs under the same budget
+    params = dict(spec.params)
     try:
-        verdict, mode, counters = REGISTRY[spec.name](spec.params, spec.seed)
+        params["budget"] = _budget(params)
+        mode, counters, witnesses = REGISTRY[spec.name](params, spec.seed)
     except CHECK_ERRORS as ex:
         # a check that raised certifies nothing, but it must not kill a suite
-        verdict, mode = "fail", "exhaustive"
-        counters = {"witnesses": [_raised_witness(spec, ex)]}
+        kind = "budget_exceeded" if isinstance(ex, BudgetExceededError) else "exception"
+        mode, counters = "exhaustive", {}
+        witnesses = [{"kind": kind, "type": type(ex).__name__, "message": str(ex)}]
     elapsed = int((time.monotonic() - start) * 1000)
+    if witnesses:
+        stamp = {"check": spec.name, "params": params, "seed": spec.seed}
+        witnesses = [{"kind": w["kind"], **stamp, **w} for w in witnesses]
+    counters["witnesses"] = witnesses
     return Report(
         name=spec.name,
         params=dict(spec.params),
-        verdict=verdict,
-        mode=mode,
+        verdict="fail" if witnesses else "vacuous" if mode == "vacuous" else "pass",
+        # a vacuous sweep is exhaustive over nothing
+        mode="exhaustive" if mode == "vacuous" else mode,
         counters=counters,
         elapsed_ms=elapsed,
         seed=spec.seed,
@@ -503,100 +577,20 @@ def load_config(path: str):
     except (OSError, json.JSONDecodeError) as ex:
         raise ConfigParseError(str(ex)) from ex
     entries = doc["suite"] if isinstance(doc, dict) else doc
-    specs = []
     try:
-        for entry in entries:
-            specs.append(
-                CheckSpec(
-                    name=entry["name"],
-                    params=dict(entry.get("params", {})),
-                    seed=int(entry.get("seed", 0)),
-                )
-            )
+        return [CheckSpec(e["name"], dict(e.get("params", {})), int(e.get("seed", 0)))
+                for e in entries]
     except (KeyError, TypeError, AttributeError) as ex:
         raise ConfigParseError(f"malformed suite entry: {ex}") from ex
-    return specs
 
 
 def replay_witness(witness: dict) -> bool:
-    """Re-execute a serialized witness; True iff the failure reproduces."""
+    """Re-execute a stamped witness against the library; True iff the failure
+    reproduces."""
     kind = witness.get("kind")
-    if kind == "negated_trivial":
-        F = field_make(witness["p"], witness["e"], witness["m"])
-        L = echelonize(F, [tuple(r) for r in witness["rows"]], witness["N"])
-        return not toysht.is_trivial(L)
-    if kind == "chart_mismatch":
-        F = field_make(witness["p"], witness["e"], witness["m"])
-        W = echelonize(F, [tuple(r) for r in witness["W"]], witness["N"])
-        chart = charts.canonical_chart(F, W)
-        A = tuple(tuple(r) for r in witness["A"])
-        lhs = toysht.is_toy_shtuka(chart.graph(A))
-        rhs = charts.rank_le1(F, charts.artin_schreier(F, A))
-        return lhs != rhs
-    if kind == "dichotomy":
-        F = field_make(witness["p"], witness["e"], witness["m"])
-        L = echelonize(F, [tuple(r) for r in witness["L"]], witness["N"])
-        W = echelonize(F, [tuple(r) for r in witness["W"]], witness["N"])
-        try:
-            toysht.dichotomy_check(toysht.ToyPoint(L), W)
-        except AssertionError:
-            return True
-        return False
-    if kind == "trivial_locus":
-        F = field_make(witness["p"], witness["e"], witness["m"])
-        L = echelonize(F, [tuple(r) for r in witness["rows"]], witness["N"])
-        rational = set(
-            enumerate_grassmannian(F, witness["N"], witness["n"], subfield_only=True)
-        )
-        return (toysht.is_trivial(L) and L not in rational) or (
-            not toysht.is_trivial(L) and L in rational
-        )
-    if kind in ("budget_exceeded", "exception"):
-        # rerun the check; the failure reproduces iff it raises the same type
-        try:
-            REGISTRY[witness["check"]](dict(witness["params"]), witness["seed"])
-        except CHECK_ERRORS as ex:
-            return type(ex).__name__ == witness["type"]
-        return False
-    if kind in ("schubert_set", "schubert_codim2"):
-        return _replay_schubert(witness)
-    if kind == "transversality":
-        F = field_make(witness["p"], witness["e"], 1)
-        A = tuple(tuple(r) for r in witness["A"])
-        got = charts.transversality_check(
-            F, witness["s"], witness["t"], witness["a"], witness["b"], A
-        )
-        row_zero = all(x == 0 for x in A[witness["a"]])
-        col_zero = all(A[i][witness["b"]] == 0 for i in range(witness["s"]))
-        return got != (not (row_zero and col_zero))
-    raise UnknownCheckError(f"no replay rule for witness kind {kind!r}")
-
-
-def _replay_schubert(witness: dict) -> bool:
-    """Recompute the Schubert claims at (W, L) with direct containment loops
-    over the rational subspaces, independent of divisors.toy_locus."""
-    F = field_make(witness["p"], witness["e"], witness["m"])
-    N = witness["N"]
-    W = echelonize(F, [tuple(r) for r in witness["W"]], N)
-    L = echelonize(F, [tuple(r) for r in witness["L"]], N)
-    if L.dim != witness["n"] or L.is_rational() or not toysht.is_toy_shtuka(L):
-        return False
-    deficit = divisors.schubert_deficit(L, W)
-
-    def rational(d):
-        return enumerate_grassmannian(F, N, d, subfield_only=True)
-
-    if witness["kind"] == "schubert_set":
-        horo = any(H.contains(W) and H.contains(L) for H in rational(N - 1)) or any(
-            W.contains(J) and L.contains(J) for J in rational(1)
-        )
-        return (deficit > 0) != horo
-    if deficit < 2:
-        return False
-    return not (
-        any(W.contains(P) and L.contains(P) for P in rational(2))
-        or any(H.contains(W) and H.contains(L) for H in rational(N - 2))
-    )
+    if kind not in REPLAY:
+        raise UnknownCheckError(f"no replay rule for witness kind {kind!r}")
+    return REPLAY[kind](witness)
 
 
 def _report_doc(reports):

@@ -351,6 +351,14 @@ def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, repeat
     return out
 
 
+def on_component(f: FlagPoint, marker: Subspace, divisor_type: str) -> bool:
+    """Whether the flag lies on the marker's horospherical component: inside
+    the hyperplane for divisor_type "H", through the line for "J"."""
+    if divisor_type == "H":
+        return marker.contains(f.big) and marker.contains(f.small)
+    return f.small.contains(marker) and f.big.contains(marker)
+
+
 def partial_frobenius_divisor_pullback_check(
     field: Field,
     N: int,
@@ -379,13 +387,7 @@ def partial_frobenius_divisor_pullback_check(
         report["flags"] += 1
         image = partial_frobenius_plus(f)
         for mk in markers:
-            if divisor_type == "H":
-                upstairs = mk.contains(image.big) and mk.contains(image.small)
-                downstairs = mk.contains(f.big) and mk.contains(f.small)
-            else:
-                upstairs = image.small.contains(mk) and image.big.contains(mk)
-                downstairs = f.small.contains(mk) and f.big.contains(mk)
-            if upstairs != downstairs:
+            if on_component(image, mk, divisor_type) != on_component(f, mk, divisor_type):
                 report["set_failures"].append(
                     (f.small.basis, f.big.basis, mk.basis)
                 )
@@ -393,7 +395,7 @@ def partial_frobenius_divisor_pullback_check(
         report["mode"] = "probabilistic"
         if divisor_type == "J":
             for mk in markers:
-                comp = [f for f in flags if f.small.contains(mk) and f.big.contains(mk)]
+                comp = [f for f in flags if on_component(f, mk, "J")]
                 if not comp:
                     continue
                 orders = []

@@ -282,9 +282,6 @@ class Field:
         n1 = self.order - 1
         return self._exp[(n1 - self._log[a]) % n1]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             return 0 if k > 0 else 1

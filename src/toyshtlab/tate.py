@@ -322,26 +322,35 @@ def radon_finite(model: FiniteTateModel, g: dict, inner: Subspace, outer: Subspa
     return _incidence_sums(model.field, d, g, model.n(inner) + 1)
 
 
+def radon_fourier_commutes(
+    model: FiniteTateModel, inner: Subspace, outer: Subspace, vals, denom: int
+) -> bool:
+    """Whether transform-then-extend equals extend-then-transform at the
+    input vals / p**denom on the line keys of the projective quotient."""
+    reps = line_keys(model.field, outer.dim - inner.dim)
+    g = {k: PAdicRational(model.field.p, v, denom) for k, v in zip(reps, vals)}
+    lhs = fourier(eps_extend(model, g, inner, outer))
+    return lhs == eps_extend_dual(model, radon_finite(model, g, inner, outer), inner, outer)
+
+
 def radon_fourier_commutativity_check(
     model: FiniteTateModel, inner: Subspace, outer: Subspace, trials: int, rng
 ) -> dict:
     """Exact equality of transform-then-extend against extend-then-transform
-    for random zero-sum inputs on the projective quotient."""
+    for random zero-sum inputs on the projective quotient; each input that
+    fails is kept as its integer numerators and common denominator exponent."""
     if not is_admissible(model, inner, outer):
         raise NotAdmissibleError("lattice pair violates the admissibility bounds")
-    p = model.field.p
     reps = line_keys(model.field, outer.dim - inner.dim)
-    failures = 0
+    counterexamples = []
     for _ in range(trials):
         vals = [rng.randrange(-9, 10) for _ in reps]
         vals[-1] -= sum(vals)
         denom = rng.randrange(3)
-        g = {k: PAdicRational(p, v, denom) for k, v in zip(reps, vals)}
-        lhs = fourier(eps_extend(model, g, inner, outer))
-        rhs = eps_extend_dual(model, radon_finite(model, g, inner, outer), inner, outer)
-        if lhs != rhs:
-            failures += 1
-    return {"trials": trials, "failures": failures}
+        if not radon_fourier_commutes(model, inner, outer, vals, denom):
+            counterexamples.append((vals, denom))
+    return {"trials": trials, "failures": len(counterexamples),
+            "counterexamples": counterexamples}
 
 
 class TatePair:

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from toyshtlab import divisors
+from toyshtlab import charts, cli, divisors, tate, toysht
 from toyshtlab.cli import (
     DEFAULT_SUITE,
     REGISTRY,
+    REPLAY,
     CheckSpec,
     load_config,
     main,
@@ -161,9 +162,7 @@ def test_main_config_with_failure(tmp_path):
     code = main(["--config", str(cfg), "--out", str(out)])
     assert code == 1
     doc = json.loads(out.read_text())
-    w = doc["reports"][0]["counters"]["witnesses"][0]
-    w["rows"] = [tuple(r) for r in w["rows"]]
-    assert replay_witness(w)
+    assert replay_witness(doc["reports"][0]["counters"]["witnesses"][0])
 
 
 def test_default_suite_all_pass():
@@ -207,6 +206,7 @@ def test_budget_env_bounds_dichotomy(monkeypatch):
         ("schubert_decomposition", {"N": 3, "n": 1}),
         ("partial_frobenius_composition", {"N": 3}),
         ("pullback_multiplicity", {"N": 3, "n": 1, "type": "J"}),
+        ("selftest_negated", {"N": 3}),
     ],
 )
 def test_budget_bounds_locus_checks(name, params):
@@ -261,27 +261,36 @@ def test_check_exceptions_become_reports():
     specs = [
         CheckSpec("radon_fourier_square", {"p": 2, "e": 1, "D": 3, "c": 0}),
         CheckSpec("chart_equivalence", {"p": 2, "e": 1, "m": 2, "N": 3}),
+        # an unparsable budget cannot be pinned, so the witness keeps it as given
+        CheckSpec("grassmannian_count", {"p": 2, "N": 3, "n": 1, "budget": "lots"}),
         CheckSpec("picard_relation", {"p": 2, "e": 1, "D": 4, "c": -2}),
     ]
     reports, code = run_suite(specs)
-    assert [r.verdict for r in reports] == ["fail", "fail", "pass"] and code == 1
+    assert [r.verdict for r in reports] == ["fail", "fail", "fail", "pass"] and code == 1
     types = []
-    for r in reports[:2]:
+    for r in reports[:3]:
         (w,) = r.counters["witnesses"]
         assert w["kind"] == "exception" and w["check"] == r.name
         types.append(w["type"])
         assert replay_witness(w)
         assert not replay_witness({**w, "type": "ZeroDivisionError"})
-    assert types == ["NotAdmissibleError", "KeyError"]
+    assert types == ["NotAdmissibleError", "KeyError", "ValueError"]
     # negated: with the missing parameter supplied the check no longer raises
     w = reports[1].counters["witnesses"][0]
     assert not replay_witness({**w, "params": {**w["params"], "n": 1}})
+    w = reports[2].counters["witnesses"][0]
+    assert w["params"]["budget"] == "lots"
+    assert not replay_witness({**w, "params": {**w["params"], "budget": 100}})
 
 
 def schubert_witness(kind, N, W_rows, L_rows):
+    """A stamped witness as it reads back from a JSON report."""
     W, L = echelonize(F4, W_rows, N), echelonize(F4, L_rows, N)
-    return {"kind": kind, "p": 2, "e": 1, "m": 2, "N": N, "n": L.dim,
-            "W": W.basis, "L": L.basis}
+    return json.loads(json.dumps(
+        {"kind": kind, "check": "schubert_decomposition",
+         "params": {"p": 2, "e": 1, "m": 2, "N": N, "n": L.dim, "budget": 1 << 20}, "seed": 0,
+         "W": W.basis, "L": L.basis}
+    ))
 
 
 def test_schubert_set_replay_is_independent_of_the_index(monkeypatch):
@@ -327,3 +336,170 @@ def test_schubert_codim2_replay():
     )
     pt = next(iter(enumerate_toysht(F4, 4, 2, nontrivial_only=True)))
     assert replay_witness(schubert_witness("schubert_codim2", 4, pt.L.basis, pt.L.basis))
+
+
+@pytest.mark.parametrize(
+    "mode,witnesses,verdict",
+    [
+        ("vacuous", [], "vacuous"),
+        ("vacuous", [{"kind": "picard"}], "fail"),
+        ("probabilistic", [], "pass"),
+        ("probabilistic", [{"kind": "picard"}], "fail"),
+    ],
+)
+def test_run_derives_the_verdict_from_witnesses(monkeypatch, mode, witnesses, verdict):
+    monkeypatch.delenv("TOYSHT_BUDGET", raising=False)
+    monkeypatch.setitem(REGISTRY, "picard_relation", lambda params, seed: (mode, {}, witnesses))
+    r = run(CheckSpec("picard_relation", {"D": 4, "c": -2}, seed=9))
+    assert r.verdict == verdict
+    assert r.mode == ("exhaustive" if mode == "vacuous" else mode)
+    assert [w["kind"] for w in r.counters["witnesses"]] == [w["kind"] for w in witnesses]
+    for w in r.counters["witnesses"]:
+        assert (w["check"], w["params"], w["seed"]) == (
+            "picard_relation", {"D": 4, "c": -2, "budget": 1 << 20}, 9
+        )
+
+
+# --- every witness kind replays ---------------------------------------------
+
+F4P = {"p": 2, "e": 1, "m": 2}
+RAISED_KINDS = {"budget_exceeded", "exception"}
+
+
+def _raise_assertion(*args):
+    raise AssertionError("broken on purpose")
+
+
+def _flat_image(f):
+    # a plus partial Frobenius that forgets the small space
+    return toysht.FlagPoint(f.big, f.big, "left")
+
+
+_incidence_lists = divisors.incidence_lists
+_transversality_check = charts.transversality_check
+_gauss_binomial = cli.gauss_binomial
+
+# kind -> (a spec whose report carries the kind, patches (module, name, value)
+# that break the library so that it does, and the negation of a witness;
+# None negates by replaying against the sound library)
+CASES = {
+    "chart_mismatch": (
+        CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": 1}),
+        [(charts, "rank_le1", lambda F, A: False)], None,
+    ),
+    "trivial_locus": (
+        CheckSpec("trivial_locus_count", {**F4P, "N": 3, "n": 1}),
+        [(toysht, "is_trivial", lambda L: True)], None,
+    ),
+    # trivial and rational loci agree; only their count is off
+    "trivial_count": (
+        CheckSpec("trivial_locus_count", {**F4P, "N": 3, "n": 1}),
+        [(cli, "gauss_binomial", lambda N, n, q: _gauss_binomial(N, n, q) + 1)], None,
+    ),
+    "grass_count": (
+        CheckSpec("grassmannian_count", {"p": 2, "e": 1, "N": 3, "n": 1}),
+        [(cli, "gauss_binomial", lambda N, n, q: _gauss_binomial(N, n, q) + 1)], None,
+    ),
+    "dichotomy": (
+        CheckSpec("dichotomy", {**F4P, "N": 2}),
+        [(toysht, "dichotomy_check", _raise_assertion)], None,
+    ),
+    "composition": (
+        CheckSpec("partial_frobenius_composition", {**F4P, "N": 2}),
+        [(toysht, "partial_frobenius_minus",
+          lambda f: toysht.FlagPoint(f.small, f.big, "right"))], None,
+    ),
+    "schubert_multiplicity": (
+        CheckSpec("schubert_decomposition", {**F4P, "N": 3, "n": 1}, seed=3),
+        [(divisors, "schubert_multiplicity_probe", lambda *args: 2)], None,
+    ),
+    "incidence_count": (
+        CheckSpec("radon_duality", {"p": 2, "e": 1, "N": 3, "n": 1, "trials": 0}),
+        [(divisors, "incidence_lists",
+          lambda F, N: {k: v[1:] for k, v in _incidence_lists(F, N).items()})], None,
+    ),
+    "radon_roundtrip": (
+        CheckSpec("radon_duality", {"p": 2, "e": 1, "N": 3, "n": 1, "trials": 3}),
+        [(divisors, "radon_backward", lambda F, lam, n, N: lam)], None,
+    ),
+    "transversality": (
+        CheckSpec("transversality_locus", {"p": 2, "e": 1, "s": 2, "t": 2}),
+        [(charts, "transversality_check", lambda *args: not _transversality_check(*args))],
+        None,
+    ),
+    "radon_fourier": (
+        CheckSpec("radon_fourier_square", {"p": 2, "e": 1, "D": 5, "c": -2, "trials": 3}),
+        [(tate, "eps_extend_dual", lambda model, g, inner, outer: tate.TateFn.zero(model, "T*"))],
+        None,
+    ),
+    "picard": (
+        CheckSpec("picard_relation", {"p": 2, "e": 1, "D": 4, "c": -2}),
+        [(tate, "is_principal", lambda pair: False)], None,
+    ),
+    "gamma": (
+        CheckSpec("gamma_identity", {"p": 2, "e": 1, "D": 4, "c": -2, "trials": 3}),
+        [(tate, "is_principal", lambda pair: False)], None,
+    ),
+    "canonical_preimage": (
+        CheckSpec("canonical_preimage", {"p": 2, "e": 1, "D": 4, "c": -2}),
+        [(tate, "canonical_preimage_check", lambda model, chain: False)], None,
+    ),
+    "pullback_multiplicity": (
+        CheckSpec("pullback_multiplicity", {**F4P, "N": 3, "n": 1, "type": "J"}, seed=5),
+        [(divisors, "jtype_flag_pullback_probe", lambda *args: (2, 4))], None,
+    ),
+    "pullback_set": (
+        CheckSpec("pullback_multiplicity", {**F4P, "N": 3, "n": 1, "type": "J"}),
+        [(divisors, "partial_frobenius_plus", _flat_image),
+         (toysht, "partial_frobenius_plus", _flat_image)], None,
+    ),
+    # the kinds below fail against the sound library; a changed input negates
+    "negated_trivial": (
+        CheckSpec("selftest_negated", {**F4P, "N": 2}), [],
+        lambda w: {**w, "rows": [[1, 0]]},
+    ),
+    "budget_exceeded": (
+        CheckSpec("grassmannian_count", {"p": 2, "e": 1, "N": 3, "n": 1, "budget": 4}), [],
+        lambda w: {**w, "params": {**w["params"], "budget": 1 << 20}},
+    ),
+    "exception": (
+        CheckSpec("chart_equivalence", {**F4P, "N": 3}), [],
+        lambda w: {**w, "params": {**w["params"], "n": 1}},
+    ),
+}
+
+# their replay is an oracle independent of the check, tested on hand-built
+# witnesses in test_schubert_set_replay and test_schubert_codim2_replay
+HAND_BUILT = {"schubert_set", "schubert_codim2"}
+
+
+def test_check_table_declares_every_kind_once():
+    kinds = [kind for _, rules in cli.CHECKS.values() for kind in rules]
+    assert len(kinds) == len(set(kinds)) and not RAISED_KINDS & set(kinds)
+    assert set(REPLAY) == set(kinds) | RAISED_KINDS == set(CASES) | set(HAND_BUILT)
+    assert REGISTRY == {name: check for name, (check, _) in cli.CHECKS.items()}
+    with pytest.raises(UnknownCheckError):
+        replay_witness({"kind": "no_such_kind"})
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_witness_kind_replays(kind, monkeypatch):
+    spec, patches, negate = CASES[kind]
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
+    r = run(copy.deepcopy(spec))
+    assert r.verdict == "fail"
+    # the check emits only kinds it declares, each stamped with its spec
+    witnesses = r.counters["witnesses"]
+    assert {w["kind"] for w in witnesses} <= set(cli.CHECKS[spec.name][1]) | RAISED_KINDS
+    for w in witnesses:
+        assert (w["check"], w["seed"]) == (spec.name, spec.seed)
+        assert w["params"] == {**spec.params, "budget": w["params"]["budget"]}
+    doc = json.loads(cli._to_json([r]))["reports"][0]["counters"]["witnesses"]
+    pairs = [(w, read) for w, read in zip(witnesses, doc) if w["kind"] == kind]
+    assert pairs
+    for w, read in pairs:
+        assert replay_witness(w) and replay_witness(read)
+    monkeypatch.undo()
+    for _, read in pairs:
+        assert not replay_witness(negate(read) if negate else read)
