@@ -28,6 +28,7 @@ from .linalg import (
     pairing,
     perp,
     solve,
+    sum_rank,
 )
 from .toysht import is_toy_shtuka
 
@@ -393,26 +394,40 @@ def minor_equations(field: Field, rows: int, cols: int):
 # a Schubert-adapted chart and the multiplicity probe for Schubert divisors
 
 
-def schubert_adapted_chart(
-    field: Field, N: int, n: int, W: Subspace, L0: Subspace, avoid=None
-):
-    """A chart containing L0 in which the Schubert equation for W is the
-    single graph coordinate (0, N-n-1).
-
-    The center M is rational of codimension n with M cap W of codimension
-    n+1; the complement starts with a vector of W, so the degeneracy locus
-    det(L -> V/W) = 0 reduces to one matrix entry.  When avoid is a
-    hyperplane, centers inside it are skipped (they cannot see transversal
-    directions to its component).
+class SchubertCenters:
+    """The Schubert-adapted centers of a rational W, in center order: each
+    rational M of codimension n with M cap W of codimension n+1 that admits
+    an adapted chart, paired with that chart.  None of this depends on the
+    probed point, so one index serves every probe of W; it is filled lazily,
+    one center at a time, only as far as the searches through it reach.
     """
-    for M in enumerate_grassmannian(field, N, N - n, subfield_only=True):
+
+    def __init__(self, field: Field, N: int, n: int, W: Subspace):
+        self.field, self.N, self.n, self.W = field, N, n, W
+        self._rest = enumerate_grassmannian(field, N, N - n, subfield_only=True)
+        self._found = []
+
+    def __iter__(self):
+        i = 0
+        while True:
+            while i == len(self._found):
+                M = next(self._rest, None)
+                if M is None:
+                    return
+                chart = self._adapted_chart(M)
+                if chart is not None:
+                    self._found.append((M, chart))
+            yield self._found[i]
+            i += 1
+
+    def _adapted_chart(self, M: Subspace):
+        """The chart centered at M cap W + <w0> with complement starting at
+        u, for the first rational w0 in M outside W and u in W outside M;
+        None when M is not adapted to W."""
+        field, N, n, W = self.field, self.N, self.n, self.W
         MW = intersect(M, W)
         if MW.dim != N - n - 1:
-            continue
-        if intersect(M, L0).dim != 0:
-            continue
-        if avoid is not None and avoid.contains(M):
-            continue
+            return None
         w0 = None
         for v in M.vectors():
             if any(x != 0 for x in v) and not W.contains_vector(v):
@@ -420,7 +435,7 @@ def schubert_adapted_chart(
                     w0 = v
                     break
         if w0 is None:
-            continue
+            return None
         u = None
         for v in W.vectors():
             if any(x != 0 for x in v) and not MW.contains_vector(v):
@@ -428,7 +443,7 @@ def schubert_adapted_chart(
                     u = v
                     break
         if u is None:
-            continue
+            return None
         chosen = list(MW.basis) + [w0, u]
         span = echelonize(field, chosen, N)
         extra = []
@@ -441,9 +456,34 @@ def schubert_adapted_chart(
                 span = echelonize(field, list(span.basis) + [e], N)
         wp_basis = [u] + extra
         if len(wp_basis) != n:
-            continue
+            return None
         chart = Chart(field, N, list(MW.basis) + [w0], wp_basis)
         if intersect(chart.Wp, W).dim != 1:
+            return None
+        return chart
+
+
+def schubert_adapted_chart(
+    field: Field, N: int, n: int, W: Subspace, L0: Subspace, avoid=None, centers=None
+):
+    """A chart containing L0 in which the Schubert equation for W is the
+    single graph coordinate (0, N-n-1).
+
+    The center M is rational of codimension n with M cap W of codimension
+    n+1; the complement starts with a vector of W, so the degeneracy locus
+    det(L -> V/W) = 0 reduces to one matrix entry.  The chart is that of the
+    first such M, in center order, that meets L0 trivially, which is one
+    rank test of M + L0.  When avoid is a hyperplane, centers inside it are
+    skipped (they cannot see transversal directions to its component).
+    centers is W's SchubertCenters, built here when not given; a caller
+    that probes one W many times passes one index to every call.
+    """
+    if centers is None:
+        centers = SchubertCenters(field, N, n, W)
+    for M, chart in centers:
+        if avoid is not None and avoid.contains(M):
+            continue
+        if sum_rank(M, L0) != M.dim + L0.dim:
             continue
         return chart, (0, N - n - 1)
     raise NotOnVarietyError("no adapted chart found for this Schubert center")
@@ -455,7 +495,8 @@ def _curve_first_order(field: Field, A_curve):
 
 
 def schubert_multiplicity_probe(
-    field: Field, N: int, n: int, W: Subspace, L0: Subspace, component, rng, T=None
+    field: Field, N: int, n: int, W: Subspace, L0: Subspace, component, rng,
+    centers=None, T=None,
 ):
     """Order of the Schubert equation along a random toy-locus curve through
     the nontrivial point L0 on the Schubert divisor of W.
@@ -463,13 +504,14 @@ def schubert_multiplicity_probe(
     component is ("H", hyperplane) or ("J", line), naming the horospherical
     piece through L0; the curve direction is resampled until its first-order
     part crosses that component, an affine-linear certificate independent of
-    the probed equation.
+    the probed equation.  centers is W's SchubertCenters, as in
+    schubert_adapted_chart.
     """
     if T is None:
         T = default_truncation(field)
     kind, sub = component
     avoid = sub if kind == "H" else None
-    chart, (ai, bj) = schubert_adapted_chart(field, N, n, W, L0, avoid=avoid)
+    chart, (ai, bj) = schubert_adapted_chart(field, N, n, W, L0, avoid, centers)
     B0 = chart.coordinates(L0)
     assert B0 is not None and B0[ai][bj] == 0
     A0 = artin_schreier(field, B0)

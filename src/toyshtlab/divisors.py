@@ -9,7 +9,7 @@ so both sides of a divisor share one enumeration of rational lines.
 
 from __future__ import annotations
 
-from .charts import jtype_flag_pullback_probe, schubert_multiplicity_probe
+from .charts import SchubertCenters, jtype_flag_pullback_probe, schubert_multiplicity_probe
 from .errors import DimensionMismatchError, SumNotZeroError
 from .gf import Field
 from .linalg import (
@@ -331,10 +331,11 @@ def _component_points(components, locus) -> dict:
 
 def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, repeats, locus):
     """Probe every component of the Schubert divisor that carries points
-    clean of the other components."""
+    clean of the other components, all through one SchubertCenters of W."""
     components = [("H", H) for H in hyperplanes if n < N - 1]
     components += [("J", J) for J in lines if n > 1]
     clean = _component_points(components, locus)
+    centers = SchubertCenters(field, N, n, W)
     out = {}
     for component in components:
         kind, sub = component
@@ -345,7 +346,7 @@ def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, repeat
         for _ in range(repeats):
             L0 = pts[rng.randrange(len(pts))]
             orders.append(
-                schubert_multiplicity_probe(field, N, n, W, L0, component, rng)
+                schubert_multiplicity_probe(field, N, n, W, L0, component, rng, centers)
             )
         out[(kind, sub.basis)] = orders
     return out
@@ -357,6 +358,36 @@ def on_component(f: FlagPoint, marker: Subspace, divisor_type: str) -> bool:
     if divisor_type == "H":
         return marker.contains(f.big) and marker.contains(f.small)
     return f.small.contains(marker) and f.big.contains(marker)
+
+
+def _pullback_components(flags, markers, divisor_type: str):
+    """The set-level pullback claim on right flags: the (small, big, marker)
+    bases where a flag and its plus partial Frobenius image disagree about
+    on_component, in flag-then-marker order; and per marker the flags on
+    its component, in flag order.
+
+    The markers a subspace lies in ("H") or under ("J") are found once per
+    subspace value, so a flag is on the components on(small) & on(big).
+    """
+    memo = {}
+
+    def on(X: Subspace) -> frozenset:
+        if X not in memo:
+            memo[X] = frozenset(
+                k for k, mk in enumerate(markers)
+                if (mk.contains(X) if divisor_type == "H" else X.contains(mk))
+            )
+        return memo[X]
+
+    failures, comp = [], [[] for _ in markers]
+    for f in flags:
+        image = partial_frobenius_plus(f)
+        here = on(f.small) & on(f.big)
+        for k in sorted(here ^ (on(image.small) & on(image.big))):
+            failures.append((f.small.basis, f.big.basis, markers[k].basis))
+        for k in here:
+            comp[k].append(f)
+    return failures, comp
 
 
 def partial_frobenius_divisor_pullback_check(
@@ -377,49 +408,38 @@ def partial_frobenius_divisor_pullback_check(
     component against the shift by one.  The H case is probed on the dual
     model, where perpendicularity turns it into a J case.
     """
-    report = {"flags": 0, "set_failures": [], "probes": {}, "mode": "exhaustive"}
     flags = list(enumerate_flags(field, N, n, "right", budget=budget))
     marker_dim = N - 1 if divisor_type == "H" else 1
     markers = list(
         enumerate_grassmannian(field, N, marker_dim, subfield_only=True, budget=budget)
     )
-    for f in flags:
-        report["flags"] += 1
-        image = partial_frobenius_plus(f)
-        for mk in markers:
-            if on_component(image, mk, divisor_type) != on_component(f, mk, divisor_type):
-                report["set_failures"].append(
-                    (f.small.basis, f.big.basis, mk.basis)
-                )
+    set_failures, comp = _pullback_components(flags, markers, divisor_type)
+    report = {"flags": len(flags), "set_failures": set_failures, "probes": {},
+              "mode": "exhaustive"}
     if rng is not None and 1 <= n <= N - 2:
         report["mode"] = "probabilistic"
         if divisor_type == "J":
-            for mk in markers:
-                comp = [f for f in flags if on_component(f, mk, "J")]
-                if not comp:
+            for mk, fls in zip(markers, comp):
+                if not fls:
                     continue
                 orders = []
                 for _ in range(probe_repeats):
-                    fl = comp[rng.randrange(len(comp))]
+                    fl = fls[rng.randrange(len(fls))]
                     orders.append(jtype_flag_pullback_probe(field, N, n, mk, fl, rng))
                 report["probes"][("J", mk.basis)] = orders
         else:
             # dual model: the hyperplane component of right flags becomes the
             # line component of right flags at the mirrored level
-            for mk in markers:
-                dual_line = perp(mk)
-                comp = [
-                    FlagPoint(perp(f.big), perp(f.small), "right")
-                    for f in flags
-                    if mk.contains(f.big)
-                ]
-                if not comp:
+            for mk, fls in zip(markers, comp):
+                if not fls:
                     continue
-                for f in comp:
+                dual_line = perp(mk)
+                fls = [FlagPoint(perp(f.big), perp(f.small), "right") for f in fls]
+                for f in fls:
                     f.validate()
                 orders = []
                 for _ in range(probe_repeats):
-                    fl = comp[rng.randrange(len(comp))]
+                    fl = fls[rng.randrange(len(fls))]
                     orders.append(
                         jtype_flag_pullback_probe(field, N, N - n - 1, dual_line, fl, rng)
                     )

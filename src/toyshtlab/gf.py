@@ -306,6 +306,18 @@ class Field:
         return f"Field(p={self.p}, e={self.e}, m={self.m})"
 
 
+_fields: dict = {}
+
+
 def field_make(p: int, e: int, m: int, seed: int = 0, budget: int = DEFAULT_BUDGET) -> Field:
-    """Construct F_{q^m} with q = p^e, rejecting orders beyond the budget."""
-    return Field(p, e, m, seed=seed, budget=budget)
+    """F_{q^m} with q = p^e, rejecting orders beyond the budget.
+
+    One Field per value (p, e, m, seed): it is built on first use and shared
+    after, as it is immutable; the budget is checked on every call."""
+    key = (p, e, m, seed)
+    field = _fields.get(key)
+    if field is None:
+        field = _fields[key] = Field(p, e, m, seed=seed, budget=budget)
+    elif field.order > budget:
+        raise BudgetExceededError(f"field order {field.order} exceeds budget {budget}")
+    return field

@@ -18,7 +18,11 @@ DEFAULT_ENUM_BUDGET = 1 << 22
 
 
 def rref(field: Field, rows, width: int):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    Each row is cleared as row + (-c) * pivot row, with -c taken once per
+    row, so an entry costs one add and one mul in every characteristic."""
+    add, mul = field.add, field.mul
     mat = [list(r) for r in rows]
     pivots = []
     rank = 0
@@ -33,12 +37,12 @@ def rref(field: Field, rows, width: int):
         mat[rank], mat[piv] = mat[piv], mat[rank]
         inv = field.inv(mat[rank][col])
         if inv != 1:
-            mat[rank] = [field.mul(inv, x) for x in mat[rank]]
+            mat[rank] = [mul(inv, x) for x in mat[rank]]
+        row = mat[rank]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
-                c = mat[i][col]
-                row = mat[rank]
-                mat[i] = [field.sub(mat[i][j], field.mul(c, row[j])) for j in range(width)]
+                negc = field.neg(mat[i][col])
+                mat[i] = [add(x, mul(negc, y)) for x, y in zip(mat[i], row)]
         pivots.append(col)
         rank += 1
         if rank == len(mat):
@@ -78,12 +82,14 @@ class Subspace:
     def reduce(self, vec):
         """Remainder of vec after clearing all pivot coordinates."""
         f = self.field
+        add, mul = f.add, f.mul
         v = list(vec)
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if c != 0:
+                negc = f.neg(c)
                 for j in range(self.ambient_dim):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+                    v[j] = add(v[j], mul(negc, row[j]))
         return tuple(v)
 
     def contains_vector(self, vec) -> bool:
@@ -145,6 +151,11 @@ def span_sum(a: Subspace, b: Subspace) -> Subspace:
     return echelonize(a.field, a.basis + b.basis, a.ambient_dim)
 
 
+def sum_rank(a: Subspace, b: Subspace) -> int:
+    """dim(a + b), from one rref of the stacked bases."""
+    return len(rref(a.field, a.basis + b.basis, a.ambient_dim)[0])
+
+
 def pairing(field: Field, a, b) -> int:
     """The standard bilinear pairing sum_i a_i b_i."""
     acc = 0
@@ -190,8 +201,9 @@ def solve(field: Field, rows, target):
             continue
         c = residual[p]
         if c != 0:
+            negc = field.neg(c)
             for j in range(width):
-                residual[j] = field.sub(residual[j], field.mul(c, row[j]))
+                residual[j] = field.add(residual[j], field.mul(negc, row[j]))
             for j in range(k):
                 coeffs[j] = field.add(coeffs[j], field.mul(c, row[width + j]))
     if any(x != 0 for x in residual):

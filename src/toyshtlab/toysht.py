@@ -24,15 +24,15 @@ from .linalg import (
     intersect,
     rational_hyperplanes,
     rational_lines,
-    rref,
     span_sum,
+    sum_rank,
 )
 
 
 @dataclass(frozen=True)
 class ToyPoint:
     """A toy shtuka point with its cached Frobenius twist and, computed on
-    first use, its flag."""
+    first use, its flag and the vectors that step along it."""
 
     L: Subspace
     sigma_L: Subspace = dc_field(compare=False, default=None)
@@ -51,14 +51,22 @@ class ToyPoint:
             raise NotAToyShtukaError("rank condition fails")
         return intersect(L, sL), total
 
+    @cached_property
+    def flag_steps(self):
+        """(l, s) with l in L outside M = L cap sigma L and s in
+        S = L + sigma L outside L, so L = M + <l> and S = L + <s>; None on a
+        trivial point, where M = L = S."""
+        if self.L.is_rational():
+            return None
+        inter, _ = self.flag
+        L = self.L
+        l = next(v for v in L.basis if not inter.contains_vector(v))
+        s = next(v for v in self.sigma_L.basis if not L.contains_vector(v))
+        return l, s
+
 
 def sigma(L: Subspace) -> Subspace:
     return L.frobenius_image()
-
-
-def _sum_rank(a: Subspace, b: Subspace) -> int:
-    """dim(a + b), from one rref of the stacked bases."""
-    return len(rref(a.field, a.basis + b.basis, a.ambient_dim)[0])
 
 
 def is_toy_shtuka(L: Subspace) -> bool:
@@ -66,7 +74,7 @@ def is_toy_shtuka(L: Subspace) -> bool:
     of L and sigma L have rank at most dim L + 1."""
     if L.dim <= 1 or L.dim >= L.ambient_dim:
         return True
-    return _sum_rank(L, L.frobenius_image()) <= L.dim + 1
+    return sum_rank(L, L.frobenius_image()) <= L.dim + 1
 
 
 def is_trivial(L: Subspace) -> bool:
@@ -196,21 +204,38 @@ def enumerate_flags(
         raise InvalidFlagError(f"unknown kind {kind!r}")
 
 
+def _in_line(field: Field, v, l) -> bool:
+    """True iff v is a multiple of l (for l = 0, iff v = 0)."""
+    j = next((k for k, x in enumerate(l) if x), None)
+    if j is None:
+        return not any(v)
+    c = field.mul(v[j], field.inv(l[j]))
+    return all(x == field.mul(c, y) for x, y in zip(v, l))
+
+
 def dichotomy_check(point: ToyPoint, W: Subspace):
     """For rational W, at least one of L cap W and im(L -> V/W) is
     Frobenius-fixed.  Returns both flags and asserts the disjunction.
 
     As W is rational, L cap W is fixed iff it lies in M = L cap sigma L, iff
-    dim M - rank(M + W) = dim L - rank(L + W); and the image is fixed iff
-    L + W is rational, iff rank(L + sigma L + W) = rank(L + W).
+    rank(L + W) - rank(M + W) = dim L - dim M; and the image is fixed iff
+    L + W is rational, iff rank(S + W) = rank(L + W) for S = L + sigma L.
+    On a trivial point M = L = S and both hold.  Otherwise the flag
+    M < L < S steps by one dimension twice, L = M + <l> and S = L + <s>
+    (ToyPoint.flag_steps), so one elimination of M + W decides both: with
+    l' and s' the remainders of l and s modulo it, L cap W is fixed iff
+    l' != 0, and the image is fixed iff s' lies on the line through l'.
     """
-    inter, total = point.flag
+    inter, _ = point.flag
     if not W.is_rational():
         raise ValueError("W must be F_q-rational")
-    L = point.L
-    r = _sum_rank(L, W)
-    sub_fixed = inter.dim - _sum_rank(inter, W) == L.dim - r
-    quot_fixed = _sum_rank(total, W) == r
+    steps = point.flag_steps
+    if steps is None:
+        return {"sub_fixed": True, "quot_fixed": True}
+    MW = span_sum(inter, W)
+    l, s = (MW.reduce(v) for v in steps)
+    sub_fixed = any(l)
+    quot_fixed = _in_line(W.field, s, l)
     assert sub_fixed or quot_fixed, "dichotomy violated"
     return {"sub_fixed": sub_fixed, "quot_fixed": quot_fixed}
 

@@ -6,6 +6,7 @@ import pytest
 from toyshtlab.charts import (
     INFINITE,
     Chart,
+    SchubertCenters,
     TruncSeries,
     artin_schreier,
     as_fiber,
@@ -16,6 +17,7 @@ from toyshtlab.charts import (
     minor_equations,
     rank1_curve,
     rank_le1,
+    schubert_adapted_chart,
     schubert_multiplicity_probe,
     series_matrix_as,
     series_matrix_const,
@@ -27,8 +29,9 @@ from toyshtlab.errors import (
     NotOnVarietyError,
     TruncationTooShortError,
 )
+from toyshtlab.divisors import _component_points, toy_locus
 from toyshtlab.gf import field_make
-from toyshtlab.linalg import echelonize, enumerate_grassmannian
+from toyshtlab.linalg import echelonize, enumerate_grassmannian, intersect
 from toyshtlab.toysht import enumerate_flags, enumerate_toysht
 
 F2 = field_make(2, 1, 1)
@@ -328,3 +331,102 @@ def test_jtype_flag_probe_wider_level():
     for f in trivial_based[:3] + moving_based[:3]:
         v_id, v_frob = jtype_flag_pullback_probe(F4, 4, 2, J, f, rng)
         assert (v_id, v_frob) == (1, F4.q)
+
+
+# --- the per-W index of Schubert-adapted centers ----------------------------
+
+
+def adapted_chart_by_search(field, N, n, W, L0, avoid=None):
+    """The adapted chart by the search the index replaces: every rational
+    center tested in full on every query."""
+    for M in enumerate_grassmannian(field, N, N - n, subfield_only=True):
+        MW = intersect(M, W)
+        if MW.dim != N - n - 1:
+            continue
+        if intersect(M, L0).dim != 0:
+            continue
+        if avoid is not None and avoid.contains(M):
+            continue
+        w0 = None
+        for v in M.vectors():
+            if any(x != 0 for x in v) and not W.contains_vector(v):
+                if all(field.in_subfield(x) for x in v):
+                    w0 = v
+                    break
+        if w0 is None:
+            continue
+        u = None
+        for v in W.vectors():
+            if any(x != 0 for x in v) and not MW.contains_vector(v):
+                if all(field.in_subfield(x) for x in v):
+                    u = v
+                    break
+        if u is None:
+            continue
+        chosen = list(MW.basis) + [w0, u]
+        span = echelonize(field, chosen, N)
+        extra = []
+        for j in range(N):
+            if span.dim == N:
+                break
+            e = tuple(1 if k == j else 0 for k in range(N))
+            if not span.contains_vector(e):
+                extra.append(e)
+                span = echelonize(field, list(span.basis) + [e], N)
+        wp_basis = [u] + extra
+        if len(wp_basis) != n:
+            continue
+        chart = Chart(field, N, list(MW.basis) + [w0], wp_basis)
+        if intersect(chart.Wp, W).dim != 1:
+            continue
+        return chart, (0, N - n - 1)
+    raise NotOnVarietyError("no adapted chart found for this Schubert center")
+
+
+def _chart_or_none(find, *args):
+    try:
+        chart, entry = find(*args)
+    except NotOnVarietyError:
+        return None
+    return chart.w_basis, chart.wp_basis, entry
+
+
+@pytest.mark.parametrize("N,n", [(3, 1), (4, 2)])
+def test_adapted_centers_match_exhaustive_search(N, n):
+    # every W, every point clean on one of its components, with the
+    # component's hyperplane as avoid and with no avoid; one index per W
+    locus = toy_locus(F4, N, n)
+    queries = 0
+    for W in enumerate_grassmannian(F4, N, N - n, subfield_only=True):
+        components = [("H", H) for H in enumerate_grassmannian(F4, N, N - 1, subfield_only=True)
+                      if n < N - 1 and H.contains(W)]
+        components += [("J", J) for J in enumerate_grassmannian(F4, N, 1, subfield_only=True)
+                       if n > 1 and W.contains(J)]
+        clean = _component_points(components, locus)
+        centers = SchubertCenters(F4, N, n, W)
+        for (kind, sub), pts in clean.items():
+            for L0 in pts:
+                for avoid in ((sub, None) if kind == "H" else (None,)):
+                    expected = _chart_or_none(adapted_chart_by_search, F4, N, n, W, L0, avoid)
+                    assert expected is not None
+                    got = _chart_or_none(schubert_adapted_chart, F4, N, n, W, L0, avoid, centers)
+                    assert got == expected, (W, L0, avoid)
+                    queries += 1
+        # a subspace of W; at N = 2n it is W, which meets every adapted
+        # center, so both searches run out
+        L0 = echelonize(F4, W.basis[:n], N)
+        expected = _chart_or_none(adapted_chart_by_search, F4, N, n, W, L0)
+        assert _chart_or_none(schubert_adapted_chart, F4, N, n, W, L0, None, centers) == expected
+        assert (expected is None) == (N == 2 * n)
+    assert queries == {(3, 1): 28, (4, 2): 2520}[(N, n)]
+
+
+def test_adapted_centers_fill_lazily():
+    W = echelonize(F4, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)
+    L0 = echelonize(F4, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)
+    centers = SchubertCenters(F4, 4, 2, W)
+    chart, _ = schubert_adapted_chart(F4, 4, 2, W, L0, None, centers)
+    # the search stopped at the center it returned
+    assert centers._found[-1][1] is chart
+    total = sum(1 for _ in enumerate_grassmannian(F4, 4, 2, subfield_only=True))
+    assert len(centers._found) < total

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from toyshtlab import charts, cli, divisors, tate, toysht
+import toyshtlab
+from toyshtlab import charts, cli, divisors, linalg, tate, toysht
 from toyshtlab.cli import (
     DEFAULT_SUITE,
     REGISTRY,
@@ -196,6 +197,26 @@ def test_budget_env_bounds_dichotomy(monkeypatch):
     (w,) = r.counters["witnesses"]
     assert w["kind"] == "budget_exceeded" and w["params"]["budget"] == 100
     assert replay_witness(w)
+
+
+def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
+    # count rref under every name a toyshtlab module binds it to
+    calls = []
+    original = linalg.rref
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in vars(toyshtlab).values():
+        if getattr(module, "rref", None) is original:
+            monkeypatch.setattr(module, "rref", counted)
+    r = run(CheckSpec("dichotomy", {"p": 2, "e": 1, "m": 2, "N": 3}))
+    assert r.verdict == "pass"
+    points = sum(1 for n in (1, 2) for _ in enumerate_toysht(F4, 3, n))
+    assert r.counters["pairs"] == 16 * points == 672
+    # per point: the toy predicate and the flag, one rref and four
+    assert len(calls) <= r.counters["pairs"] + 6 * points
 
 
 @pytest.mark.parametrize(

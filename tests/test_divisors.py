@@ -1,14 +1,19 @@
+import functools
 import random
 
 import pytest
 
+from toyshtlab import divisors
+from toyshtlab.charts import jtype_flag_pullback_probe
 from toyshtlab.divisors import (
     HoroDivisor,
     PAdicRational,
     _incidence_cache,
+    _pullback_components,
     incidence_lists,
     is_principal_pair,
     line_keys,
+    on_component,
     partial_frobenius_divisor_pullback_check,
     radon_backward,
     radon_forward,
@@ -19,8 +24,8 @@ from toyshtlab.divisors import (
 )
 from toyshtlab.errors import DimensionMismatchError, SumNotZeroError
 from toyshtlab.gf import field_make
-from toyshtlab.linalg import echelonize, enumerate_grassmannian, gauss_binomial, intersect
-from toyshtlab.toysht import ToyPoint, enumerate_toysht
+from toyshtlab.linalg import echelonize, enumerate_grassmannian, gauss_binomial, intersect, perp
+from toyshtlab.toysht import FlagPoint, ToyPoint, enumerate_flags, enumerate_toysht
 
 F2 = field_make(2, 1, 1)
 F3 = field_make(3, 1, 1)
@@ -259,6 +264,91 @@ def test_pullback_check_set_and_probes():
 def test_pullback_check_set_only_without_rng():
     rep = partial_frobenius_divisor_pullback_check(F4, 3, 2, "J")
     assert rep["set_failures"] == [] and rep["mode"] == "exhaustive"
+
+
+# --- the marker memo of the pullback check, against direct double loops -----
+
+
+def pullback_check_by_double_loop(field, N, n, divisor_type, rng, probe_repeats=5):
+    """The pullback check with every flag tested against every marker by
+    on_component, and each component list gathered by its own pass."""
+    report = {"flags": 0, "set_failures": [], "probes": {}, "mode": "exhaustive"}
+    flags = list(enumerate_flags(field, N, n, "right"))
+    marker_dim = N - 1 if divisor_type == "H" else 1
+    markers = list(enumerate_grassmannian(field, N, marker_dim, subfield_only=True))
+    for f in flags:
+        report["flags"] += 1
+        image = divisors.partial_frobenius_plus(f)
+        for mk in markers:
+            if on_component(image, mk, divisor_type) != on_component(f, mk, divisor_type):
+                report["set_failures"].append((f.small.basis, f.big.basis, mk.basis))
+    if 1 <= n <= N - 2:
+        report["mode"] = "probabilistic"
+        for mk in markers:
+            comp = [f for f in flags if on_component(f, mk, divisor_type)]
+            if not comp:
+                continue
+            if divisor_type == "H":
+                comp = [FlagPoint(perp(f.big), perp(f.small), "right") for f in comp]
+                args, key = (N - n - 1, perp(mk)), ("H-dual", mk.basis)
+            else:
+                args, key = (n, mk), ("J", mk.basis)
+            report["probes"][key] = [
+                jtype_flag_pullback_probe(field, N, args[0], args[1],
+                                          comp[rng.randrange(len(comp))], rng)
+                for _ in range(probe_repeats)
+            ]
+    return report
+
+
+# plus partial Frobenius stand-ins, each with the divisor types whose set
+# claim it breaks: it grows small to big, or shrinks big to small
+IMAGES = {
+    "sound": (None, ()),
+    "flat": (lambda f: FlagPoint(f.big, f.big, "left"), ("J",)),
+    "shrunk": (lambda f: FlagPoint(f.small, f.small, "left"), ("H",)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def right_flags(N, n):
+    return list(enumerate_flags(F4, N, n, "right"))
+
+
+@pytest.mark.parametrize("image", sorted(IMAGES))
+@pytest.mark.parametrize("divisor_type", ["H", "J"])
+@pytest.mark.parametrize("N", [3, 4])
+def test_pullback_components_match_double_loop(N, divisor_type, image, monkeypatch):
+    plus, breaks = IMAGES[image]
+    if plus:
+        monkeypatch.setattr(divisors, "partial_frobenius_plus", plus)
+    marker_dim = N - 1 if divisor_type == "H" else 1
+    markers = list(enumerate_grassmannian(F4, N, marker_dim, subfield_only=True))
+    failed = 0
+    for n in range(1, N):
+        flags = right_flags(N, n)
+        failures, comp = _pullback_components(flags, markers, divisor_type)
+        assert failures == [
+            (f.small.basis, f.big.basis, mk.basis)
+            for f in flags
+            for mk in markers
+            if on_component(divisors.partial_frobenius_plus(f), mk, divisor_type)
+            != on_component(f, mk, divisor_type)
+        ]
+        assert comp == [[f for f in flags if on_component(f, mk, divisor_type)]
+                        for mk in markers]
+        failed += len(failures)
+    assert (failed > 0) == (divisor_type in breaks)
+
+
+@pytest.mark.parametrize("divisor_type", ["H", "J"])
+@pytest.mark.parametrize("N,n", [(3, 1), (4, 1), (4, 2)])
+def test_pullback_check_matches_double_loop(N, n, divisor_type):
+    seed = 100 * N + 10 * n + (divisor_type == "H")
+    own, reference = random.Random(seed), random.Random(seed)
+    rep = partial_frobenius_divisor_pullback_check(F4, N, n, divisor_type, rng=own)
+    assert rep == pullback_check_by_double_loop(F4, N, n, divisor_type, reference)
+    assert rep["probes"] and own.getstate() == reference.getstate()
 
 
 def test_divisor_data_must_cover_all_lines():

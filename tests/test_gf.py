@@ -121,6 +121,16 @@ def test_budget_rejected():
     field_make(2, 1, 10, budget=1 << 10)  # exactly at the cap is allowed
 
 
+def test_field_make_shares_one_field_per_value():
+    a = field_make(3, 1, 2)
+    assert field_make(3, 1, 2) is a and field_make(3, 1, 2, seed=0) is a
+    assert field_make(3, 1, 2, seed=1) is not a
+    # the budget still binds a field that is already built
+    with pytest.raises(BudgetExceededError):
+        field_make(3, 1, 2, budget=8)
+    assert field_make(3, 1, 2, budget=9) is a
+
+
 def test_encoding_reproducible():
     a = field_make(3, 1, 2, seed=0)
     b = field_make(3, 1, 2, seed=0)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from toyshtlab.errors import BudgetExceededError, DimensionMismatchError
 from toyshtlab.gf import field_make
@@ -14,10 +16,13 @@ from toyshtlab.linalg import (
     intersect,
     map_rank,
     perp,
+    rref,
     solve,
     span_sum,
+    sum_rank,
     zero_subspace,
 )
+from toyshtlab.toysht import _in_line
 
 F2 = field_make(2, 1, 1)
 F3 = field_make(3, 1, 1)
@@ -214,3 +219,47 @@ def test_solve_consistency():
                 rebuilt[j] = F9.add(rebuilt[j], F9.mul(c, row[j]))
         assert tuple(rebuilt) == tuple(target)
     assert solve(F2, [(1, 0, 0)], (0, 1, 0)) is None
+
+
+# --- ranks against sympy over prime fields ----------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ranks_match_sympy(p):
+    # F_p encodes its elements as residues, so sympy's GF(p) reads them as is;
+    # the shapes are those of the one-elimination paths: M + W, then one and
+    # two more rows decided by reduce and the line test, and M + L0 square
+    field, K = field_make(p, 1, 1), GF(p)
+    rng = random.Random(p)
+
+    def rows_of(k, N):
+        rows = [tuple(rng.randrange(p) for _ in range(N)) for _ in range(k)]
+        if k >= 3 and rng.random() < 0.5:  # a dependent row
+            a, b = rng.randrange(p), rng.randrange(p)
+            rows[-1] = tuple((a * x + b * y) % p for x, y in zip(rows[0], rows[1]))
+        return rows
+
+    def sympy_rank(rows, N):
+        return DomainMatrix([[K(x) for x in r] for r in rows], (len(rows), N), K).rank()
+
+    def rref_rank(rows, N):
+        return len(rref(field, rows, N)[0])
+
+    for _ in range(200):
+        N = rng.randrange(2, 7)
+        M, W = rows_of(rng.randrange(N), N), rows_of(rng.randrange(N + 1), N)
+        l, s = rows_of(1, N)[0], rows_of(1, N)[0]
+        if rng.random() < 0.3:  # s on the line through l, or l inside M + W
+            c = rng.randrange(p)
+            s = tuple(c * x % p for x in l)
+        if M and rng.random() < 0.3:
+            l = M[0]
+        square = rows_of(N, N)
+        for rows in (M + W, M + W + [l], M + W + [l, s], square):
+            assert rref_rank(rows, N) == sympy_rank(rows, N), rows
+        MW = span_sum(echelonize(field, M, N), echelonize(field, W, N))
+        assert MW.dim == sum_rank(echelonize(field, M, N), echelonize(field, W, N))
+        assert MW.dim == sympy_rank(M + W, N)
+        lr, sr = MW.reduce(l), MW.reduce(s)
+        assert MW.dim + any(lr) == sympy_rank(M + W + [l], N)
+        assert MW.dim + any(lr) + (not _in_line(field, sr, lr)) == sympy_rank(M + W + [l, s], N)
