@@ -421,31 +421,25 @@ class SchubertCenters:
             i += 1
 
     def _adapted_chart(self, M: Subspace):
-        """The chart centered at M cap W + <w0> with complement starting at
-        u, for the first rational w0 in M outside W and u in W outside M;
-        None when M is not adapted to W."""
+        """The chart centered at M cap W + <w0>, with complement u plus
+        standard vectors, for the first rational w0 in M outside W and u in
+        W outside M; None unless M cap W has codimension n+1.
+
+        Then M = M cap W + <w0> and W = M cap W + <u>, so the complement
+        meets W in <u> exactly, as the Schubert coordinate needs."""
         field, N, n, W = self.field, self.N, self.n, self.W
         MW = intersect(M, W)
         if MW.dim != N - n - 1:
             return None
-        w0 = None
-        for v in M.vectors():
-            if any(x != 0 for x in v) and not W.contains_vector(v):
-                if all(field.in_subfield(x) for x in v):
-                    w0 = v
-                    break
-        if w0 is None:
-            return None
-        u = None
-        for v in W.vectors():
-            if any(x != 0 for x in v) and not MW.contains_vector(v):
-                if all(field.in_subfield(x) for x in v):
-                    u = v
-                    break
-        if u is None:
-            return None
-        chosen = list(MW.basis) + [w0, u]
-        span = echelonize(field, chosen, N)
+
+        def rational_outside(A: Subspace, B: Subspace):
+            return next(
+                v for v in A.vectors()
+                if any(v) and all(field.in_subfield(x) for x in v) and not B.contains_vector(v)
+            )
+
+        w0, u = rational_outside(M, W), rational_outside(W, MW)
+        span = echelonize(field, list(MW.basis) + [w0, u], N)
         extra = []
         for j in range(N):
             if span.dim == N:
@@ -454,13 +448,7 @@ class SchubertCenters:
             if not span.contains_vector(e):
                 extra.append(e)
                 span = echelonize(field, list(span.basis) + [e], N)
-        wp_basis = [u] + extra
-        if len(wp_basis) != n:
-            return None
-        chart = Chart(field, N, list(MW.basis) + [w0], wp_basis)
-        if intersect(chart.Wp, W).dim != 1:
-            return None
-        return chart
+        return Chart(field, N, list(MW.basis) + [w0], [u] + extra)
 
 
 def schubert_adapted_chart(

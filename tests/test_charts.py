@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -393,32 +394,33 @@ def _chart_or_none(find, *args):
 
 @pytest.mark.parametrize("N,n", [(3, 1), (4, 2)])
 def test_adapted_centers_match_exhaustive_search(N, n):
-    # every W, every point clean on one of its components, with the
-    # component's hyperplane as avoid and with no avoid; one index per W
+    # every W and every point clean on one of its components, with no avoid
+    # and with each hyperplane through W as avoid; one index per W
     locus = toy_locus(F4, N, n)
-    queries = 0
+    found = Counter()
     for W in enumerate_grassmannian(F4, N, N - n, subfield_only=True):
-        components = [("H", H) for H in enumerate_grassmannian(F4, N, N - 1, subfield_only=True)
-                      if n < N - 1 and H.contains(W)]
+        hyperplanes = [H for H in enumerate_grassmannian(F4, N, N - 1, subfield_only=True)
+                       if H.contains(W)]
+        components = [("H", H) for H in hyperplanes if n < N - 1]
         components += [("J", J) for J in enumerate_grassmannian(F4, N, 1, subfield_only=True)
                        if n > 1 and W.contains(J)]
         clean = _component_points(components, locus)
+        points = list(dict.fromkeys(L0 for pts in clean.values() for L0 in pts))
         centers = SchubertCenters(F4, N, n, W)
-        for (kind, sub), pts in clean.items():
-            for L0 in pts:
-                for avoid in ((sub, None) if kind == "H" else (None,)):
-                    expected = _chart_or_none(adapted_chart_by_search, F4, N, n, W, L0, avoid)
-                    assert expected is not None
-                    got = _chart_or_none(schubert_adapted_chart, F4, N, n, W, L0, avoid, centers)
-                    assert got == expected, (W, L0, avoid)
-                    queries += 1
+        for L0 in points:
+            for avoid in [None] + hyperplanes:
+                expected = _chart_or_none(adapted_chart_by_search, F4, N, n, W, L0, avoid)
+                got = _chart_or_none(schubert_adapted_chart, F4, N, n, W, L0, avoid, centers)
+                assert got == expected, (W, L0, avoid)
+                found[expected is not None] += 1
         # a subspace of W; at N = 2n it is W, which meets every adapted
         # center, so both searches run out
         L0 = echelonize(F4, W.basis[:n], N)
         expected = _chart_or_none(adapted_chart_by_search, F4, N, n, W, L0)
         assert _chart_or_none(schubert_adapted_chart, F4, N, n, W, L0, None, centers) == expected
         assert (expected is None) == (N == 2 * n)
-    assert queries == {(3, 1): 28, (4, 2): 2520}[(N, n)]
+    # every query found a chart, so each compared a chart, not two failures
+    assert found == {True: {(3, 1): 28, (4, 2): 6720}[(N, n)]}
 
 
 def test_adapted_centers_fill_lazily():
