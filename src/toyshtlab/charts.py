@@ -396,10 +396,10 @@ def minor_equations(field: Field, rows: int, cols: int):
 
 class SchubertCenters:
     """The Schubert-adapted centers of a rational W, in center order: each
-    rational M of codimension n with M cap W of codimension n+1 that admits
-    an adapted chart, paired with that chart.  None of this depends on the
-    probed point, so one index serves every probe of W; it is filled lazily,
-    one center at a time, only as far as the searches through it reach.
+    rational M of codimension n with M cap W of codimension n+1, paired with
+    its adapted chart.  None of this depends on the probed point, so one
+    index serves every probe of W; it is filled lazily, one center at a
+    time, only as far as the searches through it reach.
     """
 
     def __init__(self, field: Field, N: int, n: int, W: Subspace):

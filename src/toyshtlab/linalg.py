@@ -21,8 +21,9 @@ def rref(field: Field, rows, width: int):
     """Reduced row echelon form; returns (rows, pivot columns).
 
     Each row is cleared as row + (-c) * pivot row, with -c taken once per
-    row, so an entry costs one add and one mul in every characteristic."""
-    add, mul = field.add, field.mul
+    row (it is c in characteristic 2), so an entry costs one add and one mul
+    in every characteristic."""
+    char2 = field.p == 2
     mat = [list(r) for r in rows]
     pivots = []
     rank = 0
@@ -37,12 +38,14 @@ def rref(field: Field, rows, width: int):
         mat[rank], mat[piv] = mat[piv], mat[rank]
         inv = field.inv(mat[rank][col])
         if inv != 1:
-            mat[rank] = [mul(inv, x) for x in mat[rank]]
+            mat[rank] = [field.mul(inv, x) for x in mat[rank]]
         row = mat[rank]
         for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                negc = field.neg(mat[i][col])
-                mat[i] = [add(x, mul(negc, y)) for x, y in zip(mat[i], row)]
+            c = mat[i][col]
+            if i != rank and c != 0:
+                negc = c if char2 else field.neg(c)
+                mi = mat[i]
+                mat[i] = [field.add(mi[j], field.mul(negc, row[j])) for j in range(width)]
         pivots.append(col)
         rank += 1
         if rank == len(mat):
@@ -82,14 +85,14 @@ class Subspace:
     def reduce(self, vec):
         """Remainder of vec after clearing all pivot coordinates."""
         f = self.field
-        add, mul = f.add, f.mul
+        char2 = f.p == 2
         v = list(vec)
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if c != 0:
-                negc = f.neg(c)
+                negc = c if char2 else f.neg(c)
                 for j in range(self.ambient_dim):
-                    v[j] = add(v[j], mul(negc, row[j]))
+                    v[j] = f.add(v[j], f.mul(negc, row[j]))
         return tuple(v)
 
     def contains_vector(self, vec) -> bool:
