@@ -379,15 +379,15 @@ def _pullback_components(flags, markers, divisor_type: str):
             )
         return memo[X]
 
-    failures, comp = [], [[] for _ in markers]
+    failures, comps = [], [[] for _ in markers]
     for f in flags:
         image = partial_frobenius_plus(f)
         here = on(f.small) & on(f.big)
         for k in sorted(here ^ (on(image.small) & on(image.big))):
             failures.append((f.small.basis, f.big.basis, markers[k].basis))
         for k in here:
-            comp[k].append(f)
-    return failures, comp
+            comps[k].append(f)
+    return failures, comps
 
 
 def partial_frobenius_divisor_pullback_check(
@@ -413,33 +413,33 @@ def partial_frobenius_divisor_pullback_check(
     markers = list(
         enumerate_grassmannian(field, N, marker_dim, subfield_only=True, budget=budget)
     )
-    set_failures, comp = _pullback_components(flags, markers, divisor_type)
+    set_failures, comps = _pullback_components(flags, markers, divisor_type)
     report = {"flags": len(flags), "set_failures": set_failures, "probes": {},
               "mode": "exhaustive"}
     if rng is not None and 1 <= n <= N - 2:
         report["mode"] = "probabilistic"
         if divisor_type == "J":
-            for mk, fls in zip(markers, comp):
-                if not fls:
+            for mk, comp in zip(markers, comps):
+                if not comp:
                     continue
                 orders = []
                 for _ in range(probe_repeats):
-                    fl = fls[rng.randrange(len(fls))]
+                    fl = comp[rng.randrange(len(comp))]
                     orders.append(jtype_flag_pullback_probe(field, N, n, mk, fl, rng))
                 report["probes"][("J", mk.basis)] = orders
         else:
             # dual model: the hyperplane component of right flags becomes the
             # line component of right flags at the mirrored level
-            for mk, fls in zip(markers, comp):
-                if not fls:
+            for mk, comp in zip(markers, comps):
+                if not comp:
                     continue
                 dual_line = perp(mk)
-                fls = [FlagPoint(perp(f.big), perp(f.small), "right") for f in fls]
-                for f in fls:
+                comp = [FlagPoint(perp(f.big), perp(f.small), "right") for f in comp]
+                for f in comp:
                     f.validate()
                 orders = []
                 for _ in range(probe_repeats):
-                    fl = fls[rng.randrange(len(fls))]
+                    fl = comp[rng.randrange(len(comp))]
                     orders.append(
                         jtype_flag_pullback_probe(field, N, N - n - 1, dual_line, fl, rng)
                     )
