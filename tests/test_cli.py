@@ -215,7 +215,7 @@ def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
     assert r.verdict == "pass"
     points = sum(1 for n in (1, 2) for _ in enumerate_toysht(F4, 3, n))
     assert r.counters["pairs"] == 16 * points == 672
-    # per point: the toy predicate and the flag, one rref and four
+    # per point: the toy predicate (one rref) and the flag (five)
     assert len(calls) <= r.counters["pairs"] + 6 * points
 
 
