@@ -21,9 +21,7 @@ def rref(field: Field, rows, width: int):
     """Reduced row echelon form; returns (rows, pivot columns).
 
     Each row is cleared as row + (-c) * pivot row, with -c taken once per
-    row (it is c in characteristic 2), so an entry costs one add and one mul
-    in every characteristic."""
-    char2 = field.p == 2
+    row, so an entry costs one add and one mul in every characteristic."""
     mat = [list(r) for r in rows]
     pivots = []
     rank = 0
@@ -43,7 +41,7 @@ def rref(field: Field, rows, width: int):
         for i in range(len(mat)):
             c = mat[i][col]
             if i != rank and c != 0:
-                negc = c if char2 else field.neg(c)
+                negc = field.neg(c)
                 mi = mat[i]
                 mat[i] = [field.add(mi[j], field.mul(negc, row[j])) for j in range(width)]
         pivots.append(col)
@@ -85,12 +83,11 @@ class Subspace:
     def reduce(self, vec):
         """Remainder of vec after clearing all pivot coordinates."""
         f = self.field
-        char2 = f.p == 2
         v = list(vec)
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if c != 0:
-                negc = c if char2 else f.neg(c)
+                negc = f.neg(c)
                 for j in range(self.ambient_dim):
                     v[j] = f.add(v[j], f.mul(negc, row[j]))
         return tuple(v)

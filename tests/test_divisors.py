@@ -23,7 +23,7 @@ from toyshtlab.divisors import (
     zero_coeffs,
 )
 from toyshtlab.errors import DimensionMismatchError, SumNotZeroError
-from toyshtlab.gf import field_make
+from toyshtlab.gf import Field, field_make
 from toyshtlab.linalg import echelonize, enumerate_grassmannian, gauss_binomial, intersect, perp
 from toyshtlab.toysht import FlagPoint, ToyPoint, enumerate_flags, enumerate_toysht
 
@@ -95,7 +95,9 @@ def test_incidence_lists_match_pairing_double_loop(field, d):
 
 
 def test_incidence_cache_keyed_by_field_value():
-    fields = [field_make(2, 1, 1) for _ in range(200)]
+    # separately built, equal-valued fields: field_make would share one object
+    fields = [Field(2, 1, 1) for _ in range(200)]
+    assert len({id(field) for field in fields}) == 200
     for field in fields:
         assert incidence_lists(field, 3) is incidence_lists(fields[0], 3)
     assert sum(1 for tag in _incidence_cache if tag[:3] == (2, 1, 1) and tag[-1] == 3) == 1

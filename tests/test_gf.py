@@ -7,7 +7,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
 from toyshtlab.errors import BudgetExceededError, NonPrimeError
-from toyshtlab.gf import DEFAULT_BUDGET, _is_irreducible, field_make, is_prime
+from toyshtlab.gf import DEFAULT_BUDGET, Field, _is_irreducible, field_make, is_prime
 
 # every odd-p tower of the odd_fields benchmark workload, and F_{7^4}
 ODD_TOWERS = [(3, 1, 2), (5, 1, 4), (3, 1, 6), (3, 2, 3), (7, 1, 3), (3, 1, 7), (7, 1, 4)]
@@ -132,10 +132,17 @@ def test_field_make_shares_one_field_per_value():
 
 
 def test_encoding_reproducible():
-    a = field_make(3, 1, 2, seed=0)
-    b = field_make(3, 1, 2, seed=0)
-    assert a.modulus == b.modulus
-    assert a.generator == b.generator
+    # two separate builds per value, as field_make hands back one shared Field
+    for (p, e, m), seed in product([(3, 1, 2), (2, 1, 4), (5, 1, 2), (3, 2, 2), (2, 3, 2)], [0, 1]):
+        a = Field(p, e, m, seed=seed)
+        b = Field(p, e, m, seed=seed)
+        assert a is not b
+        assert a.modulus == b.modulus
+        assert a.generator == b.generator
+        elements = list(a.elements())
+        assert [a.mul(x, y) for x in elements for y in elements] == [
+            b.mul(x, y) for x in elements for y in elements
+        ]
 
 
 def test_coeffs_roundtrip():
