@@ -452,7 +452,7 @@ class SchubertCenters:
 
 
 def schubert_adapted_chart(
-    field: Field, N: int, n: int, W: Subspace, L0: Subspace, avoid=None, centers=None
+    field: Field, N: int, n: int, W: Subspace, L0: Subspace, centers=None
 ):
     """A chart containing L0 in which the Schubert equation for W is the
     single graph coordinate (0, N-n-1).
@@ -461,16 +461,14 @@ def schubert_adapted_chart(
     n+1; the complement starts with a vector of W, so the degeneracy locus
     det(L -> V/W) = 0 reduces to one matrix entry.  The chart is that of the
     first such M, in center order, that meets L0 trivially, which is one
-    rank test of M + L0.  When avoid is a hyperplane, centers inside it are
-    skipped (they cannot see transversal directions to its component).
+    rank test of M + L0.  Such an M lies in no hyperplane through L0, as
+    its dimension N - n plus dim L0 already fills the space.
     centers is W's SchubertCenters, built here when not given; a caller
     that probes one W many times passes one index to every call.
     """
     if centers is None:
         centers = SchubertCenters(field, N, n, W)
     for M, chart in centers:
-        if avoid is not None and avoid.contains(M):
-            continue
         if sum_rank(M, L0) != M.dim + L0.dim:
             continue
         return chart, (0, N - n - 1)
@@ -498,8 +496,7 @@ def schubert_multiplicity_probe(
     if T is None:
         T = default_truncation(field)
     kind, sub = component
-    avoid = sub if kind == "H" else None
-    chart, (ai, bj) = schubert_adapted_chart(field, N, n, W, L0, avoid, centers)
+    chart, (ai, bj) = schubert_adapted_chart(field, N, n, W, L0, centers)
     B0 = chart.coordinates(L0)
     assert B0 is not None and B0[ai][bj] == 0
     A0 = artin_schreier(field, B0)

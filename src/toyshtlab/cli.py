@@ -26,6 +26,7 @@ from . import charts, divisors, tate, toysht
 from .errors import (
     BudgetExceededError,
     ConfigParseError,
+    DimensionMismatchError,
     ToyshtError,
     UnknownCheckError,
 )
@@ -281,7 +282,10 @@ def _radon_space(params: dict):
 
 def _radon_round_trips(F, N: int, n: int, vals, denom: int) -> bool:
     """Whether radon_backward inverts radon_forward at vals / p**denom on the line keys."""
-    mu = {k: divisors.PAdicRational(F.p, v, denom) for k, v in zip(divisors.line_keys(F, N), vals)}
+    keys = divisors.line_keys(F, N)
+    if len(vals) != len(keys):
+        raise DimensionMismatchError(f"expected {len(keys)} values, got {len(vals)}")
+    mu = {k: divisors.PAdicRational(F.p, v, denom) for k, v in zip(keys, vals)}
     return divisors.radon_backward(F, divisors.radon_forward(F, mu, n, N), n, N) == mu
 
 
@@ -378,6 +382,8 @@ def _invariant_fn(model: tate.FiniteTateModel, origin: int, lines) -> tate.TateF
     """The scalar-invariant function with value origin at 0 and num / p**den
     on the k-th line of model.lines(), for lines[k] = [num, den]."""
     p = model.field.p
+    if len(lines) != len(model.lines()):
+        raise DimensionMismatchError(f"expected {len(model.lines())} lines, got {len(lines)}")
     on_line = {rep: divisors.PAdicRational(p, num, den)
                for rep, (num, den) in zip(model.lines(), lines)}
     values = [divisors.PAdicRational(p, origin, 0)]

@@ -9,6 +9,8 @@ so both sides of a divisor share one enumeration of rational lines.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .charts import SchubertCenters, jtype_flag_pullback_probe, schubert_multiplicity_probe
 from .errors import DimensionMismatchError, SumNotZeroError
 from .gf import Field
@@ -81,38 +83,16 @@ class PAdicRational:
             and self.exp == other.exp
         )
 
-    def __le__(self, other: "PAdicRational") -> bool:
-        k = max(self.exp, other.exp)
-        return self.num * self.p ** (k - self.exp) <= other.num * self.p ** (
-            k - other.exp
-        )
-
-    def __lt__(self, other: "PAdicRational") -> bool:
-        return self <= other and self != other
-
     def __hash__(self):
         return hash((self.num, self.exp))
 
     def is_zero(self) -> bool:
         return self.num == 0
 
-    def scaled_numerator(self, exp: int) -> int:
-        """Numerator after rescaling to the given denominator exponent."""
-        if exp < self.exp:
-            raise ValueError("cannot rescale to a smaller exponent")
-        return self.num * self.p ** (exp - self.exp)
-
     def __repr__(self) -> str:
         if self.exp == 0:
             return f"{self.num}"
         return f"{self.num}/{self.p}^{self.exp}"
-
-
-def _common_ints(values, p: int):
-    """Rescale a list of coefficients to integers over a common p-power."""
-    k = max((v.exp for v in values), default=0)
-    k = max(k, 0)
-    return [v.scaled_numerator(k) for v in values], k
 
 
 class HoroDivisor:
@@ -163,6 +143,27 @@ def line_keys(field: Field, N: int):
     return list(incidence_lists(field, N))
 
 
+def _gather(positions):
+    """itemgetter of the positions, returning a tuple also for one position
+    or none (where itemgetter returns a bare item or refuses)."""
+    positions = tuple(positions)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda seq: tuple(seq[i] for i in positions)
+
+
+def _incidence_entry(field: Field, N: int):
+    """The cache entry of the field's value and N: (incidence_lists,
+    incidence_index)."""
+    tag = (field.p, field.e, field.m, field.modulus, N)
+    if tag not in _incidence_cache:
+        keys = [L.basis[0] for L in rational_lines(field, N)]
+        inc = {hk: [jk for jk in keys if pairing(field, hk, jk) == 0] for hk in keys}
+        pos = {k: i for i, k in enumerate(keys)}
+        _incidence_cache[tag] = inc, (keys, [_gather(pos[jk] for jk in inc[hk]) for hk in keys])
+    return _incidence_cache[tag]
+
+
 def incidence_lists(field: Field, N: int) -> dict:
     """The line/hyperplane incidence of the rational projective space: for
     each line key, in rational_lines order, the line keys perpendicular to it
@@ -173,35 +174,31 @@ def incidence_lists(field: Field, N: int) -> dict:
     Cached by the field's value, so equal fields built separately share one
     entry.
     """
-    tag = (field.p, field.e, field.m, field.modulus, N)
-    if tag not in _incidence_cache:
-        keys = [L.basis[0] for L in rational_lines(field, N)]
-        _incidence_cache[tag] = {
-            hk: [jk for jk in keys if pairing(field, hk, jk) == 0] for hk in keys
-        }
-    return _incidence_cache[tag]
+    return _incidence_entry(field, N)[0]
 
 
-def zero_coeffs(field: Field, N: int) -> dict:
-    zero = PAdicRational.integer(field.p, 0)
-    return {k: zero for k in line_keys(field, N)}
+def incidence_index(field: Field, N: int):
+    """incidence_lists in index form, from the same cache entry: the line
+    keys in order, and per key a getter such that sum(getter(family)) sums
+    a family given in key order over the key's incidence list."""
+    return _incidence_entry(field, N)[1]
 
 
 def _incidence_sums(field: Field, d: int, values: dict, power: int) -> dict:
     """q^power times the sum of a zero-sum coefficient family over each
     incidence list of P^(d-1), keyed and ordered like the input."""
     p = field.p
-    total = PAdicRational.integer(p, 0)
-    for v in values.values():
-        total = total + v
-    if not total.is_zero():
+    keys, getters = incidence_index(field, d)
+    vals = [values[jk] for jk in keys]
+    # integer numerators over one shared exponent k; the output exponent
+    # takes the factor q^power = p^(e * power) as well
+    k = max(0, max(v.exp for v in vals))
+    nums = [v.num * p ** (k - v.exp) for v in vals]
+    if sum(nums):
         raise SumNotZeroError("coefficients must sum to zero")
-    keys = list(values)
-    vals, k = _common_ints([values[j] for j in keys], p)
-    byk = dict(zip(keys, vals))
-    inc = incidence_lists(field, d)
-    factor = PAdicRational.q_power(p, field.e, power)
-    return {hk: PAdicRational(p, sum(byk[jk] for jk in inc[hk]), k) * factor for hk in keys}
+    k -= field.e * power
+    out = dict(zip(keys, [PAdicRational(p, sum(g(nums)), k) for g in getters]))
+    return {hk: out[hk] for hk in values}
 
 
 def radon_forward(field: Field, mu: dict, n: int, N: int) -> dict:

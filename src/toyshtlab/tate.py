@@ -16,13 +16,14 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import (
+    DimensionMismatchError,
     LatticeNotNestedError,
     NotAdmissibleError,
     NotInvariantError,
     WrongChainError,
     WrongIndexError,
 )
-from .divisors import PAdicRational, _incidence_sums, incidence_lists, line_keys
+from .divisors import PAdicRational, _gather, _incidence_sums, incidence_index, line_keys
 from .gf import Field
 from .linalg import Subspace, echelonize, pairing, perp
 
@@ -53,6 +54,7 @@ class FiniteTateModel:
         self._vectors = None
         self._line_index = None
         self._lines = None
+        self._pair_zero = None
         self._shell_keys = {}
 
     def n(self, lattice: Subspace) -> int:
@@ -96,10 +98,20 @@ class FiniteTateModel:
             self._lines = list(dict.fromkeys(self.line_index()[1:]))
         return self._lines
 
-    def pair_zero_table(self) -> dict:
-        """For each line representative, the representatives perpendicular
-        to it under the standard pairing: incidence_lists at d = D."""
-        return incidence_lists(self.field, self.D)
+    def pair_zero_table(self):
+        """incidence_index at d = D with gathers between vectors and lines:
+        (getters, at_keys, per_vector, at_reps).  at_keys takes a family on
+        vectors to the line keys, per_vector takes a family on line keys to
+        the nonzero vectors, and at_reps takes a family on vectors to the
+        key vector of each vector's line (0 for 0)."""
+        if self._pair_zero is None:
+            keys, getters = incidence_index(self.field, self.D)
+            at = [self.index(k) for k in keys]
+            pos = {k: i for i, k in enumerate(keys)}
+            of = [pos[k] for k in self.line_index()[1:]]
+            reps = _gather([0] + [at[j] for j in of])
+            self._pair_zero = getters, _gather(at), _gather(of), reps
+        return self._pair_zero
 
     def subspace(self, rows) -> Subspace:
         return echelonize(self.field, rows, self.D)
@@ -117,7 +129,9 @@ class TateFn:
         self.model = model
         self.side = side
         self.values = list(values)
-        assert len(self.values) == model.q**model.D
+        size = model.q**model.D
+        if len(self.values) != size:
+            raise DimensionMismatchError(f"expected {size} values, got {len(self.values)}")
 
     @classmethod
     def zero(cls, model: FiniteTateModel, side: str) -> "TateFn":
@@ -145,16 +159,8 @@ class TateFn:
         return out
 
     def is_fq_invariant(self) -> bool:
-        f = self.model.field
-        for rep in self.model.lines():
-            base = self.values[self.model.index(rep)]
-            for c in f.elements():
-                if c in (0, 1):
-                    continue
-                w = tuple(f.mul(c, x) for x in rep)
-                if self.values[self.model.index(w)] != base:
-                    return False
-        return True
+        """Whether each vector's value is that at its line's key vector."""
+        return list(self.model.pair_zero_table()[3](self.values)) == self.values
 
     def reflect(self) -> "TateFn":
         """The function v -> f(-v)."""
@@ -166,13 +172,15 @@ class TateFn:
         return out
 
     def __add__(self, other: "TateFn") -> "TateFn":
-        assert self.side == other.side
+        if self.side != other.side:
+            raise ValueError(f"cannot combine functions on {self.side} and {other.side}")
         return TateFn(
             self.model, self.side, [a + b for a, b in zip(self.values, other.values)]
         )
 
     def __sub__(self, other: "TateFn") -> "TateFn":
-        assert self.side == other.side
+        if self.side != other.side:
+            raise ValueError(f"cannot combine functions on {self.side} and {other.side}")
         return TateFn(
             self.model, self.side, [a - b for a, b in zip(self.values, other.values)]
         )
@@ -215,31 +223,21 @@ def fourier(f: TateFn) -> TateFn:
     if not f.is_fq_invariant():
         raise NotInvariantError("Fourier needs a scalar-invariant function")
     model = f.model
-    p, e = model.field.p, model.field.e
-    q = model.q
-    k = max([v.exp for v in f.values] + [0])
-    nums = [v.scaled_numerator(k) for v in f.values]
+    p, q = model.field.p, model.q
+    getters, at_keys, per_vector, _ = model.pair_zero_table()
+    # integer numerators at 0 and on the line keys over one shared exponent
+    # k; the output exponent takes the factor q^offset as well
+    vals = [f.values[0], *at_keys(f.values)]
+    k = max(0, max(v.exp for v in vals))
+    zero, *at = [v.num * p ** (k - v.exp) for v in vals]
+    k -= model.field.e * model.offset(f.side)
     # the orbit sum over c != 0 of psi(c <v, w>) is q-1 when v is
     # perpendicular to w and -1 otherwise, so the value on a line l' is
     # f(0) + q * (sum of f over lines perpendicular to l') - (sum over all)
-    inc = model.pair_zero_table()
-    at = {rep: nums[model.index(rep)] for rep in inc}
-    total = sum(at.values())
-    zero = nums[0]
-    per_line = {
-        rep: zero + q * sum(at[jk] for jk in perp_lines) - total
-        for rep, perp_lines in inc.items()
-    }
-    out = [zero + (q - 1) * total] + [per_line[rep] for rep in model.line_index()[1:]]
-    pm = PAdicRational.q_power(p, e, model.offset(f.side))
-    other = "T*" if f.side == "T" else "T"
-    return TateFn(model, other, [PAdicRational(p, x, k) * pm for x in out])
-
-
-def fourier_inverse_check(f: TateFn) -> bool:
-    """Double transform equals reflection (hence the identity on invariant
-    functions)."""
-    return fourier(fourier(f)) == f.reflect()
+    total = sum(at)
+    per_line = [PAdicRational(p, zero + q * sum(g(at)) - total, k) for g in getters]
+    out = [PAdicRational(p, zero + (q - 1) * total, k), *per_vector(per_line)]
+    return TateFn(model, "T*" if f.side == "T" else "T", out)
 
 
 def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
@@ -328,6 +326,8 @@ def radon_fourier_commutes(
     """Whether transform-then-extend equals extend-then-transform at the
     input vals / p**denom on the line keys of the projective quotient."""
     reps = line_keys(model.field, outer.dim - inner.dim)
+    if len(vals) != len(reps):
+        raise DimensionMismatchError(f"expected {len(reps)} values, got {len(vals)}")
     g = {k: PAdicRational(model.field.p, v, denom) for k, v in zip(reps, vals)}
     lhs = fourier(eps_extend(model, g, inner, outer))
     return lhs == eps_extend_dual(model, radon_finite(model, g, inner, outer), inner, outer)
@@ -359,7 +359,8 @@ class TatePair:
     __slots__ = ("f1", "f2")
 
     def __init__(self, f1: TateFn, f2: TateFn):
-        assert f1.side == "T*" and f2.side == "T"
+        if f1.side != "T*" or f2.side != "T":
+            raise ValueError("a pair is a function on T* and one on T, in that order")
         self.f1 = f1
         self.f2 = f2
 

@@ -337,7 +337,7 @@ def test_jtype_flag_probe_wider_level():
 # --- the per-W index of Schubert-adapted centers ----------------------------
 
 
-def adapted_chart_by_search(field, N, n, W, L0, avoid=None):
+def adapted_chart_by_search(field, N, n, W, L0):
     """The adapted chart by the search the index replaces: every rational
     center tested in full on every query."""
     for M in enumerate_grassmannian(field, N, N - n, subfield_only=True):
@@ -345,8 +345,6 @@ def adapted_chart_by_search(field, N, n, W, L0, avoid=None):
         if MW.dim != N - n - 1:
             continue
         if intersect(M, L0).dim != 0:
-            continue
-        if avoid is not None and avoid.contains(M):
             continue
         w0 = None
         for v in M.vectors():
@@ -394,8 +392,8 @@ def _chart_or_none(find, *args):
 
 @pytest.mark.parametrize("N,n", [(3, 1), (4, 2)])
 def test_adapted_centers_match_exhaustive_search(N, n):
-    # every W and every point clean on one of its components, with no avoid
-    # and with each hyperplane through W as avoid; one index per W
+    # every W and every point clean on one of its components; one index per
+    # W.  The center lies in no hyperplane component through the point
     locus = toy_locus(F4, N, n)
     found = Counter()
     for W in enumerate_grassmannian(F4, N, N - n, subfield_only=True):
@@ -408,26 +406,32 @@ def test_adapted_centers_match_exhaustive_search(N, n):
         points = list(dict.fromkeys(L0 for pts in clean.values() for L0 in pts))
         centers = SchubertCenters(F4, N, n, W)
         for L0 in points:
-            for avoid in [None] + hyperplanes:
-                expected = _chart_or_none(adapted_chart_by_search, F4, N, n, W, L0, avoid)
-                got = _chart_or_none(schubert_adapted_chart, F4, N, n, W, L0, avoid, centers)
-                assert got == expected, (W, L0, avoid)
-                found[expected is not None] += 1
+            expected = _chart_or_none(adapted_chart_by_search, F4, N, n, W, L0)
+            got = _chart_or_none(schubert_adapted_chart, F4, N, n, W, L0, centers)
+            assert got == expected, (W, L0)
+            found[expected is not None] += 1
+            M = echelonize(F4, got[0], N)
+            for H in hyperplanes:
+                if H.contains(L0):
+                    assert not H.contains(M), (W, L0, H)
+                    found["H through L0"] += 1
         # a subspace of W; at N = 2n it is W, which meets every adapted
         # center, so both searches run out
         L0 = echelonize(F4, W.basis[:n], N)
         expected = _chart_or_none(adapted_chart_by_search, F4, N, n, W, L0)
-        assert _chart_or_none(schubert_adapted_chart, F4, N, n, W, L0, None, centers) == expected
+        assert _chart_or_none(schubert_adapted_chart, F4, N, n, W, L0, centers) == expected
         assert (expected is None) == (N == 2 * n)
-    # every query found a chart, so each compared a chart, not two failures
-    assert found == {True: {(3, 1): 28, (4, 2): 6720}[(N, n)]}
+    # every query found a chart, so each compared a chart, not two failures;
+    # the rest are clean on a line component, through no hyperplane one
+    assert found == {(3, 1): {True: 14, "H through L0": 14},
+                     (4, 2): {True: 1680, "H through L0": 840}}[(N, n)]
 
 
 def test_adapted_centers_fill_lazily():
     W = echelonize(F4, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)
     L0 = echelonize(F4, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)
     centers = SchubertCenters(F4, 4, 2, W)
-    chart, _ = schubert_adapted_chart(F4, 4, 2, W, L0, None, centers)
+    chart, _ = schubert_adapted_chart(F4, 4, 2, W, L0, centers)
     # the search stopped at the center it returned
     assert centers._found[-1][1] is chart
     total = sum(1 for _ in enumerate_grassmannian(F4, 4, 2, subfield_only=True))

@@ -16,7 +16,7 @@ from toyshtlab.cli import (
     run,
     run_suite,
 )
-from toyshtlab.errors import ConfigParseError, UnknownCheckError
+from toyshtlab.errors import ConfigParseError, DimensionMismatchError, UnknownCheckError
 from toyshtlab.gf import field_make
 from toyshtlab.linalg import echelonize
 from toyshtlab.toysht import enumerate_toysht
@@ -357,6 +357,26 @@ def test_schubert_codim2_replay():
     )
     pt = next(iter(enumerate_toysht(F4, 4, 2, nontrivial_only=True)))
     assert replay_witness(schubert_witness("schubert_codim2", 4, pt.L.basis, pt.L.basis))
+
+
+# kind -> (params, the witness's value list, its length at those params)
+MALFORMED = {
+    "gamma": ({"p": 3, "e": 1, "D": 4, "c": -2}, "lines", 40),
+    "radon_roundtrip": ({"p": 2, "e": 1, "N": 3, "n": 1}, "vals", 7),
+    "radon_fourier": ({"p": 2, "e": 1, "D": 5, "c": -2}, "vals", 31),
+}
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_replay_rejects_a_witness_of_the_wrong_length(kind, delta):
+    params, name, size = MALFORMED[kind]
+    entry = [0, 0] if kind == "gamma" else 0
+    witness = {"kind": kind, "params": params, "origin": 0, "denom": 0}
+    # all zeros at the right length is no failure
+    assert not replay_witness({**witness, name: [entry] * size})
+    with pytest.raises(DimensionMismatchError, match=f"expected {size} .*, got {size + delta}"):
+        replay_witness({**witness, name: [entry] * (size + delta)})
 
 
 @pytest.mark.parametrize(

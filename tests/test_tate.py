@@ -5,6 +5,7 @@ import pytest
 
 from toyshtlab.divisors import PAdicRational, line_keys, radon_forward
 from toyshtlab.errors import (
+    DimensionMismatchError,
     LatticeNotNestedError,
     NotAdmissibleError,
     NotInvariantError,
@@ -23,7 +24,6 @@ from toyshtlab.tate import (
     eps_extend,
     eps_extend_dual,
     fourier,
-    fourier_inverse_check,
     gamma_identity_check,
     integrate,
     is_admissible,
@@ -82,6 +82,25 @@ def test_model_requires_base_field():
         FiniteTateModel(field_make(2, 1, 2), 3, -1)
 
 
+
+def test_function_and_pair_guards_raise():
+    # raised, not asserted, so they hold under python -O as well
+    m = FiniteTateModel(F3, 3, -1)
+    zero = PAdicRational.integer(3, 0)
+    for size in (0, 26, 28):
+        with pytest.raises(DimensionMismatchError, match=f"expected 27 values, got {size}"):
+            TateFn(m, "T", [zero] * size)
+    f, g = TateFn.zero(m, "T"), TateFn.zero(m, "T*")
+    with pytest.raises(ValueError):
+        f + g
+    with pytest.raises(ValueError):
+        g - f
+    with pytest.raises(ValueError):
+        TatePair(f, g)
+    with pytest.raises(ValueError):
+        TatePair(g, g)
+    assert TatePair(g, f) == TatePair(g - g, f + f)
+
 def test_fourier_indicator_displays():
     # the four displayed transform facts, q = 2 and q = 3
     for field in (F2, F3):
@@ -112,7 +131,7 @@ def _character_sum_fourier(model, f, k):
     assert model.field.e == 1
     exps = [v.exp for v in f.values]
     m_exp = max(exps + [0])
-    nums = [v.scaled_numerator(m_exp) for v in f.values]
+    nums = [v.num * p ** (m_exp - v.exp) for v in f.values]
     out = []
     for w in model.vectors():
         buckets = [0] * p
@@ -167,7 +186,7 @@ def test_fourier_linearity():
         f, g = rand_invariant(), rand_invariant()
         a = PAdicRational(3, rng.randrange(-4, 5), rng.randrange(2))
         assert fourier(f.scale(a) + g) == fourier(f).scale(a) + fourier(g)
-        assert fourier_inverse_check(f)
+        assert fourier(fourier(f)) == f.reflect()
 
 
 def test_fourier_requires_invariance():

@@ -1,0 +1,188 @@
+"""The index-form transforms against loop references of the same formulas.
+
+radon_forward, radon_backward and radon_finite sum a coefficient family
+over the incidence lists, and fourier collapses the character sum to the
+same incidence sums.  The references below keep those formulas as plain
+dict-and-generator sums over incidence_lists and PAdicRational arithmetic,
+and every transform must agree with them value for value and key for key.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from toyshtlab import divisors
+from toyshtlab.divisors import (
+    PAdicRational,
+    incidence_lists,
+    line_keys,
+    radon_backward,
+    radon_forward,
+)
+from toyshtlab.errors import NotInvariantError, SumNotZeroError
+from toyshtlab.gf import field_make
+from toyshtlab.tate import FiniteTateModel, TateFn, fourier, radon_finite
+
+FIELDS = [field_make(2, 1, 1), field_make(3, 1, 1)]
+
+
+def incidence_sums_reference(field, d, values, power):
+    """q^power times the sum of a zero-sum family over each incidence list
+    of P^(d-1), keyed and ordered like the input."""
+    p = field.p
+    total = PAdicRational.integer(p, 0)
+    for v in values.values():
+        total = total + v
+    if not total.is_zero():
+        raise SumNotZeroError("coefficients must sum to zero")
+    keys = list(values)
+    k = max([v.exp for v in values.values()] + [0])
+    byk = {jk: values[jk].num * p ** (k - values[jk].exp) for jk in keys}
+    inc = incidence_lists(field, d)
+    factor = PAdicRational.q_power(p, field.e, power)
+    return {hk: PAdicRational(p, sum(byk[jk] for jk in inc[hk]), k) * factor for hk in keys}
+
+
+def is_invariant_reference(f):
+    """Whether f is constant on every scalar orbit of a line."""
+    field, model = f.model.field, f.model
+    for rep in model.lines():
+        base = f.values[model.index(rep)]
+        for c in field.elements():
+            if c not in (0, 1):
+                w = tuple(field.mul(c, x) for x in rep)
+                if f.values[model.index(w)] != base:
+                    return False
+    return True
+
+
+def fourier_reference(f):
+    """The orbit-sum transform: on a line l', f(0) + q * (sum of f over the
+    lines perpendicular to l') - (sum over all lines), times q^offset."""
+    if not is_invariant_reference(f):
+        raise NotInvariantError("Fourier needs a scalar-invariant function")
+    model = f.model
+    p, e, q = model.field.p, model.field.e, model.q
+    k = max([v.exp for v in f.values] + [0])
+    nums = [v.num * p ** (k - v.exp) for v in f.values]
+    inc = incidence_lists(model.field, model.D)
+    at = {rep: nums[model.index(rep)] for rep in inc}
+    total = sum(at.values())
+    zero = nums[0]
+    per_line = {
+        rep: zero + q * sum(at[jk] for jk in perp_lines) - total
+        for rep, perp_lines in inc.items()
+    }
+    out = [zero + (q - 1) * total] + [per_line[rep] for rep in model.line_index()[1:]]
+    pm = PAdicRational.q_power(p, e, model.offset(f.side))
+    other = "T*" if f.side == "T" else "T"
+    return TateFn(model, other, [PAdicRational(p, x, k) * pm for x in out])
+
+
+def zero_sum_family(rng, keys, p):
+    """Values num / p^exp with exponents from -1 to 2 on the keys, in a
+    shuffled key order, the last one making the sum zero."""
+    values = [PAdicRational(p, rng.randrange(-9, 10), rng.randrange(-1, 3)) for _ in keys]
+    total = PAdicRational.integer(p, 0)
+    for v in values[:-1]:
+        total = total + v
+    values[-1] = -total
+    order = list(range(len(keys)))
+    rng.shuffle(order)
+    return {keys[i]: values[i] for i in order}
+
+
+def invariant_function(rng, model, side):
+    """A scalar-invariant function with one fresh value object per vector."""
+    p = model.field.p
+    drawn = {rep: (rng.randrange(-9, 10), rng.randrange(-1, 3)) for rep in model.lines()}
+    values = [PAdicRational(p, rng.randrange(-9, 10), rng.randrange(-1, 3))]
+    values += [PAdicRational(p, *drawn[rep]) for rep in model.line_index()[1:]]
+    return TateFn(model, side, values)
+
+
+def assert_same(got: dict, expected: dict):
+    assert list(got.items()) == list(expected.items())
+
+
+def check_radon(field, N, n, mu):
+    assert_same(radon_forward(field, mu, n, N),
+                incidence_sums_reference(field, N, mu, n - (N - 1)))
+    assert_same(radon_backward(field, mu, n, N),
+                incidence_sums_reference(field, N, mu, 1 - n))
+
+
+def check_fourier(f):
+    expected = fourier_reference(f)
+    got = fourier(f)
+    assert (got.side, got.values) == (expected.side, expected.values)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 5), st.integers(-3, 4), st.randoms())
+def test_radon_forward_backward_match_reference(field, N, n, rng):
+    check_radon(field, N, n, zero_sum_family(rng, line_keys(field, N), field.p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(4, 5), st.integers(0, 1), st.randoms())
+def test_radon_finite_matches_reference(field, d, din, rng):
+    # admissible: n(inner) = din + c <= -2 and n(outer) = din + d + c >= 2
+    c = rng.randrange(2 - din - d, -2 - din + 1)
+    model = FiniteTateModel(field, din + d, c)
+    inner = model.subspace([tuple(int(k == i) for k in range(model.D)) for i in range(din)])
+    outer = model.subspace([tuple(int(k == i) for k in range(model.D)) for i in range(model.D)])
+    g = zero_sum_family(rng, line_keys(field, d), field.p)
+    assert_same(radon_finite(model, g, inner, outer),
+                incidence_sums_reference(field, d, g, model.n(inner) + 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 5), st.integers(-3, 1),
+       st.sampled_from(["T", "T*"]), st.randoms())
+def test_fourier_matches_reference(field, D, c, side, rng):
+    model = FiniteTateModel(field, D, c)
+    f = invariant_function(rng, model, side)
+    assert f.is_fq_invariant()
+    check_fourier(f)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F3"])
+@pytest.mark.parametrize("N", [1, 2])
+def test_edge_dimensions_match_reference(field, N):
+    # N = 1 has an empty incidence list, N = 2 one line per list
+    rng = random.Random(N)
+    keys = line_keys(field, N)
+    assert {len(v) for v in incidence_lists(field, N).values()} == {N - 1}
+    for n in range(-2, 3):
+        check_radon(field, N, n, zero_sum_family(rng, keys, field.p))
+        for side in ("T", "T*"):
+            check_fourier(invariant_function(rng, FiniteTateModel(field, N, -1), side))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.randoms())
+def test_invariance_matches_reference(D, rng):
+    # over F_3 a vector off its line's key vector can break invariance
+    model = FiniteTateModel(FIELDS[1], D, -1)
+    f = invariant_function(rng, model, "T")
+    i = rng.randrange(1, len(f.values))
+    f.values[i] = f.values[i] + PAdicRational.integer(3, rng.randrange(2))
+    assert f.is_fq_invariant() == is_invariant_reference(f)
+    if not is_invariant_reference(f):
+        with pytest.raises(NotInvariantError):
+            fourier(f)
+
+
+def test_patched_incidence_lists_leave_the_cache_sound(monkeypatch):
+    # a run with incidence_lists patched, as the incidence_count replay test
+    # does, neither uses nor caches an index built from the patched lists
+    field, N = FIELDS[1], 3
+    divisors._incidence_cache.pop((field.p, field.e, field.m, field.modulus, N), None)
+    mu = zero_sum_family(random.Random(0), line_keys(field, N), field.p)
+    monkeypatch.setattr(divisors, "incidence_lists",
+                        lambda F, N: {k: v[1:] for k, v in incidence_lists(F, N).items()})
+    check_radon(field, N, 1, mu)
+    monkeypatch.undo()
+    check_radon(field, N, 1, mu)
