@@ -120,10 +120,6 @@ class TruncSeries:
         return f"TruncSeries({self.coeffs})"
 
 
-def series_matrix_const(field: Field, B, T: int):
-    return [[TruncSeries.const(field, x, T) for x in row] for row in B]
-
-
 def series_matrix_as(M):
     """Entrywise Artin-Schreier map on a series matrix."""
     return [[x - x.qth_power() for x in row] for row in M]
@@ -241,21 +237,6 @@ def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart) -> dict:
         if lhs != rhs:
             counter["counterexamples"].append(A)
     return counter
-
-
-def as_fiber(field: Field, B):
-    """All rational preimages of the matrix B under the Artin-Schreier map."""
-    entry_fibers = []
-    for row in B:
-        for y in row:
-            fib = [x for x in field.elements() if field.sub(x, field.frobenius(x)) == y]
-            if not fib:
-                raise FiberEmptyError("an entry has no Artin-Schreier preimage")
-            entry_fibers.append(fib)
-    rows = len(B)
-    cols = len(B[0]) if rows else 0
-    for flat in product(*entry_fibers):
-        yield tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +371,23 @@ def minor_equations(field: Field, rows: int, cols: int):
     return eqs
 
 
+def _retry_probe(attempt, T: int):
+    """The retry loop shared by the multiplicity probes: up to 200 calls of
+    attempt(T), each drawing a fresh curve and returning its result or None
+    to resample; an order that reaches the truncation doubles T, up to 64."""
+    for _ in range(200):
+        try:
+            out = attempt(T)
+        except TruncationTooShortError:
+            if 2 * T > 64:
+                raise
+            T *= 2
+            continue
+        if out is not None:
+            return out
+    raise NotOnVarietyError("no transversal probe direction found")
+
+
 # ---------------------------------------------------------------------------
 # a Schubert-adapted chart and the multiplicity probe for Schubert divisors
 
@@ -511,58 +509,27 @@ def schubert_multiplicity_probe(
 
         def crosses(Adot):
             # d/dt of phi(wp_i + B(wp_i)) is sum_j Adot[i][j] phi(w_j)
-            for i in range(n):
-                acc = 0
-                for j in range(width):
-                    acc = field.add(acc, field.mul(Adot[i][j], phi_w[j]))
-                if acc != 0:
-                    return True
-            return False
+            return any(pairing(field, row, phi_w) for row in Adot)
 
     else:
         gen = sub.basis[0]
-        coeffs = solve(field, chart.wp_basis + chart.w_basis, gen)
-        c = coeffs[:n]
+        c = solve(field, chart.wp_basis + chart.w_basis, gen)[:n]
 
         def crosses(Adot):
             # d/dt of B(w'_J) is sum_i c_i Adot[i]
-            for j in range(width):
-                acc = 0
-                for i in range(n):
-                    if c[i]:
-                        acc = field.add(acc, field.mul(c[i], Adot[i][j]))
-                if acc != 0:
-                    return True
-            return False
+            return any(pairing(field, c, col) for col in zip(*Adot))
 
-    cap = 64
-    for _ in range(200):
+    minors = [lambda M, e=e: e(series_matrix_as(M)) for e in minor_equations(field, n, width)]
+
+    def attempt(T):
         A_curve = rank1_curve(field, rng, A0, T)
         if not crosses(_curve_first_order(field, A_curve)):
-            continue
+            return None
         probe = hensel_lift_probe(field, A_curve, B0)
+        order = valuation_probe(lambda M: M[ai][bj], probe, defining_eqs=minors)
+        return None if order == INFINITE else order
 
-        def schubert_eq(M):
-            return M[ai][bj]
-
-        try:
-            order = valuation_probe(
-                schubert_eq,
-                probe,
-                defining_eqs=[
-                    lambda M, e=e: e(series_matrix_as(M))
-                    for e in minor_equations(field, n, width)
-                ],
-            )
-        except TruncationTooShortError:
-            if 2 * T > cap:
-                raise
-            T *= 2
-            continue
-        if order == INFINITE:
-            continue
-        return order
-    raise NotOnVarietyError("no transversal probe direction found")
+    return _retry_probe(attempt, T)
 
 
 # ---------------------------------------------------------------------------
@@ -606,38 +573,28 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
     coeffs = solve(field, chart.wp_basis + chart.w_basis, J.basis[0])
     c, d = coeffs[:n], coeffs[n:]
     assert any(x != 0 for x in c), "J must be transversal to the chart center"
-    base_gap = [
-        field.sub(
-            _dotcol(field, c, B0, j),
-            d[j],
-        )
-        for j in range(width)
-    ]
-    assert all(x == 0 for x in base_gap), "base point is off the component"
+    assert all(pairing(field, c, col) == dj for col, dj in zip(zip(*B0), d)), (
+        "base point is off the component"
+    )
 
-    for _ in range(200):
-        h_curve = [random_series(field, rng, T, const=h0[j]) for j in range(width)]
-        a_curve = [random_series(field, rng, T, const=a0[i]) for i in range(n)]
-        alpha1 = 0
+    def component_eq(M):
+        out = None
         for i in range(n):
             if c[i]:
-                alpha1 = field.add(alpha1, field.mul(c[i], a_curve[i].coeffs[1]))
-        if alpha1 == 0:
-            continue
+                term = M[i][jstar].scale(c[i])
+                out = term if out is None else out + term
+        return out - TruncSeries.const(field, d[jstar], out.T)
+
+    def attempt(T):
+        h_curve = [random_series(field, rng, T, const=h0[j]) for j in range(width)]
+        a_curve = [random_series(field, rng, T, const=a0[i]) for i in range(n)]
+        if pairing(field, c, [a.coeffs[1] for a in a_curve]) == 0:
+            return None
         A_curve = [[a_curve[i] * h_curve[j] for j in range(width)] for i in range(n)]
         probe = hensel_lift_probe(field, A_curve, B0)
 
-        def component_eq(M):
-            out = None
-            for i in range(n):
-                if c[i]:
-                    term = M[i][jstar].scale(c[i])
-                    out = term if out is None else out + term
-            return out - TruncSeries.const(field, d[jstar], out.T)
-
         def on_model(M):
             # rows of B - B^(q) must stay proportional to the moving line
-            bad = TruncSeries.const(field, 0, T)
             AS_M = series_matrix_as(M)
             for i in range(n):
                 for j in range(width):
@@ -646,25 +603,12 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
                     m = AS_M[i][j] * h_curve[jstar] - AS_M[i][jstar] * h_curve[j]
                     if not m.is_zero():
                         return m
-            return bad
+            return TruncSeries.const(field, 0, T)
 
-        try:
-            order = valuation_probe(component_eq, probe, defining_eqs=[on_model])
-            pulled = valuation_probe(lambda M: component_eq(M).qth_power(), probe)
-        except TruncationTooShortError:
-            if 2 * T > 64:
-                raise
-            T *= 2
-            continue
+        order = valuation_probe(component_eq, probe, defining_eqs=[on_model])
+        pulled = valuation_probe(lambda M: component_eq(M).qth_power(), probe)
         if order == INFINITE or pulled == INFINITE:
-            continue
+            return None
         return order, pulled
-    raise NotOnVarietyError("no transversal probe direction found")
 
-
-def _dotcol(field: Field, c, B, j: int) -> int:
-    acc = 0
-    for i, ci in enumerate(c):
-        if ci:
-            acc = field.add(acc, field.mul(ci, B[i][j]))
-    return acc
+    return _retry_probe(attempt, T)

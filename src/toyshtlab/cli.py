@@ -418,7 +418,7 @@ def check_canonical_preimage(params: dict, seed: int):
     g1 = tate.canonical_generators(model, chain)[0]
     bad = tate.TateFn.zero(model, "T*")
     bad.values[model.index(model.lines()[0])] = divisors.PAdicRational(model.field.p, 1, 0)
-    ok = ok and tate.fourier(g1[1]) != (g1[0] + bad)
+    ok = ok and tate.fourier(g1.f2) != (g1.f1 + bad)
     return "exhaustive", {}, [] if ok else [{"kind": "canonical_preimage"}]
 
 

@@ -27,7 +27,6 @@ from .linalg import (
 )
 from .toysht import (
     FlagPoint,
-    ToyPoint,
     enumerate_flags,
     enumerate_toysht,
     horospherical_membership,
@@ -90,8 +89,8 @@ class PAdicRational:
         return self.num == 0
 
     def __repr__(self) -> str:
-        if self.exp == 0:
-            return f"{self.num}"
+        if self.exp <= 0:
+            return f"{self.num * self.p ** -self.exp}"
         return f"{self.num}/{self.p}^{self.exp}"
 
 
@@ -229,11 +228,6 @@ def schubert_deficit(L: Subspace, W: Subspace) -> int:
     if W.dim != L.ambient_dim - L.dim:
         raise DimensionMismatchError("W must have codimension dim L")
     return L.dim - induced_map(L, W).rank()
-
-
-def schubert_membership(point: ToyPoint, W: Subspace) -> bool:
-    """True iff the map L -> V/W drops rank, i.e. L meets W."""
-    return schubert_deficit(point.L, W) > 0
 
 
 def toy_locus(field: Field, N: int, n: int, budget=None) -> list:
@@ -415,30 +409,21 @@ def partial_frobenius_divisor_pullback_check(
               "mode": "exhaustive"}
     if rng is not None and 1 <= n <= N - 2:
         report["mode"] = "probabilistic"
-        if divisor_type == "J":
-            for mk, comp in zip(markers, comps):
-                if not comp:
-                    continue
-                orders = []
-                for _ in range(probe_repeats):
-                    fl = comp[rng.randrange(len(comp))]
-                    orders.append(jtype_flag_pullback_probe(field, N, n, mk, fl, rng))
-                report["probes"][("J", mk.basis)] = orders
-        else:
-            # dual model: the hyperplane component of right flags becomes the
-            # line component of right flags at the mirrored level
-            for mk, comp in zip(markers, comps):
-                if not comp:
-                    continue
-                dual_line = perp(mk)
+        for mk, comp in zip(markers, comps):
+            if not comp:
+                continue
+            if divisor_type == "H":
+                # dual model: the hyperplane component of right flags becomes
+                # the line component of right flags at the mirrored level
                 comp = [FlagPoint(perp(f.big), perp(f.small), "right") for f in comp]
                 for f in comp:
                     f.validate()
-                orders = []
-                for _ in range(probe_repeats):
-                    fl = comp[rng.randrange(len(comp))]
-                    orders.append(
-                        jtype_flag_pullback_probe(field, N, N - n - 1, dual_line, fl, rng)
-                    )
-                report["probes"][("H-dual", mk.basis)] = orders
+                level, line, key = N - n - 1, perp(mk), ("H-dual", mk.basis)
+            else:
+                level, line, key = n, mk, ("J", mk.basis)
+            report["probes"][key] = [
+                jtype_flag_pullback_probe(field, N, level, line,
+                                          comp[rng.randrange(len(comp))], rng)
+                for _ in range(probe_repeats)
+            ]
     return report

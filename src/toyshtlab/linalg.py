@@ -231,10 +231,6 @@ class LinearMap:
         return len(rows)
 
 
-def map_rank(f: LinearMap) -> int:
-    return f.rank()
-
-
 class QuotientMap:
     """Coordinates on V/W: reduce modulo W, read off the non-pivot columns."""
 

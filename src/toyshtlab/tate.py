@@ -40,7 +40,8 @@ class FiniteTateModel:
     lattices, with dimension theory n(Lambda) = dim Lambda + c.
 
     The dual model carries the offset -c-D, so perpendicularity negates the
-    dimension theory and double duality restores it.
+    dimension theory and double duality restores it.  Models compare by
+    value: the field's value, D and c.
     """
 
     def __init__(self, field: Field, D: int, c: int):
@@ -51,23 +52,25 @@ class FiniteTateModel:
         self.D = D
         self.c = c
         self.c_star = -c - D
+        self._key = (field.p, field.e, field.m, field.modulus, D, c)
         self._vectors = None
         self._line_index = None
         self._lines = None
         self._pair_zero = None
         self._shell_keys = {}
+        self._generators = {}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FiniteTateModel) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def n(self, lattice: Subspace) -> int:
         return lattice.dim + self.c
 
-    def n_star(self, lattice: Subspace) -> int:
-        return lattice.dim + self.c_star
-
     def offset(self, side: str) -> int:
         return self.c if side == "T" else self.c_star
-
-    def measure(self, lattice: Subspace) -> PAdicRational:
-        return PAdicRational.q_power(self.field.p, self.field.e, self.n(lattice))
 
     def vectors(self):
         """All vectors, listed so that position agrees with index()."""
@@ -146,9 +149,6 @@ class TateFn:
             out.values[model.index(v)] = one
         return out
 
-    def value(self, v) -> PAdicRational:
-        return self.values[self.model.index(v)]
-
     def at_zero(self) -> PAdicRational:
         return self.values[0]
 
@@ -162,25 +162,20 @@ class TateFn:
         """Whether each vector's value is that at its line's key vector."""
         return list(self.model.pair_zero_table()[3](self.values)) == self.values
 
-    def reflect(self) -> "TateFn":
-        """The function v -> f(-v)."""
-        f = self.model.field
-        out = TateFn.zero(self.model, self.side)
-        for v in self.model.vectors():
-            w = tuple(f.neg(x) for x in v)
-            out.values[self.model.index(w)] = self.values[self.model.index(v)]
-        return out
-
-    def __add__(self, other: "TateFn") -> "TateFn":
+    def _same_space(self, other: "TateFn") -> None:
+        if self.model != other.model:
+            raise ValueError("cannot combine functions on different models")
         if self.side != other.side:
             raise ValueError(f"cannot combine functions on {self.side} and {other.side}")
+
+    def __add__(self, other: "TateFn") -> "TateFn":
+        self._same_space(other)
         return TateFn(
             self.model, self.side, [a + b for a, b in zip(self.values, other.values)]
         )
 
     def __sub__(self, other: "TateFn") -> "TateFn":
-        if self.side != other.side:
-            raise ValueError(f"cannot combine functions on {self.side} and {other.side}")
+        self._same_space(other)
         return TateFn(
             self.model, self.side, [a - b for a, b in zip(self.values, other.values)]
         )
@@ -194,6 +189,7 @@ class TateFn:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TateFn)
+            and self.model == other.model
             and self.side == other.side
             and self.values == other.values
         )
@@ -354,15 +350,21 @@ def radon_fourier_commutativity_check(
 
 
 class TatePair:
-    """A divisor pair: a function on the dual space and one on the space."""
+    """A divisor pair: a function on the dual space and one on the space,
+    both of one model."""
 
     __slots__ = ("f1", "f2")
 
     def __init__(self, f1: TateFn, f2: TateFn):
         if f1.side != "T*" or f2.side != "T":
             raise ValueError("a pair is a function on T* and one on T, in that order")
+        if f1.model != f2.model:
+            raise ValueError("the two slots of a pair must sit on one model")
         self.f1 = f1
         self.f2 = f2
+
+    def punctured(self) -> "TatePair":
+        return TatePair(self.f1.punctured(), self.f2.punctured())
 
     def __add__(self, other: "TatePair") -> "TatePair":
         return TatePair(self.f1 + other.f1, self.f2 + other.f2)
@@ -400,9 +402,8 @@ def schubert_pair(model: FiniteTateModel, W: Subspace) -> TatePair:
     if model.n(W) != 0:
         raise WrongIndexError("the lattice must sit at dimension-theory value 0")
     return TatePair(
-        TateFn.indicator(model, "T*", perp(W)).punctured(),
-        TateFn.indicator(model, "T", W).punctured(),
-    )
+        TateFn.indicator(model, "T*", perp(W)), TateFn.indicator(model, "T", W)
+    ).punctured()
 
 
 def _check_chain(model: FiniteTateModel, chain) -> None:
@@ -415,22 +416,11 @@ def _check_chain(model: FiniteTateModel, chain) -> None:
 
 def line_bundle_pairs(model: FiniteTateModel, chain):
     """Divisor pairs of the two tautological quotient bundles and of the
-    relative determinant, for a chain at indices -1, 0, 1."""
-    _check_chain(model, chain)
-    Wm1, W0, W1 = chain
-    p, e = model.field.p, model.field.e
-    qv = PAdicRational.q_power(p, e, 1)
-    ind = lambda side, S: TateFn.indicator(model, side, S)
-    ell_a = TatePair(
-        (ind("T*", perp(W1)).scale(qv) - ind("T*", perp(W0))).punctured(),
-        (ind("T", W1) - ind("T", W0)).punctured(),
-    )
-    ell_b = TatePair(
-        (-(ind("T*", perp(Wm1)) - ind("T*", perp(W0)))).punctured(),
-        (ind("T", W0) - ind("T", Wm1).scale(qv)).punctured(),
-    )
-    ell_det = -schubert_pair(model, W0)
-    return ell_a, ell_b, ell_det
+    relative determinant, for a chain at indices -1, 0, 1: the canonical
+    generators g2, g3 and -g1, punctured (-g1 punctured is the negated
+    Schubert pair of the middle lattice)."""
+    g1, g2, g3 = canonical_generators(model, chain)
+    return g2.punctured(), g3.punctured(), -g1.punctured()
 
 
 def picard_relation_check(model: FiniteTateModel, chain) -> bool:
@@ -469,28 +459,32 @@ def partial_frobenius_pullback(pair: TatePair, direction: str) -> TatePair:
 
 def canonical_generators(model: FiniteTateModel, chain):
     """The three full-function pairs spanning the preimage of the canonical
-    Picard subgroup: value slots at the origin included."""
+    Picard subgroup: value slots at the origin included.  Cached on the
+    model by the value of the chain; callers must not change them in place.
+    """
+    chain = tuple(chain)
+    cached = model._generators.get(chain)
+    if cached is not None:
+        return cached
     _check_chain(model, chain)
     Wm1, W0, W1 = chain
     p, e = model.field.p, model.field.e
     qv = PAdicRational.q_power(p, e, 1)
     ind = lambda side, S: TateFn.indicator(model, side, S)
-    g1 = (ind("T*", perp(W0)), ind("T", W0))
-    g2 = (
+    g1 = TatePair(ind("T*", perp(W0)), ind("T", W0))
+    g2 = TatePair(
         ind("T*", perp(W1)).scale(qv) - ind("T*", perp(W0)),
         ind("T", W1) - ind("T", W0),
     )
-    g3 = (
+    g3 = TatePair(
         -(ind("T*", perp(Wm1)) - ind("T*", perp(W0))),
         ind("T", W0) - ind("T", Wm1).scale(qv),
     )
-    return g1, g2, g3
+    model._generators[chain] = out = g1, g2, g3
+    return out
 
 
 def canonical_preimage_check(model: FiniteTateModel, chain) -> bool:
     """Each canonical generator satisfies the full-function membership
     condition: the dual slot is the Fourier transform of the space slot."""
-    for f1, f2 in canonical_generators(model, chain):
-        if fourier(f2) != f1:
-            return False
-    return True
+    return all(fourier(g.f2) == g.f1 for g in canonical_generators(model, chain))

@@ -65,10 +65,6 @@ class ToyPoint:
         return l, s
 
 
-def sigma(L: Subspace) -> Subspace:
-    return L.frobenius_image()
-
-
 def is_toy_shtuka(L: Subspace) -> bool:
     """True iff dim(L cap sigma L) >= dim L - 1, i.e. iff the stacked bases
     of L and sigma L have rank at most dim L + 1."""
@@ -252,8 +248,3 @@ def horospherical_membership(point: ToyPoint, hyperplanes=None, lines=None):
     J_set = set(J for J in lines if L.contains(J))
     return H_set, J_set
 
-
-def in_deep_interior(point: ToyPoint, hyperplanes=None, lines=None) -> bool:
-    """True iff the point avoids every horospherical locus."""
-    H_set, J_set = horospherical_membership(point, hyperplanes, lines)
-    return not H_set and not J_set

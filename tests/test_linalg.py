@@ -14,7 +14,6 @@ from toyshtlab.linalg import (
     gauss_binomial,
     induced_map,
     intersect,
-    map_rank,
     perp,
     rref,
     solve,
@@ -173,9 +172,9 @@ def test_subfield_enumeration_is_frobenius_fixed_locus():
 
 def test_map_rank_examples():
     zero = LinearMap(F2, [(0, 0), (0, 0)], 2, 2)
-    assert map_rank(zero) == 0
+    assert zero.rank() == 0
     ident = LinearMap(F3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, 3)
-    assert map_rank(ident) == 3
+    assert ident.rank() == 3
 
 
 def test_graph_chart_induced_map_full_rank():
@@ -184,7 +183,7 @@ def test_graph_chart_induced_map_full_rank():
     g = F4.generator
     L = echelonize(F4, [(1, 0, g, 1), (0, 1, 0, g)], 4)
     m = induced_map(L, W)
-    assert map_rank(m) == 2
+    assert m.rank() == 2
 
 
 def test_relative_position_rank_identities_exhaustive():
@@ -195,8 +194,8 @@ def test_relative_position_rank_identities_exhaustive():
         subs = list(enumerate_grassmannian(F2, 4, n))
         for a in subs:
             for b in subs:
-                r1 = map_rank(induced_map(a, b))
-                r2 = map_rank(induced_map(b, a))
+                r1 = induced_map(a, b).rank()
+                r2 = induced_map(b, a).rank()
                 joint = span_sum(a, b).dim
                 assert r1 == r2 == joint - a.dim
                 assert V.contains(a)
