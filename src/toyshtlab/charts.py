@@ -147,9 +147,10 @@ class Chart:
         self.Wp = echelonize(field, self.wp_basis, N)
         if self.W.dim != len(self.w_basis) or self.Wp.dim != len(self.wp_basis):
             raise ValueError("chart bases must be independent")
-        if intersect(self.W, self.Wp).dim != 0:
+        joint = sum_rank(self.W, self.Wp)
+        if joint != self.W.dim + self.Wp.dim:
             raise ValueError("chart parts must meet trivially")
-        if self.W.dim + self.Wp.dim != N:
+        if joint != N:
             raise ValueError("chart parts must span the ambient space")
 
     @property
@@ -496,7 +497,8 @@ def schubert_multiplicity_probe(
     kind, sub = component
     chart, (ai, bj) = schubert_adapted_chart(field, N, n, W, L0, centers)
     B0 = chart.coordinates(L0)
-    assert B0 is not None and B0[ai][bj] == 0
+    if B0 is None or B0[ai][bj] != 0:
+        raise NotOnVarietyError("base point is not on the Schubert divisor in its chart")
     A0 = artin_schreier(field, B0)
     if all(x == 0 for row in A0 for x in row):
         raise NotOnVarietyError("probe base point must be nontrivial")
@@ -553,7 +555,7 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
     # chart avoiding both J and the base point
     chart = None
     for W in enumerate_grassmannian(field, N, width, subfield_only=True):
-        if intersect(W, J).dim == 0 and intersect(W, L0).dim == 0:
+        if sum_rank(W, J) == W.dim + J.dim and sum_rank(W, L0) == W.dim + L0.dim:
             chart = canonical_chart(field, W)
             break
     if chart is None:
@@ -561,21 +563,21 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
     B0 = chart.coordinates(L0)
     A0 = artin_schreier(field, B0)
     H0 = intersect(flag.big, chart.W)
-    assert H0.dim == 1
+    if H0.dim != 1:
+        raise NotOnVarietyError("the flag's big part must meet the chart center in a line")
     h0 = solve(field, chart.w_basis, H0.basis[0])
     jstar = next(j for j in range(width) if h0[j] != 0)
     # scalar heights of the Artin-Schreier rows over the line direction
     hinv = field.inv(h0[jstar])
     a0 = [field.mul(A0[i][jstar], hinv) for i in range(n)]
-    for i in range(n):
-        for j in range(width):
-            assert A0[i][j] == field.mul(a0[i], h0[j]), "base point leaves the model"
+    if any(A0[i][j] != field.mul(a0[i], h0[j]) for i in range(n) for j in range(width)):
+        raise NotOnVarietyError("base point leaves the model")
     coeffs = solve(field, chart.wp_basis + chart.w_basis, J.basis[0])
     c, d = coeffs[:n], coeffs[n:]
-    assert any(x != 0 for x in c), "J must be transversal to the chart center"
-    assert all(pairing(field, c, col) == dj for col, dj in zip(zip(*B0), d)), (
-        "base point is off the component"
-    )
+    if not any(c):
+        raise NotOnVarietyError("J must be transversal to the chart center")
+    if any(pairing(field, c, col) != dj for col, dj in zip(zip(*B0), d)):
+        raise NotOnVarietyError("base point is off the component")
 
     def component_eq(M):
         out = None

@@ -1,6 +1,6 @@
-"""Subspace lattice operations over F_{q^m}: canonical echelon forms, sums,
-intersections, annihilators, Grassmannian enumeration and the rank calculus
-for maps between subquotients.
+"""Subspace lattice operations over F_{q^m}: canonical echelon forms, sums
+and intersections (both from one elimination), ranks of sums, annihilators,
+quotient coordinates and Grassmannian enumeration.
 
 Subspaces are immutable and identified with their reduced row-echelon basis,
 which is unique, so equality of subspaces is equality of bases.  All counting
@@ -153,7 +153,26 @@ def span_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def sum_rank(a: Subspace, b: Subspace) -> int:
     """dim(a + b), from one rref of the stacked bases."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError("ambient dimensions differ")
     return len(rref(a.field, a.basis + b.basis, a.ambient_dim)[0])
+
+
+def sum_and_intersection(a: Subspace, b: Subspace):
+    """(a + b, a cap b) from one rref of the 2N-wide block [[a | a], [b | 0]]
+    (Zassenhaus).  The rows with a nonzero left half come first and their
+    left halves span a + b; a row with zero left half combines u in a with
+    -u in b, so the right halves of the rest span a cap b.  Both halves come
+    out in reduced echelon form, so both subspaces are canonical."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError("ambient dimensions differ")
+    N = a.ambient_dim
+    zero = (0,) * N
+    rows, pivots = rref(a.field, [r + r for r in a.basis] + [r + zero for r in b.basis], 2 * N)
+    k = next((i for i, p in enumerate(pivots) if p >= N), len(pivots))
+    total = Subspace(a.field, N, [r[:N] for r in rows[:k]], pivots[:k])
+    inter = Subspace(a.field, N, [r[N:] for r in rows[k:]], [p - N for p in pivots[k:]])
+    return total, inter
 
 
 def pairing(field: Field, a, b) -> int:
@@ -183,7 +202,7 @@ def perp(a: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return perp(span_sum(perp(a), perp(b)))
+    return sum_and_intersection(a, b)[1]
 
 
 def solve(field: Field, rows, target):
@@ -209,26 +228,6 @@ def solve(field: Field, rows, target):
     if any(x != 0 for x in residual):
         return None
     return tuple(coeffs)
-
-
-class LinearMap:
-    """A matrix between coordinate spaces; rows index the domain basis."""
-
-    __slots__ = ("field", "matrix", "domain_dim", "codomain_dim")
-
-    def __init__(self, field: Field, matrix, domain_dim: int, codomain_dim: int):
-        self.field = field
-        self.matrix = tuple(tuple(r) for r in matrix)
-        if len(self.matrix) != domain_dim or any(
-            len(r) != codomain_dim for r in self.matrix
-        ):
-            raise DimensionMismatchError("matrix shape disagrees with declared dims")
-        self.domain_dim = domain_dim
-        self.codomain_dim = codomain_dim
-
-    def rank(self) -> int:
-        rows, _ = rref(self.field, self.matrix, self.codomain_dim)
-        return len(rows)
 
 
 class QuotientMap:
@@ -259,15 +258,6 @@ class QuotientMap:
     def image_subspace(self, sub: Subspace) -> Subspace:
         rows = [self.apply(r) for r in sub.basis]
         return echelonize(sub.field, rows, self.dim)
-
-
-def induced_map(L: Subspace, quotient_by: Subspace) -> LinearMap:
-    """The composite L -> V -> V/W in basis/quotient coordinates."""
-    if L.ambient_dim != quotient_by.ambient_dim:
-        raise DimensionMismatchError("ambient dimensions differ")
-    qm = QuotientMap(quotient_by)
-    rows = [qm.apply(r) for r in L.basis]
-    return LinearMap(L.field, rows, L.dim, qm.dim)
 
 
 def gauss_binomial(N: int, n: int, q: int) -> int:

@@ -21,10 +21,10 @@ from .linalg import (
     Subspace,
     echelonize,
     enumerate_grassmannian,
-    intersect,
     rational_hyperplanes,
     rational_lines,
     span_sum,
+    sum_and_intersection,
     sum_rank,
 )
 
@@ -43,13 +43,12 @@ class ToyPoint:
 
     @cached_property
     def flag(self):
-        """(L cap sigma L, L + sigma L), computed once per point; raises
-        NotAToyShtukaError when the sum exceeds dim L + 1."""
-        L, sL = self.L, self.sigma_L
-        total = span_sum(L, sL)
-        if total.dim > L.dim + 1:
+        """(L cap sigma L, L + sigma L), from one elimination, computed once
+        per point; raises NotAToyShtukaError when the sum exceeds dim L + 1."""
+        total, inter = sum_and_intersection(self.L, self.sigma_L)
+        if total.dim > self.L.dim + 1:
             raise NotAToyShtukaError("rank condition fails")
-        return intersect(L, sL), total
+        return inter, total
 
     @cached_property
     def flag_steps(self):
@@ -149,8 +148,7 @@ def superspaces_one_more(L: Subspace, budget: int = DEFAULT_ENUM_BUDGET):
     """All subspaces of dimension dim L + 1 containing L."""
     qm = QuotientMap(L)
     for line in enumerate_grassmannian(L.field, qm.dim, 1, budget=budget):
-        gen = qm.lift(line.basis[0])
-        yield span_sum(L, echelonize(L.field, [gen], L.ambient_dim))
+        yield echelonize(L.field, L.basis + (qm.lift(line.basis[0]),), L.ambient_dim)
 
 
 def subspaces_one_less(L: Subspace, budget: int = DEFAULT_ENUM_BUDGET):
@@ -211,7 +209,8 @@ def _in_line(field: Field, v, l) -> bool:
 
 def dichotomy_check(point: ToyPoint, W: Subspace):
     """For rational W, at least one of L cap W and im(L -> V/W) is
-    Frobenius-fixed.  Returns both flags and asserts the disjunction.
+    Frobenius-fixed.  Returns both flags; raises AssertionError, even under
+    python -O, when the disjunction fails.
 
     As W is rational, L cap W is fixed iff it lies in M = L cap sigma L, iff
     rank(L + W) - rank(M + W) = dim L - dim M; and the image is fixed iff
@@ -232,7 +231,8 @@ def dichotomy_check(point: ToyPoint, W: Subspace):
     l, s = (MW.reduce(v) for v in steps)
     sub_fixed = any(l)
     quot_fixed = _in_line(W.field, s, l)
-    assert sub_fixed or quot_fixed, "dichotomy violated"
+    if not (sub_fixed or quot_fixed):
+        raise AssertionError("dichotomy violated")
     return {"sub_fixed": sub_fixed, "quot_fixed": quot_fixed}
 
 

@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ from toyshtlab.linalg import echelonize
 from toyshtlab.toysht import enumerate_toysht
 
 F4 = field_make(2, 1, 2)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_registry_names():
@@ -215,8 +220,39 @@ def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
     assert r.verdict == "pass"
     points = sum(1 for n in (1, 2) for _ in enumerate_toysht(F4, 3, n))
     assert r.counters["pairs"] == 16 * points == 672
-    # per point: the toy predicate (one rref) and the flag (five)
-    assert len(calls) <= r.counters["pairs"] + 6 * points
+    # per point: the toy predicate and the flag, one rref each
+    assert len(calls) <= r.counters["pairs"] + 2 * points
+
+
+def test_dichotomy_verdict_survives_optimized_python():
+    # python -O strips assert statements; a broken line test must still fail
+    code = "\n".join([
+        "from toyshtlab import cli, toysht",
+        "toysht._in_line = lambda field, v, l: False",
+        "r = cli.run(cli.CheckSpec('dichotomy', {'p': 2, 'e': 1, 'm': 2, 'N': 3}))",
+        "print(r.verdict, len(r.counters['witnesses']))",
+    ])
+    env = {k: v for k, v in os.environ.items() if k != "TOYSHT_BUDGET"}
+    env["PYTHONPATH"] = SRC
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["fail", "98"]
+
+
+def test_pullback_probe_invariant_failure_is_a_report(monkeypatch):
+    # with a broken pairing the base point seems off the component; the probe
+    # raises NotOnVarietyError, which the suite reports and replays
+    monkeypatch.delenv("TOYSHT_BUDGET", raising=False)
+    monkeypatch.setattr(charts, "pairing", lambda field, a, b: 1)
+    spec = CheckSpec("pullback_multiplicity", {**F4P, "N": 3, "n": 1, "type": "J"})
+    (r,), code = run_suite([spec])
+    assert r.verdict == "fail" and code == 1
+    (w,) = r.counters["witnesses"]
+    assert (w["kind"], w["type"]) == ("exception", "NotOnVarietyError")
+    assert w["message"] == "base point is off the component"
+    assert replay_witness(w)
+    monkeypatch.undo()
+    assert not replay_witness(w)
 
 
 @pytest.mark.parametrize(

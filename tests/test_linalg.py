@@ -6,18 +6,19 @@ from sympy.polys.matrices import DomainMatrix
 
 from toyshtlab.errors import BudgetExceededError, DimensionMismatchError
 from toyshtlab.gf import field_make
+from toyshtlab import linalg
 from toyshtlab.linalg import (
-    LinearMap,
+    QuotientMap,
     echelonize,
     enumerate_grassmannian,
     full_space,
     gauss_binomial,
-    induced_map,
     intersect,
     perp,
     rref,
     solve,
     span_sum,
+    sum_and_intersection,
     sum_rank,
     zero_subspace,
 )
@@ -170,35 +171,72 @@ def test_subfield_enumeration_is_frobenius_fixed_locus():
     assert len(rational) == gauss_binomial(3, 2, 2)
 
 
-def test_map_rank_examples():
-    zero = LinearMap(F2, [(0, 0), (0, 0)], 2, 2)
-    assert zero.rank() == 0
-    ident = LinearMap(F3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, 3)
-    assert ident.rank() == 3
-
-
 def test_graph_chart_induced_map_full_rank():
     # the graph of any matrix in the chart complementary to W surjects onto V/W
     W = echelonize(F4, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)
     g = F4.generator
     L = echelonize(F4, [(1, 0, g, 1), (0, 1, 0, g)], 4)
-    m = induced_map(L, W)
-    assert m.rank() == 2
+    assert QuotientMap(W).image_subspace(L).dim == 2
 
 
 def test_relative_position_rank_identities_exhaustive():
-    # equal ranks of the two induced maps, and the joint-span formula,
-    # over every pair of equal-dimensional subspaces of F_2^4
+    # equal ranks of the two maps into the quotients, and the joint-span
+    # formula, over every pair of equal-dimensional subspaces of F_2^4
     V = full_space(F2, 4)
     for n in (1, 2, 3):
         subs = list(enumerate_grassmannian(F2, 4, n))
         for a in subs:
             for b in subs:
-                r1 = induced_map(a, b).rank()
-                r2 = induced_map(b, a).rank()
+                r1 = QuotientMap(b).image_subspace(a).dim
+                r2 = QuotientMap(a).image_subspace(b).dim
                 joint = span_sum(a, b).dim
                 assert r1 == r2 == joint - a.dim
                 assert V.contains(a)
+
+
+def _reference_intersect(a, b):
+    # the four-elimination formula by annihilators, kept as an oracle
+    return perp(span_sum(perp(a), perp(b)))
+
+
+@pytest.mark.parametrize("field,N", [(F2, 4), (F4, 3), (F3, 3)])
+def test_sum_and_intersection_match_annihilator_formula_exhaustive(field, N):
+    subs = [S for n in range(N + 1) for S in enumerate_grassmannian(field, N, n)]
+    for a in subs:
+        for b in subs:
+            total, inter = sum_and_intersection(a, b)
+            assert inter == intersect(a, b) == _reference_intersect(a, b)
+            assert total == span_sum(a, b) == perp(_reference_intersect(perp(a), perp(b)))
+            # both halves come out canonical: equal bases and pivots
+            for S, ref in ((total, span_sum(a, b)), (inter, _reference_intersect(a, b))):
+                assert (S.basis, S.pivots) == (ref.basis, ref.pivots)
+            assert total.dim == sum_rank(a, b) == a.dim + b.dim - inter.dim
+
+
+def test_intersect_is_one_elimination(monkeypatch):
+    g = F4.generator
+    a = echelonize(F4, [(1, 0, g, 1), (0, 1, 0, g)], 4)
+    b = echelonize(F4, [(1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0)], 4)
+    calls = []
+    original = linalg.rref
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    assert intersect(a, b).dim == 1
+    assert len(calls) == 1
+
+
+def test_sum_rank_rejects_mismatched_ambients():
+    line = echelonize(F2, [(1, 0, 0)], 3)
+    plane = echelonize(F2, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)
+    for op in (sum_rank, span_sum, sum_and_intersection, intersect):
+        with pytest.raises(DimensionMismatchError):
+            op(line, plane)
+        with pytest.raises(DimensionMismatchError):
+            op(plane, line)
 
 
 def test_solve_consistency():

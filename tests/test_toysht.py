@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toyshtlab import linalg
 from toyshtlab.errors import InvalidFlagError, NotAToyShtukaError, TrivialPointError
 from toyshtlab.gf import field_make
 from toyshtlab.linalg import (
@@ -294,6 +295,24 @@ def test_flag_is_cached_and_rejects_non_toy_points():
         split_nontrivial(ToyPoint(bad))
     with pytest.raises(NotAToyShtukaError):
         dichotomy_check(ToyPoint(bad), zero_subspace(F4, 4))
+
+
+def test_flag_is_one_elimination(monkeypatch):
+    calls = []
+    original = linalg.rref
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    for L in enumerate_grassmannian(F4, 4, 2):
+        calls.clear()
+        try:
+            ToyPoint(L).flag
+        except NotAToyShtukaError:
+            pass
+        assert len(calls) == 1
 
 
 @st.composite
