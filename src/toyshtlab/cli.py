@@ -104,11 +104,23 @@ def _default_chain(model: tate.FiniteTateModel):
 # --- individual checks and their replay rules ---------------------------------
 
 
+def _vectors(F, width: int, rows) -> list:
+    """A witness's rows as tuples of field elements; a row not of the given
+    width or an entry outside range(F.order) raises."""
+    out = [tuple(r) for r in rows]
+    for r in out:
+        if len(r) != width:
+            raise DimensionMismatchError(f"row of length {len(r)}, expected {width}")
+        if not all(x in range(F.order) for x in r):
+            raise ValueError(f"row {list(r)} has an entry outside range({F.order})")
+    return out
+
+
 def _decode(w: dict, *keys):
     """A witness's field and N, and the subspaces spanned by its rows under keys."""
     F = _field(w["params"], default_m=2)
     N = int(w["params"]["N"])
-    return (F, N, *(echelonize(F, [tuple(r) for r in w[k]], N) for k in keys))
+    return (F, N, *(echelonize(F, _vectors(F, N, w[k]), N) for k in keys))
 
 
 def check_chart_equivalence(params: dict, seed: int):
@@ -127,10 +139,13 @@ def check_chart_equivalence(params: dict, seed: int):
 
 
 def _replay_chart_mismatch(w: dict) -> bool:
-    F, _, W = _decode(w, "W")
-    chart = charts.canonical_chart(F, W)
-    A = tuple(tuple(r) for r in w["A"])
-    lhs = toysht.is_toy_shtuka(chart.graph(A))
+    F, N, W = _decode(w, "W")
+    n = int(w["params"]["n"])
+    A = tuple(_vectors(F, N - n, w["A"]))
+    if len(A) != n or W.dim != N - n:
+        raise DimensionMismatchError(f"need A of {n} rows and W of dimension {N - n}")
+    # by rank, independent of the point sets the check reads
+    lhs = toysht.is_toy_shtuka_by_rank(charts.canonical_chart(F, W).graph(A))
     return lhs != charts.rank_le1(F, charts.artin_schreier(F, A))
 
 
@@ -187,7 +202,8 @@ def check_dichotomy(params: dict, seed: int):
 def _replay_dichotomy(w: dict) -> bool:
     _, _, L, W = _decode(w, "L", "W")
     try:
-        toysht.dichotomy_check(toysht.ToyPoint(L), W)
+        # by rank, independent of the point sets the check reads
+        toysht.dichotomy_by_rank(toysht.ToyPoint(L), W)
     except AssertionError:
         return True
     return False
@@ -462,8 +478,8 @@ def check_selftest_negated(params: dict, seed: int):
 
 def _replay_negated_trivial(w: dict) -> bool:
     F = _field(w["params"], default_m=2)
-    L = echelonize(F, [tuple(r) for r in w["rows"]], int(w["params"].get("N", 2)))
-    return not toysht.is_trivial(L)
+    N = int(w["params"].get("N", 2))
+    return not toysht.is_trivial(echelonize(F, _vectors(F, N, w["rows"]), N))
 
 
 def _replay_rerun(w: dict) -> bool:

@@ -19,11 +19,11 @@ from .linalg import (
     Subspace,
     enumerate_grassmannian,
     gauss_binomial,
+    intersection_dim,
     pairing,
     perp,
     rational_hyperplanes,
     rational_lines,
-    sum_rank,
 )
 from .toysht import (
     FlagPoint,
@@ -224,10 +224,10 @@ def is_principal_pair(d: HoroDivisor) -> bool:
 
 
 def schubert_deficit(L: Subspace, W: Subspace) -> int:
-    """dim(L cap W) = dim L + dim W - dim(L + W), from one rank."""
+    """dim(L cap W), from point sets or one rank (linalg.intersection_dim)."""
     if W.dim != L.ambient_dim - L.dim:
         raise DimensionMismatchError("W must have codimension dim L")
-    return L.dim + W.dim - sum_rank(L, W)
+    return intersection_dim(L, W)
 
 
 def toy_locus(field: Field, N: int, n: int, budget=None) -> list:

@@ -242,11 +242,6 @@ class Field:
             out = out * p + d
         return out
 
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        """Coefficient vector of x over F_p, padded to the full degree."""
-        c = list(self._int_to_poly(x))
-        return tuple(c + [0] * (self.degree - len(c)))
-
     # arithmetic
 
     def add(self, a: int, b: int) -> int:
@@ -281,12 +276,6 @@ class Field:
             raise ZeroDivisionError("zero has no inverse")
         n1 = self.order - 1
         return self._exp[(n1 - self._log[a]) % n1]
-
-    def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            return 0 if k > 0 else 1
-        n1 = self.order - 1
-        return self._exp[(self._log[a] * k) % n1]
 
     def frobenius(self, x: int) -> int:
         """The relative Frobenius x -> x^q."""

@@ -1,10 +1,15 @@
 """Subspace lattice operations over F_{q^m}: canonical echelon forms, sums
 and intersections (both from one elimination), ranks of sums, annihilators,
-quotient coordinates and Grassmannian enumeration.
+quotient coordinates, Grassmannian enumeration, and point sets.
 
 Subspaces are immutable and identified with their reduced row-echelon basis,
 which is unique, so equality of subspaces is equality of bases.  All counting
 is exact integer arithmetic.
+
+For p = 2 and order**N at most POINT_SET_MAX, a subspace also has a point
+set: one int with a bit per packed vector of F^N (see Packing).  Containment
+and intersection dimensions are then bit operations on point sets; in odd
+characteristic and above the bound they go through rref.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from .errors import BudgetExceededError, DimensionMismatchError
 from .gf import Field
 
 DEFAULT_ENUM_BUDGET = 1 << 22
+
+# the largest order**N whose vectors are packed for point sets
+POINT_SET_MAX = 1 << 12
 
 
 def rref(field: Field, rows, width: int):
@@ -54,14 +62,15 @@ def rref(field: Field, rows, width: int):
 class Subspace:
     """A linear subspace of F_{q^m}^N in canonical reduced-echelon form."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_rational")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_sigma", "_points")
 
     def __init__(self, field: Field, ambient_dim: int, basis, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = tuple(basis)
         self.pivots = tuple(pivots)
-        self._rational = None
+        self._sigma = None
+        self._points = None
 
     @property
     def dim(self) -> int:
@@ -98,20 +107,37 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
+        if other.dim > self.dim:
+            return False
+        mine = self.points()
+        if mine is not None:
+            return other.points() & ~mine == 0
         return all(self.contains_vector(r) for r in other.basis)
 
+    def points(self):
+        """The point set, built on first use: bit v is set iff the packed
+        vector v lies in the subspace.  None where F^N has no packing."""
+        if self._points is None:
+            pk = packing(self.field, self.ambient_dim)
+            # -1 marks a space without point sets
+            self._points = -1 if pk is None else pk.span(map(pk.pack, self.basis))
+        return None if self._points < 0 else self._points
+
     def frobenius_image(self) -> "Subspace":
-        # entrywise q-power of an echelon basis is again an echelon basis
-        fr = self.field.frobenius
-        rows = tuple(tuple(fr(x) for x in row) for row in self.basis)
-        return Subspace(self.field, self.ambient_dim, rows, self.pivots)
+        """sigma of the subspace, built on first use; the subspace itself
+        when it is rational."""
+        if self._sigma is None:
+            # entrywise q-power of an echelon basis is again an echelon basis
+            fr = self.field.frobenius
+            rows = tuple(tuple(fr(x) for x in row) for row in self.basis)
+            self._sigma = self if rows == self.basis else Subspace(
+                self.field, self.ambient_dim, rows, self.pivots
+            )
+        return self._sigma
 
     def is_rational(self) -> bool:
         """True iff the subspace is defined over F_q (basis fixed by Frobenius)."""
-        if self._rational is None:
-            fr = self.field.frobenius
-            self._rational = all(fr(x) == x for row in self.basis for x in row)
-        return self._rational
+        return self.frobenius_image() is self
 
     def vectors(self):
         """All vectors of the subspace (use only at small dimensions)."""
@@ -125,6 +151,64 @@ class Subspace:
             yield tuple(v)
 
 
+class Packing:
+    """The vectors of F^N, for p = 2, packed into ints with log2(order) bits
+    per coordinate, coordinate i in bits from i * log2(order) on: vector
+    addition is xor, and multiples[v][c] is c * v.  A point set is an int
+    with bit v set for each packed vector v it holds."""
+
+    __slots__ = ("shifts", "multiples")
+
+    def __init__(self, field: Field, N: int):
+        self.shifts = tuple(field.degree * i for i in range(N))
+        scaled = []
+        for c in field.elements():
+            times_c = [field.mul(c, x) for x in field.elements()]
+            table = [0]
+            for sh in self.shifts:
+                table = [(y << sh) | low for y in times_c for low in table]
+            scaled.append(table)
+        self.multiples = list(zip(*scaled))
+
+    def pack(self, vec) -> int:
+        return sum(x << sh for x, sh in zip(vec, self.shifts))
+
+    def span(self, rows) -> int:
+        """The point set of the span of packed vectors."""
+        pts = [0]
+        for r in rows:
+            pts = [a ^ m for m in self.multiples[r] for a in pts]
+        mask = 0
+        for v in pts:
+            mask |= 1 << v
+        return mask
+
+
+_packings: dict = {}
+
+
+def packing(field: Field, N: int):
+    """The Packing of F^N, built once per field value and N and shared after;
+    None for odd p or order**N above POINT_SET_MAX."""
+    if field.p != 2 or field.order**N > POINT_SET_MAX:
+        return None
+    key = (field.p, field.e, field.m, field.modulus, N)
+    if key not in _packings:
+        _packings[key] = Packing(field, N)
+    return _packings[key]
+
+
+def intersection_dim(a: Subspace, b: Subspace) -> int:
+    """dim(a cap b): log_order of |a cap b| from the point sets, else
+    dim a + dim b - dim(a + b) from one rank."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError("ambient dimensions differ")
+    pa = a.points()
+    if pa is not None:
+        return ((pa & b.points()).bit_count().bit_length() - 1) // a.field.degree
+    return a.dim + b.dim - sum_rank(a, b)
+
+
 def echelonize(field: Field, rows, ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given vectors."""
     for r in rows:
@@ -132,17 +216,6 @@ def echelonize(field: Field, rows, ambient_dim: int) -> Subspace:
             raise DimensionMismatchError(f"vector of length {len(r)}, ambient {ambient_dim}")
     basis, pivots = rref(field, rows, ambient_dim)
     return Subspace(field, ambient_dim, basis, pivots)
-
-
-def zero_subspace(field: Field, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, (), ())
-
-
-def full_space(field: Field, ambient_dim: int) -> Subspace:
-    rows = tuple(
-        tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)
-    )
-    return Subspace(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
 
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -254,10 +327,6 @@ class QuotientMap:
         for c, j in zip(qvec, self.free_cols):
             v[j] = c
         return tuple(v)
-
-    def image_subspace(self, sub: Subspace) -> Subspace:
-        rows = [self.apply(r) for r in sub.basis]
-        return echelonize(sub.field, rows, self.dim)
 
 
 def gauss_binomial(N: int, n: int, q: int) -> int:

@@ -6,6 +6,10 @@ A point is a subspace L of F_{q^m}^N whose intersection with its coordinate
 Frobenius twist sigma(L) has codimension at most one in L.  Nontrivial points
 (sigma(L) != L) carry a canonical flag structure: L cap sigma(L) below and
 L + sigma(L) above.
+
+Where F^N has point sets (linalg.Packing), the predicate and the dichotomy
+read them; otherwise they go through ranks (is_toy_shtuka_by_rank,
+dichotomy_by_rank), which also serve as the oracles the replays use.
 """
 
 from __future__ import annotations
@@ -13,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .errors import InvalidFlagError, NotAToyShtukaError, TrivialPointError
+from .errors import (
+    DimensionMismatchError,
+    InvalidFlagError,
+    NotAToyShtukaError,
+    TrivialPointError,
+)
 from .gf import Field
 from .linalg import (
     DEFAULT_ENUM_BUDGET,
@@ -21,6 +30,7 @@ from .linalg import (
     Subspace,
     echelonize,
     enumerate_grassmannian,
+    packing,
     rational_hyperplanes,
     rational_lines,
     span_sum,
@@ -63,12 +73,40 @@ class ToyPoint:
         s = next(v for v in self.sigma_L.basis if not L.contains_vector(v))
         return l, s
 
+    @cached_property
+    def flag_points(self):
+        """The point sets (L, M, S) of L, M = L cap sigma L and
+        S = L + sigma L, or None where F^N has no point sets; raises
+        NotAToyShtukaError when M has codimension above one in L.  S is
+        spanned by L and one point of sigma L outside L, with no elimination."""
+        pL = self.L.points()
+        if pL is None:
+            return None
+        pM = pL & self.sigma_L.points()
+        if pM.bit_count() * self.L.field.order < pL.bit_count():
+            raise NotAToyShtukaError("rank condition fails")
+        outside = self.sigma_L.points() & ~pL
+        if not outside:
+            return pL, pL, pL
+        pk = packing(self.L.field, self.L.ambient_dim)
+        s = (outside & -outside).bit_length() - 1
+        return pL, pM, pk.span([*map(pk.pack, self.L.basis), s])
+
 
 def is_toy_shtuka(L: Subspace) -> bool:
-    """True iff dim(L cap sigma L) >= dim L - 1, i.e. iff the stacked bases
-    of L and sigma L have rank at most dim L + 1."""
+    """True iff dim(L cap sigma L) >= dim L - 1: iff
+    |L cap sigma L| * order >= |L| on point sets, else by rank."""
     if L.dim <= 1 or L.dim >= L.ambient_dim:
         return True
+    pts = L.points()
+    if pts is None:
+        return is_toy_shtuka_by_rank(L)
+    return (pts & L.frobenius_image().points()).bit_count() * L.field.order >= pts.bit_count()
+
+
+def is_toy_shtuka_by_rank(L: Subspace) -> bool:
+    """is_toy_shtuka from ranks alone: the stacked bases of L and sigma L
+    have rank at most dim L + 1."""
     return sum_rank(L, L.frobenius_image()) <= L.dim + 1
 
 
@@ -207,15 +245,44 @@ def _in_line(field: Field, v, l) -> bool:
     return all(x == field.mul(c, y) for x, y in zip(v, l))
 
 
+def _quotient_fixed(L: int, S: int, LW: int, SW: int) -> bool:
+    """rank(S + W) = rank(L + W) on point sets: |S cap W| * |L| = |L cap W| * |S|."""
+    return SW.bit_count() * L.bit_count() == LW.bit_count() * S.bit_count()
+
+
 def dichotomy_check(point: ToyPoint, W: Subspace):
     """For rational W, at least one of L cap W and im(L -> V/W) is
     Frobenius-fixed.  Returns both flags; raises AssertionError, even under
     python -O, when the disjunction fails.
 
-    As W is rational, L cap W is fixed iff it lies in M = L cap sigma L, iff
-    rank(L + W) - rank(M + W) = dim L - dim M; and the image is fixed iff
-    L + W is rational, iff rank(S + W) = rank(L + W) for S = L + sigma L.
-    On a trivial point M = L = S and both hold.  Otherwise the flag
+    As W is rational, L cap W is fixed iff it lies in M = L cap sigma L; and
+    the image is fixed iff L + W is rational, iff rank(S + W) = rank(L + W)
+    for S = L + sigma L.  On point sets (ToyPoint.flag_points) both are bit
+    tests: (L & W) & ~M == 0, and _quotient_fixed.  Elsewhere
+    dichotomy_by_rank decides them.
+    """
+    masks = point.flag_points
+    if masks is None:
+        return dichotomy_by_rank(point, W)
+    if W.ambient_dim != point.L.ambient_dim:
+        raise DimensionMismatchError("ambient dimensions differ")
+    if not W.is_rational():
+        raise ValueError("W must be F_q-rational")
+    L, M, S = masks
+    pW = W.points()
+    LW = L & pW
+    sub_fixed = not LW & ~M
+    quot_fixed = _quotient_fixed(L, S, LW, S & pW)
+    if not (sub_fixed or quot_fixed):
+        raise AssertionError("dichotomy violated")
+    return {"sub_fixed": sub_fixed, "quot_fixed": quot_fixed}
+
+
+def dichotomy_by_rank(point: ToyPoint, W: Subspace):
+    """dichotomy_check by elimination, in every characteristic.
+
+    L cap W is fixed iff rank(L + W) - rank(M + W) = dim L - dim M.  On a
+    trivial point M = L = S and both sides hold.  Otherwise the flag
     M < L < S steps by one dimension twice, L = M + <l> and S = L + <s>
     (ToyPoint.flag_steps), so one elimination of M + W decides both: with
     l' and s' the remainders of l and s modulo it, L cap W is fixed iff

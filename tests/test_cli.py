@@ -204,8 +204,9 @@ def test_budget_env_bounds_dichotomy(monkeypatch):
     assert replay_witness(w)
 
 
-def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
-    # count rref under every name a toyshtlab module binds it to
+def _count_rref(monkeypatch) -> list:
+    """Count rref under every name a toyshtlab module binds it to: the
+    returned list gets the arguments of each call."""
     calls = []
     original = linalg.rref
 
@@ -216,6 +217,11 @@ def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
     for module in vars(toyshtlab).values():
         if getattr(module, "rref", None) is original:
             monkeypatch.setattr(module, "rref", counted)
+    return calls
+
+
+def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
+    calls = _count_rref(monkeypatch)
     r = run(CheckSpec("dichotomy", {"p": 2, "e": 1, "m": 2, "N": 3}))
     assert r.verdict == "pass"
     points = sum(1 for n in (1, 2) for _ in enumerate_toysht(F4, 3, n))
@@ -224,19 +230,52 @@ def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
     assert len(calls) <= r.counters["pairs"] + 2 * points
 
 
+def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
+    # on point sets (F_4, N = 3) the dichotomy makes no elimination at all,
+    # and chart_equivalence only the three of each Chart (echelonize W and
+    # its complement, one sum_rank), none per matrix
+    calls = _count_rref(monkeypatch)
+    r = run(CheckSpec("dichotomy", {**F4P, "N": 3}))
+    assert r.verdict == "pass" and r.counters["pairs"] == 672 and calls == []
+    for n in (1, 2):
+        calls.clear()
+        r = run(CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": n}))
+        assert r.verdict == "pass"
+        assert len(calls) == 3 * r.counters["charts"] < r.counters["matrices"]
+
+
 def test_dichotomy_verdict_survives_optimized_python():
-    # python -O strips assert statements; a broken line test must still fail
-    code = "\n".join([
-        "from toyshtlab import cli, toysht",
-        "toysht._in_line = lambda field, v, l: False",
-        "r = cli.run(cli.CheckSpec('dichotomy', {'p': 2, 'e': 1, 'm': 2, 'N': 3}))",
-        "print(r.verdict, len(r.counters['witnesses']))",
-    ])
+    # python -O strips assert statements; a broken quotient test must still
+    # fail, on the test each characteristic runs: point sets at p = 2 and the
+    # line test of the rank path at p = 3
+    cases = [
+        ("toysht._quotient_fixed = lambda L, S, LW, SW: False", 2, "98"),
+        ("toysht._in_line = lambda field, v, l: False", 3, "936"),
+    ]
     env = {k: v for k, v in os.environ.items() if k != "TOYSHT_BUDGET"}
     env["PYTHONPATH"] = SRC
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["fail", "98"]
+    for patch, p, count in cases:
+        code = "\n".join([
+            "from toyshtlab import cli, toysht",
+            patch,
+            f"r = cli.run(cli.CheckSpec('dichotomy', {{'p': {p}, 'e': 1, 'm': 2, 'N': 3}}))",
+            "print(r.verdict, len(r.counters['witnesses']))",
+        ])
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["fail", count], patch
+
+
+def test_replays_do_not_read_point_sets(monkeypatch):
+    # a defect of the point-set kernel fails the checks, but its witnesses do
+    # not replay: the replays decide by rank
+    monkeypatch.setattr(toysht, "_quotient_fixed", lambda L, S, LW, SW: False)
+    monkeypatch.setattr(charts, "_graph_predicate", lambda F, N, n, chart: lambda A: False)
+    for spec in (CheckSpec("dichotomy", {**F4P, "N": 3}),
+                 CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": 2})):
+        r = run(spec)
+        assert r.verdict == "fail"
+        assert not any(replay_witness(w) for w in r.counters["witnesses"])
 
 
 def test_pullback_probe_invariant_failure_is_a_report(monkeypatch):
@@ -395,6 +434,32 @@ def test_schubert_codim2_replay():
     assert replay_witness(schubert_witness("schubert_codim2", 4, pt.L.basis, pt.L.basis))
 
 
+# a witness over F_4, N = 3 whose rows do not fit, and what its replay raises
+F4N3 = {"p": 2, "e": 1, "m": 2, "N": 3}
+CHART_W = [[1, 0, 0], [0, 1, 0]]
+MALFORMED_ROWS = {
+    "dichotomy_entry": ({"kind": "dichotomy", "params": F4N3,
+                         "L": [[1, 99, 0]], "W": [[1, 0, 0]]}, ValueError),
+    "dichotomy_row_length": ({"kind": "dichotomy", "params": F4N3,
+                              "L": [[1, 0]], "W": [[1, 0, 0]]}, DimensionMismatchError),
+    "trivial_locus_entry": ({"kind": "trivial_locus", "params": {**F4N3, "n": 1},
+                             "rows": [[1, 7, 0]]}, ValueError),
+    "chart_mismatch_entry": ({"kind": "chart_mismatch", "params": {**F4N3, "n": 1},
+                              "W": CHART_W, "A": [[9, 0]]}, ValueError),
+    "chart_mismatch_wide": ({"kind": "chart_mismatch", "params": {**F4N3, "n": 1},
+                             "W": CHART_W, "A": [[1, 2, 3]]}, DimensionMismatchError),
+    "chart_mismatch_tall": ({"kind": "chart_mismatch", "params": {**F4N3, "n": 1},
+                             "W": CHART_W, "A": [[1, 2], [0, 0]]}, DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_replay_rejects_malformed_rows(case):
+    witness, error = MALFORMED_ROWS[case]
+    with pytest.raises(error):
+        replay_witness(witness)
+
+
 # kind -> (params, the witness's value list, its length at those params)
 MALFORMED = {
     "gamma": ({"p": 3, "e": 1, "D": 4, "c": -2}, "lines", 40),
@@ -479,7 +544,8 @@ CASES = {
     ),
     "dichotomy": (
         CheckSpec("dichotomy", {**F4P, "N": 2}),
-        [(toysht, "dichotomy_check", _raise_assertion)], None,
+        [(toysht, "dichotomy_check", _raise_assertion),
+         (toysht, "dichotomy_by_rank", _raise_assertion)], None,
     ),
     "composition": (
         CheckSpec("partial_frobenius_composition", {**F4P, "N": 2}),

@@ -8,11 +8,9 @@ from toyshtlab.linalg import (
     QuotientMap,
     echelonize,
     enumerate_grassmannian,
-    full_space,
     gauss_binomial,
     intersect,
     perp,
-    zero_subspace,
 )
 from toyshtlab.toysht import (
     FlagPoint,
@@ -27,6 +25,8 @@ from toyshtlab.toysht import (
     partial_frobenius_plus,
     split_nontrivial,
 )
+
+from helpers import full_space, image_subspace, zero_subspace
 
 F2 = field_make(2, 1, 1)
 F4 = field_make(2, 1, 2)
@@ -258,7 +258,7 @@ def toy_by_intersection(L):
 
 def dichotomy_by_subspaces(point, W):
     Lp = intersect(point.L, W)
-    Lpp = QuotientMap(W).image_subspace(point.L)
+    Lpp = image_subspace(QuotientMap(W), point.L)
     return {
         "sub_fixed": Lp.frobenius_image() == Lp,
         "quot_fixed": Lpp.frobenius_image() == Lpp,
