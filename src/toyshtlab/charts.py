@@ -25,6 +25,7 @@ from .linalg import (
     echelonize,
     enumerate_grassmannian,
     intersect,
+    intersection_dim,
     packing,
     pairing,
     perp,
@@ -492,7 +493,7 @@ def schubert_adapted_chart(
     n+1; the complement starts with a vector of W, so the degeneracy locus
     det(L -> V/W) = 0 reduces to one matrix entry.  The chart is that of the
     first such M, in center order, that meets L0 trivially, which is one
-    rank test of M + L0.  Such an M lies in no hyperplane through L0, as
+    intersection_dim test.  Such an M lies in no hyperplane through L0, as
     its dimension N - n plus dim L0 already fills the space.
     centers is W's SchubertCenters, built here when not given; a caller
     that probes one W many times passes one index to every call.
@@ -500,7 +501,7 @@ def schubert_adapted_chart(
     if centers is None:
         centers = SchubertCenters(field, N, n, W)
     for M, chart in centers:
-        if sum_rank(M, L0) != M.dim + L0.dim:
+        if intersection_dim(M, L0):
             continue
         return chart, (0, N - n - 1)
     raise NotOnVarietyError("no adapted chart found for this Schubert center")

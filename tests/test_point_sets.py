@@ -69,7 +69,9 @@ def dichotomy_pairs(F, N):
                 yield pt, W
 
 
-@pytest.mark.parametrize("F,N,pairs", [(F2, 4, 4355), (F4, 3, 672), (F4, 4, 27805)])
+@pytest.mark.parametrize(
+    "F,N,pairs", [(F2, 4, 4355), (F4, 3, 672), (F4, 4, 27805)], ids=["F2^4", "F4^3", "F4^4"]
+)
 def test_dichotomy_matches_ranks_exhaustive(F, N, pairs):
     count = 0
     for pt, W in dichotomy_pairs(F, N):
