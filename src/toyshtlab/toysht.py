@@ -30,6 +30,7 @@ from .linalg import (
     Subspace,
     echelonize,
     enumerate_grassmannian,
+    intersection_dim,
     packing,
     rational_hyperplanes,
     rational_lines,
@@ -94,14 +95,11 @@ class ToyPoint:
 
 
 def is_toy_shtuka(L: Subspace) -> bool:
-    """True iff dim(L cap sigma L) >= dim L - 1: iff
-    |L cap sigma L| * order >= |L| on point sets, else by rank."""
+    """True iff dim(L cap sigma L) >= dim L - 1, which on point sets reads
+    |L cap sigma L| * order >= |L| (linalg.intersection_dim)."""
     if L.dim <= 1 or L.dim >= L.ambient_dim:
         return True
-    pts = L.points()
-    if pts is None:
-        return is_toy_shtuka_by_rank(L)
-    return (pts & L.frobenius_image().points()).bit_count() * L.field.order >= pts.bit_count()
+    return intersection_dim(L, L.frobenius_image()) >= L.dim - 1
 
 
 def is_toy_shtuka_by_rank(L: Subspace) -> bool:
