@@ -106,13 +106,13 @@ def _default_chain(model: tate.FiniteTateModel):
 
 def _vectors(F, width: int, rows) -> list:
     """A witness's rows as tuples of field elements; a row not of the given
-    width or an entry outside range(F.order) raises."""
+    width or an entry that is not an int in range(F.order) raises."""
     out = [tuple(r) for r in rows]
     for r in out:
         if len(r) != width:
             raise DimensionMismatchError(f"row of length {len(r)}, expected {width}")
-        if not all(x in range(F.order) for x in r):
-            raise ValueError(f"row {list(r)} has an entry outside range({F.order})")
+        if not all(isinstance(x, int) and 0 <= x < F.order for x in r):
+            raise ValueError(f"row {list(r)} has an entry not an int in range({F.order})")
     return out
 
 

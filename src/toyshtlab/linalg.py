@@ -21,8 +21,10 @@ from .gf import Field
 
 DEFAULT_ENUM_BUDGET = 1 << 22
 
-# the largest order**N whose vectors are packed for point sets
-POINT_SET_MAX = 1 << 12
+# the largest order**N whose vectors are packed for point sets: F_4^4, the
+# largest space on which point sets were timed against rref; a Packing holds
+# order**(N + 1) ints
+POINT_SET_MAX = 1 << 8
 
 
 def rref(field: Field, rows, width: int):

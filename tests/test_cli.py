@@ -26,6 +26,7 @@ from toyshtlab.linalg import echelonize
 from toyshtlab.toysht import enumerate_toysht
 
 F4 = field_make(2, 1, 2)
+F9 = field_make(3, 1, 2)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -221,11 +222,13 @@ def _count_rref(monkeypatch) -> list:
 
 
 def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
+    # the rank path, which odd characteristic runs (F_9, N = 3); point sets
+    # (p = 2) make none, see the next test
     calls = _count_rref(monkeypatch)
-    r = run(CheckSpec("dichotomy", {"p": 2, "e": 1, "m": 2, "N": 3}))
+    r = run(CheckSpec("dichotomy", {"p": 3, "e": 1, "m": 2, "N": 3}))
     assert r.verdict == "pass"
-    points = sum(1 for n in (1, 2) for _ in enumerate_toysht(F4, 3, n))
-    assert r.counters["pairs"] == 16 * points == 672
+    points = sum(1 for n in (1, 2) for _ in enumerate_toysht(F9, 3, n))
+    assert r.counters["pairs"] == 28 * points == 5096
     # per point: the toy predicate and the flag, one rref each
     assert len(calls) <= r.counters["pairs"] + 2 * points
 
@@ -446,6 +449,10 @@ MALFORMED_ROWS = {
                              "rows": [[1, 7, 0]]}, ValueError),
     "chart_mismatch_entry": ({"kind": "chart_mismatch", "params": {**F4N3, "n": 1},
                               "W": CHART_W, "A": [[9, 0]]}, ValueError),
+    "chart_mismatch_float": ({"kind": "chart_mismatch", "params": {**F4N3, "n": 1},
+                              "W": CHART_W, "A": [[1, 2.0]]}, ValueError),
+    "dichotomy_float": ({"kind": "dichotomy", "params": F4N3,
+                         "L": [[1, 2.0, 0]], "W": [[1, 0, 0]]}, ValueError),
     "chart_mismatch_wide": ({"kind": "chart_mismatch", "params": {**F4N3, "n": 1},
                              "W": CHART_W, "A": [[1, 2, 3]]}, DimensionMismatchError),
     "chart_mismatch_tall": ({"kind": "chart_mismatch", "params": {**F4N3, "n": 1},

@@ -1,7 +1,7 @@
 """The point-set kernel against the rank formulas it replaces: containment,
 intersection dimensions, the toy predicate, the dichotomy and the chart-side
-predicate, exhaustively on small spaces and by hypothesis over F_8; and the
-packed tables' cache, keyed by field value and never built for odd p."""
+predicate, exhaustively on small spaces and by hypothesis over F_8 and F_16;
+and the packed tables' cache, keyed by field value and never built for odd p."""
 
 from itertools import product
 
@@ -33,6 +33,7 @@ F3 = field_make(3, 1, 1)
 F4 = field_make(2, 1, 2)
 F8 = field_make(2, 1, 3)
 F9 = field_make(3, 1, 2)
+F16 = field_make(2, 1, 4)
 
 
 def all_subspaces(F, N):
@@ -94,19 +95,30 @@ def test_chart_predicate_matches_ranks_exhaustive():
     assert verdicts == 8960
 
 
-# F_8^N with 8**N at the bound, the largest space over F_8 with point sets
-N8 = 4
-rows8 = st.lists(st.lists(st.integers(0, 7), min_size=N8, max_size=N8), max_size=N8)
+# F_8^2, the largest space over F_8 with point sets, and F_16^2, at the bound
+SPACES = [(F8, 2), (F16, 2)]
+
+
+@st.composite
+def space_and_rows(draw):
+    F, N = draw(st.sampled_from(SPACES))
+    rows = st.lists(st.tuples(*[st.integers(0, F.order - 1)] * N), max_size=N)
+    return F, N, draw(rows), draw(rows)
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows8, rows8)
-def test_kernel_matches_ranks_at_the_bound(rows_a, rows_b):
-    assert F8.order**N8 == POINT_SET_MAX and packing(F8, N8 + 1) is None
-    a, b = (echelonize(F8, [tuple(r) for r in rows], N8) for rows in (rows_a, rows_b))
-    assert a.points().bit_count() == F8.order**a.dim
+@given(space_and_rows())
+def test_kernel_matches_ranks_at_the_bound(drawn):
+    F, N, rows_a, rows_b = drawn
+    assert F.order**N <= POINT_SET_MAX and packing(F, N + 1) is None
+    a, b = (echelonize(F, rows, N) for rows in (rows_a, rows_b))
+    assert a.points().bit_count() == F.order**a.dim
     assert is_toy_shtuka(a) == is_toy_shtuka_by_rank(a)
     assert_pair_matches_ranks(a, b)
+
+
+def test_bound_is_a_space_with_point_sets():
+    assert F16.order**2 == POINT_SET_MAX and packing(F16, 2) is not None
 
 
 def test_packings_are_keyed_by_field_value():
@@ -123,7 +135,7 @@ def test_packings_are_keyed_by_field_value():
     assert other.modulus != F8.modulus
     mine, theirs = packing(F8, 2), packing(other, 2)
     assert mine is not theirs and mine.multiples != theirs.multiples
-    assert packing(F8, 2) is mine and packing(F8, 3) is not mine
+    assert packing(F8, 2) is mine and packing(F8, 1) is not mine
 
 
 def test_odd_characteristic_builds_no_point_sets():
