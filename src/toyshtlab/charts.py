@@ -23,12 +23,12 @@ from .gf import Field
 from .linalg import (
     Subspace,
     echelonize,
-    enumerate_grassmannian,
     intersect,
     intersection_dim,
     packing,
     pairing,
     perp,
+    rational_subspaces,
     solve,
     sum_rank,
 )
@@ -436,7 +436,7 @@ class SchubertCenters:
 
     def __init__(self, field: Field, N: int, n: int, W: Subspace):
         self.field, self.N, self.n, self.W = field, N, n, W
-        self._rest = enumerate_grassmannian(field, N, N - n, subfield_only=True)
+        self._rest = iter(rational_subspaces(field, N, N - n))
         self._found = []
 
     def __iter__(self):
@@ -513,8 +513,7 @@ def _curve_first_order(field: Field, A_curve):
 
 
 def schubert_multiplicity_probe(
-    field: Field, N: int, n: int, W: Subspace, L0: Subspace, component, rng,
-    centers=None, T=None,
+    field: Field, N: int, n: int, W: Subspace, L0: Subspace, component, rng, centers=None
 ):
     """Order of the Schubert equation along a random toy-locus curve through
     the nontrivial point L0 on the Schubert divisor of W.
@@ -525,8 +524,6 @@ def schubert_multiplicity_probe(
     the probed equation.  centers is W's SchubertCenters, as in
     schubert_adapted_chart.
     """
-    if T is None:
-        T = default_truncation(field)
     kind, sub = component
     chart, (ai, bj) = schubert_adapted_chart(field, N, n, W, L0, centers)
     B0 = chart.coordinates(L0)
@@ -564,13 +561,13 @@ def schubert_multiplicity_probe(
         order = valuation_probe(lambda M: M[ai][bj], probe, defining_eqs=minors)
         return None if order == INFINITE else order
 
-    return _retry_probe(attempt, T)
+    return _retry_probe(attempt, default_truncation(field))
 
 
 # ---------------------------------------------------------------------------
 # multiplicity probe for divisor pullbacks along partial Frobeniuses
 
-def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, rng, T=None):
+def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, rng):
     """Orders of the local equation of the J-type flag component, and of its
     Frobenius pullback, along a random curve on the chart model of flags.
 
@@ -581,14 +578,12 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
     partial Frobeniuses pulls its equation back to its entrywise q-power.
     The base flag must lie on the component.  Returns (order, pulled_order).
     """
-    if T is None:
-        T = default_truncation(field)
     width = N - n
     L0 = flag.small
     # chart avoiding both J and the base point
     chart = None
-    for W in enumerate_grassmannian(field, N, width, subfield_only=True):
-        if sum_rank(W, J) == W.dim + J.dim and sum_rank(W, L0) == W.dim + L0.dim:
+    for W in rational_subspaces(field, N, width):
+        if intersection_dim(W, J) == 0 and intersection_dim(W, L0) == 0:
             chart = canonical_chart(field, W)
             break
     if chart is None:
@@ -646,4 +641,4 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
             return None
         return order, pulled
 
-    return _retry_probe(attempt, T)
+    return _retry_probe(attempt, default_truncation(field))

@@ -31,7 +31,7 @@ from .errors import (
     UnknownCheckError,
 )
 from .gf import DEFAULT_BUDGET, field_make
-from .linalg import echelonize, enumerate_grassmannian, gauss_binomial
+from .linalg import echelonize, enumerate_grassmannian, gauss_binomial, rational_subspaces
 
 SCHEMA_VERSION = "toyshtlab-report-v1"
 
@@ -129,7 +129,7 @@ def check_chart_equivalence(params: dict, seed: int):
     budget = _gate(F.order ** (n * (N - n)), params, "matrices per chart")
     counters = {"charts": 0, "matrices": 0}
     witnesses = []
-    for W in enumerate_grassmannian(F, N, N - n, subfield_only=True, budget=budget):
+    for W in rational_subspaces(F, N, N - n, budget):
         rep = charts.chart_equivalence_check(F, N, n, charts.canonical_chart(F, W))
         counters["charts"] += 1
         counters["matrices"] += rep["checked"]
@@ -155,7 +155,7 @@ def check_trivial_locus_count(params: dict, seed: int):
     budget = _budget(params)
     trivial = {pt.L for pt in toysht.enumerate_toysht(F, N, n, budget=budget)
                if toysht.is_trivial(pt.L)}
-    rational = set(enumerate_grassmannian(F, N, n, subfield_only=True, budget=budget))
+    rational = set(rational_subspaces(F, N, n, budget))
     expected = gauss_binomial(N, n, F.q)
     witnesses = [{"kind": "trivial_locus", "rows": L.basis} for L in trivial ^ rational]
     if len(trivial) != expected:
@@ -166,8 +166,7 @@ def check_trivial_locus_count(params: dict, seed: int):
 def _replay_trivial_locus(w: dict) -> bool:
     F, N, L = _decode(w, "rows")
     n, budget = int(w["params"]["n"]), _budget(w["params"])
-    rational = enumerate_grassmannian(F, N, n, subfield_only=True, budget=budget)
-    return toysht.is_trivial(L) != (L in set(rational))
+    return toysht.is_trivial(L) != (L in rational_subspaces(F, N, n, budget))
 
 
 def check_grassmannian_count(params: dict, seed: int):
@@ -186,8 +185,7 @@ def check_dichotomy(params: dict, seed: int):
     budget = _budget(params)
     counters = {"pairs": 0}
     witnesses = []
-    subs = [W for d in range(N + 1)
-            for W in enumerate_grassmannian(F, N, d, subfield_only=True, budget=budget)]
+    subs = [W for d in range(N + 1) for W in rational_subspaces(F, N, d, budget)]
     for n in range(1, N):
         for pt in toysht.enumerate_toysht(F, N, n, budget=budget):
             for W in subs:
@@ -247,7 +245,7 @@ def check_schubert_decomposition(params: dict, seed: int):
     witnesses = []
     vacuous = True
     locus = divisors.toy_locus(F, N, n, budget=budget)
-    for W in enumerate_grassmannian(F, N, N - n, subfield_only=True, budget=budget):
+    for W in rational_subspaces(F, N, N - n, budget):
         rep = divisors.schubert_decomposition_check(F, N, n, W, rng=rng, locus=locus)
         counters["centers"] += 1
         counters["points"] += rep["points"]
@@ -273,7 +271,7 @@ def _replay_schubert(witness: dict) -> bool:
     deficit = divisors.schubert_deficit(L, W)
 
     def rational(d):
-        return enumerate_grassmannian(F, N, d, subfield_only=True, budget=_budget(params))
+        return rational_subspaces(F, N, d, _budget(params))
 
     if witness["kind"] == "schubert_set":
         horo = any(H.contains(W) and H.contains(L) for H in rational(N - 1)) or any(

@@ -17,13 +17,11 @@ from .gf import Field
 from .linalg import (
     DEFAULT_ENUM_BUDGET,
     Subspace,
-    enumerate_grassmannian,
     gauss_binomial,
     intersection_dim,
     pairing,
     perp,
-    rational_hyperplanes,
-    rational_lines,
+    rational_subspaces,
 )
 from .toysht import (
     FlagPoint,
@@ -32,6 +30,9 @@ from .toysht import (
     horospherical_membership,
     partial_frobenius_plus,
 )
+
+# multiplicity probes drawn per Schubert component and per pullback marker
+PROBE_REPEATS = 5
 
 
 class PAdicRational:
@@ -156,7 +157,7 @@ def _incidence_entry(field: Field, N: int):
     incidence_index)."""
     tag = (field.p, field.e, field.m, field.modulus, N)
     if tag not in _incidence_cache:
-        keys = [L.basis[0] for L in rational_lines(field, N)]
+        keys = [L.basis[0] for L in rational_subspaces(field, N, 1)]
         inc = {hk: [jk for jk in keys if pairing(field, hk, jk) == 0] for hk in keys}
         pos = {k: i for i, k in enumerate(keys)}
         _incidence_cache[tag] = inc, (keys, [_gather(pos[jk] for jk in inc[hk]) for hk in keys])
@@ -165,10 +166,10 @@ def _incidence_entry(field: Field, N: int):
 
 def incidence_lists(field: Field, N: int) -> dict:
     """The line/hyperplane incidence of the rational projective space: for
-    each line key, in rational_lines order, the line keys perpendicular to it
-    under the standard pairing.  Read as hyperplane key (a perp line) to the
-    lines inside it, or, the pairing being symmetric, as line key to the
-    hyperplanes through it.
+    each line key, in rational_subspaces order, the line keys perpendicular
+    to it under the standard pairing.  Read as hyperplane key (a perp line)
+    to the lines inside it, or, the pairing being symmetric, as line key to
+    the hyperplanes through it.
 
     Cached by the field's value, so equal fields built separately share one
     entry.
@@ -233,9 +234,8 @@ def schubert_deficit(L: Subspace, W: Subspace) -> int:
 def toy_locus(field: Field, N: int, n: int, budget=None) -> list:
     """The nontrivial toy points of dimension n in enumeration order, each as
     (point, rational hyperplanes containing L, rational lines inside L)."""
-    hyperplanes, lines = rational_hyperplanes(field, N), rational_lines(field, N)
     return [
-        (pt, *horospherical_membership(pt, hyperplanes, lines))
+        (pt, *horospherical_membership(pt))
         for pt in enumerate_toysht(field, N, n, nontrivial_only=True, budget=budget)
     ]
 
@@ -246,7 +246,6 @@ def schubert_decomposition_check(
     n: int,
     W: Subspace,
     rng=None,
-    probe_repeats: int = 5,
     locus=None,
 ) -> dict:
     """Set-level equality of the Schubert locus with the union of
@@ -258,19 +257,9 @@ def schubert_decomposition_check(
     """
     if locus is None:
         locus = toy_locus(field, N, n)
-    hyperplanes = [
-        H
-        for H in enumerate_grassmannian(field, N, N - 1, subfield_only=True)
-        if H.contains(W)
-    ]
-    lines = [
-        J
-        for J in enumerate_grassmannian(field, N, 1, subfield_only=True)
-        if W.contains(J)
-    ]
+    hyperplanes = [H for H in rational_subspaces(field, N, N - 1) if H.contains(W)]
+    lines = [J for J in rational_subspaces(field, N, 1) if W.contains(J)]
     hyper_set, line_set = set(hyperplanes), set(lines)
-    planes2 = None
-    hyper2 = None
     report = {
         "points": 0,
         "counterexamples": [],
@@ -286,25 +275,16 @@ def schubert_decomposition_check(
         if (deficit > 0) != horo:
             report["counterexamples"].append(pt.L.basis)
         if deficit >= 2:
-            if planes2 is None:
-                planes2 = [
-                    P
-                    for P in enumerate_grassmannian(field, N, 2, subfield_only=True)
-                    if W.contains(P)
-                ]
-                hyper2 = [
-                    H
-                    for H in enumerate_grassmannian(field, N, N - 2, subfield_only=True)
-                    if H.contains(W)
-                ]
-            deep = any(pt.L.contains(P) for P in planes2) or any(
-                H.contains(pt.L) for H in hyper2
+            deep = any(
+                W.contains(P) and pt.L.contains(P) for P in rational_subspaces(field, N, 2)
+            ) or any(
+                H.contains(W) and H.contains(pt.L) for H in rational_subspaces(field, N, N - 2)
             )
             if not deep:
                 report["codim2_failures"].append(pt.L.basis)
     if rng is not None and not report["vacuous"]:
         report["probes"] = _sampled_multiplicity_probes(
-            field, N, n, W, hyperplanes, lines, rng, probe_repeats, locus
+            field, N, n, W, hyperplanes, lines, rng, locus
         )
     return report
 
@@ -320,7 +300,7 @@ def _component_points(components, locus) -> dict:
     return out
 
 
-def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, repeats, locus):
+def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, locus):
     """Probe every component of the Schubert divisor that carries points
     clean of the other components, all through one SchubertCenters of W."""
     components = [("H", H) for H in hyperplanes if n < N - 1]
@@ -334,7 +314,7 @@ def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, repeat
         if not pts:
             continue
         orders = []
-        for _ in range(repeats):
+        for _ in range(PROBE_REPEATS):
             L0 = pts[rng.randrange(len(pts))]
             orders.append(
                 schubert_multiplicity_probe(field, N, n, W, L0, component, rng, centers)
@@ -387,7 +367,6 @@ def partial_frobenius_divisor_pullback_check(
     n: int,
     divisor_type: str,
     rng=None,
-    probe_repeats: int = 5,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict:
     """Set-level identification of the preimage of a horospherical component
@@ -401,9 +380,7 @@ def partial_frobenius_divisor_pullback_check(
     """
     flags = list(enumerate_flags(field, N, n, "right", budget=budget))
     marker_dim = N - 1 if divisor_type == "H" else 1
-    markers = list(
-        enumerate_grassmannian(field, N, marker_dim, subfield_only=True, budget=budget)
-    )
+    markers = rational_subspaces(field, N, marker_dim, budget)
     set_failures, comps = _pullback_components(flags, markers, divisor_type)
     report = {"flags": len(flags), "set_failures": set_failures, "probes": {},
               "mode": "exhaustive"}
@@ -413,17 +390,18 @@ def partial_frobenius_divisor_pullback_check(
             if not comp:
                 continue
             if divisor_type == "H":
-                # dual model: the hyperplane component of right flags becomes
-                # the line component of right flags at the mirrored level
-                comp = [FlagPoint(perp(f.big), perp(f.small), "right") for f in comp]
-                for f in comp:
-                    f.validate()
                 level, line, key = N - n - 1, perp(mk), ("H-dual", mk.basis)
             else:
                 level, line, key = n, mk, ("J", mk.basis)
-            report["probes"][key] = [
-                jtype_flag_pullback_probe(field, N, level, line,
-                                          comp[rng.randrange(len(comp))], rng)
-                for _ in range(probe_repeats)
-            ]
+            orders = []
+            for _ in range(PROBE_REPEATS):
+                f = comp[rng.randrange(len(comp))]
+                if divisor_type == "H":
+                    # dual model: the hyperplane component of right flags
+                    # becomes the line component of right flags at the
+                    # mirrored level; only the drawn flag is mapped
+                    f = FlagPoint(perp(f.big), perp(f.small), "right")
+                    f.validate()
+                orders.append(jtype_flag_pullback_probe(field, N, level, line, f, rng))
+            report["probes"][key] = orders
     return report

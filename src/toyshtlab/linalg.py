@@ -1,6 +1,7 @@
 """Subspace lattice operations over F_{q^m}: canonical echelon forms, sums
 and intersections (both from one elimination), ranks of sums, annihilators,
-quotient coordinates, Grassmannian enumeration, and point sets.
+quotient coordinates, Grassmannian enumeration, the shared index of rational
+subspaces, and point sets.
 
 Subspaces are immutable and identified with their reduced row-echelon basis,
 which is unique, so equality of subspaces is equality of bases.  All counting
@@ -344,24 +345,9 @@ def gauss_binomial(N: int, n: int, q: int) -> int:
     return num // den
 
 
-def enumerate_grassmannian(
-    field: Field,
-    N: int,
-    n: int,
-    subfield_only: bool = False,
-    budget: int = DEFAULT_ENUM_BUDGET,
-):
-    """Yield every n-dimensional subspace of F^N exactly once, in canonical
-    pivot-set-major order.  With subfield_only, entries run over F_q, which
-    enumerates exactly the Frobenius-fixed subspaces.
-    """
-    if n < 0 or n > N:
-        raise DimensionMismatchError(f"need 0 <= n <= N, got n={n}, N={N}")
-    base = field.q if subfield_only else field.order
-    total = gauss_binomial(N, n, base)
-    if total > budget:
-        raise BudgetExceededError(f"{total} subspaces exceeds budget {budget}")
-    elems = field.subfield_elements() if subfield_only else tuple(field.elements())
+def _echelon_bases(field: Field, N: int, n: int, elems):
+    """Every n-dimensional subspace of F^N whose reduced echelon basis has
+    its free entries in elems, in canonical pivot-set-major order."""
     for pivots in combinations(range(N), n):
         pivset = set(pivots)
         free_positions = [
@@ -370,9 +356,6 @@ def enumerate_grassmannian(
         template = [[0] * N for i in range(n)]
         for i, p in enumerate(pivots):
             template[i][p] = 1
-        if not free_positions:
-            yield Subspace(field, N, tuple(tuple(r) for r in template), pivots)
-            continue
         for values in product(elems, repeat=len(free_positions)):
             rows = [r[:] for r in template]
             for (i, j), v in zip(free_positions, values):
@@ -380,11 +363,35 @@ def enumerate_grassmannian(
             yield Subspace(field, N, tuple(tuple(r) for r in rows), pivots)
 
 
-def rational_lines(field: Field, N: int):
-    """The F_q-rational points of the projective space of lines."""
-    return list(enumerate_grassmannian(field, N, 1, subfield_only=True))
+def _gate(N: int, n: int, base: int, budget: int) -> None:
+    """Reject n outside 0..N, then more than budget n-subspaces of F_base^N."""
+    if n < 0 or n > N:
+        raise DimensionMismatchError(f"need 0 <= n <= N, got n={n}, N={N}")
+    total = gauss_binomial(N, n, base)
+    if total > budget:
+        raise BudgetExceededError(f"{total} subspaces exceeds budget {budget}")
 
 
-def rational_hyperplanes(field: Field, N: int):
-    """The F_q-rational hyperplanes of F^N."""
-    return list(enumerate_grassmannian(field, N, N - 1, subfield_only=True))
+def enumerate_grassmannian(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
+    """Yield every n-dimensional subspace of F^N exactly once, in canonical
+    pivot-set-major order."""
+    _gate(N, n, field.order, budget)
+    yield from _echelon_bases(field, N, n, field.elements())
+
+
+_rational: dict = {}
+
+
+def rational_subspaces(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
+    """The F_q-rational n-dimensional subspaces of F^N, as a tuple in
+    enumerate_grassmannian order: the echelon bases with entries in F_q,
+    which are exactly the Frobenius-fixed subspaces.
+
+    One tuple per field value and (N, n): it is built on first use and
+    shared after, as its subspaces are immutable; the budget is checked on
+    every call."""
+    _gate(N, n, field.q, budget)
+    key = (field.p, field.e, field.m, field.modulus, N, n)
+    if key not in _rational:
+        _rational[key] = tuple(_echelon_bases(field, N, n, field.subfield_elements()))
+    return _rational[key]

@@ -32,8 +32,7 @@ from .linalg import (
     enumerate_grassmannian,
     intersection_dim,
     packing,
-    rational_hyperplanes,
-    rational_lines,
+    rational_subspaces,
     span_sum,
     sum_and_intersection,
     sum_rank,
@@ -301,15 +300,10 @@ def dichotomy_by_rank(point: ToyPoint, W: Subspace):
     return {"sub_fixed": sub_fixed, "quot_fixed": quot_fixed}
 
 
-def horospherical_membership(point: ToyPoint, hyperplanes=None, lines=None):
+def horospherical_membership(point: ToyPoint):
     """Rational hyperplanes containing L and rational lines contained in L."""
     L = point.L
     f, N = L.field, L.ambient_dim
-    if hyperplanes is None:
-        hyperplanes = rational_hyperplanes(f, N)
-    if lines is None:
-        lines = rational_lines(f, N)
-    H_set = set(H for H in hyperplanes if H.contains(L))
-    J_set = set(J for J in lines if L.contains(J))
+    H_set = set(H for H in rational_subspaces(f, N, N - 1) if H.contains(L))
+    J_set = set(J for J in rational_subspaces(f, N, 1) if L.contains(J))
     return H_set, J_set
-

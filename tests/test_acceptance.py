@@ -11,7 +11,7 @@ from toyshtlab import charts, divisors, tate, toysht
 from toyshtlab.cli import CheckSpec, replay_witness, run_suite
 from toyshtlab.divisors import PAdicRational
 from toyshtlab.gf import field_make
-from toyshtlab.linalg import enumerate_grassmannian, gauss_binomial, perp
+from toyshtlab.linalg import gauss_binomial, perp, rational_subspaces
 
 FIELDS = {}
 
@@ -49,7 +49,7 @@ def test_criterion_01_chart_equivalence():
         F = field(2, 1, m)
         for N in (2, 3, 4):
             for n in range(1, N):
-                for W in enumerate_grassmannian(F, N, N - n, subfield_only=True):
+                for W in rational_subspaces(F, N, N - n):
                     chart = charts.canonical_chart(F, W)
                     rep = charts.chart_equivalence_check(F, N, n, chart)
                     assert rep["counterexamples"] == [], (N, n, m, W.basis)
@@ -66,7 +66,7 @@ def test_criterion_02_trivial_locus_counts():
                     p.L for p in toysht.enumerate_toysht(F, N, n) if toysht.is_trivial(p.L)
                 }
                 assert len(trivial) == gauss_binomial(N, n, 2), (N, n, m)
-                rational = set(enumerate_grassmannian(F, N, n, subfield_only=True))
+                rational = set(rational_subspaces(F, N, n))
                 assert trivial == rational, (N, n, m)
 
 
@@ -75,7 +75,7 @@ def test_criterion_03_dichotomy():
     F = field(2, 1, 2)
     subs = []
     for d in range(4):
-        subs.extend(enumerate_grassmannian(F, 3, d, subfield_only=True))
+        subs.extend(rational_subspaces(F, 3, d))
     violations = 0
     scanned = 0
     for n in (1, 2):
@@ -96,7 +96,7 @@ def test_criterion_04_schubert_decomposition():
     probe_count = 0
     for N in (3, 4):
         for n in range(1, N):
-            for W in enumerate_grassmannian(F, N, N - n, subfield_only=True):
+            for W in rational_subspaces(F, N, N - n):
                 rep = divisors.schubert_decomposition_check(F, N, n, W, rng=rng)
                 assert rep["counterexamples"] == [], (N, n, W.basis)
                 assert rep["codim2_failures"] == [], (N, n, W.basis)
@@ -258,9 +258,7 @@ def test_criterion_10_principal_criterion_closure():
 def test_criterion_11_pullback_multiplicity_q():
     F = field(2, 1, 2)
     rng = random.Random(31337)
-    rep = divisors.partial_frobenius_divisor_pullback_check(
-        F, 3, 1, "J", rng=rng, probe_repeats=5
-    )
+    rep = divisors.partial_frobenius_divisor_pullback_check(F, 3, 1, "J", rng=rng)
     assert rep["set_failures"] == []
     assert rep["mode"] == "probabilistic"
     assert rep["probes"]

@@ -30,7 +30,7 @@ from toyshtlab.errors import (
 )
 from toyshtlab.divisors import _component_points, toy_locus
 from toyshtlab.gf import field_make
-from toyshtlab.linalg import echelonize, enumerate_grassmannian, intersect
+from toyshtlab.linalg import echelonize, intersect, rational_subspaces
 from toyshtlab.toysht import enumerate_flags, enumerate_toysht
 
 F2 = field_make(2, 1, 1)
@@ -89,7 +89,7 @@ def test_chart_graph_and_coordinates_roundtrip():
 
 @pytest.mark.parametrize("N,n", [(2, 1), (3, 1), (3, 2)])
 def test_chart_equivalence_small(N, n):
-    for W in enumerate_grassmannian(F4, N, N - n, subfield_only=True):
+    for W in rational_subspaces(F4, N, N - n):
         rep = chart_equivalence_check(F4, N, n, canonical_chart(F4, W))
         assert rep["counterexamples"] == []
         assert rep["checked"] == 4 ** (n * (N - n))
@@ -308,7 +308,7 @@ def test_jtype_flag_probe_wider_level():
 def adapted_chart_by_search(field, N, n, W, L0):
     """The adapted chart by the search the index replaces: every rational
     center tested in full on every query."""
-    for M in enumerate_grassmannian(field, N, N - n, subfield_only=True):
+    for M in rational_subspaces(field, N, N - n):
         MW = intersect(M, W)
         if MW.dim != N - n - 1:
             continue
@@ -364,11 +364,11 @@ def test_adapted_centers_match_exhaustive_search(N, n):
     # W.  The center lies in no hyperplane component through the point
     locus = toy_locus(F4, N, n)
     found = Counter()
-    for W in enumerate_grassmannian(F4, N, N - n, subfield_only=True):
-        hyperplanes = [H for H in enumerate_grassmannian(F4, N, N - 1, subfield_only=True)
+    for W in rational_subspaces(F4, N, N - n):
+        hyperplanes = [H for H in rational_subspaces(F4, N, N - 1)
                        if H.contains(W)]
         components = [("H", H) for H in hyperplanes if n < N - 1]
-        components += [("J", J) for J in enumerate_grassmannian(F4, N, 1, subfield_only=True)
+        components += [("J", J) for J in rational_subspaces(F4, N, 1)
                        if n > 1 and W.contains(J)]
         clean = _component_points(components, locus)
         points = list(dict.fromkeys(L0 for pts in clean.values() for L0 in pts))
@@ -402,5 +402,5 @@ def test_adapted_centers_fill_lazily():
     chart, _ = schubert_adapted_chart(F4, 4, 2, W, L0, centers)
     # the search stopped at the center it returned
     assert centers._found[-1][1] is chart
-    total = sum(1 for _ in enumerate_grassmannian(F4, 4, 2, subfield_only=True))
+    total = len(rational_subspaces(F4, 4, 2))
     assert len(centers._found) < total

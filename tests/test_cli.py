@@ -394,7 +394,7 @@ def schubert_witness(kind, N, W_rows, L_rows):
 
 def test_schubert_set_replay_is_independent_of_the_index(monkeypatch):
     # a broken index reports counterexamples that the direct loops refute
-    monkeypatch.setattr(divisors, "horospherical_membership", lambda pt, h, l: (set(), set()))
+    monkeypatch.setattr(divisors, "horospherical_membership", lambda pt: (set(), set()))
     r = run(CheckSpec("schubert_decomposition", {"p": 2, "e": 1, "m": 2, "N": 3, "n": 1}))
     assert r.verdict == "fail"
     kinds = {w["kind"] for w in r.counters["witnesses"]}

@@ -23,7 +23,7 @@ from toyshtlab.divisors import (
 )
 from toyshtlab.errors import DimensionMismatchError, SumNotZeroError
 from toyshtlab.gf import Field, field_make
-from toyshtlab.linalg import echelonize, enumerate_grassmannian, gauss_binomial, intersect, perp
+from toyshtlab.linalg import echelonize, gauss_binomial, intersect, perp, rational_subspaces
 from toyshtlab.toysht import FlagPoint, enumerate_flags, enumerate_toysht
 
 F2 = field_make(2, 1, 1)
@@ -86,7 +86,7 @@ def test_incidence_counts_match_gauss_binomial():
 )
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_incidence_lists_match_pairing_double_loop(field, d):
-    keys = [L.basis[0] for L in enumerate_grassmannian(field, d, 1, subfield_only=True)]
+    keys = [L.basis[0] for L in rational_subspaces(field, d, 1)]
 
     def pairing(a, b):
         acc = 0
@@ -242,7 +242,7 @@ def test_schubert_decomposition_n3():
 def test_schubert_decomposition_same_with_shared_locus():
     # the shared locus must not move a single rng draw
     locus = toy_locus(F4, 3, 1)
-    for k, W in enumerate(enumerate_grassmannian(F4, 3, 2, subfield_only=True)):
+    for k, W in enumerate(rational_subspaces(F4, 3, 2)):
         own, shared = random.Random(k), random.Random(k)
         rep = schubert_decomposition_check(F4, 3, 1, W, rng=own)
         assert rep == schubert_decomposition_check(F4, 3, 1, W, rng=shared, locus=locus)
@@ -283,7 +283,7 @@ def pullback_check_by_double_loop(field, N, n, divisor_type, rng, probe_repeats=
     report = {"flags": 0, "set_failures": [], "probes": {}, "mode": "exhaustive"}
     flags = list(enumerate_flags(field, N, n, "right"))
     marker_dim = N - 1 if divisor_type == "H" else 1
-    markers = list(enumerate_grassmannian(field, N, marker_dim, subfield_only=True))
+    markers = rational_subspaces(field, N, marker_dim)
     for f in flags:
         report["flags"] += 1
         image = divisors.partial_frobenius_plus(f)
@@ -331,7 +331,7 @@ def test_pullback_components_match_double_loop(N, divisor_type, image, monkeypat
     if plus:
         monkeypatch.setattr(divisors, "partial_frobenius_plus", plus)
     marker_dim = N - 1 if divisor_type == "H" else 1
-    markers = list(enumerate_grassmannian(F4, N, marker_dim, subfield_only=True))
+    markers = rational_subspaces(F4, N, marker_dim)
     failed = 0
     for n in range(1, N):
         flags = right_flags(N, n)
@@ -357,6 +357,22 @@ def test_pullback_check_matches_double_loop(N, n, divisor_type):
     rep = partial_frobenius_divisor_pullback_check(F4, N, n, divisor_type, rng=own)
     assert rep == pullback_check_by_double_loop(F4, N, n, divisor_type, reference)
     assert rep["probes"] and own.getstate() == reference.getstate()
+
+
+def test_h_pullback_maps_only_the_drawn_flags(monkeypatch):
+    # two perps per drawn flag and one per probed marker, whatever the
+    # size of each marker's component
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return perp(a)
+
+    monkeypatch.setattr(divisors, "perp", counted)
+    rep = partial_frobenius_divisor_pullback_check(F4, 4, 2, "H", rng=random.Random(0))
+    markers = len(rational_subspaces(F4, 4, 3))
+    assert rep["probes"] and rep["set_failures"] == []
+    assert len(calls) <= 2 * divisors.PROBE_REPEATS * markers + markers
 
 
 def test_divisor_data_must_cover_all_lines():

@@ -5,7 +5,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from toyshtlab.errors import BudgetExceededError, DimensionMismatchError
-from toyshtlab.gf import field_make
+from toyshtlab.gf import Field, field_make
 from toyshtlab import linalg
 from toyshtlab.linalg import (
     QuotientMap,
@@ -14,6 +14,7 @@ from toyshtlab.linalg import (
     gauss_binomial,
     intersect,
     perp,
+    rational_subspaces,
     rref,
     solve,
     span_sum,
@@ -165,10 +166,26 @@ def test_grassmannian_budget():
 
 
 def test_subfield_enumeration_is_frobenius_fixed_locus():
-    rational = set(enumerate_grassmannian(F4, 3, 2, subfield_only=True))
-    fixed = {S for S in enumerate_grassmannian(F4, 3, 2) if S.is_rational()}
-    assert rational == fixed
-    assert len(rational) == gauss_binomial(3, 2, 2)
+    # the index holds the Frobenius-fixed subspaces in enumeration order
+    F8 = field_make(2, 1, 3)
+    for field, N in ((F2, 5), (F4, 3), (F4, 4), (F8, 3), (F9, 3)):
+        for d in range(N + 1):
+            rational = rational_subspaces(field, N, d)
+            fixed = tuple(S for S in enumerate_grassmannian(field, N, d) if S.is_rational())
+            assert rational == fixed, (field, N, d)
+            assert len(rational) == gauss_binomial(N, d, field.q)
+
+
+def test_rational_subspaces_shared_per_field_value():
+    a = rational_subspaces(F4, 4, 2)
+    assert rational_subspaces(Field(2, 1, 2), 4, 2) is a
+    assert rational_subspaces(F4, 4, 1) is not a
+    # the budget still binds an index that is already built
+    with pytest.raises(BudgetExceededError, match="35 subspaces exceeds budget 34"):
+        rational_subspaces(F4, 4, 2, budget=34)
+    assert rational_subspaces(F4, 4, 2, budget=35) is a
+    with pytest.raises(DimensionMismatchError):
+        rational_subspaces(F4, 4, 5)
 
 
 def test_graph_chart_induced_map_full_rank():

@@ -17,6 +17,7 @@ from toyshtlab.linalg import (
     enumerate_grassmannian,
     intersection_dim,
     packing,
+    rational_subspaces,
     sum_rank,
 )
 from toyshtlab.toysht import (
@@ -40,8 +41,8 @@ def all_subspaces(F, N):
     return [S for n in range(N + 1) for S in enumerate_grassmannian(F, N, n)]
 
 
-def rational_subspaces(F, N):
-    return [W for n in range(N + 1) for W in enumerate_grassmannian(F, N, n, subfield_only=True)]
+def all_rational(F, N):
+    return [W for n in range(N + 1) for W in rational_subspaces(F, N, n)]
 
 
 def assert_pair_matches_ranks(a, b):
@@ -63,7 +64,7 @@ def test_kernel_matches_ranks_on_every_pair():
 
 
 def dichotomy_pairs(F, N):
-    subs = rational_subspaces(F, N)
+    subs = all_rational(F, N)
     for n in range(1, N):
         for pt in enumerate_toysht(F, N, n):
             for W in subs:
@@ -85,7 +86,7 @@ def test_chart_predicate_matches_ranks_exhaustive():
     # every chart and matrix of the F_4, N = 4, n = 2 chart_equivalence sweep
     N, n = 4, 2
     verdicts = 0
-    for W in enumerate_grassmannian(F4, N, N - n, subfield_only=True):
+    for W in rational_subspaces(F4, N, N - n):
         chart = canonical_chart(F4, W)
         predicate = _graph_predicate(F4, N, n, chart)
         for flat in product(range(F4.order), repeat=n * (N - n)):
@@ -141,7 +142,7 @@ def test_packings_are_keyed_by_field_value():
 def test_odd_characteristic_builds_no_point_sets():
     for F in (F3, F9):
         assert packing(F, 3) is None
-        subs = all_subspaces(F, 3) if F is F3 else rational_subspaces(F, 3)
+        subs = all_subspaces(F, 3) if F is F3 else all_rational(F, 3)
         for a in subs:
             assert a.points() is None
             assert_pair_matches_ranks(a, subs[-1])

@@ -19,7 +19,7 @@ from toyshtlab.charts import (
 )
 from toyshtlab.divisors import _component_points, toy_locus
 from toyshtlab.gf import field_make
-from toyshtlab.linalg import echelonize, enumerate_grassmannian
+from toyshtlab.linalg import echelonize, rational_subspaces
 from toyshtlab.toysht import enumerate_flags
 
 F4 = field_make(2, 1, 2)
@@ -54,10 +54,10 @@ def test_schubert_probe_draws_pinned(kind):
     # the first rational W at F_4, N = 4, n = 2, and its first component of
     # the given kind that carries points clean of the other components
     N, n = 4, 2
-    W = next(enumerate_grassmannian(F4, N, N - n, subfield_only=True))
-    comps = [("H", H) for H in enumerate_grassmannian(F4, N, N - 1, subfield_only=True)
+    W = rational_subspaces(F4, N, N - n)[0]
+    comps = [("H", H) for H in rational_subspaces(F4, N, N - 1)
              if H.contains(W)]
-    comps += [("J", J) for J in enumerate_grassmannian(F4, N, 1, subfield_only=True)
+    comps += [("J", J) for J in rational_subspaces(F4, N, 1)
               if W.contains(J)]
     clean = _component_points(comps, toy_locus(F4, N, n))
     comp = next(c for c in comps if c[0] == kind and clean[c])
