@@ -15,6 +15,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import (
+    DimensionMismatchError,
     FiberEmptyError,
     NotOnVarietyError,
     TruncationTooShortError,
@@ -29,8 +30,7 @@ from .linalg import (
     pairing,
     perp,
     rational_subspaces,
-    solve,
-    sum_rank,
+    rref,
 )
 from .toysht import is_toy_shtuka
 
@@ -135,29 +135,42 @@ class Chart:
     """A splitting V = W + W' with ordered rational bases of both parts.
 
     Matrices act by rows: the graph of A has one row w'_i + sum_j A[i][j] w_j
-    per basis vector of W'.
+    per basis vector of W'.  The chart keeps the inverse of its basis B (the
+    W' rows, then the W rows), so chart coordinates are one product with it.
     """
 
-    __slots__ = ("field", "N", "w_basis", "wp_basis", "W", "Wp")
+    __slots__ = ("field", "N", "w_basis", "wp_basis", "inverse")
 
     def __init__(self, field: Field, N: int, w_basis, wp_basis):
         self.field = field
         self.N = N
         self.w_basis = tuple(tuple(r) for r in w_basis)
         self.wp_basis = tuple(tuple(r) for r in wp_basis)
-        self.W = echelonize(field, self.w_basis, N)
-        self.Wp = echelonize(field, self.wp_basis, N)
-        if self.W.dim != len(self.w_basis) or self.Wp.dim != len(self.wp_basis):
-            raise ValueError("chart bases must be independent")
-        joint = sum_rank(self.W, self.Wp)
-        if joint != self.W.dim + self.Wp.dim:
-            raise ValueError("chart parts must meet trivially")
-        if joint != N:
-            raise ValueError("chart parts must span the ambient space")
+        B = self.wp_basis + self.w_basis
+        for r in B:
+            if len(r) != N:
+                raise DimensionMismatchError(f"vector of length {len(r)}, ambient {N}")
+        # one rref of [B | I]: B is a basis iff the left half reduces to I,
+        # and then the right half is B^-1
+        rows, pivots = rref(field, [r + tuple(int(i == k) for k in range(N))
+                                    for i, r in enumerate(B)], 2 * N)
+        if pivots != list(range(N)):
+            raise ValueError("chart bases must together form a basis of the ambient space")
+        self.inverse = tuple(r[N:] for r in rows)
 
     @property
     def n(self) -> int:
         return len(self.wp_basis)
+
+    def coords(self, v):
+        """The c with sum_i c_i B_i = v, the W' part then the W part: the
+        product v B^-1, as a sum of rows of the inverse."""
+        f = self.field
+        c = (0,) * self.N
+        for x, row in zip(v, self.inverse):
+            if x:
+                c = tuple(f.add(y, f.mul(x, r)) for y, r in zip(c, row))
+        return c
 
     def graph(self, A) -> Subspace:
         """The subspace with matrix A in this chart."""
@@ -174,22 +187,16 @@ class Chart:
         return echelonize(f, rows, self.N)
 
     def coordinates(self, L: Subspace):
-        """Matrix of L in this chart, or None when L meets W."""
-        if L.dim != self.n:
+        """Matrix of L in this chart, or None when L meets W: in chart
+        coordinates L is a graph iff its echelon pivots are 0..n-1, and then
+        its echelon rows are [I | A]."""
+        n = self.n
+        if L.dim != n:
             return None
-        f = self.field
-        w_red = [L.reduce(w) for w in self.w_basis]
-        rows = []
-        for wp in self.wp_basis:
-            target = tuple(f.neg(x) for x in L.reduce(wp))
-            coeffs = solve(f, w_red, target)
-            if coeffs is None:
-                return None
-            rows.append(coeffs)
-        # the graph of the solved matrix must reproduce L exactly
-        if self.graph(rows) != L:
+        rows, pivots = rref(self.field, [self.coords(v) for v in L.basis], self.N)
+        if pivots != list(range(n)):
             return None
-        return tuple(rows)
+        return tuple(r[n:] for r in rows)
 
 
 def canonical_chart(field: Field, W: Subspace) -> Chart:
@@ -282,7 +289,9 @@ def transversality_check(field: Field, s: int, t: int, a: int, b: int, A) -> boo
 
     At a rank-one point the tangent space is the kernel of the Jacobian of
     the 2x2 minors; the test asks whether the coordinate X_ab is nonzero on
-    it.  The zero matrix counts as non-transversal (the cone vertex).
+    it, that is, whether e_ab lies outside the row space of the Jacobian
+    (perp of perp is the identity).  The zero matrix counts as
+    non-transversal (the cone vertex).
     """
     if not rank_le1(field, A):
         raise NotOnVarietyError("matrix has rank above one")
@@ -299,9 +308,8 @@ def transversality_check(field: Field, s: int, t: int, a: int, b: int, A) -> boo
             g[i1 * t + j2] = field.neg(A[i2][j1])
             g[i2 * t + j1] = field.neg(A[i1][j2])
             jac_rows.append(tuple(g))
-    tangent = perp(echelonize(field, jac_rows, s * t))
-    col = a * t + b
-    return any(v[col] != 0 for v in tangent.basis)
+    e_ab = tuple(int(k == a * t + b) for k in range(s * t))
+    return not echelonize(field, jac_rows, s * t).contains_vector(e_ab)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +552,7 @@ def schubert_multiplicity_probe(
             return any(pairing(field, row, phi_w) for row in Adot)
 
     else:
-        gen = sub.basis[0]
-        c = solve(field, chart.wp_basis + chart.w_basis, gen)[:n]
+        c = chart.coords(sub.basis[0])[:n]
 
         def crosses(Adot):
             # d/dt of B(w'_J) is sum_i c_i Adot[i]
@@ -581,26 +588,24 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
     width = N - n
     L0 = flag.small
     # chart avoiding both J and the base point
-    chart = None
-    for W in rational_subspaces(field, N, width):
-        if intersection_dim(W, J) == 0 and intersection_dim(W, L0) == 0:
-            chart = canonical_chart(field, W)
-            break
-    if chart is None:
+    W = next((W for W in rational_subspaces(field, N, width)
+              if intersection_dim(W, J) == 0 and intersection_dim(W, L0) == 0), None)
+    if W is None:
         raise NotOnVarietyError("no chart is transversal to both J and the point")
+    chart = canonical_chart(field, W)
     B0 = chart.coordinates(L0)
     A0 = artin_schreier(field, B0)
-    H0 = intersect(flag.big, chart.W)
+    H0 = intersect(flag.big, W)
     if H0.dim != 1:
         raise NotOnVarietyError("the flag's big part must meet the chart center in a line")
-    h0 = solve(field, chart.w_basis, H0.basis[0])
+    h0 = chart.coords(H0.basis[0])[n:]
     jstar = next(j for j in range(width) if h0[j] != 0)
     # scalar heights of the Artin-Schreier rows over the line direction
     hinv = field.inv(h0[jstar])
     a0 = [field.mul(A0[i][jstar], hinv) for i in range(n)]
     if any(A0[i][j] != field.mul(a0[i], h0[j]) for i in range(n) for j in range(width)):
         raise NotOnVarietyError("base point leaves the model")
-    coeffs = solve(field, chart.wp_basis + chart.w_basis, J.basis[0])
+    coeffs = chart.coords(J.basis[0])
     c, d = coeffs[:n], coeffs[n:]
     if not any(c):
         raise NotOnVarietyError("J must be transversal to the chart center")

@@ -116,6 +116,13 @@ def _vectors(F, width: int, rows) -> list:
     return out
 
 
+def _ints(*values) -> None:
+    """Raise unless every value is an int, as in every value list the checks emit."""
+    for x in values:
+        if not isinstance(x, int):
+            raise ValueError(f"{x!r} is not an int")
+
+
 def _decode(w: dict, *keys):
     """A witness's field and N, and the subspaces spanned by its rows under keys."""
     F = _field(w["params"], default_m=2)
@@ -328,6 +335,7 @@ def check_radon_duality(params: dict, seed: int):
 
 def _replay_radon_roundtrip(w: dict) -> bool:
     F, N, n = _radon_space(w["params"])
+    _ints(w["denom"], *w["vals"])
     return not _radon_round_trips(F, N, n, w["vals"], w["denom"])
 
 
@@ -360,8 +368,13 @@ def check_transversality_locus(params: dict, seed: int):
 def _replay_transversality(w: dict) -> bool:
     F = _field(w["params"], default_m=1)
     s, t = int(w["params"]["s"]), int(w["params"]["t"])
-    A = tuple(tuple(r) for r in w["A"])
-    return _transversality_mismatch(F, s, t, w["a"], w["b"], A)
+    A = tuple(_vectors(F, t, w["A"]))
+    if len(A) != s:
+        raise DimensionMismatchError(f"A has {len(A)} rows, expected {s}")
+    a, b = w["a"], w["b"]
+    if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < s and 0 <= b < t):
+        raise ValueError(f"(a, b) = ({a!r}, {b!r}) is not in range({s}) x range({t})")
+    return _transversality_mismatch(F, s, t, a, b, A)
 
 
 def _radon_fourier_pair(params: dict):
@@ -383,6 +396,7 @@ def check_radon_fourier_square(params: dict, seed: int):
 
 def _replay_radon_fourier(w: dict) -> bool:
     model, inner, outer = _radon_fourier_pair(w["params"])
+    _ints(w["denom"], *w["vals"])
     return not tate.radon_fourier_commutes(model, inner, outer, w["vals"], w["denom"])
 
 
@@ -420,6 +434,7 @@ def check_gamma_identity(params: dict, seed: int):
 
 def _replay_gamma(w: dict) -> bool:
     model = _tate_model(w["params"])
+    _ints(w["origin"], *(x for entry in w["lines"] for x in entry))
     f = _invariant_fn(model, w["origin"], w["lines"])
     return not tate.gamma_identity_check(model, f, _default_chain(model))
 

@@ -231,7 +231,7 @@ def schubert_deficit(L: Subspace, W: Subspace) -> int:
     return intersection_dim(L, W)
 
 
-def toy_locus(field: Field, N: int, n: int, budget=None) -> list:
+def toy_locus(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> list:
     """The nontrivial toy points of dimension n in enumeration order, each as
     (point, rational hyperplanes containing L, rational lines inside L)."""
     return [

@@ -281,31 +281,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return sum_and_intersection(a, b)[1]
 
 
-def solve(field: Field, rows, target):
-    """Coefficients c with sum(c_i * rows_i) = target, or None."""
-    width = len(target)
-    k = len(rows)
-    aug = [list(r) + [0] * k for r in rows]
-    for i in range(k):
-        aug[i][width + i] = 1
-    red, pivots = rref(field, aug, width + k)
-    residual = list(target)
-    coeffs = [0] * k
-    for row, p in zip(red, pivots):
-        if p >= width:
-            continue
-        c = residual[p]
-        if c != 0:
-            negc = field.neg(c)
-            for j in range(width):
-                residual[j] = field.add(residual[j], field.mul(negc, row[j]))
-            for j in range(k):
-                coeffs[j] = field.add(coeffs[j], field.mul(c, row[width + j]))
-    if any(x != 0 for x in residual):
-        return None
-    return tuple(coeffs)
-
-
 class QuotientMap:
     """Coordinates on V/W: reduce modulo W, read off the non-pivot columns."""
 

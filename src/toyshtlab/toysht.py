@@ -112,10 +112,11 @@ def is_trivial(L: Subspace) -> bool:
     return L.is_rational()
 
 
-def enumerate_toysht(field: Field, N: int, n: int, nontrivial_only: bool = False, budget=None):
+def enumerate_toysht(
+    field: Field, N: int, n: int, nontrivial_only: bool = False, budget: int = DEFAULT_ENUM_BUDGET
+):
     """Stream the toy shtuka points of dimension n over F_{q^m}."""
-    kwargs = {} if budget is None else {"budget": budget}
-    for L in enumerate_grassmannian(field, N, n, **kwargs):
+    for L in enumerate_grassmannian(field, N, n, budget=budget):
         if nontrivial_only and L.is_rational():
             continue
         if is_toy_shtuka(L):

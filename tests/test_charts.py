@@ -23,19 +23,28 @@ from toyshtlab.charts import (
     transversality_check,
     valuation_probe,
 )
+from toyshtlab import charts, linalg
 from toyshtlab.errors import (
+    DimensionMismatchError,
     FiberEmptyError,
     NotOnVarietyError,
     TruncationTooShortError,
 )
 from toyshtlab.divisors import _component_points, toy_locus
 from toyshtlab.gf import field_make
-from toyshtlab.linalg import echelonize, intersect, rational_subspaces
+from toyshtlab.linalg import (
+    echelonize,
+    enumerate_grassmannian,
+    intersect,
+    intersection_dim,
+    rational_subspaces,
+)
 from toyshtlab.toysht import enumerate_flags, enumerate_toysht
 
 F2 = field_make(2, 1, 1)
 F3 = field_make(3, 1, 1)
 F4 = field_make(2, 1, 2)
+F9 = field_make(3, 1, 2)
 
 
 def test_artin_schreier_kills_rational_matrices():
@@ -73,6 +82,8 @@ def test_chart_rejects_degenerate_splittings():
         Chart(F4, 3, [(0, 1, 0)], [(1, 0, 0)])  # parts do not span
     with pytest.raises(ValueError):
         Chart(F4, 3, [(0, 1, 0), (0, 1, 0)], [(1, 0, 0)])  # dependent basis
+    with pytest.raises(DimensionMismatchError):
+        Chart(F4, 3, [(0, 1, 0), (0, 0, 1)], [(1, 0)])  # row of the wrong length
 
 
 def test_chart_graph_and_coordinates_roundtrip():
@@ -85,6 +96,55 @@ def test_chart_graph_and_coordinates_roundtrip():
     # a subspace meeting W has no chart coordinates
     bad = echelonize(F4, [(0, 0, 1, 0), (1, 0, 0, 0)], 4)
     assert chart.coordinates(bad) is None
+
+
+@pytest.mark.parametrize("field,N", [(F4, 4), (F9, 3)])
+def test_coordinates_exhaustive(field, N):
+    # every rational W and every n-subspace L: L has coordinates exactly
+    # when it meets W trivially, and they give L back
+    for n in range(N + 1):
+        for W in rational_subspaces(field, N, N - n):
+            chart = canonical_chart(field, W)
+            for L in enumerate_grassmannian(field, N, n):
+                A = chart.coordinates(L)
+                assert (A is None) == (intersection_dim(L, W) > 0)
+                assert A is None or chart.graph(A) == L
+
+
+@pytest.mark.parametrize("field,N,n", [(F4, 4, 2), (F9, 3, 1)])
+def test_coords_expand_back(field, N, n):
+    # the canonical charts, and the Schubert-adapted charts of the first center
+    centers = rational_subspaces(field, N, N - n)
+    adapted = [chart for _, chart in SchubertCenters(field, N, n, centers[0])]
+    rng = random.Random(7)
+    for chart in [canonical_chart(field, W) for W in centers] + adapted:
+        basis = chart.wp_basis + chart.w_basis
+        for _ in range(5):
+            v = tuple(rng.randrange(field.order) for _ in range(N))
+            total = [0] * N
+            for c, b in zip(chart.coords(v), basis):
+                total = [field.add(x, field.mul(c, y)) for x, y in zip(total, b)]
+            assert tuple(total) == v
+
+
+def test_chart_and_coordinates_make_one_elimination_each(monkeypatch):
+    W = echelonize(F9, [(0, 1, 0), (0, 0, 1)], 3)
+    on_chart = echelonize(F9, [(1, 2, F9.generator)], 3)
+    off_chart = echelonize(F9, [(0, 1, 1)], 3)
+    calls = []
+    original = linalg.rref
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (charts, linalg):
+        monkeypatch.setattr(module, "rref", counted)
+    chart = canonical_chart(F9, W)
+    assert len(calls) == 1
+    assert chart.coordinates(on_chart) == ((2, F9.generator),)
+    assert chart.coordinates(off_chart) is None
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("N,n", [(2, 1), (3, 1), (3, 2)])
@@ -344,7 +404,7 @@ def adapted_chart_by_search(field, N, n, W, L0):
         if len(wp_basis) != n:
             continue
         chart = Chart(field, N, list(MW.basis) + [w0], wp_basis)
-        if intersect(chart.Wp, W).dim != 1:
+        if intersect(echelonize(field, chart.wp_basis, N), W).dim != 1:
             continue
         return chart, (0, N - n - 1)
     raise NotOnVarietyError("no adapted chart found for this Schubert center")

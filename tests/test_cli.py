@@ -235,8 +235,7 @@ def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
 
 def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
     # on point sets (F_4, N = 3) the dichotomy makes no elimination at all,
-    # and chart_equivalence only the three of each Chart (echelonize W and
-    # its complement, one sum_rank), none per matrix
+    # and chart_equivalence only the one of each Chart, none per matrix
     calls = _count_rref(monkeypatch)
     r = run(CheckSpec("dichotomy", {**F4P, "N": 3}))
     assert r.verdict == "pass" and r.counters["pairs"] == 672 and calls == []
@@ -244,7 +243,7 @@ def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
         calls.clear()
         r = run(CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": n}))
         assert r.verdict == "pass"
-        assert len(calls) == 3 * r.counters["charts"] < r.counters["matrices"]
+        assert len(calls) == r.counters["charts"] < r.counters["matrices"]
 
 
 def test_dichotomy_verdict_survives_optimized_python():
@@ -440,6 +439,9 @@ def test_schubert_codim2_replay():
 # a witness over F_4, N = 3 whose rows do not fit, and what its replay raises
 F4N3 = {"p": 2, "e": 1, "m": 2, "N": 3}
 CHART_W = [[1, 0, 0], [0, 1, 0]]
+# a well-formed transversality witness at F_2, s = t = 2
+TRANSVERSAL = {"kind": "transversality", "params": {"p": 2, "e": 1, "s": 2, "t": 2},
+               "a": 0, "b": 0, "A": [[0, 1], [0, 0]]}
 MALFORMED_ROWS = {
     "dichotomy_entry": ({"kind": "dichotomy", "params": F4N3,
                          "L": [[1, 99, 0]], "W": [[1, 0, 0]]}, ValueError),
@@ -457,6 +459,12 @@ MALFORMED_ROWS = {
                              "W": CHART_W, "A": [[1, 2, 3]]}, DimensionMismatchError),
     "chart_mismatch_tall": ({"kind": "chart_mismatch", "params": {**F4N3, "n": 1},
                              "W": CHART_W, "A": [[1, 2], [0, 0]]}, DimensionMismatchError),
+    "transversality_entry": ({**TRANSVERSAL, "A": [[0, 9], [0, 0]]}, ValueError),
+    "transversality_float": ({**TRANSVERSAL, "A": [[0, 1.0], [0, 0]]}, ValueError),
+    "transversality_row_length": ({**TRANSVERSAL, "A": [[0], [0, 0]]}, DimensionMismatchError),
+    "transversality_rows": ({**TRANSVERSAL, "A": [[0, 0]]}, DimensionMismatchError),
+    "transversality_index": ({**TRANSVERSAL, "a": 5}, ValueError),
+    "transversality_float_index": ({**TRANSVERSAL, "b": 1.0}, ValueError),
 }
 
 
@@ -485,6 +493,26 @@ def test_replay_rejects_a_witness_of_the_wrong_length(kind, delta):
     assert not replay_witness({**witness, name: [entry] * size})
     with pytest.raises(DimensionMismatchError, match=f"expected {size} .*, got {size + delta}"):
         replay_witness({**witness, name: [entry] * (size + delta)})
+
+
+# kind -> a witness with a value that is not an int, which no check emits
+NOT_INTS = {
+    "radon_roundtrip": {"params": MALFORMED["radon_roundtrip"][0], "denom": 0,
+                        "vals": [0.5, -0.5, 0, 0, 0, 0, 0]},
+    "radon_fourier": {"params": MALFORMED["radon_fourier"][0], "denom": 0.0,
+                      "vals": [0] * 31},
+    "gamma": {"params": MALFORMED["gamma"][0], "origin": 0.5, "lines": [[0, 0]] * 40},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_INTS))
+def test_replay_rejects_values_that_are_not_ints(kind):
+    with pytest.raises(ValueError, match="is not an int"):
+        replay_witness({"kind": kind, **NOT_INTS[kind]})
+
+
+def test_replay_accepts_a_well_formed_transversality_witness():
+    assert not replay_witness(TRANSVERSAL)
 
 
 @pytest.mark.parametrize(

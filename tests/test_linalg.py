@@ -16,7 +16,6 @@ from toyshtlab.linalg import (
     perp,
     rational_subspaces,
     rref,
-    solve,
     span_sum,
     sum_and_intersection,
     sum_rank,
@@ -254,25 +253,6 @@ def test_sum_rank_rejects_mismatched_ambients():
             op(line, plane)
         with pytest.raises(DimensionMismatchError):
             op(plane, line)
-
-
-def test_solve_consistency():
-    rng = random.Random(5)
-    for _ in range(50):
-        rows = [random_vector(F9, 4, rng) for _ in range(3)]
-        coeffs = [rng.randrange(9) for _ in range(3)]
-        target = [0] * 4
-        for c, row in zip(coeffs, rows):
-            for j in range(4):
-                target[j] = F9.add(target[j], F9.mul(c, row[j]))
-        got = solve(F9, rows, tuple(target))
-        assert got is not None
-        rebuilt = [0] * 4
-        for c, row in zip(got, rows):
-            for j in range(4):
-                rebuilt[j] = F9.add(rebuilt[j], F9.mul(c, row[j]))
-        assert tuple(rebuilt) == tuple(target)
-    assert solve(F2, [(1, 0, 0)], (0, 1, 0)) is None
 
 
 # --- ranks against sympy over prime fields ----------------------------------
