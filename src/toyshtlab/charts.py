@@ -13,6 +13,7 @@ t-adic order of a local equation along such lifted curves.
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import xor
 
 from .errors import (
     DimensionMismatchError,
@@ -38,93 +39,68 @@ INFINITE = "INFINITE"
 
 
 # ---------------------------------------------------------------------------
-# truncated power series
+# truncated power series: coefficient tuples (c_0, ..., c_T) over the field
 
 
-class TruncSeries:
-    """Power series in one parameter t over F_{q^m}, tracked through t^T."""
+def _adder(field: Field):
+    """Coefficient addition: xor for p = 2, the field's Zech add otherwise."""
+    return xor if field.p == 2 else field.add
 
-    __slots__ = ("field", "T", "coeffs")
 
-    def __init__(self, field: Field, coeffs, T: int):
-        self.field = field
-        self.T = T
-        c = list(coeffs)[: T + 1]
-        c += [0] * (T + 1 - len(c))
-        self.coeffs = tuple(c)
+def series_add(field: Field, a, b):
+    return tuple(map(_adder(field), a, b))
 
-    @classmethod
-    def const(cls, field: Field, value: int, T: int) -> "TruncSeries":
-        return cls(field, (value,), T)
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        f = self.field
-        return TruncSeries(
-            f, (f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)), self.T
-        )
+def series_sub(field: Field, a, b):
+    return tuple(map(xor if field.p == 2 else field.sub, a, b))
 
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        f = self.field
-        return TruncSeries(
-            f, (f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)), self.T
-        )
 
-    def __neg__(self) -> "TruncSeries":
-        f = self.field
-        return TruncSeries(f, (f.neg(a) for a in self.coeffs), self.T)
+def series_scale(field: Field, c: int, a):
+    """c a, through the log/exp tables."""
+    if not c:
+        return (0,) * len(a)
+    exp, log, lc = field._exp, field._log, field._log[c]
+    return tuple(exp[lc + log[x]] if x else 0 for x in a)
 
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        f = self.field
-        out = [0] * (self.T + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.T:
+
+def series_qth_power(field: Field, a):
+    """(sum c_k t^k)^q = sum c_k^q t^(kq) in characteristic p."""
+    q, frob = field.q, field._frob
+    out = [0] * len(a)
+    out[::q] = [frob[c] for c in a[: (len(a) - 1) // q + 1]]
+    return tuple(out)
+
+
+def series_order(a):
+    """Index of the first nonzero coefficient, or None through t^T."""
+    return next((k for k, c in enumerate(a) if c), None)
+
+
+def series_mul(field: Field, a, b):
+    """The product truncated at t^T: each pair of nonzero coefficients is
+    one exp[log x + log y], and pairs beyond t^T are never formed."""
+    T = len(a) - 1
+    exp, log = field._exp, field._log
+    lb = [(j, log[y]) for j, y in enumerate(b) if y]
+    out = [0] * (T + 1)
+    add = None if field.p == 2 else field.add
+    for i, x in enumerate(a):
+        if x:
+            lx = log[x]
+            for j, ly in lb:
+                k = i + j
+                if k > T:
                     break
-                if b:
-                    out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return TruncSeries(f, out, self.T)
-
-    def scale(self, c: int) -> "TruncSeries":
-        f = self.field
-        return TruncSeries(f, (f.mul(c, a) for a in self.coeffs), self.T)
-
-    def qth_power(self) -> "TruncSeries":
-        # (sum c_k t^k)^q = sum c_k^q t^(kq) in characteristic p
-        f = self.field
-        out = [0] * (self.T + 1)
-        for k, c in enumerate(self.coeffs):
-            if c and k * f.q <= self.T:
-                out[k * f.q] = f.frobenius(c)
-        return TruncSeries(f, out, self.T)
-
-    def at_zero(self) -> int:
-        return self.coeffs[0]
-
-    def order(self):
-        """Index of the first nonzero coefficient, or None through t^T."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return None
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncSeries({self.coeffs})"
+                if add is None:
+                    out[k] ^= exp[lx + ly]
+                else:
+                    out[k] = add(out[k], exp[lx + ly])
+    return tuple(out)
 
 
-def series_matrix_as(M):
-    """Entrywise Artin-Schreier map on a series matrix."""
-    return [[x - x.qth_power() for x in row] for row in M]
+def series_matrix_as(field: Field, M):
+    """Entrywise Artin-Schreier map x - x^q on a series matrix."""
+    return [[series_sub(field, x, series_qth_power(field, x)) for x in row] for row in M]
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +295,21 @@ def transversality_check(field: Field, s: int, t: int, a: int, b: int, A) -> boo
 def valuation_probe(divisor_eq, probe, defining_eqs=()):
     """The t-adic order of a local equation along a probe curve.
 
-    divisor_eq maps the probe (a matrix of truncated series) to a series;
-    each defining equation must vanish identically along the probe, which is
-    how membership in the ambient variety is certified to truncation order.
+    divisor_eq maps the probe (a matrix of series) to a series; each
+    defining equation must vanish identically along the probe, which is how
+    membership in the ambient variety is certified to truncation order.
     Returns the order, or INFINITE when every tracked coefficient vanishes.
     """
     for eq in defining_eqs:
         r = eq(probe)
-        if not r.is_zero():
-            raise NotOnVarietyError("probe leaves the variety at order %s" % r.order())
+        if any(r):
+            raise NotOnVarietyError("probe leaves the variety at order %s" % series_order(r))
     s = divisor_eq(probe)
-    k = s.order()
+    k = series_order(s)
     if k is None:
         return INFINITE
-    if k >= s.T:
-        raise TruncationTooShortError(f"order reached truncation {s.T}")
+    if k >= len(s) - 1:
+        raise TruncationTooShortError(f"order reached truncation {len(s) - 1}")
     return k
 
 
@@ -345,38 +321,33 @@ def hensel_lift_probe(field: Field, A_series, B0):
     """The unique curve upstairs through B0 whose Artin-Schreier image is the
     given downstairs curve.  Requires AS(B0) to equal the curve at t=0.
 
-    Additivity of x - x^q makes the correction a telescoping sum of iterated
-    q-power images, which terminates within the truncation order.
+    Additivity of x - x^q makes the correction the sum of the iterated
+    q-power images of the curve minus its base: coefficient a_j at t^j adds
+    a_j^(q^r) at t^(j q^r) for every r while j q^r stays within t^T.
     """
-    T = A_series[0][0].T
-    AS_B0 = artin_schreier(field, B0)
-    rows = len(B0)
-    cols = len(B0[0]) if rows else 0
+    T = len(A_series[0][0]) - 1
+    add, frob, q = _adder(field), field._frob, field.q
     out = []
-    for i in range(rows):
+    for a_row, b_row, as_row in zip(A_series, B0, artin_schreier(field, B0)):
         orow = []
-        for j in range(cols):
-            R = A_series[i][j] - TruncSeries.const(field, AS_B0[i][j], T)
-            if R.at_zero() != 0:
+        for a, b, c in zip(a_row, b_row, as_row):
+            if a[0] != c:
                 raise FiberEmptyError("fiber point does not sit over the curve base")
-            eps = TruncSeries.const(field, 0, T)
-            term = R
-            while not term.is_zero():
-                eps = eps + term
-                term = term.qth_power()
-            orow.append(TruncSeries.const(field, B0[i][j], T) + eps)
+            eps = [b] + [0] * T
+            for j in range(1, T + 1):
+                x, k = a[j], j
+                while x and k <= T:
+                    eps[k] = add(eps[k], x)
+                    x, k = frob[x], k * q
+            orow.append(tuple(eps))
         out.append(orow)
     return out
 
 
-def random_series(field: Field, rng, T: int, const: int = 0, lead=None) -> TruncSeries:
-    """Random series with prescribed constant term; lead pins coefficient 1."""
-    coeffs = [const]
-    first = rng.randrange(field.order) if lead is None else lead
-    coeffs.append(first)
-    for _ in range(2, T + 1):
-        coeffs.append(rng.randrange(field.order))
-    return TruncSeries(field, coeffs, T)
+def random_series(field: Field, rng, T: int, const: int = 0):
+    """Random series with prescribed constant term: one draw per coefficient
+    of t through t^T."""
+    return (const, *(rng.randrange(field.order) for _ in range(T)))
 
 
 def rank1_curve(field: Field, rng, A0, T: int):
@@ -399,7 +370,7 @@ def rank1_curve(field: Field, rng, A0, T: int):
     u0 = [field.mul(A0[i][j0], pivot_inv) for i in range(rows)]
     u = [random_series(field, rng, T, const=u0[i]) for i in range(rows)]
     v = [random_series(field, rng, T, const=v0[j]) for j in range(cols)]
-    return [[u[i] * v[j] for j in range(cols)] for i in range(rows)]
+    return [[series_mul(field, ui, vj) for vj in v] for ui in u]
 
 
 def minor_equations(field: Field, rows: int, cols: int):
@@ -408,7 +379,8 @@ def minor_equations(field: Field, rows: int, cols: int):
     for i1, i2 in combinations(range(rows), 2):
         for j1, j2 in combinations(range(cols), 2):
             def eq(M, i1=i1, i2=i2, j1=j1, j2=j2):
-                return M[i1][j1] * M[i2][j2] - M[i1][j2] * M[i2][j1]
+                return series_sub(field, series_mul(field, M[i1][j1], M[i2][j2]),
+                                  series_mul(field, M[i1][j2], M[i2][j1]))
             eqs.append(eq)
     return eqs
 
@@ -515,11 +487,6 @@ def schubert_adapted_chart(
     raise NotOnVarietyError("no adapted chart found for this Schubert center")
 
 
-def _curve_first_order(field: Field, A_curve):
-    """The t-coefficient matrix of a series matrix."""
-    return [[s.coeffs[1] for s in row] for row in A_curve]
-
-
 def schubert_multiplicity_probe(
     field: Field, N: int, n: int, W: Subspace, L0: Subspace, component, rng, centers=None
 ):
@@ -558,14 +525,20 @@ def schubert_multiplicity_probe(
             # d/dt of B(w'_J) is sum_i c_i Adot[i]
             return any(pairing(field, c, col) for col in zip(*Adot))
 
-    minors = [lambda M, e=e: e(series_matrix_as(M)) for e in minor_equations(field, n, width)]
+    minors = minor_equations(field, n, width)
+
+    def on_locus(M):
+        # the first nonzero minor of the Artin-Schreier image, built once
+        AS_M = series_matrix_as(field, M)
+        return next((r for r in (e(AS_M) for e in minors) if any(r)), ())
 
     def attempt(T):
         A_curve = rank1_curve(field, rng, A0, T)
-        if not crosses(_curve_first_order(field, A_curve)):
+        if not crosses([[s[1] for s in row] for row in A_curve]):
             return None
         probe = hensel_lift_probe(field, A_curve, B0)
-        order = valuation_probe(lambda M: M[ai][bj], probe, defining_eqs=minors)
+        order = valuation_probe(lambda M: M[ai][bj], probe,
+                                defining_eqs=[on_locus] if minors else ())
         return None if order == INFINITE else order
 
     return _retry_probe(attempt, default_truncation(field))
@@ -574,7 +547,8 @@ def schubert_multiplicity_probe(
 # ---------------------------------------------------------------------------
 # multiplicity probe for divisor pullbacks along partial Frobeniuses
 
-def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, rng):
+def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, rng,
+                              charts=None):
     """Orders of the local equation of the J-type flag component, and of its
     Frobenius pullback, along a random curve on the chart model of flags.
 
@@ -584,6 +558,8 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
     J sits inside the graph of B; the Frobenius factorization of the two
     partial Frobeniuses pulls its equation back to its entrywise q-power.
     The base flag must lie on the component.  Returns (order, pulled_order).
+    charts maps each rational W to its canonical chart, filled here as
+    probes reach a new W; a caller that probes many flags passes one dict.
     """
     width = N - n
     L0 = flag.small
@@ -592,7 +568,11 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
               if intersection_dim(W, J) == 0 and intersection_dim(W, L0) == 0), None)
     if W is None:
         raise NotOnVarietyError("no chart is transversal to both J and the point")
-    chart = canonical_chart(field, W)
+    if charts is None:
+        charts = {}
+    if W not in charts:
+        charts[W] = canonical_chart(field, W)
+    chart = charts[W]
     B0 = chart.coordinates(L0)
     A0 = artin_schreier(field, B0)
     H0 = intersect(flag.big, W)
@@ -613,35 +593,37 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
         raise NotOnVarietyError("base point is off the component")
 
     def component_eq(M):
-        out = None
-        for i in range(n):
-            if c[i]:
-                term = M[i][jstar].scale(c[i])
-                out = term if out is None else out + term
-        return out - TruncSeries.const(field, d[jstar], out.T)
+        # sum_i c_i B[i][jstar] - d[jstar]
+        out = (0,) * len(M[0][0])
+        for ci, row in zip(c, M):
+            if ci:
+                out = series_add(field, out, series_scale(field, ci, row[jstar]))
+        return (field.sub(out[0], d[jstar]),) + out[1:]
 
     def attempt(T):
         h_curve = [random_series(field, rng, T, const=h0[j]) for j in range(width)]
         a_curve = [random_series(field, rng, T, const=a0[i]) for i in range(n)]
-        if pairing(field, c, [a.coeffs[1] for a in a_curve]) == 0:
+        if pairing(field, c, [a[1] for a in a_curve]) == 0:
             return None
-        A_curve = [[a_curve[i] * h_curve[j] for j in range(width)] for i in range(n)]
+        A_curve = [[series_mul(field, a, h) for h in h_curve] for a in a_curve]
         probe = hensel_lift_probe(field, A_curve, B0)
 
         def on_model(M):
             # rows of B - B^(q) must stay proportional to the moving line
-            AS_M = series_matrix_as(M)
-            for i in range(n):
+            AS_M = series_matrix_as(field, M)
+            for row in AS_M:
                 for j in range(width):
                     if j == jstar:
                         continue
-                    m = AS_M[i][j] * h_curve[jstar] - AS_M[i][jstar] * h_curve[j]
-                    if not m.is_zero():
+                    m = series_sub(field, series_mul(field, row[j], h_curve[jstar]),
+                                   series_mul(field, row[jstar], h_curve[j]))
+                    if any(m):
                         return m
-            return TruncSeries.const(field, 0, T)
+            return ()
 
-        order = valuation_probe(component_eq, probe, defining_eqs=[on_model])
-        pulled = valuation_probe(lambda M: component_eq(M).qth_power(), probe)
+        eq = component_eq(probe)
+        order = valuation_probe(lambda M: eq, probe, defining_eqs=[on_model])
+        pulled = valuation_probe(lambda M: series_qth_power(field, eq), probe)
         if order == INFINITE or pulled == INFINITE:
             return None
         return order, pulled

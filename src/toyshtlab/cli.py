@@ -133,6 +133,8 @@ def _decode(w: dict, *keys):
 def check_chart_equivalence(params: dict, seed: int):
     F = _field(params, default_m=2)
     N, n = int(params["N"]), int(params["n"])
+    if not 0 <= n <= N:
+        raise DimensionMismatchError(f"need 0 <= n <= N, got n={n} with N={N}")
     budget = _gate(F.order ** (n * (N - n)), params, "matrices per chart")
     counters = {"charts": 0, "matrices": 0}
     witnesses = []

@@ -323,9 +323,15 @@ def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, locus)
     return out
 
 
+def _check_divisor_type(divisor_type: str) -> None:
+    if divisor_type not in ("H", "J"):
+        raise ValueError(f"divisor type must be 'H' or 'J', got {divisor_type!r}")
+
+
 def on_component(f: FlagPoint, marker: Subspace, divisor_type: str) -> bool:
     """Whether the flag lies on the marker's horospherical component: inside
     the hyperplane for divisor_type "H", through the line for "J"."""
+    _check_divisor_type(divisor_type)
     if divisor_type == "H":
         return marker.contains(f.big) and marker.contains(f.small)
     return f.small.contains(marker) and f.big.contains(marker)
@@ -378,6 +384,7 @@ def partial_frobenius_divisor_pullback_check(
     component against the shift by one.  The H case is probed on the dual
     model, where perpendicularity turns it into a J case.
     """
+    _check_divisor_type(divisor_type)
     flags = list(enumerate_flags(field, N, n, "right", budget=budget))
     marker_dim = N - 1 if divisor_type == "H" else 1
     markers = rational_subspaces(field, N, marker_dim, budget)
@@ -386,6 +393,7 @@ def partial_frobenius_divisor_pullback_check(
               "mode": "exhaustive"}
     if rng is not None and 1 <= n <= N - 2:
         report["mode"] = "probabilistic"
+        charts = {}  # one canonical chart per probed W
         for mk, comp in zip(markers, comps):
             if not comp:
                 continue
@@ -402,6 +410,6 @@ def partial_frobenius_divisor_pullback_check(
                     # mirrored level; only the drawn flag is mapped
                     f = FlagPoint(perp(f.big), perp(f.small), "right")
                     f.validate()
-                orders.append(jtype_flag_pullback_probe(field, N, level, line, f, rng))
+                orders.append(jtype_flag_pullback_probe(field, N, level, line, f, rng, charts))
             report["probes"][key] = orders
     return report

@@ -3,12 +3,12 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toyshtlab.charts import (
     INFINITE,
     Chart,
     SchubertCenters,
-    TruncSeries,
     artin_schreier,
     canonical_chart,
     chart_equivalence_check,
@@ -19,7 +19,13 @@ from toyshtlab.charts import (
     rank_le1,
     schubert_adapted_chart,
     schubert_multiplicity_probe,
+    series_add,
     series_matrix_as,
+    series_mul,
+    series_order,
+    series_qth_power,
+    series_scale,
+    series_sub,
     transversality_check,
     valuation_probe,
 )
@@ -196,45 +202,84 @@ def test_transversality_preconditions():
 # --- truncated series -------------------------------------------------------
 
 
+def _series(coeffs, T):
+    """A coefficient tuple through t^T, zero-padded."""
+    return tuple(coeffs) + (0,) * (T + 1 - len(coeffs))
+
+
 def test_series_arithmetic_and_qth_power():
-    t = TruncSeries(F4, (0, 1), 8)
+    t = _series((0, 1), 8)
     g = F4.generator
-    s = TruncSeries(F4, (g, 1, g), 8)
-    assert (s * t).coeffs[1] == g
-    assert (s + s).is_zero()  # characteristic 2
-    p = s.qth_power()
-    assert p.coeffs[0] == F4.frobenius(g)
-    assert p.coeffs[2] == 1 and p.coeffs[1] == 0
+    s = _series((g, 1, g), 8)
+    assert series_mul(F4, s, t)[1] == g
+    assert not any(series_add(F4, s, s))  # characteristic 2
+    p = series_qth_power(F4, s)
+    assert p[0] == F4.frobenius(g)
+    assert p[2] == 1 and p[1] == 0
+
+
+SERIES_FIELDS = {"F4": F4, "F8": field_make(2, 1, 3), "F9": F9, "F25": field_make(5, 1, 2)}
+
+
+def _schoolbook_mul(field, a, b):
+    T = len(a) - 1
+    out = [0] * (T + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= T:
+                out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SERIES_FIELDS)), st.integers(0, 12), st.data())
+def test_series_kernel_matches_schoolbook(name, T, data):
+    # the log/exp product, the xor or Zech sums and the q-th power against
+    # field.mul and field.add, the q-th power as q schoolbook products
+    field = SERIES_FIELDS[name]
+    coeff = st.one_of(st.just(0), st.integers(0, field.order - 1))
+    a, b = (tuple(data.draw(st.lists(coeff, min_size=T + 1, max_size=T + 1)))
+            for _ in range(2))
+    c = data.draw(coeff)
+    assert series_mul(field, a, b) == _schoolbook_mul(field, a, b)
+    assert series_add(field, a, b) == tuple(map(field.add, a, b))
+    assert series_sub(field, a, b) == tuple(map(field.sub, a, b))
+    assert series_scale(field, c, a) == tuple(field.mul(c, x) for x in a)
+    power = _series((1,), T)
+    for _ in range(field.q):
+        power = _schoolbook_mul(field, power, a)
+    assert series_qth_power(field, a) == power
+    assert series_order(a) == next((k for k, x in enumerate(a) if x), None)
 
 
 def test_valuation_probe_basics():
-    t = TruncSeries(F4, (0, 1), 6)
+    t = _series((0, 1), 6)
     probe = [[t]]
     assert valuation_probe(lambda M: M[0][0], probe) == 1
-    zero = [[TruncSeries(F4, (), 6)]]
+    zero = [[_series((), 6)]]
     assert valuation_probe(lambda M: M[0][0], zero) == INFINITE
-    tip = [[TruncSeries(F4, (0,) * 6 + (1,), 6)]]
+    tip = [[_series((0,) * 6 + (1,), 6)]]
     with pytest.raises(TruncationTooShortError):
         valuation_probe(lambda M: M[0][0], tip)
 
 
 def test_valuation_probe_rejects_off_variety_curves():
-    t = TruncSeries(F4, (0, 1), 6)
+    t = _series((0, 1), 6)
     probe = [[t]]
     with pytest.raises(NotOnVarietyError):
         valuation_probe(lambda M: M[0][0], probe, defining_eqs=[lambda M: M[0][0]])
 
 
 def _eval_poly(field, poly, point):
-    """poly: list of (coeff, exponent tuple); point: list of TruncSeries."""
-    T = point[0].T
-    acc = TruncSeries.const(field, 0, T)
+    """poly: list of (coeff, exponent tuple); point: list of coefficient tuples."""
+    T = len(point[0]) - 1
+    acc = _series((), T)
     for coeff, exps in poly:
-        term = TruncSeries.const(field, coeff, T)
+        term = _series((coeff,), T)
         for x, e in zip(point, exps):
             for _ in range(e):
-                term = term * x
-        acc = acc + term
+                term = series_mul(field, term, x)
+        acc = series_add(field, acc, term)
     return acc
 
 
@@ -250,16 +295,14 @@ def test_frobenius_composition_multiplies_valuation_by_q():
             (1 + rng.randrange(3), tuple(rng.randrange(3) for _ in range(k)))
             for _ in range(rng.randrange(1, 4))
         ]
-        curve = [
-            TruncSeries(F4, [rng.randrange(4) for _ in range(5)], T) for _ in range(k)
-        ]
-        twisted = [
-            TruncSeries(F4, [F4.frobenius(c) for c in s.coeffs], T) for s in curve
-        ]
-        base = _eval_poly(F4, poly, twisted).order()
+        curve = [_series([rng.randrange(4) for _ in range(5)], T) for _ in range(k)]
+        twisted = [_series([F4.frobenius(c) for c in s], T) for s in curve]
+        base = series_order(_eval_poly(F4, poly, twisted))
         if base is None or base * F4.q >= T:
             continue
-        composed = _eval_poly(F4, poly, [s.qth_power() for s in curve]).order()
+        composed = series_order(
+            _eval_poly(F4, poly, [series_qth_power(F4, s) for s in curve])
+        )
         assert composed == base * F4.q
         hits += 1
 
@@ -267,36 +310,44 @@ def test_frobenius_composition_multiplies_valuation_by_q():
 def test_hensel_lift_constant_curve():
     B0 = ((F4.generator, 1),)
     A0 = artin_schreier(F4, B0)
-    curve = [[TruncSeries.const(F4, x, 5) for x in row] for row in A0]
+    curve = [[_series((x,), 5) for x in row] for row in A0]
     lift = hensel_lift_probe(F4, curve, B0)
     for i, row in enumerate(lift):
         for j, s in enumerate(row):
-            assert s.coeffs[0] == B0[i][j]
-            assert all(c == 0 for c in s.coeffs[1:])
+            assert s[0] == B0[i][j]
+            assert all(c == 0 for c in s[1:])
 
 
-def test_hensel_lift_residual_vanishes():
-    rng = random.Random(9)
+def _assert_hensel_residual_vanishes(field, rng):
     for _ in range(20):
-        B0 = tuple(tuple(rng.randrange(4) for _ in range(2)) for _ in range(2))
-        A0 = artin_schreier(F4, B0)
+        B0 = tuple(tuple(rng.randrange(field.order) for _ in range(2)) for _ in range(2))
+        A0 = artin_schreier(field, B0)
         curve = [
             [
-                TruncSeries(F4, [A0[i][j]] + [rng.randrange(4) for _ in range(5)], 5)
+                tuple([A0[i][j]] + [rng.randrange(field.order) for _ in range(5)])
                 for j in range(2)
             ]
             for i in range(2)
         ]
-        lift = hensel_lift_probe(F4, curve, B0)
-        back = series_matrix_as(lift)
+        lift = hensel_lift_probe(field, curve, B0)
+        back = series_matrix_as(field, lift)
         for i in range(2):
             for j in range(2):
                 assert back[i][j] == curve[i][j]
 
 
+def test_hensel_lift_residual_vanishes():
+    _assert_hensel_residual_vanishes(F4, random.Random(9))
+
+
+def test_hensel_lift_residual_vanishes_over_f9():
+    # odd p: the lift sums through Zech adds, and x - x^3 moves t^j to t^(3j)
+    _assert_hensel_residual_vanishes(F9, random.Random(9))
+
+
 def test_hensel_lift_requires_matching_base():
     B0 = ((0, 0),)
-    curve = [[TruncSeries(F4, (1, 1), 5), TruncSeries(F4, (0, 1), 5)]]
+    curve = [[_series((1, 1), 5), _series((0, 1), 5)]]
     with pytest.raises(FiberEmptyError):
         hensel_lift_probe(F4, curve, B0)
 
@@ -307,8 +358,8 @@ def test_rank1_curve_stays_on_locus():
     assert rank_le1(F4, A0)
     curve = rank1_curve(F4, rng, A0, 6)
     for eq in minor_equations(F4, 2, 2):
-        assert eq(curve).is_zero()
-    assert [[s.coeffs[0] for s in row] for row in curve] == [list(r) for r in A0]
+        assert not any(eq(curve))
+    assert [[s[0] for s in row] for row in curve] == [list(r) for r in A0]
 
 
 # --- multiplicity probes ----------------------------------------------------
@@ -339,6 +390,20 @@ def test_jtype_flag_probe_orders():
     for f in flags:
         v_id, v_frob = jtype_flag_pullback_probe(F4, 3, 1, J, f, rng)
         assert (v_id, v_frob) == (1, F4.q)
+
+
+def test_jtype_flag_probe_orders_over_f9():
+    # odd p: the component equation subtracts its base value by a Zech add
+    rng = random.Random(23)
+    J = echelonize(F9, [(1, 0, 0)], 3)
+    flags = [
+        f
+        for f in enumerate_flags(F9, 3, 1, "right")
+        if f.small.contains(J) and f.big.contains(J)
+    ]
+    assert flags
+    for f in flags:
+        assert jtype_flag_pullback_probe(F9, 3, 1, J, f, rng) == (1, F9.q)
 
 
 def test_jtype_flag_probe_wider_level():

@@ -381,6 +381,36 @@ def test_check_exceptions_become_reports():
     assert not replay_witness({**w, "params": {**w["params"], "budget": 100}})
 
 
+@pytest.mark.parametrize("n", [4, -1])
+def test_chart_equivalence_names_a_level_out_of_range(n):
+    # checked before the matrix gate, which a negative level would pass as a float
+    r = run(CheckSpec("chart_equivalence", {"p": 2, "e": 1, "m": 2, "N": 3, "n": n}))
+    assert r.verdict == "fail"
+    (w,) = r.counters["witnesses"]
+    assert (w["kind"], w["type"]) == ("exception", "DimensionMismatchError")
+    assert f"n={n}" in w["message"] and "N=3" in w["message"]
+    assert replay_witness(w)
+    assert not replay_witness({**w, "params": {**w["params"], "n": 1}})
+
+
+@pytest.mark.parametrize("bad", ["X", "h"])
+def test_pullback_multiplicity_rejects_an_unknown_type(bad):
+    spec = CheckSpec("pullback_multiplicity", {"p": 2, "e": 1, "m": 2, "N": 3, "n": 1, "type": bad})
+    r = run(spec)
+    assert r.verdict == "fail"
+    (w,) = r.counters["witnesses"]
+    assert (w["kind"], w["type"]) == ("exception", "ValueError")
+    assert replay_witness(w)
+    # a set witness with the same bad type does not replay as either type
+    f = next(iter(toysht.enumerate_flags(F4, 3, 1, "right")))
+    sound = {"kind": "pullback_set", "check": spec.name, "seed": 0,
+             "params": {**w["params"], "type": "J"},
+             "small": f.small.basis, "big": f.big.basis, "marker": f.small.basis}
+    assert replay_witness(sound) is False
+    with pytest.raises(ValueError, match="divisor type"):
+        replay_witness({**sound, "params": w["params"]})
+
+
 def schubert_witness(kind, N, W_rows, L_rows):
     """A stamped witness as it reads back from a JSON report."""
     W, L = echelonize(F4, W_rows, N), echelonize(F4, L_rows, N)

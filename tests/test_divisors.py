@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from toyshtlab import divisors
-from toyshtlab.charts import jtype_flag_pullback_probe
+from toyshtlab import charts, divisors
+from toyshtlab.charts import canonical_chart, jtype_flag_pullback_probe
 from toyshtlab.divisors import (
     HoroDivisor,
     PAdicRational,
@@ -373,6 +373,31 @@ def test_h_pullback_maps_only_the_drawn_flags(monkeypatch):
     markers = len(rational_subspaces(F4, 4, 3))
     assert rep["probes"] and rep["set_failures"] == []
     assert len(calls) <= 2 * divisors.PROBE_REPEATS * markers + markers
+
+
+@pytest.mark.parametrize("divisor_type", ["H", "J"])
+def test_pullback_probes_build_one_chart_per_w(divisor_type, monkeypatch):
+    # the J-probe charts are built once per rational W the probes reach,
+    # not once per probe
+    built = []
+
+    def counted(field, W):
+        built.append(W)
+        return canonical_chart(field, W)
+
+    monkeypatch.setattr(charts, "canonical_chart", counted)
+    rep = partial_frobenius_divisor_pullback_check(F4, 4, 2, divisor_type, rng=random.Random(0))
+    probes = sum(len(orders) for orders in rep["probes"].values())
+    assert probes > len(built) == len(set(built)) > 0
+
+
+def test_pullback_check_rejects_an_unknown_type():
+    for bad in ("X", "h", ""):
+        with pytest.raises(ValueError, match="divisor type"):
+            partial_frobenius_divisor_pullback_check(F4, 3, 1, bad, rng=random.Random(0))
+        f = next(iter(enumerate_flags(F4, 3, 1, "right")))
+        with pytest.raises(ValueError, match="divisor type"):
+            on_component(f, f.small, bad)
 
 
 def test_divisor_data_must_cover_all_lines():
