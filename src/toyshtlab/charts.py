@@ -12,8 +12,9 @@ t-adic order of a local equation along such lifted curves.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, product
-from operator import xor
+from operator import getitem, xor
 
 from .errors import (
     DimensionMismatchError,
@@ -209,49 +210,50 @@ def rank_le1(field: Field, A) -> bool:
     return True
 
 
-def _graph_predicate(field: Field, N: int, n: int, chart: Chart):
-    """is_toy_shtuka on the graph of a matrix of the chart.  On point sets
-    it spans the raw graph rows and their twists, with no elimination: the
+def _graph_predicate(field: Field, N: int, n: int, chart: Chart, verdicts=None):
+    """is_toy_shtuka on the graph of a matrix A (a tuple of row tuples) of
+    the chart.  On point sets each graph row w'_i + sum_j a_j w_j is packed
+    once per row value a, and the rows are spanned with no elimination: the
     bases are rational, so sigma(graph A) is the graph of A^(q), and the
-    graph G is toy iff |G cap sigma G| * order >= |G|."""
+    graph G is toy iff |G cap sigma G| * order >= |G|.  verdicts maps each
+    point set met to its verdict, so a graph met before, in this chart or
+    another of F^N, spans once; a sweep of many charts passes one dict."""
     if n <= 1 or n >= N:
         return lambda A: True
     pk = packing(field, N)
     if pk is None:
         return lambda A: is_toy_shtuka(chart.graph(A))
-    wp = [pk.pack(v) for v in chart.wp_basis]
     w = [pk.multiples[pk.pack(v)] for v in chart.w_basis]
-    fr = field.frobenius
-    size = field.order**n
-
-    def graph_points(A):
-        rows = []
-        for row, A_i in zip(wp, A):
-            for w_j, c in zip(w, A_i):
-                row ^= w_j[c]
-            rows.append(row)
-        return pk.span(rows)
+    values = list(product(field.elements(), repeat=N - n))
+    rows = [{a: reduce(xor, map(getitem, w, a), pk.pack(wp)) for a in values}
+            for wp in chart.wp_basis]
+    verdicts = {} if verdicts is None else verdicts
+    fr, size = field.frobenius, field.order**n
 
     def predicate(A):
-        twist = [map(fr, A_i) for A_i in A]
-        return (graph_points(A) & graph_points(twist)).bit_count() * field.order >= size
+        G = pk.span([t[a] for t, a in zip(rows, A)])
+        if G not in verdicts:
+            twist = pk.span([t[tuple(map(fr, a))] for t, a in zip(rows, A)])
+            verdicts[G] = (G & twist).bit_count() * field.order >= size
+        return verdicts[G]
 
     return predicate
 
 
-def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart) -> dict:
+def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart, verdicts=None) -> dict:
     """Compare the intrinsic toy predicate on graphs with the chart-side
-    rank condition on Artin-Schreier images, over every matrix."""
-    width = N - n
-    counter = {"checked": 0, "counterexamples": []}
-    elems = tuple(field.elements())
-    is_toy_graph = _graph_predicate(field, N, n, chart)
-    for flat in product(elems, repeat=n * width):
-        A = tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(n))
-        lhs = is_toy_graph(A)
-        rhs = rank_le1(field, artin_schreier(field, A))
-        counter["checked"] += 1
-        if lhs != rhs:
+    rank condition on Artin-Schreier images, over every matrix, as n-tuples
+    of row values; verdicts is as in _graph_predicate."""
+    if (chart.N, chart.n) != (N, n):
+        raise DimensionMismatchError(f"chart of (N, n) = {chart.N, chart.n}, check of {N, n}")
+    # the row values, and their Artin-Schreier images; for n = 0 the one
+    # matrix is (), so no row is formed
+    rows = list(product(field.elements(), repeat=(N - n) * (n > 0)))
+    as_rows = {a: artin_schreier(field, (a,))[0] for a in rows}
+    counter = {"checked": len(rows) ** n, "counterexamples": []}
+    is_toy_graph = _graph_predicate(field, N, n, chart, verdicts)
+    for A in product(rows, repeat=n):
+        if is_toy_graph(A) != rank_le1(field, tuple(as_rows[a] for a in A)):
             counter["counterexamples"].append(A)
     return counter
 
@@ -411,13 +413,15 @@ class SchubertCenters:
     rational M of codimension n with M cap W of codimension n+1, paired with
     its adapted chart.  None of this depends on the probed point, so one
     index serves every probe of W; it is filled lazily, one center at a
-    time, only as far as the searches through it reach.
+    time, only as far as the searches through it reach.  normals keeps a
+    normal vector of each hyperplane H probed, taken once per H.
     """
 
     def __init__(self, field: Field, N: int, n: int, W: Subspace):
         self.field, self.N, self.n, self.W = field, N, n, W
         self._rest = iter(rational_subspaces(field, N, N - n))
         self._found = []
+        self.normals = {}
 
     def __iter__(self):
         i = 0
@@ -500,6 +504,8 @@ def schubert_multiplicity_probe(
     schubert_adapted_chart.
     """
     kind, sub = component
+    if centers is None:
+        centers = SchubertCenters(field, N, n, W)
     chart, (ai, bj) = schubert_adapted_chart(field, N, n, W, L0, centers)
     B0 = chart.coordinates(L0)
     if B0 is None or B0[ai][bj] != 0:
@@ -510,7 +516,9 @@ def schubert_multiplicity_probe(
     width = N - n
 
     if kind == "H":
-        phi = perp(sub).basis[0]
+        if sub not in centers.normals:
+            centers.normals[sub] = perp(sub).basis[0]
+        phi = centers.normals[sub]
         # phi(w_j) for each center basis vector
         phi_w = [pairing(field, phi, w) for w in chart.w_basis]
 

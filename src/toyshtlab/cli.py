@@ -137,9 +137,9 @@ def check_chart_equivalence(params: dict, seed: int):
         raise DimensionMismatchError(f"need 0 <= n <= N, got n={n} with N={N}")
     budget = _gate(F.order ** (n * (N - n)), params, "matrices per chart")
     counters = {"charts": 0, "matrices": 0}
-    witnesses = []
+    witnesses, verdicts = [], {}
     for W in rational_subspaces(F, N, N - n, budget):
-        rep = charts.chart_equivalence_check(F, N, n, charts.canonical_chart(F, W))
+        rep = charts.chart_equivalence_check(F, N, n, charts.canonical_chart(F, W), verdicts)
         counters["charts"] += 1
         counters["matrices"] += rep["checked"]
         witnesses += [{"kind": "chart_mismatch", "W": W.basis, "A": A}

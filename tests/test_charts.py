@@ -161,6 +161,14 @@ def test_chart_equivalence_small(N, n):
         assert rep["checked"] == 4 ** (n * (N - n))
 
 
+@pytest.mark.parametrize("N,n", [(3, 1), (3, 2), (4, 1)])
+def test_chart_equivalence_rejects_a_chart_of_another_shape(N, n):
+    # a chart of F^3, or one with n = 1, checked as (N, n) = (4, 2)
+    chart = canonical_chart(F4, next(iter(rational_subspaces(F4, N, N - n))))
+    with pytest.raises(DimensionMismatchError, match=rf"\({N}, {n}\).*\(4, 2\)"):
+        chart_equivalence_check(F4, 4, 2, chart)
+
+
 def test_chart_equivalence_m1_all_trivial():
     W = echelonize(F2, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)
     rep = chart_equivalence_check(F2, 4, 2, canonical_chart(F2, W))

@@ -246,6 +246,38 @@ def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
         assert len(calls) == r.counters["charts"] < r.counters["matrices"]
 
 
+def test_chart_sweep_spans_each_graph_once(monkeypatch):
+    # F_4, N = 4, n = 2: 35 charts of 256 matrices meet 357 subspaces; each
+    # matrix spans its graph, and only a graph not met before spans its twist
+    calls = []
+    original = linalg.Packing.span
+
+    def counted(self, rows):
+        calls.append(rows)
+        return original(self, rows)
+
+    monkeypatch.setattr(linalg.Packing, "span", counted)
+    r = run(CheckSpec("chart_equivalence", {**F4P, "N": 4, "n": 2}))
+    assert r.verdict == "pass" and r.counters["matrices"] == 8960
+    assert len(calls) <= 8960 + 357
+
+
+def test_schubert_probes_take_one_normal_per_component(monkeypatch):
+    # F_4, N = 4, n = 2 at seed 0: 105 (W, H) components, each probed
+    # several times, and one perp per component
+    calls = []
+    original = charts.perp
+
+    def counted(sub):
+        calls.append(sub)
+        return original(sub)
+
+    monkeypatch.setattr(charts, "perp", counted)
+    r = run(CheckSpec("schubert_decomposition", {**F4P, "N": 4, "n": 2}, seed=0))
+    assert r.verdict == "pass"
+    assert 0 < len(calls) <= 105
+
+
 def test_dichotomy_verdict_survives_optimized_python():
     # python -O strips assert statements; a broken quotient test must still
     # fail, on the test each characteristic runs: point sets at p = 2 and the
@@ -272,7 +304,8 @@ def test_replays_do_not_read_point_sets(monkeypatch):
     # a defect of the point-set kernel fails the checks, but its witnesses do
     # not replay: the replays decide by rank
     monkeypatch.setattr(toysht, "_quotient_fixed", lambda L, S, LW, SW: False)
-    monkeypatch.setattr(charts, "_graph_predicate", lambda F, N, n, chart: lambda A: False)
+    monkeypatch.setattr(charts, "_graph_predicate",
+                        lambda F, N, n, chart, verdicts: lambda A: False)
     for spec in (CheckSpec("dichotomy", {**F4P, "N": 3}),
                  CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": 2})):
         r = run(spec)
