@@ -176,14 +176,21 @@ class Chart:
         return tuple(r[n:] for r in rows)
 
 
+_canonical: dict = {}
+
+
 def canonical_chart(field: Field, W: Subspace) -> Chart:
-    """The chart centered at rational W, completed by standard basis vectors."""
-    N = W.ambient_dim
-    pivset = set(W.pivots)
-    wp = [
-        tuple(1 if k == j else 0 for k in range(N)) for j in range(N) if j not in pivset
-    ]
-    return Chart(field, N, W.basis, wp)
+    """The chart centered at rational W, completed by standard basis vectors:
+    one per field value and W, built on first use and shared after."""
+    key = (*field.key, W)
+    if key not in _canonical:
+        N = W.ambient_dim
+        pivset = set(W.pivots)
+        wp = [
+            tuple(1 if k == j else 0 for k in range(N)) for j in range(N) if j not in pivset
+        ]
+        _canonical[key] = Chart(field, N, W.basis, wp)
+    return _canonical[key]
 
 
 def artin_schreier(field: Field, A):
@@ -210,14 +217,14 @@ def rank_le1(field: Field, A) -> bool:
     return True
 
 
-def _graph_predicate(field: Field, N: int, n: int, chart: Chart, verdicts=None):
+def _graph_predicate(field: Field, N: int, n: int, chart: Chart):
     """is_toy_shtuka on the graph of a matrix A (a tuple of row tuples) of
     the chart.  On point sets each graph row w'_i + sum_j a_j w_j is packed
     once per row value a, and the rows are spanned with no elimination: the
     bases are rational, so sigma(graph A) is the graph of A^(q), and the
-    graph G is toy iff |G cap sigma G| * order >= |G|.  verdicts maps each
-    point set met to its verdict, so a graph met before, in this chart or
-    another of F^N, spans once; a sweep of many charts passes one dict."""
+    graph G is toy iff |G cap sigma G| * order >= |G|.  The verdict of each
+    point set is kept in the Packing's verdicts, so a graph met before, in
+    this chart or another of F^N, spans once."""
     if n <= 1 or n >= N:
         return lambda A: True
     pk = packing(field, N)
@@ -227,8 +234,7 @@ def _graph_predicate(field: Field, N: int, n: int, chart: Chart, verdicts=None):
     values = list(product(field.elements(), repeat=N - n))
     rows = [{a: reduce(xor, map(getitem, w, a), pk.pack(wp)) for a in values}
             for wp in chart.wp_basis]
-    verdicts = {} if verdicts is None else verdicts
-    fr, size = field.frobenius, field.order**n
+    verdicts, fr, size = pk.verdicts, field.frobenius, field.order**n
 
     def predicate(A):
         G = pk.span([t[a] for t, a in zip(rows, A)])
@@ -240,10 +246,10 @@ def _graph_predicate(field: Field, N: int, n: int, chart: Chart, verdicts=None):
     return predicate
 
 
-def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart, verdicts=None) -> dict:
+def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart) -> dict:
     """Compare the intrinsic toy predicate on graphs with the chart-side
     rank condition on Artin-Schreier images, over every matrix, as n-tuples
-    of row values; verdicts is as in _graph_predicate."""
+    of row values."""
     if (chart.N, chart.n) != (N, n):
         raise DimensionMismatchError(f"chart of (N, n) = {chart.N, chart.n}, check of {N, n}")
     # the row values, and their Artin-Schreier images; for n = 0 the one
@@ -251,7 +257,7 @@ def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart, verdicts
     rows = list(product(field.elements(), repeat=(N - n) * (n > 0)))
     as_rows = {a: artin_schreier(field, (a,))[0] for a in rows}
     counter = {"checked": len(rows) ** n, "counterexamples": []}
-    is_toy_graph = _graph_predicate(field, N, n, chart, verdicts)
+    is_toy_graph = _graph_predicate(field, N, n, chart)
     for A in product(rows, repeat=n):
         if is_toy_graph(A) != rank_le1(field, tuple(as_rows[a] for a in A)):
             counter["counterexamples"].append(A)
@@ -467,11 +473,9 @@ class SchubertCenters:
         return Chart(field, N, list(MW.basis) + [w0], [u] + extra)
 
 
-def schubert_adapted_chart(
-    field: Field, N: int, n: int, W: Subspace, L0: Subspace, centers=None
-):
-    """A chart containing L0 in which the Schubert equation for W is the
-    single graph coordinate (0, N-n-1).
+def schubert_adapted_chart(centers: SchubertCenters, L0: Subspace):
+    """A chart containing L0 in which the Schubert equation for the W of
+    centers is the single graph coordinate (0, N-n-1).
 
     The center M is rational of codimension n with M cap W of codimension
     n+1; the complement starts with a vector of W, so the degeneracy locus
@@ -479,34 +483,26 @@ def schubert_adapted_chart(
     first such M, in center order, that meets L0 trivially, which is one
     intersection_dim test.  Such an M lies in no hyperplane through L0, as
     its dimension N - n plus dim L0 already fills the space.
-    centers is W's SchubertCenters, built here when not given; a caller
-    that probes one W many times passes one index to every call.
     """
-    if centers is None:
-        centers = SchubertCenters(field, N, n, W)
     for M, chart in centers:
         if intersection_dim(M, L0):
             continue
-        return chart, (0, N - n - 1)
+        return chart, (0, centers.N - centers.n - 1)
     raise NotOnVarietyError("no adapted chart found for this Schubert center")
 
 
-def schubert_multiplicity_probe(
-    field: Field, N: int, n: int, W: Subspace, L0: Subspace, component, rng, centers=None
-):
+def schubert_multiplicity_probe(centers: SchubertCenters, L0: Subspace, component, rng):
     """Order of the Schubert equation along a random toy-locus curve through
-    the nontrivial point L0 on the Schubert divisor of W.
+    the nontrivial point L0 on the Schubert divisor of the W of centers.
 
     component is ("H", hyperplane) or ("J", line), naming the horospherical
     piece through L0; the curve direction is resampled until its first-order
     part crosses that component, an affine-linear certificate independent of
-    the probed equation.  centers is W's SchubertCenters, as in
-    schubert_adapted_chart.
+    the probed equation.
     """
     kind, sub = component
-    if centers is None:
-        centers = SchubertCenters(field, N, n, W)
-    chart, (ai, bj) = schubert_adapted_chart(field, N, n, W, L0, centers)
+    field, N, n = centers.field, centers.N, centers.n
+    chart, (ai, bj) = schubert_adapted_chart(centers, L0)
     B0 = chart.coordinates(L0)
     if B0 is None or B0[ai][bj] != 0:
         raise NotOnVarietyError("base point is not on the Schubert divisor in its chart")
@@ -555,8 +551,7 @@ def schubert_multiplicity_probe(
 # ---------------------------------------------------------------------------
 # multiplicity probe for divisor pullbacks along partial Frobeniuses
 
-def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, rng,
-                              charts=None):
+def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, rng):
     """Orders of the local equation of the J-type flag component, and of its
     Frobenius pullback, along a random curve on the chart model of flags.
 
@@ -566,8 +561,6 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
     J sits inside the graph of B; the Frobenius factorization of the two
     partial Frobeniuses pulls its equation back to its entrywise q-power.
     The base flag must lie on the component.  Returns (order, pulled_order).
-    charts maps each rational W to its canonical chart, filled here as
-    probes reach a new W; a caller that probes many flags passes one dict.
     """
     width = N - n
     L0 = flag.small
@@ -576,11 +569,7 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
               if intersection_dim(W, J) == 0 and intersection_dim(W, L0) == 0), None)
     if W is None:
         raise NotOnVarietyError("no chart is transversal to both J and the point")
-    if charts is None:
-        charts = {}
-    if W not in charts:
-        charts[W] = canonical_chart(field, W)
-    chart = charts[W]
+    chart = canonical_chart(field, W)
     B0 = chart.coordinates(L0)
     A0 = artin_schreier(field, B0)
     H0 = intersect(flag.big, W)

@@ -137,9 +137,9 @@ def check_chart_equivalence(params: dict, seed: int):
         raise DimensionMismatchError(f"need 0 <= n <= N, got n={n} with N={N}")
     budget = _gate(F.order ** (n * (N - n)), params, "matrices per chart")
     counters = {"charts": 0, "matrices": 0}
-    witnesses, verdicts = [], {}
+    witnesses = []
     for W in rational_subspaces(F, N, N - n, budget):
-        rep = charts.chart_equivalence_check(F, N, n, charts.canonical_chart(F, W), verdicts)
+        rep = charts.chart_equivalence_check(F, N, n, charts.canonical_chart(F, W))
         counters["charts"] += 1
         counters["matrices"] += rep["checked"]
         witnesses += [{"kind": "chart_mismatch", "W": W.basis, "A": A}
@@ -175,6 +175,8 @@ def check_trivial_locus_count(params: dict, seed: int):
 def _replay_trivial_locus(w: dict) -> bool:
     F, N, L = _decode(w, "rows")
     n, budget = int(w["params"]["n"]), _budget(w["params"])
+    if L.dim != n:
+        raise DimensionMismatchError(f"rows span dimension {L.dim}, expected {n}")
     return toysht.is_trivial(L) != (L in rational_subspaces(F, N, n, budget))
 
 
@@ -196,7 +198,7 @@ def check_dichotomy(params: dict, seed: int):
     witnesses = []
     subs = [W for d in range(N + 1) for W in rational_subspaces(F, N, d, budget)]
     for n in range(1, N):
-        for pt in toysht.enumerate_toysht(F, N, n, budget=budget):
+        for pt in toysht.toy_points(F, N, n, budget):
             for W in subs:
                 try:
                     toysht.dichotomy_check(pt, W)
@@ -255,7 +257,7 @@ def check_schubert_decomposition(params: dict, seed: int):
     vacuous = True
     locus = divisors.toy_locus(F, N, n, budget=budget)
     for W in rational_subspaces(F, N, N - n, budget):
-        rep = divisors.schubert_decomposition_check(F, N, n, W, rng=rng, locus=locus)
+        rep = divisors.schubert_decomposition_check(F, N, n, W, locus, rng=rng)
         counters["centers"] += 1
         counters["points"] += rep["points"]
         vacuous = vacuous and rep["vacuous"]
@@ -484,8 +486,7 @@ def check_selftest_negated(params: dict, seed: int):
     nontrivial point is trivial and must therefore fail with a witness."""
     F = _field(params, default_m=2)
     N = int(params.get("N", 2))
-    points = toysht.enumerate_toysht(F, N, 1, nontrivial_only=True, budget=_budget(params))
-    for pt in points:
+    for pt in toysht.toy_points(F, N, 1, _budget(params)):
         if not toysht.is_trivial(pt.L):
             return "exhaustive", {}, [{"kind": "negated_trivial", "rows": pt.L.basis}]
     return "exhaustive", {}, []
@@ -494,7 +495,10 @@ def check_selftest_negated(params: dict, seed: int):
 def _replay_negated_trivial(w: dict) -> bool:
     F = _field(w["params"], default_m=2)
     N = int(w["params"].get("N", 2))
-    return not toysht.is_trivial(echelonize(F, _vectors(F, N, w["rows"]), N))
+    L = echelonize(F, _vectors(F, N, w["rows"]), N)
+    if L.dim != 1:
+        raise DimensionMismatchError(f"rows span dimension {L.dim}, expected 1")
+    return not toysht.is_trivial(L)
 
 
 def _replay_rerun(w: dict) -> bool:

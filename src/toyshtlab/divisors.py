@@ -26,9 +26,9 @@ from .linalg import (
 from .toysht import (
     FlagPoint,
     enumerate_flags,
-    enumerate_toysht,
     horospherical_membership,
     partial_frobenius_plus,
+    toy_points,
 )
 
 # multiplicity probes drawn per Schubert component and per pullback marker
@@ -155,7 +155,7 @@ def _gather(positions):
 def _incidence_entry(field: Field, N: int):
     """The cache entry of the field's value and N: (incidence_lists,
     incidence_index)."""
-    tag = (field.p, field.e, field.m, field.modulus, N)
+    tag = (*field.key, N)
     if tag not in _incidence_cache:
         keys = [L.basis[0] for L in rational_subspaces(field, N, 1)]
         inc = {hk: [jk for jk in keys if pairing(field, hk, jk) == 0] for hk in keys}
@@ -232,31 +232,26 @@ def schubert_deficit(L: Subspace, W: Subspace) -> int:
 
 
 def toy_locus(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> list:
-    """The nontrivial toy points of dimension n in enumeration order, each as
-    (point, rational hyperplanes containing L, rational lines inside L)."""
+    """The nontrivial toy points of dimension n in enumeration order, read
+    from toy_points, each as (point, rational hyperplanes containing L,
+    rational lines inside L)."""
     return [
         (pt, *horospherical_membership(pt))
-        for pt in enumerate_toysht(field, N, n, nontrivial_only=True, budget=budget)
+        for pt in toy_points(field, N, n, budget)
+        if not pt.L.is_rational()
     ]
 
 
 def schubert_decomposition_check(
-    field: Field,
-    N: int,
-    n: int,
-    W: Subspace,
-    rng=None,
-    locus=None,
+    field: Field, N: int, n: int, W: Subspace, locus: list, rng=None
 ) -> dict:
     """Set-level equality of the Schubert locus with the union of
     horospherical pieces for W, the codimension-two bound on the deeper
     degeneracy locus, and sampled multiplicity-one probes.
 
-    locus is toy_locus(field, N, n), enumerated here when not given; callers
-    that sweep several centers pass one locus to every call.
+    locus is toy_locus(field, N, n); a sweep of several centers passes one
+    locus to every call.
     """
-    if locus is None:
-        locus = toy_locus(field, N, n)
     hyperplanes = [H for H in rational_subspaces(field, N, N - 1) if H.contains(W)]
     lines = [J for J in rational_subspaces(field, N, 1) if W.contains(J)]
     hyper_set, line_set = set(hyperplanes), set(lines)
@@ -316,9 +311,7 @@ def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, locus)
         orders = []
         for _ in range(PROBE_REPEATS):
             L0 = pts[rng.randrange(len(pts))]
-            orders.append(
-                schubert_multiplicity_probe(field, N, n, W, L0, component, rng, centers)
-            )
+            orders.append(schubert_multiplicity_probe(centers, L0, component, rng))
         out[(kind, sub.basis)] = orders
     return out
 
@@ -393,7 +386,6 @@ def partial_frobenius_divisor_pullback_check(
               "mode": "exhaustive"}
     if rng is not None and 1 <= n <= N - 2:
         report["mode"] = "probabilistic"
-        charts = {}  # one canonical chart per probed W
         for mk, comp in zip(markers, comps):
             if not comp:
                 continue
@@ -410,6 +402,6 @@ def partial_frobenius_divisor_pullback_check(
                     # mirrored level; only the drawn flag is mapped
                     f = FlagPoint(perp(f.big), perp(f.small), "right")
                     f.validate()
-                orders.append(jtype_flag_pullback_probe(field, N, level, line, f, rng, charts))
+                orders.append(jtype_flag_pullback_probe(field, N, level, line, f, rng))
             report["probes"][key] = orders
     return report

@@ -150,6 +150,11 @@ class Field:
         self.subfield = tuple(x for x in range(order) if self._frob[x] == x)
         assert len(self.subfield) == self.q, "Frobenius fixed field has wrong size"
 
+    @property
+    def key(self) -> tuple:
+        """The field's value (p, e, m, modulus), the key of every per-value cache."""
+        return (self.p, self.e, self.m, self.modulus)
+
     def _find_modulus(self, seed: int) -> tuple[int, ...]:
         p, d = self.p, self.degree
         total = p**d

@@ -158,9 +158,10 @@ class Packing:
     """The vectors of F^N, for p = 2, packed into ints with log2(order) bits
     per coordinate, coordinate i in bits from i * log2(order) on: vector
     addition is xor, and multiples[v][c] is c * v.  A point set is an int
-    with bit v set for each packed vector v it holds."""
+    with bit v set for each packed vector v it holds.  verdicts maps each
+    point set a chart sweep has decided to its toy verdict."""
 
-    __slots__ = ("shifts", "multiples")
+    __slots__ = ("shifts", "multiples", "verdicts")
 
     def __init__(self, field: Field, N: int):
         self.shifts = tuple(field.degree * i for i in range(N))
@@ -172,6 +173,7 @@ class Packing:
                 table = [(y << sh) | low for y in times_c for low in table]
             scaled.append(table)
         self.multiples = list(zip(*scaled))
+        self.verdicts = {}
 
     def pack(self, vec) -> int:
         return sum(x << sh for x, sh in zip(vec, self.shifts))
@@ -195,7 +197,7 @@ def packing(field: Field, N: int):
     None for odd p or order**N above POINT_SET_MAX."""
     if field.p != 2 or field.order**N > POINT_SET_MAX:
         return None
-    key = (field.p, field.e, field.m, field.modulus, N)
+    key = (*field.key, N)
     if key not in _packings:
         _packings[key] = Packing(field, N)
     return _packings[key]
@@ -366,7 +368,7 @@ def rational_subspaces(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_
     shared after, as its subspaces are immutable; the budget is checked on
     every call."""
     _gate(N, n, field.q, budget)
-    key = (field.p, field.e, field.m, field.modulus, N, n)
+    key = (*field.key, N, n)
     if key not in _rational:
         _rational[key] = tuple(_echelon_bases(field, N, n, field.subfield_elements()))
     return _rational[key]

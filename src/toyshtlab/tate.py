@@ -52,7 +52,7 @@ class FiniteTateModel:
         self.D = D
         self.c = c
         self.c_star = -c - D
-        self._key = (field.p, field.e, field.m, field.modulus, D, c)
+        self._key = (*field.key, D, c)
         self._vectors = None
         self._line_index = None
         self._lines = None

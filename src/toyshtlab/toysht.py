@@ -1,6 +1,7 @@
 """Toy shtukas over F_{q^m}: the defining rank-at-most-one predicate, the
-trivial/nontrivial dichotomy, left/right flags, partial Frobeniuses, and
-membership in horospherical loci.
+toy locus indexed once per field value (toy_points), the trivial/nontrivial
+dichotomy, left/right flags, partial Frobeniuses, and membership in
+horospherical loci.
 
 A point is a subspace L of F_{q^m}^N whose intersection with its coordinate
 Frobenius twist sigma(L) has codimension at most one in L.  Nontrivial points
@@ -28,6 +29,7 @@ from .linalg import (
     DEFAULT_ENUM_BUDGET,
     QuotientMap,
     Subspace,
+    _gate,
     echelonize,
     enumerate_grassmannian,
     intersection_dim,
@@ -112,15 +114,26 @@ def is_trivial(L: Subspace) -> bool:
     return L.is_rational()
 
 
-def enumerate_toysht(
-    field: Field, N: int, n: int, nontrivial_only: bool = False, budget: int = DEFAULT_ENUM_BUDGET
-):
+def enumerate_toysht(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
     """Stream the toy shtuka points of dimension n over F_{q^m}."""
     for L in enumerate_grassmannian(field, N, n, budget=budget):
-        if nontrivial_only and L.is_rational():
-            continue
         if is_toy_shtuka(L):
             yield ToyPoint(L)
+
+
+_toy_index: dict = {}
+
+
+def toy_points(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
+    """The toy shtuka points of dimension n over F_{q^m}, as a tuple in
+    enumerate_toysht order: one per field value and (N, n), as
+    rational_subspaces, built on first use and shared after, so the points'
+    cached flags are shared too; the budget is checked on every call."""
+    _gate(N, n, field.order, budget)
+    key = (*field.key, N, n)
+    if key not in _toy_index:
+        _toy_index[key] = tuple(enumerate_toysht(field, N, n, budget))
+    return _toy_index[key]
 
 
 def split_nontrivial(point: ToyPoint):
@@ -212,26 +225,20 @@ def enumerate_flags(
     (n+1)-dimensional cover; left flags at level n pair an (n-1)-dimensional
     base with an n-dimensional toy point.  Over a nontrivial point the
     partner is forced; over a trivial one it ranges over a projective fiber.
-    The budget bounds the points and each fiber, as in enumerate_toysht.
+    The budget bounds the points (toy_points) and each fiber.
     """
-    if kind == "right":
-        for pt in enumerate_toysht(field, N, n, budget=budget):
-            if is_trivial(pt.L):
-                for big in superspaces_one_more(pt.L, budget):
-                    yield FlagPoint(pt.L, big, "right")
-            else:
-                _, total = split_nontrivial(pt)
-                yield FlagPoint(pt.L, total, "right")
-    elif kind == "left":
-        for pt in enumerate_toysht(field, N, n, budget=budget):
-            if is_trivial(pt.L):
-                for small in subspaces_one_less(pt.L, budget):
-                    yield FlagPoint(small, pt.L, "left")
-            else:
-                inter, _ = split_nontrivial(pt)
-                yield FlagPoint(inter, pt.L, "left")
-    else:
+    if kind not in ("left", "right"):
         raise InvalidFlagError(f"unknown kind {kind!r}")
+    right = kind == "right"
+    for pt in toy_points(field, N, n, budget):
+        if is_trivial(pt.L):
+            fiber = superspaces_one_more if right else subspaces_one_less
+            partners = fiber(pt.L, budget)
+        else:
+            inter, total = split_nontrivial(pt)
+            partners = (total if right else inter,)
+        for other in partners:
+            yield FlagPoint(pt.L, other, kind) if right else FlagPoint(other, pt.L, kind)
 
 
 def _in_line(field: Field, v, l) -> bool:

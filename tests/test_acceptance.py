@@ -96,8 +96,9 @@ def test_criterion_04_schubert_decomposition():
     probe_count = 0
     for N in (3, 4):
         for n in range(1, N):
+            locus = divisors.toy_locus(F, N, n)
             for W in rational_subspaces(F, N, N - n):
-                rep = divisors.schubert_decomposition_check(F, N, n, W, rng=rng)
+                rep = divisors.schubert_decomposition_check(F, N, n, W, locus, rng=rng)
                 assert rep["counterexamples"] == [], (N, n, W.basis)
                 assert rep["codim2_failures"] == [], (N, n, W.basis)
                 assert not rep["vacuous"]

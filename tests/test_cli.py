@@ -246,6 +246,25 @@ def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
         assert len(calls) == r.counters["charts"] < r.counters["matrices"]
 
 
+def test_toy_locus_is_enumerated_once(monkeypatch):
+    # dichotomy (levels 1, 2) and partial_frobenius_composition (levels
+    # 0..3) on F_4, N = 3, twice and at two seeds, read one toy index: one
+    # enumeration per level
+    calls = []
+    original = toysht.enumerate_toysht
+
+    def counted(field, N, n, *args, **kwargs):
+        calls.append((N, n))
+        return original(field, N, n, *args, **kwargs)
+
+    monkeypatch.setattr(toysht, "enumerate_toysht", counted)
+    for _ in range(2):
+        for seed in (0, 1):
+            for name in ("dichotomy", "partial_frobenius_composition"):
+                assert run(CheckSpec(name, {**F4P, "N": 3}, seed)).verdict == "pass"
+    assert sorted(calls) == [(3, n) for n in range(4)]
+
+
 def test_chart_sweep_spans_each_graph_once(monkeypatch):
     # F_4, N = 4, n = 2: 35 charts of 256 matrices meet 357 subspaces; each
     # matrix spans its graph, and only a graph not met before spans its twist
@@ -305,7 +324,7 @@ def test_replays_do_not_read_point_sets(monkeypatch):
     # not replay: the replays decide by rank
     monkeypatch.setattr(toysht, "_quotient_fixed", lambda L, S, LW, SW: False)
     monkeypatch.setattr(charts, "_graph_predicate",
-                        lambda F, N, n, chart, verdicts: lambda A: False)
+                        lambda F, N, n, chart: lambda A: False)
     for spec in (CheckSpec("dichotomy", {**F4P, "N": 3}),
                  CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": 2})):
         r = run(spec)
@@ -495,7 +514,7 @@ def test_schubert_codim2_replay():
         schubert_witness("schubert_codim2", 5, [(1, g, 0, 0, 0), (0, 0, 0, 1, 0),
                                                 (0, 0, 0, 0, 1)], L)
     )
-    pt = next(iter(enumerate_toysht(F4, 4, 2, nontrivial_only=True)))
+    pt = next(pt for pt in enumerate_toysht(F4, 4, 2) if not pt.L.is_rational())
     assert replay_witness(schubert_witness("schubert_codim2", 4, pt.L.basis, pt.L.basis))
 
 
@@ -512,6 +531,14 @@ MALFORMED_ROWS = {
                               "L": [[1, 0]], "W": [[1, 0, 0]]}, DimensionMismatchError),
     "trivial_locus_entry": ({"kind": "trivial_locus", "params": {**F4N3, "n": 1},
                              "rows": [[1, 7, 0]]}, ValueError),
+    "trivial_locus_line": ({"kind": "trivial_locus", "params": {**F4N3, "n": 2},
+                            "rows": [[1, 0, 0]]}, DimensionMismatchError),
+    "trivial_locus_space": ({"kind": "trivial_locus", "params": {**F4N3, "n": 2},
+                             "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                            DimensionMismatchError),
+    # a nontrivial plane, where the check runs at level 1
+    "negated_trivial_plane": ({"kind": "negated_trivial", "params": F4N3,
+                               "rows": [[1, 2, 0], [0, 0, 1]]}, DimensionMismatchError),
     "chart_mismatch_entry": ({"kind": "chart_mismatch", "params": {**F4N3, "n": 1},
                               "W": CHART_W, "A": [[9, 0]]}, ValueError),
     "chart_mismatch_float": ({"kind": "chart_mismatch", "params": {**F4N3, "n": 1},

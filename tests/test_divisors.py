@@ -4,7 +4,7 @@ import random
 import pytest
 
 from toyshtlab import charts, divisors
-from toyshtlab.charts import canonical_chart, jtype_flag_pullback_probe
+from toyshtlab.charts import jtype_flag_pullback_probe
 from toyshtlab.divisors import (
     HoroDivisor,
     PAdicRational,
@@ -24,7 +24,12 @@ from toyshtlab.divisors import (
 from toyshtlab.errors import DimensionMismatchError, SumNotZeroError
 from toyshtlab.gf import Field, field_make
 from toyshtlab.linalg import echelonize, gauss_binomial, intersect, perp, rational_subspaces
-from toyshtlab.toysht import FlagPoint, enumerate_flags, enumerate_toysht
+from toyshtlab.toysht import (
+    FlagPoint,
+    enumerate_flags,
+    enumerate_toysht,
+    horospherical_membership,
+)
 
 F2 = field_make(2, 1, 1)
 F3 = field_make(3, 1, 1)
@@ -230,7 +235,7 @@ def test_schubert_decomposition_n3():
     rng = random.Random(19)
     for n, rows in ((1, [(0, 1, 0), (0, 0, 1)]), (2, [(1, 0, 0)])):
         W = echelonize(F4, rows, 3)
-        rep = schubert_decomposition_check(F4, 3, n, W, rng=rng)
+        rep = schubert_decomposition_check(F4, 3, n, W, toy_locus(F4, 3, n), rng=rng)
         assert rep["counterexamples"] == []
         assert rep["codim2_failures"] == []
         assert not rep["vacuous"]
@@ -240,19 +245,22 @@ def test_schubert_decomposition_n3():
 
 
 def test_schubert_decomposition_same_with_shared_locus():
-    # the shared locus must not move a single rng draw
+    # the locus read from the shared toy index, one for every center, must
+    # not move a single rng draw against one streamed afresh per center
     locus = toy_locus(F4, 3, 1)
     for k, W in enumerate(rational_subspaces(F4, 3, 2)):
         own, shared = random.Random(k), random.Random(k)
-        rep = schubert_decomposition_check(F4, 3, 1, W, rng=own)
-        assert rep == schubert_decomposition_check(F4, 3, 1, W, rng=shared, locus=locus)
+        streamed = [(pt, *horospherical_membership(pt)) for pt in enumerate_toysht(F4, 3, 1)
+                    if not pt.L.is_rational()]
+        rep = schubert_decomposition_check(F4, 3, 1, W, streamed, rng=own)
+        assert rep == schubert_decomposition_check(F4, 3, 1, W, locus, rng=shared)
         assert own.getstate() == shared.getstate()
         assert rep["probes"]
 
 
 def test_schubert_decomposition_vacuous_over_prime_field():
     W = echelonize(F2, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)
-    rep = schubert_decomposition_check(F2, 4, 2, W, rng=random.Random(0))
+    rep = schubert_decomposition_check(F2, 4, 2, W, toy_locus(F2, 4, 2), rng=random.Random(0))
     assert rep["vacuous"] and rep["points"] == 0
 
 
@@ -381,11 +389,14 @@ def test_pullback_probes_build_one_chart_per_w(divisor_type, monkeypatch):
     # not once per probe
     built = []
 
-    def counted(field, W):
-        built.append(W)
-        return canonical_chart(field, W)
+    class Counted(charts.Chart):
+        __slots__ = ()
 
-    monkeypatch.setattr(charts, "canonical_chart", counted)
+        def __init__(self, field, N, w_basis, wp_basis):
+            built.append(tuple(w_basis))
+            super().__init__(field, N, w_basis, wp_basis)
+
+    monkeypatch.setattr(charts, "Chart", Counted)
     rep = partial_frobenius_divisor_pullback_check(F4, 4, 2, divisor_type, rng=random.Random(0))
     probes = sum(len(orders) for orders in rep["probes"].values())
     assert probes > len(built) == len(set(built)) > 0

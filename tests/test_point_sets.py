@@ -83,21 +83,21 @@ def test_dichotomy_matches_ranks_exhaustive(F, N, pairs):
 
 
 def test_chart_predicate_matches_ranks_exhaustive():
-    # every chart and matrix of the F_4, N = 4, n = 2 chart_equivalence sweep,
-    # with one memo across the charts, as the check passes it: verdicts read
-    # from the memo are compared too
+    # every chart and matrix of the F_4, N = 4, n = 2 chart_equivalence sweep;
+    # the charts share the verdicts kept on the Packing, so verdicts read
+    # from it are compared too
     N, n = 4, 2
-    verdicts, memo = 0, {}
+    verdicts = 0
     for W in rational_subspaces(F4, N, N - n):
         chart = canonical_chart(F4, W)
-        predicate = _graph_predicate(F4, N, n, chart, memo)
+        predicate = _graph_predicate(F4, N, n, chart)
         for flat in product(range(F4.order), repeat=n * (N - n)):
             A = (flat[:2], flat[2:])
             assert predicate(A) == is_toy_shtuka_by_rank(chart.graph(A))
             verdicts += 1
     assert verdicts == 8960
     # one entry per subspace met: the 2-subspaces of F_4^4
-    assert len(memo) == 357
+    assert len(packing(F4, N).verdicts) == 357
 
 
 # F_8^2, the largest space over F_8 with point sets, and F_16^2, at the bound

@@ -66,7 +66,7 @@ def test_schubert_probe_draws_pinned(kind):
         centers = SchubertCenters(F4, N, n, W)
         got = []
         for L0 in clean[comp][:3]:
-            order = schubert_multiplicity_probe(F4, N, n, W, L0, comp, rng, centers)
+            order = schubert_multiplicity_probe(centers, L0, comp, rng)
             got.append((order, _digest(rng)))
         assert got == pins, (kind, seed)
 

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toyshtlab import linalg
-from toyshtlab.errors import InvalidFlagError, NotAToyShtukaError, TrivialPointError
+from toyshtlab.errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    InvalidFlagError,
+    NotAToyShtukaError,
+    TrivialPointError,
+)
 from toyshtlab.gf import field_make
 from toyshtlab.linalg import (
     QuotientMap,
@@ -25,6 +31,7 @@ from toyshtlab.toysht import (
     partial_frobenius_minus,
     partial_frobenius_plus,
     split_nontrivial,
+    toy_points,
 )
 
 from helpers import full_space, image_subspace, zero_subspace
@@ -39,6 +46,11 @@ F16 = field_make(2, 1, 4)
 # intersection condition, and the Frobenius-fixed ones among them
 TOYSHT_4_2_F4_TOTAL = 245
 TOYSHT_4_2_F4_NONTRIVIAL = 210
+
+
+def nontrivial(F, N, n):
+    """The nontrivial toy points, in enumeration order."""
+    return [pt for pt in enumerate_toysht(F, N, n) if not is_trivial(pt.L)]
 
 
 def test_rational_subspaces_are_toy_and_trivial():
@@ -102,7 +114,7 @@ def test_census_against_stacked_rank_oracle():
 
 
 def test_nontrivial_count_p1():
-    pts = list(enumerate_toysht(F4, 2, 1, nontrivial_only=True))
+    pts = nontrivial(F4, 2, 1)
     assert len(pts) == 2  # lines of P^1(F_4) away from P^1(F_2)
 
 
@@ -116,24 +128,40 @@ def test_trivial_locus_is_rational_grassmannian(N, n):
     assert len(trivial) == gauss_binomial(N, n, 2)
 
 
+def test_toy_points_index_the_enumeration():
+    pts = toy_points(F4, 3, 1)
+    assert [p.L for p in pts] == [p.L for p in enumerate_toysht(F4, 3, 1)]
+    # one tuple per field value, N and n
+    assert toy_points(field_make(2, 1, 2, seed=1), 3, 1) is pts
+    assert toy_points(F4, 3, 2) is not pts
+
+
+def test_cached_toy_points_keep_the_budget():
+    assert len(toy_points(F4, 3, 1)) == gauss_binomial(3, 1, 4) == 21
+    with pytest.raises(BudgetExceededError):
+        toy_points(F4, 3, 1, budget=20)
+    with pytest.raises(DimensionMismatchError):
+        toy_points(F4, 3, 4)
+
+
 def test_degenerate_levels():
     assert is_toy_shtuka(zero_subspace(F4, 3))
     assert is_toy_shtuka(full_space(F4, 3))
     pts = list(enumerate_toysht(F4, 3, 0))
     assert len(pts) == 1
-    assert not list(enumerate_toysht(F4, 3, 0, nontrivial_only=True))
-    assert not list(enumerate_toysht(F4, 3, 3, nontrivial_only=True))
+    assert not nontrivial(F4, 3, 0)
+    assert not nontrivial(F4, 3, 3)
 
 
 def test_split_nontrivial_dims_and_flags():
-    for pt in enumerate_toysht(F4, 3, 2, nontrivial_only=True):
+    for pt in nontrivial(F4, 3, 2):
         inter, total = split_nontrivial(pt)
         assert inter.dim == 1 and total.dim == 3
         left = FlagPoint(inter, pt.L, "left")
         left.validate()
         right = FlagPoint(pt.L, total, "right")
         right.validate()
-    for pt in enumerate_toysht(F4, 4, 2, nontrivial_only=True):
+    for pt in nontrivial(F4, 4, 2):
         inter, total = split_nontrivial(pt)
         assert (inter.dim, total.dim) == (1, 3)
 
@@ -146,7 +174,7 @@ def test_split_rejects_trivial():
 
 def test_left_right_identification_is_a_bijection():
     # nontrivial left flags <-> nontrivial points <-> nontrivial right flags
-    pts = {p.L for p in enumerate_toysht(F4, 3, 2, nontrivial_only=True)}
+    pts = {p.L for p in nontrivial(F4, 3, 2)}
     rights = [f for f in enumerate_flags(F4, 3, 2, "right") if not is_trivial(f.small)]
     lefts = [f for f in enumerate_flags(F4, 3, 2, "left") if not is_trivial(f.big)]
     assert {f.small for f in rights} == pts and len(rights) == len(pts)
@@ -201,7 +229,7 @@ def test_duality_toy_iff_perp_toy():
 
 
 def test_dichotomy_trivial_cases():
-    pt = next(iter(enumerate_toysht(F4, 3, 2, nontrivial_only=True)))
+    pt = nontrivial(F4, 3, 2)[0]
     flags = dichotomy_check(pt, zero_subspace(F4, 3))
     assert flags["sub_fixed"]
     flags = dichotomy_check(pt, full_space(F4, 3))
@@ -237,13 +265,13 @@ def test_deep_interior_nonempty():
     F8 = field_make(2, 1, 3)
     flags = [
         not any(horospherical_membership(p))
-        for p in enumerate_toysht(F8, 3, 1, nontrivial_only=True)
+        for p in nontrivial(F8, 3, 1)
     ]
     assert any(flags)  # generic points avoid all horospherical loci
     assert not all(flags)
     assert not any(
         not any(horospherical_membership(p))
-        for p in enumerate_toysht(F4, 3, 1, nontrivial_only=True)
+        for p in nontrivial(F4, 3, 1)
     )
 
 
@@ -282,7 +310,7 @@ def test_rank_form_dichotomy_exhaustive_n3(field):
 
 
 def test_flag_is_cached_and_rejects_non_toy_points():
-    pt = next(iter(enumerate_toysht(F4, 4, 2, nontrivial_only=True)))
+    pt = nontrivial(F4, 4, 2)[0]
     assert split_nontrivial(pt) is pt.flag
     assert pt.flag == (
         intersect(pt.L, pt.sigma_L),
