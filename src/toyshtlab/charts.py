@@ -25,7 +25,9 @@ from .errors import (
 from .gf import Field
 from .linalg import (
     Subspace,
+    combine,
     echelonize,
+    extend,
     intersect,
     intersection_dim,
     packing,
@@ -142,26 +144,13 @@ class Chart:
     def coords(self, v):
         """The c with sum_i c_i B_i = v, the W' part then the W part: the
         product v B^-1, as a sum of rows of the inverse."""
-        f = self.field
-        c = (0,) * self.N
-        for x, row in zip(v, self.inverse):
-            if x:
-                c = tuple(f.add(y, f.mul(x, r)) for y, r in zip(c, row))
-        return c
+        return combine(self.field, v, self.inverse, self.N)
 
     def graph(self, A) -> Subspace:
         """The subspace with matrix A in this chart."""
-        f = self.field
-        rows = []
-        for i, wp in enumerate(self.wp_basis):
-            v = list(wp)
-            for j, w in enumerate(self.w_basis):
-                c = A[i][j]
-                if c:
-                    for k in range(self.N):
-                        v[k] = f.add(v[k], f.mul(c, w[k]))
-            rows.append(tuple(v))
-        return echelonize(f, rows, self.N)
+        rows = [combine(self.field, (1, *a), (wp, *self.w_basis), self.N)
+                for wp, a in zip(self.wp_basis, A)]
+        return echelonize(self.field, rows, self.N)
 
     def coordinates(self, L: Subspace):
         """Matrix of L in this chart, or None when L meets W: in chart
@@ -455,22 +444,16 @@ class SchubertCenters:
             return None
 
         def rational_outside(A: Subspace, B: Subspace):
-            return next(
-                v for v in A.vectors()
-                if any(v) and all(field.in_subfield(x) for x in v) and not B.contains_vector(v)
-            )
+            # A is rational, so its rational vectors are the F_q-combinations
+            # of its echelon basis, met in the order of A.vectors()
+            combos = product(field.subfield, repeat=A.dim)
+            return next(v for v in (combine(field, c, A.basis, N) for c in combos)
+                        if not B.contains_vector(v))
 
         w0, u = rational_outside(M, W), rational_outside(W, MW)
         span = echelonize(field, list(MW.basis) + [w0, u], N)
-        extra = []
-        for j in range(N):
-            if span.dim == N:
-                break
-            e = tuple(1 if k == j else 0 for k in range(N))
-            if not span.contains_vector(e):
-                extra.append(e)
-                span = echelonize(field, list(span.basis) + [e], N)
-        return Chart(field, N, list(MW.basis) + [w0], [u] + extra)
+        standard = (tuple(int(k == j) for k in range(N)) for j in range(N))
+        return Chart(field, N, list(MW.basis) + [w0], [u, *extend(span, standard)])
 
 
 def schubert_adapted_chart(centers: SchubertCenters, L0: Subspace):

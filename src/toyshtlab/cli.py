@@ -307,10 +307,7 @@ def _radon_space(params: dict):
 
 def _radon_round_trips(F, N: int, n: int, vals, denom: int) -> bool:
     """Whether radon_backward inverts radon_forward at vals / p**denom on the line keys."""
-    keys = divisors.line_keys(F, N)
-    if len(vals) != len(keys):
-        raise DimensionMismatchError(f"expected {len(keys)} values, got {len(vals)}")
-    mu = {k: divisors.PAdicRational(F.p, v, denom) for k, v in zip(keys, vals)}
+    mu = divisors.line_values(F, N, vals, denom)
     return divisors.radon_backward(F, divisors.radon_forward(F, mu, n, N), n, N) == mu
 
 
@@ -329,9 +326,7 @@ def check_radon_duality(params: dict, seed: int):
     witnesses += [{"kind": "incidence_count", "J": jk}
                   for jk in keys if through[jk] != per_line]
     for _ in range(trials):
-        vals = [rng.randrange(-9, 10) for _ in keys]
-        vals[-1] -= sum(vals)
-        denom = rng.randrange(3)
+        vals, denom = divisors.zero_sum_draw(rng, len(keys))
         if not _radon_round_trips(F, N, n, vals, denom):
             witnesses.append({"kind": "radon_roundtrip", "vals": vals, "denom": denom})
     return "exhaustive", {"trials": trials}, witnesses
@@ -621,7 +616,7 @@ def load_config(path: str):
     try:
         return [CheckSpec(e["name"], dict(e.get("params", {})), int(e.get("seed", 0)))
                 for e in entries]
-    except (KeyError, TypeError, AttributeError) as ex:
+    except (KeyError, TypeError, AttributeError, ValueError) as ex:
         raise ConfigParseError(f"malformed suite entry: {ex}") from ex
 
 

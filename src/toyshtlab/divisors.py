@@ -143,6 +143,22 @@ def line_keys(field: Field, N: int):
     return list(incidence_lists(field, N))
 
 
+def zero_sum_draw(rng, count: int):
+    """A random zero-sum family on count keys: numerators from -9..9, the
+    last one set so they sum to zero, then a denominator exponent from 0..2."""
+    vals = [rng.randrange(-9, 10) for _ in range(count)]
+    vals[-1] -= sum(vals)
+    return vals, rng.randrange(3)
+
+
+def line_values(field: Field, N: int, vals, denom: int) -> dict:
+    """The family vals / p**denom on the line keys of P^(N-1), in key order."""
+    keys = line_keys(field, N)
+    if len(vals) != len(keys):
+        raise DimensionMismatchError(f"expected {len(keys)} values, got {len(vals)}")
+    return {k: PAdicRational(field.p, v, denom) for k, v in zip(keys, vals)}
+
+
 def _gather(positions):
     """itemgetter of the positions, returning a tuple also for one position
     or none (where itemgetter returns a bare item or refuses)."""

@@ -147,6 +147,7 @@ class Field:
         self.seed = seed
         self.modulus = self._find_modulus(seed)
         self._init_tables()
+        # F_q, the fixed points of the Frobenius, in increasing order
         self.subfield = tuple(x for x in range(order) if self._frob[x] == x)
         assert len(self.subfield) == self.q, "Frobenius fixed field has wrong size"
 
@@ -288,10 +289,6 @@ class Field:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def subfield_elements(self) -> tuple[int, ...]:
-        """Elements of F_q, i.e. the fixed points of the Frobenius."""
-        return self.subfield
 
     def in_subfield(self, x: int) -> bool:
         return self._frob[x] == x

@@ -1,7 +1,7 @@
-"""Subspace lattice operations over F_{q^m}: canonical echelon forms, sums
-and intersections (both from one elimination), ranks of sums, annihilators,
-quotient coordinates, Grassmannian enumeration, the shared index of rational
-subspaces, and point sets.
+"""Subspace lattice operations over F_{q^m}: canonical echelon forms, linear
+combinations, greedy span completions, sums and intersections (both from one
+elimination), ranks of sums, annihilators, quotient coordinates, Grassmannian
+enumeration, the shared index of rational subspaces, and point sets.
 
 Subspaces are immutable and identified with their reduced row-echelon basis,
 which is unique, so equality of subspaces is equality of bases.  All counting
@@ -60,6 +60,16 @@ def rref(field: Field, rows, width: int):
         if rank == len(mat):
             break
     return [tuple(r) for r in mat[:rank]], pivots
+
+
+def combine(field: Field, coeffs, rows, width: int):
+    """sum_i coeffs[i] * rows[i] as a vector of length width, skipping zero coefficients."""
+    add, mul = field.add, field.mul
+    v = (0,) * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            v = [add(x, mul(c, y)) for x, y in zip(v, row)]
+    return tuple(v)
 
 
 class Subspace:
@@ -144,14 +154,8 @@ class Subspace:
 
     def vectors(self):
         """All vectors of the subspace (use only at small dimensions)."""
-        f = self.field
-        for coeffs in product(f.elements(), repeat=self.dim):
-            v = [0] * self.ambient_dim
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for j in range(self.ambient_dim):
-                        v[j] = f.add(v[j], f.mul(c, row[j]))
-            yield tuple(v)
+        for coeffs in product(self.field.elements(), repeat=self.dim):
+            yield combine(self.field, coeffs, self.basis, self.ambient_dim)
 
 
 class Packing:
@@ -221,6 +225,19 @@ def echelonize(field: Field, rows, ambient_dim: int) -> Subspace:
             raise DimensionMismatchError(f"vector of length {len(r)}, ambient {ambient_dim}")
     basis, pivots = rref(field, rows, ambient_dim)
     return Subspace(field, ambient_dim, basis, pivots)
+
+
+def extend(S: Subspace, candidates) -> list:
+    """The candidates, in order, that each lie outside the span of S and those
+    taken before; S and the taken vectors span S + span(candidates)."""
+    taken = []
+    for v in candidates:
+        if S.dim == S.ambient_dim:
+            break
+        if not S.contains_vector(v):
+            taken.append(v)
+            S = echelonize(S.field, S.basis + (tuple(v),), S.ambient_dim)
+    return taken
 
 
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -370,5 +387,5 @@ def rational_subspaces(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_
     _gate(N, n, field.q, budget)
     key = (*field.key, N, n)
     if key not in _rational:
-        _rational[key] = tuple(_echelon_bases(field, N, n, field.subfield_elements()))
+        _rational[key] = tuple(_echelon_bases(field, N, n, field.subfield))
     return _rational[key]

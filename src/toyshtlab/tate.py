@@ -23,9 +23,17 @@ from .errors import (
     WrongChainError,
     WrongIndexError,
 )
-from .divisors import PAdicRational, _gather, _incidence_sums, incidence_index, line_keys
+from .divisors import (
+    PAdicRational,
+    _gather,
+    _incidence_sums,
+    incidence_index,
+    line_keys,
+    line_values,
+    zero_sum_draw,
+)
 from .gf import Field
-from .linalg import Subspace, echelonize, pairing, perp
+from .linalg import Subspace, combine, echelonize, extend, pairing, perp
 
 
 def _line_key(field: Field, v):
@@ -253,11 +261,7 @@ def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
     if not outer.contains(inner):
         raise LatticeNotNestedError("inner lattice must sit inside the outer one")
     f, D = model.field, model.D
-    span, rows = inner, []
-    for row in outer.basis:
-        if not span.contains_vector(row):
-            rows.append(row)
-            span = echelonize(f, span.basis + (row,), D)
+    rows = extend(inner, outer.basis)
     # outer is {sum a_i rows_i + u : u in inner}, with quotient coordinates a
     inner_vectors = list(inner.vectors())
     vectors = []
@@ -265,10 +269,7 @@ def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
         if not any(a):
             continue
         key = _line_key(f, a)
-        base = [0] * D
-        for c, row in zip(a, rows):
-            if c:
-                base = [f.add(x, f.mul(c, y)) for x, y in zip(base, row)]
+        base = combine(f, a, rows, D)
         for u in inner_vectors:
             vectors.append((model.index([f.add(x, y) for x, y in zip(base, u)]), key))
     # w in perp(inner) induces a -> sum a_i <w, rows_i>, zero iff w in perp(outer)
@@ -321,10 +322,7 @@ def radon_fourier_commutes(
 ) -> bool:
     """Whether transform-then-extend equals extend-then-transform at the
     input vals / p**denom on the line keys of the projective quotient."""
-    reps = line_keys(model.field, outer.dim - inner.dim)
-    if len(vals) != len(reps):
-        raise DimensionMismatchError(f"expected {len(reps)} values, got {len(vals)}")
-    g = {k: PAdicRational(model.field.p, v, denom) for k, v in zip(reps, vals)}
+    g = line_values(model.field, outer.dim - inner.dim, vals, denom)
     lhs = fourier(eps_extend(model, g, inner, outer))
     return lhs == eps_extend_dual(model, radon_finite(model, g, inner, outer), inner, outer)
 
@@ -337,12 +335,10 @@ def radon_fourier_commutativity_check(
     fails is kept as its integer numerators and common denominator exponent."""
     if not is_admissible(model, inner, outer):
         raise NotAdmissibleError("lattice pair violates the admissibility bounds")
-    reps = line_keys(model.field, outer.dim - inner.dim)
+    count = len(line_keys(model.field, outer.dim - inner.dim))
     counterexamples = []
     for _ in range(trials):
-        vals = [rng.randrange(-9, 10) for _ in reps]
-        vals[-1] -= sum(vals)
-        denom = rng.randrange(3)
+        vals, denom = zero_sum_draw(rng, count)
         if not radon_fourier_commutes(model, inner, outer, vals, denom):
             counterexamples.append((vals, denom))
     return {"trials": trials, "failures": len(counterexamples),

@@ -30,6 +30,7 @@ from .linalg import (
     QuotientMap,
     Subspace,
     _gate,
+    combine,
     echelonize,
     enumerate_grassmannian,
     intersection_dim,
@@ -202,18 +203,9 @@ def superspaces_one_more(L: Subspace, budget: int = DEFAULT_ENUM_BUDGET):
 
 def subspaces_one_less(L: Subspace, budget: int = DEFAULT_ENUM_BUDGET):
     """All hyperplanes of L, via coordinates in a basis of L."""
-    f = L.field
-    k = L.dim
+    f, k, N = L.field, L.dim, L.ambient_dim
     for H in enumerate_grassmannian(f, k, k - 1, budget=budget):
-        rows = []
-        for coeffs in H.basis:
-            v = [0] * L.ambient_dim
-            for c, brow in zip(coeffs, L.basis):
-                if c:
-                    for j in range(L.ambient_dim):
-                        v[j] = f.add(v[j], f.mul(c, brow[j]))
-            rows.append(tuple(v))
-        yield echelonize(f, rows, L.ambient_dim)
+        yield echelonize(f, [combine(f, coeffs, L.basis, N) for coeffs in H.basis], N)
 
 
 def enumerate_flags(
@@ -230,6 +222,9 @@ def enumerate_flags(
     if kind not in ("left", "right"):
         raise InvalidFlagError(f"unknown kind {kind!r}")
     right = kind == "right"
+    if not (0 <= n < N if right else 0 < n <= N):
+        bounds = "0 <= n < N" if right else "0 < n <= N"
+        raise DimensionMismatchError(f"{kind} flags need {bounds}, got n={n}, N={N}")
     for pt in toy_points(field, N, n, budget):
         if is_trivial(pt.L):
             fiber = superspaces_one_more if right else subspaces_one_less

@@ -492,41 +492,44 @@ def _chart_or_none(find, *args):
     return chart.w_basis, chart.wp_basis, entry
 
 
-@pytest.mark.parametrize("N,n", [(3, 1), (4, 2)])
-def test_adapted_centers_match_exhaustive_search(N, n):
+@pytest.mark.parametrize("field,N,n", [pytest.param(F4, 3, 1, id="3-1"),
+                                       pytest.param(F4, 4, 2, id="4-2"),
+                                       pytest.param(F9, 3, 1, id="F9-3-1")])
+def test_adapted_centers_match_exhaustive_search(field, N, n):
     # every W and every point clean on one of its components; one index per
     # W.  The center lies in no hyperplane component through the point
-    locus = toy_locus(F4, N, n)
+    locus = toy_locus(field, N, n)
     found = Counter()
-    for W in rational_subspaces(F4, N, N - n):
-        hyperplanes = [H for H in rational_subspaces(F4, N, N - 1)
+    for W in rational_subspaces(field, N, N - n):
+        hyperplanes = [H for H in rational_subspaces(field, N, N - 1)
                        if H.contains(W)]
         components = [("H", H) for H in hyperplanes if n < N - 1]
-        components += [("J", J) for J in rational_subspaces(F4, N, 1)
+        components += [("J", J) for J in rational_subspaces(field, N, 1)
                        if n > 1 and W.contains(J)]
         clean = _component_points(components, locus)
         points = list(dict.fromkeys(L0 for pts in clean.values() for L0 in pts))
-        centers = SchubertCenters(F4, N, n, W)
+        centers = SchubertCenters(field, N, n, W)
         for L0 in points:
-            expected = _chart_or_none(adapted_chart_by_search, F4, N, n, W, L0)
+            expected = _chart_or_none(adapted_chart_by_search, field, N, n, W, L0)
             got = _chart_or_none(schubert_adapted_chart, centers, L0)
             assert got == expected, (W, L0)
             found[expected is not None] += 1
-            M = echelonize(F4, got[0], N)
+            M = echelonize(field, got[0], N)
             for H in hyperplanes:
                 if H.contains(L0):
                     assert not H.contains(M), (W, L0, H)
                     found["H through L0"] += 1
         # a subspace of W; at N = 2n it is W, which meets every adapted
         # center, so both searches run out
-        L0 = echelonize(F4, W.basis[:n], N)
-        expected = _chart_or_none(adapted_chart_by_search, F4, N, n, W, L0)
+        L0 = echelonize(field, W.basis[:n], N)
+        expected = _chart_or_none(adapted_chart_by_search, field, N, n, W, L0)
         assert _chart_or_none(schubert_adapted_chart, centers, L0) == expected
         assert (expected is None) == (N == 2 * n)
     # every query found a chart, so each compared a chart, not two failures;
     # the rest are clean on a line component, through no hyperplane one
-    assert found == {(3, 1): {True: 14, "H through L0": 14},
-                     (4, 2): {True: 1680, "H through L0": 840}}[(N, n)]
+    assert found == {(4, 3, 1): {True: 14, "H through L0": 14},
+                     (4, 4, 2): {True: 1680, "H through L0": 840},
+                     (9, 3, 1): {True: 78, "H through L0": 78}}[(field.order, N, n)]
 
 
 def test_adapted_centers_fill_lazily():

@@ -133,6 +133,16 @@ def test_config_loading(tmp_path):
         load_config(str(malformed))
 
 
+@pytest.mark.parametrize("entry", [{"name": "grassmannian_count", "seed": "x"},
+                                   {"name": "grassmannian_count", "params": ["abc"]}])
+def test_load_config_rejects_entries_that_do_not_convert(tmp_path, entry):
+    # int("x") and dict(["abc"]) raise ValueError, reported as a parse error
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"suite": [entry]}))
+    with pytest.raises(ConfigParseError, match="malformed suite entry"):
+        load_config(str(cfg))
+
+
 def test_main_single_check_json(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(
@@ -443,6 +453,14 @@ def test_chart_equivalence_names_a_level_out_of_range(n):
     assert f"n={n}" in w["message"] and "N=3" in w["message"]
     assert replay_witness(w)
     assert not replay_witness({**w, "params": {**w["params"], "n": 1}})
+
+
+def test_pullback_multiplicity_names_the_callers_top_level():
+    # right flags at n = N have no cover; the report names n = N = 3
+    r = run(CheckSpec("pullback_multiplicity", {"p": 2, "e": 1, "m": 2, "N": 3, "n": 3}))
+    (w,) = r.counters["witnesses"]
+    assert (w["kind"], w["type"]) == ("exception", "DimensionMismatchError")
+    assert w["message"] == "right flags need 0 <= n < N, got n=3, N=3"
 
 
 @pytest.mark.parametrize("bad", ["X", "h"])

@@ -13,6 +13,7 @@ from toyshtlab.divisors import (
     incidence_lists,
     is_principal_pair,
     line_keys,
+    line_values,
     on_component,
     partial_frobenius_divisor_pullback_check,
     radon_backward,
@@ -20,6 +21,7 @@ from toyshtlab.divisors import (
     schubert_decomposition_check,
     schubert_deficit,
     toy_locus,
+    zero_sum_draw,
 )
 from toyshtlab.errors import DimensionMismatchError, SumNotZeroError
 from toyshtlab.gf import Field, field_make
@@ -137,6 +139,22 @@ def test_radon_delta_difference_pg22():
     for hk in keys:
         assert lam2[hk].exp == 0
     assert radon_backward(F2, lam, 1, 3) == mu
+
+
+def test_zero_sum_draw_and_line_values():
+    # the numerators, then the denominator exponent, in the rng order the
+    # radon checks have always drawn them
+    a, b = random.Random(4), random.Random(4)
+    for count in (1, 5, 13):
+        vals = [b.randrange(-9, 10) for _ in range(count)]
+        vals[-1] -= sum(vals)
+        assert zero_sum_draw(a, count) == (vals, b.randrange(3))
+    vals, denom = zero_sum_draw(a, 13)
+    mu = line_values(F3, 3, vals, denom)
+    assert list(mu) == line_keys(F3, 3)
+    assert list(mu.values()) == [PAdicRational(3, v, denom) for v in vals]
+    with pytest.raises(DimensionMismatchError, match="expected 13 values, got 12"):
+        line_values(F3, 3, vals[1:], denom)
 
 
 def test_radon_zero_and_sum_check():

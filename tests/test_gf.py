@@ -67,7 +67,7 @@ def test_frobenius_power_m_is_identity(p, e, m):
 @pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 1), (2, 2, 2)])
 def test_fixed_points_form_subfield_of_size_q(p, e, m):
     F = field_make(p, e, m)
-    sub = F.subfield_elements()
+    sub = F.subfield
     assert len(sub) == F.q
     subset = set(sub)
     for a in sub:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -9,8 +10,10 @@ from toyshtlab.gf import Field, field_make
 from toyshtlab import linalg
 from toyshtlab.linalg import (
     QuotientMap,
+    combine,
     echelonize,
     enumerate_grassmannian,
+    extend,
     gauss_binomial,
     intersect,
     perp,
@@ -65,6 +68,40 @@ def test_canonical_form_uniqueness_1000_random_generating_sets():
             assert T.basis == S.basis
         else:
             assert S.contains(T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([F2, F4, F3, F9, field_make(5, 1, 1)]), st.data())
+def test_combine_is_a_fold_of_add_and_mul(field, data):
+    width = data.draw(st.integers(0, 5))
+    elem = st.integers(0, field.order - 1)
+    rows = data.draw(st.lists(st.tuples(*[elem] * width), max_size=4))
+    coeffs = data.draw(st.tuples(*[elem] * len(rows)))
+    expected = [0] * width
+    for c, row in zip(coeffs, rows):
+        expected = [field.add(x, field.mul(c, y)) for x, y in zip(expected, row)]
+    assert combine(field, coeffs, rows, width) == tuple(expected)
+
+
+@pytest.mark.parametrize("field", [F4, F9])
+def test_extend_takes_each_vector_that_leaves_the_span(field):
+    rng = random.Random(3)
+    for _ in range(100):
+        N = rng.randrange(1, 5)
+        S = echelonize(field, [random_vector(field, N, rng) for _ in range(rng.randrange(N))], N)
+        candidates = [random_vector(field, N, rng) for _ in range(rng.randrange(6))]
+        if rng.random() < 0.5:  # a candidate already inside S
+            inside = combine(field, [1] * S.dim, S.basis, N)
+            candidates.insert(rng.randrange(len(candidates) + 1), inside)
+        taken = extend(S, candidates)
+        span = S
+        for v in taken:
+            assert not span.contains_vector(v)
+            span = echelonize(field, span.basis + (v,), N)
+        assert span == echelonize(field, S.basis + tuple(candidates), N)
+        # the taken vectors are candidates, in candidate order
+        rest = iter(candidates)
+        assert all(v in rest for v in taken)
 
 
 def test_sum_intersect_trivial_cases():

@@ -191,6 +191,14 @@ def test_partial_frobenius_roundtrips():
                 assert partial_frobenius_plus(partial_frobenius_minus(f)) == f.frobenius_image()
 
 
+@pytest.mark.parametrize("kind,n", [("right", 3), ("right", -1), ("left", 0), ("left", 4)])
+def test_enumerate_flags_rejects_a_level_without_flags(kind, n):
+    # right flags need a cover of L, left flags a hyperplane of L: the error
+    # names the kind and the caller's level, not an inner fiber's
+    with pytest.raises(DimensionMismatchError, match=f"^{kind} flags need .*, got n={n}, N=3$"):
+        next(enumerate_flags(F4, 3, n, kind))
+
+
 def test_partial_frobenius_fixes_rational_flags():
     f = FlagPoint(
         echelonize(F4, [(1, 0, 0)], 3), echelonize(F4, [(1, 0, 0), (0, 1, 0)], 3), "right"
@@ -346,7 +354,7 @@ def subspace_and_rational(draw):
     field = draw(st.sampled_from([F8, F16]))
     N = draw(st.integers(2, 5))
     elem = st.integers(0, field.order - 1)
-    sub = st.sampled_from(field.subfield_elements())
+    sub = st.sampled_from(field.subfield)
     rows = draw(st.lists(st.tuples(*[elem] * N), min_size=0, max_size=N))
     wrows = draw(st.lists(st.tuples(*[sub] * N), min_size=0, max_size=N))
     return echelonize(field, rows, N), echelonize(field, wrows, N)
