@@ -206,6 +206,22 @@ def rank_le1(field: Field, A) -> bool:
     return True
 
 
+_cones: dict = {}
+
+
+def rank_le1_locus(field: Field, s: int, t: int):
+    """The s-by-t matrices of rank at most one, sorted: the zero matrix and
+    each u v^T with u normalized (first nonzero entry 1) and v nonzero, so
+    each once.  One tuple per field value and shape, built on first use."""
+    key = (*field.key, s, t)
+    if key not in _cones:
+        us = [u for u in product(field.elements(), repeat=s) if next(filter(None, u), 0) == 1]
+        vs = list(product(field.elements(), repeat=t))[1:]
+        _cones[key] = tuple(sorted([((0,) * t,) * s] + [
+            tuple(tuple(field.mul(x, y) for y in v) for x in u) for u in us for v in vs]))
+    return _cones[key]
+
+
 def _graph_predicate(field: Field, N: int, n: int, chart: Chart):
     """is_toy_shtuka on the graph of a matrix A (a tuple of row tuples) of
     the chart.  On point sets each graph row w'_i + sum_j a_j w_j is packed
@@ -238,7 +254,8 @@ def _graph_predicate(field: Field, N: int, n: int, chart: Chart):
 def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart) -> dict:
     """Compare the intrinsic toy predicate on graphs with the chart-side
     rank condition on Artin-Schreier images, over every matrix, as n-tuples
-    of row values."""
+    of row values; an image has rank at most one iff it lies in the cone
+    index rank_le1_locus."""
     if (chart.N, chart.n) != (N, n):
         raise DimensionMismatchError(f"chart of (N, n) = {chart.N, chart.n}, check of {N, n}")
     # the row values, and their Artin-Schreier images; for n = 0 the one
@@ -247,8 +264,9 @@ def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart) -> dict:
     as_rows = {a: artin_schreier(field, (a,))[0] for a in rows}
     counter = {"checked": len(rows) ** n, "counterexamples": []}
     is_toy_graph = _graph_predicate(field, N, n, chart)
+    cone = frozenset(rank_le1_locus(field, n, N - n))
     for A in product(rows, repeat=n):
-        if is_toy_graph(A) != rank_le1(field, tuple(as_rows[a] for a in A)):
+        if is_toy_graph(A) != (tuple(as_rows[a] for a in A) in cone):
             counter["counterexamples"].append(A)
     return counter
 
@@ -257,21 +275,17 @@ def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart) -> dict:
 # transversality of coordinate hyperplanes with the determinantal cone
 
 
-def transversality_check(field: Field, s: int, t: int, a: int, b: int, A) -> bool:
-    """Whether {X_ab = 0} meets the rank-at-most-one locus transversally at A.
+def transversal_entries(field: Field, s: int, t: int, A) -> set:
+    """The zero entries (a, b) of a rank-at-most-one A at which {X_ab = 0}
+    meets the locus transversally.
 
     At a rank-one point the tangent space is the kernel of the Jacobian of
-    the 2x2 minors; the test asks whether the coordinate X_ab is nonzero on
-    it, that is, whether e_ab lies outside the row space of the Jacobian
-    (perp of perp is the identity).  The zero matrix counts as
-    non-transversal (the cone vertex).
+    the 2x2 minors; X_ab is nonzero on it iff e_ab lies outside the row
+    space of the Jacobian (perp of perp is the identity), so one echelonize
+    serves every entry.  The zero matrix (the cone vertex) has none.
     """
-    if not rank_le1(field, A):
-        raise NotOnVarietyError("matrix has rank above one")
-    if A[a][b] != 0:
-        raise ValueError("the (a,b) entry must vanish on the hyperplane")
-    if all(x == 0 for row in A for x in row):
-        return False
+    if not any(map(any, A)):
+        return set()
     jac_rows = []
     for i1, i2 in combinations(range(s), 2):
         for j1, j2 in combinations(range(t), 2):
@@ -281,8 +295,19 @@ def transversality_check(field: Field, s: int, t: int, a: int, b: int, A) -> boo
             g[i1 * t + j2] = field.neg(A[i2][j1])
             g[i2 * t + j1] = field.neg(A[i1][j2])
             jac_rows.append(tuple(g))
-    e_ab = tuple(int(k == a * t + b) for k in range(s * t))
-    return not echelonize(field, jac_rows, s * t).contains_vector(e_ab)
+    jac = echelonize(field, jac_rows, s * t)
+    return {(a, b) for a in range(s) for b in range(t) if A[a][b] == 0
+            and not jac.contains_vector(tuple(int(k == a * t + b) for k in range(s * t)))}
+
+
+def transversality_check(field: Field, s: int, t: int, a: int, b: int, A) -> bool:
+    """Whether {X_ab = 0} meets the rank-at-most-one locus transversally at
+    A, with the rank of A computed, not read off the cone index."""
+    if not rank_le1(field, A):
+        raise NotOnVarietyError("matrix has rank above one")
+    if A[a][b] != 0:
+        raise ValueError("the (a,b) entry must vanish on the hyperplane")
+    return (a, b) in transversal_entries(field, s, t, A)
 
 
 # ---------------------------------------------------------------------------

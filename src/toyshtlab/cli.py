@@ -20,7 +20,6 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field
-from itertools import product
 
 from . import charts, divisors, tate, toysht
 from .errors import (
@@ -162,7 +161,7 @@ def check_trivial_locus_count(params: dict, seed: int):
     F = _field(params, default_m=2)
     N, n = int(params["N"]), int(params["n"])
     budget = _budget(params)
-    trivial = {pt.L for pt in toysht.enumerate_toysht(F, N, n, budget=budget)
+    trivial = {pt.L for pt in toysht.indexed_or_streamed(F, N, n, budget)
                if toysht.is_trivial(pt.L)}
     rational = set(rational_subspaces(F, N, n, budget))
     expected = gauss_binomial(N, n, F.q)
@@ -338,30 +337,25 @@ def _replay_radon_roundtrip(w: dict) -> bool:
     return not _radon_round_trips(F, N, n, w["vals"], w["denom"])
 
 
-def _transversality_mismatch(F, s: int, t: int, a: int, b: int, A) -> bool:
+def _transversality_mismatch(A, a: int, b: int, transversal: bool) -> bool:
     """Whether transversality at the zero entry (a, b) of A disagrees with
     'row a or column b is nonzero'."""
-    row_zero = all(x == 0 for x in A[a])
-    col_zero = all(A[i][b] == 0 for i in range(s))
-    return charts.transversality_check(F, s, t, a, b, A) == (row_zero and col_zero)
+    return transversal == (not any(A[a]) and not any(row[b] for row in A))
 
 
 def check_transversality_locus(params: dict, seed: int):
     F = _field(params, default_m=1)
     s, t = int(params["s"]), int(params["t"])
+    # gated on the ambient matrices, though only the cone index is swept
     _gate(F.order ** (s * t), params, "matrices")
-    counters = {"matrices": 0}
+    cone = charts.rank_le1_locus(F, s, t)
     witnesses = []
-    for flat in product(tuple(F.elements()), repeat=s * t):
-        A = tuple(tuple(flat[i * t : (i + 1) * t]) for i in range(s))
-        if not charts.rank_le1(F, A):
-            continue
-        counters["matrices"] += 1
-        for a in range(s):
-            for b in range(t):
-                if A[a][b] == 0 and _transversality_mismatch(F, s, t, a, b, A):
-                    witnesses.append({"kind": "transversality", "a": a, "b": b, "A": A})
-    return "exhaustive", counters, witnesses
+    for A in cone:
+        transversal = charts.transversal_entries(F, s, t, A)
+        witnesses += [{"kind": "transversality", "a": a, "b": b, "A": A}
+                      for a in range(s) for b in range(t) if A[a][b] == 0
+                      and _transversality_mismatch(A, a, b, (a, b) in transversal)]
+    return "exhaustive", {"matrices": len(cone)}, witnesses
 
 
 def _replay_transversality(w: dict) -> bool:
@@ -373,7 +367,7 @@ def _replay_transversality(w: dict) -> bool:
     a, b = w["a"], w["b"]
     if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < s and 0 <= b < t):
         raise ValueError(f"(a, b) = ({a!r}, {b!r}) is not in range({s}) x range({t})")
-    return _transversality_mismatch(F, s, t, a, b, A)
+    return _transversality_mismatch(A, a, b, charts.transversality_check(F, s, t, a, b, A))
 
 
 def _radon_fourier_pair(params: dict):

@@ -290,9 +290,6 @@ class Field:
     def elements(self) -> range:
         return range(self.order)
 
-    def in_subfield(self, x: int) -> bool:
-        return self._frob[x] == x
-
     def __repr__(self) -> str:
         return f"Field(p={self.p}, e={self.e}, m={self.m})"
 

@@ -137,6 +137,15 @@ def toy_points(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
     return _toy_index[key]
 
 
+def indexed_or_streamed(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
+    """The toy points of toy_points where the index already holds them, and
+    otherwise streamed by enumerate_toysht without indexing them, so a locus
+    with one reader is never kept whole; the budget is checked either way."""
+    if (*field.key, N, n) in _toy_index:
+        return toy_points(field, N, n, budget)
+    return enumerate_toysht(field, N, n, budget)
+
+
 def split_nontrivial(point: ToyPoint):
     """The canonical flag (L cap sigma L, L + sigma L) of a nontrivial point."""
     if point.sigma_L == point.L:

@@ -17,6 +17,7 @@ from toyshtlab.charts import (
     minor_equations,
     rank1_curve,
     rank_le1,
+    rank_le1_locus,
     schubert_adapted_chart,
     schubert_multiplicity_probe,
     series_add,
@@ -79,6 +80,32 @@ def test_rank_le1_examples():
     assert rank_le1(F2, ((0, 0), (0, 0)))
     assert rank_le1(F3, ((1, 2), (2, 1 * 2 * 2 % 3)))  # outer product (1,2)x(1,2)
     assert not rank_le1(F2, ((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("field,s,t,size", [
+    (F3, 3, 3, 339), (F2, 2, 2, 10), (F4, 2, 2, 76), (F9, 2, 2, 801), (F2, 3, 3, 50), (F3, 2, 3, 105),
+])
+def test_rank_le1_locus_matches_filtered_sweep(field, s, t, size):
+    matrices = (tuple(flat[i * t:(i + 1) * t] for i in range(s))
+                for flat in product(field.elements(), repeat=s * t))
+    swept = tuple(A for A in matrices if rank_le1(field, A))
+    assert rank_le1_locus(field, s, t) == swept and len(swept) == size
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_chart_equivalence_cone_agrees_with_rank_le1(n):
+    # F_4, N = 3, with the edges n = 0 (one 0 x 3 matrix) and n = N (3 x 0)
+    cone = frozenset(rank_le1_locus(F4, n, 3 - n))
+    for W in rational_subspaces(F4, 3, 3 - n):
+        chart = canonical_chart(F4, W)
+        is_toy_graph = charts._graph_predicate(F4, 3, n, chart)
+        matrices = list(product(product(F4.elements(), repeat=(3 - n) * (n > 0)), repeat=n))
+        for A in matrices:
+            assert (artin_schreier(F4, A) in cone) == rank_le1(F4, artin_schreier(F4, A))
+        rep = chart_equivalence_check(F4, 3, n, chart)
+        assert rep["checked"] == len(matrices)
+        assert rep["counterexamples"] == [
+            A for A in matrices if is_toy_graph(A) != rank_le1(F4, artin_schreier(F4, A))]
 
 
 def test_chart_rejects_degenerate_splittings():
@@ -451,7 +478,7 @@ def adapted_chart_by_search(field, N, n, W, L0):
         w0 = None
         for v in M.vectors():
             if any(x != 0 for x in v) and not W.contains_vector(v):
-                if all(field.in_subfield(x) for x in v):
+                if all(field.frobenius(x) == x for x in v):
                     w0 = v
                     break
         if w0 is None:
@@ -459,7 +486,7 @@ def adapted_chart_by_search(field, N, n, W, L0):
         u = None
         for v in W.vectors():
             if any(x != 0 for x in v) and not MW.contains_vector(v):
-                if all(field.in_subfield(x) for x in v):
+                if all(field.frobenius(x) == x for x in v):
                     u = v
                     break
         if u is None:

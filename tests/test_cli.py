@@ -215,26 +215,25 @@ def test_budget_env_bounds_dichotomy(monkeypatch):
     assert replay_witness(w)
 
 
-def _count_rref(monkeypatch) -> list:
-    """Count rref under every name a toyshtlab module binds it to: the
-    returned list gets the arguments of each call."""
+def _count_calls(monkeypatch, original) -> list:
+    """Count calls of a library function under every name a toyshtlab module
+    binds it to: the returned list gets the arguments of each call."""
     calls = []
-    original = linalg.rref
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for module in vars(toyshtlab).values():
-        if getattr(module, "rref", None) is original:
-            monkeypatch.setattr(module, "rref", counted)
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, counted)
     return calls
 
 
 def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
     # the rank path, which odd characteristic runs (F_9, N = 3); point sets
     # (p = 2) make none, see the next test
-    calls = _count_rref(monkeypatch)
+    calls = _count_calls(monkeypatch, linalg.rref)
     r = run(CheckSpec("dichotomy", {"p": 3, "e": 1, "m": 2, "N": 3}))
     assert r.verdict == "pass"
     points = sum(1 for n in (1, 2) for _ in enumerate_toysht(F9, 3, n))
@@ -246,7 +245,7 @@ def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
 def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
     # on point sets (F_4, N = 3) the dichotomy makes no elimination at all,
     # and chart_equivalence only the one of each Chart, none per matrix
-    calls = _count_rref(monkeypatch)
+    calls = _count_calls(monkeypatch, linalg.rref)
     r = run(CheckSpec("dichotomy", {**F4P, "N": 3}))
     assert r.verdict == "pass" and r.counters["pairs"] == 672 and calls == []
     for n in (1, 2):
@@ -254,6 +253,37 @@ def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
         r = run(CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": n}))
         assert r.verdict == "pass"
         assert len(calls) == r.counters["charts"] < r.counters["matrices"]
+
+
+def test_transversality_sweep_makes_one_elimination_per_cone_matrix(monkeypatch):
+    # F_3, 3 x 3: 339 cone matrices, one Jacobian elimination per nonzero
+    # one (not one per zero entry) and no rank computed
+    rrefs = _count_calls(monkeypatch, linalg.rref)
+    ranks = _count_calls(monkeypatch, charts.rank_le1)
+    r = run(CheckSpec("transversality_locus", {"p": 3, "e": 1, "s": 3, "t": 3}))
+    assert r.verdict == "pass" and r.counters["matrices"] == 339
+    assert len(rrefs) <= 338 and ranks == []
+
+
+def test_chart_sweep_reads_ranks_off_the_cone(monkeypatch):
+    ranks = _count_calls(monkeypatch, charts.rank_le1)
+    r = run(CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": 1}))
+    assert r.verdict == "pass" and r.counters["matrices"] == 7 * 16 and ranks == []
+
+
+def test_trivial_locus_count_streams_until_the_locus_is_indexed(monkeypatch):
+    # F_4, N = 3, n = 1: streamed (and not indexed) before the dichotomy
+    # indexes levels 1 and 2, read from the index after
+    calls = _count_calls(monkeypatch, toysht.enumerate_toysht)
+    spec = {**F4P, "N": 3, "n": 1}
+    assert run(CheckSpec("trivial_locus_count", spec)).verdict == "pass"
+    assert len(calls) == 1 and toysht._toy_index == {}
+    assert run(CheckSpec("dichotomy", {**F4P, "N": 3})).verdict == "pass"
+    for seed in range(3):
+        assert run(CheckSpec("trivial_locus_count", spec, seed)).verdict == "pass"
+    assert len(calls) == 3
+    r = run(CheckSpec("trivial_locus_count", {**spec, "budget": 20}))
+    assert r.counters["witnesses"][0]["kind"] == "budget_exceeded"
 
 
 def test_toy_locus_is_enumerated_once(monkeypatch):
@@ -453,6 +483,18 @@ def test_chart_equivalence_names_a_level_out_of_range(n):
     assert f"n={n}" in w["message"] and "N=3" in w["message"]
     assert replay_witness(w)
     assert not replay_witness({**w, "params": {**w["params"], "n": 1}})
+
+
+@pytest.mark.parametrize("s,t", [(-1, -1), (-1, 2), (2, -1)])
+def test_transversality_locus_rejects_a_negative_shape(s, t):
+    # (-1, -1) passes the gate on 2 ** 1 matrices, and the cone index
+    # rejects it as any other negative shape
+    r = run(CheckSpec("transversality_locus", {"p": 2, "e": 1, "s": s, "t": t}))
+    assert r.verdict == "fail"
+    (w,) = r.counters["witnesses"]
+    assert (w["kind"], w["type"]) == ("exception", "ValueError")
+    assert replay_witness(w)
+    assert not replay_witness({**w, "params": {**w["params"], "s": 1, "t": 1}})
 
 
 def test_pullback_multiplicity_names_the_callers_top_level():
@@ -661,7 +703,7 @@ def _flat_image(f):
 
 
 _incidence_lists = divisors.incidence_lists
-_transversality_check = charts.transversality_check
+_transversal_entries = charts.transversal_entries
 _gauss_binomial = cli.gauss_binomial
 
 # kind -> (a spec whose report carries the kind, patches (module, name, value)
@@ -670,7 +712,10 @@ _gauss_binomial = cli.gauss_binomial
 CASES = {
     "chart_mismatch": (
         CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": 1}),
-        [(charts, "rank_le1", lambda F, A: False)], None,
+        # a cone that holds only the zero matrix, in the index the check reads
+        # and in the rank test its replay computes
+        [(charts, "rank_le1_locus", lambda F, s, t: (((0,) * t,) * s,)),
+         (charts, "rank_le1", lambda F, A: not any(map(any, A)))], None,
     ),
     "trivial_locus": (
         CheckSpec("trivial_locus_count", {**F4P, "N": 3, "n": 1}),
@@ -710,7 +755,10 @@ CASES = {
     ),
     "transversality": (
         CheckSpec("transversality_locus", {"p": 2, "e": 1, "s": 2, "t": 2}),
-        [(charts, "transversality_check", lambda *args: not _transversality_check(*args))],
+        # the complement of the transversal set among the zero entries
+        [(charts, "transversal_entries", lambda F, s, t, A: {
+            (a, b) for a in range(s) for b in range(t) if A[a][b] == 0
+        } - _transversal_entries(F, s, t, A))],
         None,
     ),
     "radon_fourier": (
