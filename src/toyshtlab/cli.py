@@ -296,6 +296,13 @@ def _replay_schubert(witness: dict) -> bool:
     )
 
 
+def _trials(params: dict, default: int) -> int:
+    """A sampled check's number of trials; 0 is allowed, a negative count raises."""
+    if (trials := int(params.get("trials", default))) < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    return trials
+
+
 def _radon_space(params: dict):
     """The check's field, N and n, gated up front on the rational lines."""
     F = _field(params, default_m=1)
@@ -312,7 +319,7 @@ def _radon_round_trips(F, N: int, n: int, vals, denom: int) -> bool:
 
 def check_radon_duality(params: dict, seed: int):
     F, N, n = _radon_space(params)
-    trials = int(params.get("trials", 200))
+    trials = _trials(params, 200)
     rng = random.Random(seed)
     keys = divisors.line_keys(F, N)
     inc = divisors.incidence_lists(F, N)
@@ -373,14 +380,16 @@ def _replay_transversality(w: dict) -> bool:
 def _radon_fourier_pair(params: dict):
     """The check's Tate model and its (inner, outer) lattice pair."""
     model = _tate_model(params)
-    inner = _standard_flag(model, int(params.get("inner_dim", max(0, -2 - model.c))))
-    outer = _standard_flag(model, int(params.get("outer_dim", model.D)))
-    return model, inner, outer
+    dims = (int(params.get("inner_dim", max(0, -2 - model.c))),
+            int(params.get("outer_dim", model.D)))
+    if not all(0 <= d <= model.D for d in dims):
+        raise DimensionMismatchError(f"need 0 <= inner_dim, outer_dim <= D={model.D}, got {dims}")
+    return (model, *(_standard_flag(model, d) for d in dims))
 
 
 def check_radon_fourier_square(params: dict, seed: int):
     model, inner, outer = _radon_fourier_pair(params)
-    trials = int(params.get("trials", 100))
+    trials = _trials(params, 100)
     rep = tate.radon_fourier_commutativity_check(model, inner, outer, trials, random.Random(seed))
     witnesses = [{"kind": "radon_fourier", "vals": vals, "denom": denom}
                  for vals, denom in rep["counterexamples"]]
@@ -405,15 +414,15 @@ def _invariant_fn(model: tate.FiniteTateModel, origin: int, lines) -> tate.TateF
     p = model.field.p
     if len(lines) != len(model.lines()):
         raise DimensionMismatchError(f"expected {len(model.lines())} lines, got {len(lines)}")
-    on_line = {rep: divisors.PAdicRational(p, num, den)
-               for rep, (num, den) in zip(model.lines(), lines)}
-    values = [divisors.PAdicRational(p, origin, 0)]
-    return tate.TateFn(model, "T", values + [on_line[k] for k in model.line_index()[1:]])
+    k = max([den for _, den in lines] + [0])
+    on_line = {rep: num * p ** (k - den) for rep, (num, den) in zip(model.lines(), lines)}
+    nums = [origin * p**k] + [on_line[rep] for rep in model.line_index()[1:]]
+    return tate.TateFn.from_nums(model, "T", nums, k)
 
 
 def check_gamma_identity(params: dict, seed: int):
     model = _tate_model(params)
-    trials = int(params.get("trials", 50))
+    trials = _trials(params, 50)
     chain = _default_chain(model)
     rng = random.Random(seed)
     witnesses = []
@@ -438,8 +447,8 @@ def check_canonical_preimage(params: dict, seed: int):
     ok = tate.canonical_preimage_check(model, chain)
     # a perturbed pair must leave the membership set
     g1 = tate.canonical_generators(model, chain)[0]
-    bad = tate.TateFn.zero(model, "T*")
-    bad.values[model.index(model.lines()[0])] = divisors.PAdicRational(model.field.p, 1, 0)
+    at = model.index(model.lines()[0])
+    bad = tate.TateFn.from_nums(model, "T*", [int(i == at) for i in range(model.q**model.D)])
     ok = ok and tate.fourier(g1.f2) != (g1.f1 + bad)
     return "exhaustive", {}, [] if ok else [{"kind": "canonical_preimage"}]
 

@@ -2,14 +2,15 @@
 finite Radon transform with its q-power normalization, the principal-divisor
 criterion, and the Schubert decomposition checks.
 
-Coefficients live in Z[1/p], kept exact as integer numerator plus a power of
-p in the denominator.  Hyperplanes are indexed by their perpendicular lines
-so both sides of a divisor share one enumeration of rational lines.
+Coefficients live in Z[1/p]: a family is integer numerators over one power
+of p (Family), a scalar is a PAdicRational.  Hyperplanes are indexed by their
+perpendicular lines, so both sides of a divisor share one list of lines.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections.abc import Mapping
+from operator import add, itemgetter, neg
 
 from .charts import SchubertCenters, jtype_flag_pullback_probe, schubert_multiplicity_probe
 from .errors import DimensionMismatchError, SumNotZeroError
@@ -17,7 +18,6 @@ from .gf import Field
 from .linalg import (
     DEFAULT_ENUM_BUDGET,
     Subspace,
-    gauss_binomial,
     intersection_dim,
     pairing,
     perp,
@@ -95,44 +95,118 @@ class PAdicRational:
         return f"{self.num}/{self.p}^{self.exp}"
 
 
+class Family:
+    """Z[1/p] values as integer numerators over one shared exponent: value i
+    is nums[i] / p**exp.  Immutable.  A subclass names the space of its values
+    (_space) and builds on it (_like); families on one space combine, compare
+    by value (aligning exponents) and hash by their values' canonical forms."""
+
+    __slots__ = ("p", "nums", "exp")
+
+    def __init__(self, p: int, nums, exp: int = 0):
+        self.p, self.nums, self.exp = p, tuple(nums), exp
+
+    @staticmethod
+    def numerators(p: int, values: list):
+        """PAdicRational values as integer numerators and their shared exponent."""
+        k = max([v.exp for v in values] + [0])
+        return [v.num * p ** (k - v.exp) for v in values], k
+
+    def _align(self, other):
+        """Both numerator tuples over the larger exponent, and that exponent."""
+        if type(other) is not type(self) or other._space() != self._space():
+            raise ValueError(f"cannot combine families on {self._space()} and {other._space()}")
+        a, b, k, p = self.nums, other.nums, self.exp, self.p
+        if other.exp > k:
+            a, k = tuple(x * p ** (other.exp - k) for x in a), other.exp
+        elif other.exp < k:
+            b = tuple(x * p ** (k - other.exp) for x in b)
+        return a, b, k
+
+    def rationals(self) -> tuple:
+        return tuple(PAdicRational(self.p, x, self.exp) for x in self.nums)
+
+    def __add__(self, other):
+        a, b, k = self._align(other)
+        return self._like(map(add, a, b), k)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._like(map(neg, self.nums), self.exp)
+
+    def scale(self, c: PAdicRational):
+        return self._like([c.num * x for x in self.nums], self.exp + c.exp)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self) or other._space() != self._space():
+            return False
+        a, b, _ = self._align(other)
+        return a == b
+
+    def __hash__(self):
+        return hash((self._space(), self.rationals()))
+
+
+class LineFamily(Family, Mapping):
+    """A Family on the rational lines, read as a mapping from the keys in
+    order to PAdicRational values; it equals any mapping with the same items
+    and, like a dict, has no hash."""
+
+    __slots__ = ("order", "_pos")
+
+    def __init__(self, p: int, order: tuple, nums, exp: int = 0):
+        super().__init__(p, nums, exp)
+        self.order, self._pos = order, None
+        if len(order) != len(self.nums):
+            raise DimensionMismatchError(f"expected {len(order)} values, got {len(self.nums)}")
+
+    def _space(self):
+        return (self.p, self.order)
+
+    def _like(self, nums, exp: int):
+        return LineFamily(self.p, self.order, nums, exp)
+
+    def __getitem__(self, key) -> PAdicRational:
+        if self._pos is None:
+            self._pos = {k: i for i, k in enumerate(self.order)}
+        return PAdicRational(self.p, self.nums[self._pos[key]], self.exp)
+
+    def __iter__(self):
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LineFamily) and other.order == self.order:
+            return Family.__eq__(self, other)
+        return Mapping.__eq__(self, other)
+
+    __hash__ = None
+
+
 class HoroDivisor:
     """Coefficient data of a horospherical divisor at level n: one Z[1/p]
     value per rational hyperplane (indexed by its perp line) and one per
-    rational line."""
+    rational line, each a LineFamily in line-key order."""
 
     __slots__ = ("field", "N", "n", "lam", "mu")
 
-    def __init__(self, field: Field, N: int, n: int, lam: dict, mu: dict):
-        self.field = field
-        self.N = N
-        self.n = n
-        self.lam = dict(lam)
-        self.mu = dict(mu)
-        expected = gauss_binomial(N, 1, field.q)
-        if len(self.lam) != expected or len(self.mu) != expected:
-            raise DimensionMismatchError("divisor data must cover every line")
+    def __init__(self, field: Field, N: int, n: int, lam, mu):
+        self.field, self.N, self.n = field, N, n
+        self.lam, self.mu = line_family(field, N, lam), line_family(field, N, mu)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HoroDivisor)
-            and self.n == other.n
-            and self.lam == other.lam
-            and self.mu == other.mu
-        )
+        return isinstance(other, HoroDivisor) and (self.n, self.lam, self.mu) == (
+            other.n, other.lam, other.mu)
 
     def __add__(self, other: "HoroDivisor") -> "HoroDivisor":
-        lam = {k: self.lam[k] + other.lam[k] for k in self.lam}
-        mu = {k: self.mu[k] + other.mu[k] for k in self.mu}
-        return HoroDivisor(self.field, self.N, self.n, lam, mu)
+        return HoroDivisor(self.field, self.N, self.n, self.lam + other.lam, self.mu + other.mu)
 
     def __neg__(self) -> "HoroDivisor":
-        return HoroDivisor(
-            self.field,
-            self.N,
-            self.n,
-            {k: -v for k, v in self.lam.items()},
-            {k: -v for k, v in self.mu.items()},
-        )
+        return HoroDivisor(self.field, self.N, self.n, -self.lam, -self.mu)
 
 
 _incidence_cache: dict = {}
@@ -151,12 +225,21 @@ def zero_sum_draw(rng, count: int):
     return vals, rng.randrange(3)
 
 
-def line_values(field: Field, N: int, vals, denom: int) -> dict:
+def line_values(field: Field, N: int, vals, denom: int) -> LineFamily:
     """The family vals / p**denom on the line keys of P^(N-1), in key order."""
-    keys = line_keys(field, N)
-    if len(vals) != len(keys):
-        raise DimensionMismatchError(f"expected {len(keys)} values, got {len(vals)}")
-    return {k: PAdicRational(field.p, v, denom) for k, v in zip(keys, vals)}
+    return LineFamily(field.p, _incidence_entry(field, N)[1][0], vals, denom)
+
+
+def line_family(field: Field, N: int, values) -> LineFamily:
+    """A family on the line keys of P^(N-1) (a LineFamily, or any mapping to
+    PAdicRational) as a LineFamily in line-key order; a mapping keyed by
+    anything else raises DimensionMismatchError."""
+    keys = _incidence_entry(field, N)[1][0]
+    if isinstance(values, LineFamily) and values.order == keys:
+        return values
+    if len(values) != len(keys) or not all(k in values for k in keys):
+        raise DimensionMismatchError(f"a family on P^{N - 1} must be keyed by its line keys")
+    return LineFamily(field.p, keys, *Family.numerators(field.p, [values[k] for k in keys]))
 
 
 def _gather(positions):
@@ -173,7 +256,7 @@ def _incidence_entry(field: Field, N: int):
     incidence_index)."""
     tag = (*field.key, N)
     if tag not in _incidence_cache:
-        keys = [L.basis[0] for L in rational_subspaces(field, N, 1)]
+        keys = tuple(L.basis[0] for L in rational_subspaces(field, N, 1))
         inc = {hk: [jk for jk in keys if pairing(field, hk, jk) == 0] for hk in keys}
         pos = {k: i for i, k in enumerate(keys)}
         _incidence_cache[tag] = inc, (keys, [_gather(pos[jk] for jk in inc[hk]) for hk in keys])
@@ -195,34 +278,32 @@ def incidence_lists(field: Field, N: int) -> dict:
 
 def incidence_index(field: Field, N: int):
     """incidence_lists in index form, from the same cache entry: the line
-    keys in order, and per key a getter such that sum(getter(family)) sums
-    a family given in key order over the key's incidence list."""
+    keys in order, as a tuple, and per key a getter such that
+    sum(getter(family)) sums a family given in key order over the key's
+    incidence list."""
     return _incidence_entry(field, N)[1]
 
 
-def _incidence_sums(field: Field, d: int, values: dict, power: int) -> dict:
+def _incidence_sums(field: Field, d: int, values, power: int) -> LineFamily:
     """q^power times the sum of a zero-sum coefficient family over each
     incidence list of P^(d-1), keyed and ordered like the input."""
-    p = field.p
+    family = line_family(field, d, values)
     keys, getters = incidence_index(field, d)
-    vals = [values[jk] for jk in keys]
-    # integer numerators over one shared exponent k; the output exponent
-    # takes the factor q^power = p^(e * power) as well
-    k = max(0, max(v.exp for v in vals))
-    nums = [v.num * p ** (k - v.exp) for v in vals]
-    if sum(nums):
+    if sum(family.nums):
         raise SumNotZeroError("coefficients must sum to zero")
-    k -= field.e * power
-    out = dict(zip(keys, [PAdicRational(p, sum(g(nums)), k) for g in getters]))
-    return {hk: out[hk] for hk in values}
+    # the factor q^power = p^(e * power) goes into the shared exponent
+    out = LineFamily(field.p, keys, [sum(g(family.nums)) for g in getters],
+                     family.exp - field.e * power)
+    return out if family is values else LineFamily(
+        field.p, tuple(values), *Family.numerators(field.p, [out[k] for k in values]))
 
 
-def radon_forward(field: Field, mu: dict, n: int, N: int) -> dict:
+def radon_forward(field: Field, mu, n: int, N: int) -> LineFamily:
     """lambda_H = q^(n-(N-1)) * sum of mu over lines inside H."""
     return _incidence_sums(field, N, mu, n - (N - 1))
 
 
-def radon_backward(field: Field, lam: dict, n: int, N: int) -> dict:
+def radon_backward(field: Field, lam, n: int, N: int) -> LineFamily:
     """mu_J = q^(1-n) * sum of lambda over hyperplanes through J."""
     return _incidence_sums(field, N, lam, 1 - n)
 
@@ -230,14 +311,7 @@ def radon_backward(field: Field, lam: dict, n: int, N: int) -> dict:
 def is_principal_pair(d: HoroDivisor) -> bool:
     """Membership test for divisors of rational functions: mu sums to zero
     and lambda is its Radon transform."""
-    p = d.field.p
-    total = PAdicRational.integer(p, 0)
-    for v in d.mu.values():
-        total = total + v
-    if not total.is_zero():
-        return False
-    lam = radon_forward(d.field, d.mu, d.n, d.N)
-    return lam == d.lam
+    return not sum(d.mu.nums) and radon_forward(d.field, d.mu, d.n, d.N) == d.lam
 
 
 def schubert_deficit(L: Subspace, W: Subspace) -> int:

@@ -23,15 +23,8 @@ from .errors import (
     WrongChainError,
     WrongIndexError,
 )
-from .divisors import (
-    PAdicRational,
-    _gather,
-    _incidence_sums,
-    incidence_index,
-    line_keys,
-    line_values,
-    zero_sum_draw,
-)
+from .divisors import (Family, LineFamily, PAdicRational, _gather, _incidence_sums,
+                       incidence_index, line_family, line_keys, line_values, zero_sum_draw)
 from .gf import Field
 from .linalg import Subspace, combine, echelonize, extend, pairing, perp
 
@@ -66,6 +59,7 @@ class FiniteTateModel:
         self._lines = None
         self._pair_zero = None
         self._shell_keys = {}
+        self._extensions = {}
         self._generators = {}
 
     def __eq__(self, other) -> bool:
@@ -128,94 +122,65 @@ class FiniteTateModel:
         return echelonize(self.field, rows, self.D)
 
 
-class TateFn:
+class TateFn(Family):
     """A Z[1/p]-valued function on the model space or its dual, with the
-    value at 0 carried explicitly."""
+    value at 0 carried explicitly: a Family in vector order (index()).
+    Immutable; values reads it as a tuple of PAdicRational."""
 
-    __slots__ = ("model", "side", "values")
+    __slots__ = ("model", "side")
 
     def __init__(self, model: FiniteTateModel, side: str, values):
+        self._init(model, side, *Family.numerators(model.field.p, list(values)))
+
+    @classmethod
+    def from_nums(cls, model: FiniteTateModel, side: str, nums, exp: int = 0) -> "TateFn":
+        """The function with value nums[i] / p**exp at the i-th of the q**D vectors."""
+        out = cls.__new__(cls)
+        out._init(model, side, nums, exp)
+        return out
+
+    def _init(self, model: FiniteTateModel, side: str, nums, exp: int) -> None:
         if side not in ("T", "T*"):
             raise ValueError("side must be 'T' or 'T*'")
-        self.model = model
-        self.side = side
-        self.values = list(values)
-        size = model.q**model.D
-        if len(self.values) != size:
-            raise DimensionMismatchError(f"expected {size} values, got {len(self.values)}")
+        Family.__init__(self, model.field.p, nums, exp)
+        self.model, self.side = model, side
+        if len(self.nums) != (size := model.q**model.D):
+            raise DimensionMismatchError(f"expected {size} values, got {len(self.nums)}")
+
+    def _space(self):
+        return (self.model, self.side)
+
+    def _like(self, nums, exp: int) -> "TateFn":
+        return TateFn.from_nums(self.model, self.side, nums, exp)
+
+    values = property(Family.rationals)
 
     @classmethod
     def zero(cls, model: FiniteTateModel, side: str) -> "TateFn":
-        z = PAdicRational.integer(model.field.p, 0)
-        return cls(model, side, [z] * (model.q**model.D))
+        return cls.from_nums(model, side, [0] * (model.q**model.D))
 
     @classmethod
     def indicator(cls, model: FiniteTateModel, side: str, sub: Subspace) -> "TateFn":
-        out = cls.zero(model, side)
-        one = PAdicRational.integer(model.field.p, 1)
+        nums = [0] * (model.q**model.D)
         for v in sub.vectors():
-            out.values[model.index(v)] = one
-        return out
+            nums[model.index(v)] = 1
+        return cls.from_nums(model, side, nums)
 
     def at_zero(self) -> PAdicRational:
-        return self.values[0]
+        return PAdicRational(self.p, self.nums[0], self.exp)
 
     def punctured(self) -> "TateFn":
-        """Copy with the value at 0 forced to zero."""
-        out = TateFn(self.model, self.side, self.values)
-        out.values[0] = PAdicRational.integer(self.model.field.p, 0)
-        return out
+        """The function with the value at 0 forced to zero."""
+        return self._like((0, *self.nums[1:]), self.exp)
 
     def is_fq_invariant(self) -> bool:
         """Whether each vector's value is that at its line's key vector."""
-        return list(self.model.pair_zero_table()[3](self.values)) == self.values
-
-    def _same_space(self, other: "TateFn") -> None:
-        if self.model != other.model:
-            raise ValueError("cannot combine functions on different models")
-        if self.side != other.side:
-            raise ValueError(f"cannot combine functions on {self.side} and {other.side}")
-
-    def __add__(self, other: "TateFn") -> "TateFn":
-        self._same_space(other)
-        return TateFn(
-            self.model, self.side, [a + b for a, b in zip(self.values, other.values)]
-        )
-
-    def __sub__(self, other: "TateFn") -> "TateFn":
-        self._same_space(other)
-        return TateFn(
-            self.model, self.side, [a - b for a, b in zip(self.values, other.values)]
-        )
-
-    def __neg__(self) -> "TateFn":
-        return TateFn(self.model, self.side, [-a for a in self.values])
-
-    def scale(self, c: PAdicRational) -> "TateFn":
-        return TateFn(self.model, self.side, [c * a for a in self.values])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TateFn)
-            and self.model == other.model
-            and self.side == other.side
-            and self.values == other.values
-        )
-
-    def equal_punctured(self, other: "TateFn") -> bool:
-        return self.values[1:] == other.values[1:]
-
-    def __hash__(self):
-        return hash((self.side, tuple(self.values)))
+        return self.model.pair_zero_table()[3](self.nums) == self.nums
 
 
 def integrate(f: TateFn) -> PAdicRational:
     """Total mass, with a point weighing q to the side's offset."""
-    p, e = f.model.field.p, f.model.field.e
-    total = PAdicRational.integer(p, 0)
-    for v in f.values:
-        total = total + v
-    return total * PAdicRational.q_power(p, e, f.model.offset(f.side))
+    return PAdicRational(f.p, sum(f.nums), f.exp - f.model.field.e * f.model.offset(f.side))
 
 
 def fourier(f: TateFn) -> TateFn:
@@ -226,22 +191,18 @@ def fourier(f: TateFn) -> TateFn:
     """
     if not f.is_fq_invariant():
         raise NotInvariantError("Fourier needs a scalar-invariant function")
-    model = f.model
-    p, q = model.field.p, model.q
+    model, q = f.model, f.model.q
     getters, at_keys, per_vector, _ = model.pair_zero_table()
-    # integer numerators at 0 and on the line keys over one shared exponent
-    # k; the output exponent takes the factor q^offset as well
-    vals = [f.values[0], *at_keys(f.values)]
-    k = max(0, max(v.exp for v in vals))
-    zero, *at = [v.num * p ** (k - v.exp) for v in vals]
-    k -= model.field.e * model.offset(f.side)
+    zero, at = f.nums[0], at_keys(f.nums)
     # the orbit sum over c != 0 of psi(c <v, w>) is q-1 when v is
     # perpendicular to w and -1 otherwise, so the value on a line l' is
     # f(0) + q * (sum of f over lines perpendicular to l') - (sum over all)
     total = sum(at)
-    per_line = [PAdicRational(p, zero + q * sum(g(at)) - total, k) for g in getters]
-    out = [PAdicRational(p, zero + (q - 1) * total, k), *per_vector(per_line)]
-    return TateFn(model, "T*" if f.side == "T" else "T", out)
+    per_line = [zero + q * sum(g(at)) - total for g in getters]
+    # the factor q^offset goes into the shared exponent
+    return TateFn.from_nums(model, "T*" if f.side == "T" else "T",
+                            (zero + (q - 1) * total, *per_vector(per_line)),
+                            f.exp - model.field.e * model.offset(f.side))
 
 
 def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
@@ -282,30 +243,39 @@ def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
     return vectors, functionals
 
 
-def eps_extend(model: FiniteTateModel, g: dict, inner: Subspace, outer: Subspace) -> TateFn:
+def _extended(model: FiniteTateModel, g, inner: Subspace, outer: Subspace, side: str) -> TateFn:
+    """g, a family on the line keys of outer/inner, pulled back to the shell on
+    the side's space and extended by zero, by gathers cached on the model."""
+    gathers = model._extensions.get((inner, outer))
+    if gathers is None:
+        shells = shell_keys(model, inner, outer)
+        keys = incidence_index(model.field, outer.dim - inner.dim)[0]
+        pos = {k: i + 1 for i, k in enumerate(keys)}
+        gathers = model._extensions[(inner, outer)] = [
+            _gather(pos.get(at.get(i), 0) for i in range(model.q**model.D))
+            for at in map(dict, shells)]
+    g = line_family(model.field, outer.dim - inner.dim, g)
+    return TateFn.from_nums(model, side, gathers[side == "T*"]((0, *g.nums)), g.exp)
+
+
+def eps_extend(model: FiniteTateModel, g, inner: Subspace, outer: Subspace) -> TateFn:
     """Pull a function on the projective quotient back to the shell between
     the lattices and extend by zero."""
-    out = TateFn.zero(model, "T")
-    for i, key in shell_keys(model, inner, outer)[0]:
-        out.values[i] = g[key]
-    return out
+    return _extended(model, g, inner, outer, "T")
 
 
-def eps_extend_dual(model: FiniteTateModel, gstar: dict, inner: Subspace, outer: Subspace) -> TateFn:
+def eps_extend_dual(model: FiniteTateModel, gstar, inner: Subspace, outer: Subspace) -> TateFn:
     """Dual version, supported on the perp shell of the dual space; the
     hyperplane of the quotient seen by a functional is keyed by the
     normalized vector of its induced form."""
-    out = TateFn.zero(model, "T*")
-    for i, key in shell_keys(model, inner, outer)[1]:
-        out.values[i] = gstar[key]
-    return out
+    return _extended(model, gstar, inner, outer, "T*")
 
 
 def is_admissible(model: FiniteTateModel, inner: Subspace, outer: Subspace) -> bool:
     return outer.contains(inner) and model.n(inner) <= -2 and model.n(outer) >= 2
 
 
-def radon_finite(model: FiniteTateModel, g: dict, inner: Subspace, outer: Subspace) -> dict:
+def radon_finite(model: FiniteTateModel, g, inner: Subspace, outer: Subspace) -> LineFamily:
     """The Radon transform on the projective quotient, normalized by
     q^(n(inner)+1); takes zero-sum input on lines to zero-sum output on
     hyperplanes keyed by their normal lines."""
@@ -313,8 +283,7 @@ def radon_finite(model: FiniteTateModel, g: dict, inner: Subspace, outer: Subspa
         raise NotAdmissibleError("lattice pair violates the admissibility bounds")
     # quotient line representatives are the kernel's line keys; the kernel
     # raises SumNotZeroError on input that does not sum to zero
-    d = outer.dim - inner.dim
-    return _incidence_sums(model.field, d, g, model.n(inner) + 1)
+    return _incidence_sums(model.field, outer.dim - inner.dim, g, model.n(inner) + 1)
 
 
 def radon_fourier_commutes(
@@ -336,11 +305,9 @@ def radon_fourier_commutativity_check(
     if not is_admissible(model, inner, outer):
         raise NotAdmissibleError("lattice pair violates the admissibility bounds")
     count = len(line_keys(model.field, outer.dim - inner.dim))
-    counterexamples = []
-    for _ in range(trials):
-        vals, denom = zero_sum_draw(rng, count)
-        if not radon_fourier_commutes(model, inner, outer, vals, denom):
-            counterexamples.append((vals, denom))
+    draws = [zero_sum_draw(rng, count) for _ in range(trials)]
+    counterexamples = [(v, d) for v, d in draws
+                       if not radon_fourier_commutes(model, inner, outer, v, d)]
     return {"trials": trials, "failures": len(counterexamples),
             "counterexamples": counterexamples}
 
@@ -356,8 +323,7 @@ class TatePair:
             raise ValueError("a pair is a function on T* and one on T, in that order")
         if f1.model != f2.model:
             raise ValueError("the two slots of a pair must sit on one model")
-        self.f1 = f1
-        self.f2 = f2
+        self.f1, self.f2 = f1, f2
 
     def punctured(self) -> "TatePair":
         return TatePair(self.f1.punctured(), self.f2.punctured())
@@ -384,13 +350,8 @@ def is_principal(pair: TatePair) -> bool:
     and the first slot is its Fourier transform away from the origin."""
     if not pair.f2.is_fq_invariant() or not pair.f1.is_fq_invariant():
         raise NotInvariantError("principal test needs scalar-invariant slots")
-    f2z = pair.f2.punctured()
-    if not integrate(f2z).is_zero():
-        return False
-    F = fourier(f2z)
-    if not F.at_zero().is_zero():
-        return False
-    return F.equal_punctured(pair.f1)
+    # the transform at 0 is q^offset times the integral: one test checks both
+    return fourier(pair.f2.punctured()) == pair.f1.punctured()
 
 
 def schubert_pair(model: FiniteTateModel, W: Subspace) -> TatePair:
@@ -434,12 +395,9 @@ def gamma_identity_check(model: FiniteTateModel, f: TateFn, chain) -> bool:
     if not f.is_fq_invariant():
         raise NotInvariantError("needs a scalar-invariant function")
     ell_a, ell_b, _ = line_bundle_pairs(model, chain)
-    a = integrate(f)
-    b = f.at_zero()
     pair = TatePair(fourier(f).punctured(), f.punctured())
     qm1 = PAdicRational.integer(model.field.p, model.q - 1)
-    combo = pair.scale(qm1) - ell_a.scale(a) + ell_b.scale(b)
-    return is_principal(combo)
+    return is_principal(pair.scale(qm1) - ell_a.scale(integrate(f)) + ell_b.scale(f.at_zero()))
 
 
 def partial_frobenius_pullback(pair: TatePair, direction: str) -> TatePair:
@@ -456,16 +414,14 @@ def partial_frobenius_pullback(pair: TatePair, direction: str) -> TatePair:
 def canonical_generators(model: FiniteTateModel, chain):
     """The three full-function pairs spanning the preimage of the canonical
     Picard subgroup: value slots at the origin included.  Cached on the
-    model by the value of the chain; callers must not change them in place.
-    """
+    model by the value of the chain."""
     chain = tuple(chain)
     cached = model._generators.get(chain)
     if cached is not None:
         return cached
     _check_chain(model, chain)
     Wm1, W0, W1 = chain
-    p, e = model.field.p, model.field.e
-    qv = PAdicRational.q_power(p, e, 1)
+    qv = PAdicRational.q_power(model.field.p, model.field.e, 1)
     ind = lambda side, S: TateFn.indicator(model, side, S)
     g1 = TatePair(ind("T*", perp(W0)), ind("T", W0))
     g2 = TatePair(

@@ -497,6 +497,70 @@ def test_transversality_locus_rejects_a_negative_shape(s, t):
     assert not replay_witness({**w, "params": {**w["params"], "s": 1, "t": 1}})
 
 
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("radon_duality", {"p": 2, "e": 1, "N": 3, "n": 1}),
+        ("radon_fourier_square", {"p": 2, "e": 1, "D": 5, "c": -2}),
+        ("gamma_identity", {"p": 2, "e": 1, "D": 4, "c": -2}),
+    ],
+)
+def test_sampled_tate_checks_reject_a_negative_trial_count(name, params):
+    # a negative count ran no trial and reported a pass over it
+    r = run(CheckSpec(name, {**params, "trials": -4}))
+    assert r.verdict == "fail"
+    (w,) = r.counters["witnesses"]
+    assert (w["kind"], w["type"]) == ("exception", "ValueError")
+    assert "-4" in w["message"]
+    assert replay_witness(w)
+    assert not replay_witness({**w, "params": {**w["params"], "trials": 0}})
+    # no trial at all is a count, not an error
+    r = run(CheckSpec(name, {**params, "trials": 0}))
+    assert r.verdict == "pass" and r.counters["trials"] == 0
+
+
+@pytest.mark.parametrize("dims", [{"outer_dim": 9}, {"outer_dim": 6}, {"inner_dim": -1},
+                                  {"inner_dim": 6, "outer_dim": 5}])
+def test_radon_fourier_square_names_a_lattice_dimension_out_of_range(dims):
+    # at D = 5 a dimension outside 0..5 was clamped to it, and outer_dim 9
+    # passed its trials on the pair (0, 5)
+    params = {"p": 2, "e": 1, "D": 5, "c": -2, "trials": 3, **dims}
+    r = run(CheckSpec("radon_fourier_square", params))
+    assert r.verdict == "fail"
+    (w,) = r.counters["witnesses"]
+    assert (w["kind"], w["type"]) == ("exception", "DimensionMismatchError")
+    assert "D=5" in w["message"]
+    assert replay_witness(w)
+    assert not replay_witness({**w, "params": {**w["params"], "inner_dim": 0, "outer_dim": 5}})
+    # the chain of the Picard checks still names its own error
+    r = run(CheckSpec("picard_relation", {"p": 2, "e": 1, "D": 4, "c": 2}))
+    assert r.counters["witnesses"][0]["type"] == "WrongChainError"
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("radon_duality", {"p": 3, "e": 1, "N": 5, "n": 2, "trials": 5}),
+        ("radon_fourier_square", {"p": 3, "e": 1, "D": 5, "c": -2, "trials": 5}),
+        ("gamma_identity", {"p": 3, "e": 1, "D": 4, "c": -2, "trials": 5}),
+    ],
+)
+def test_sampled_tate_checks_build_few_scalars(name, params, monkeypatch):
+    # families are integer numerators over one exponent; with one
+    # PAdicRational per entry a warm run built 1,815, 1,830 and 8,087
+    assert run(CheckSpec(name, dict(params))).verdict == "pass"
+    made = []
+    init = divisors.PAdicRational.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(divisors.PAdicRational, "__init__", counted)
+    assert run(CheckSpec(name, dict(params))).verdict == "pass"
+    assert len(made) < 50
+
+
 def test_pullback_multiplicity_names_the_callers_top_level():
     # right flags at n = N have no cover; the report names n = N = 3
     r = run(CheckSpec("pullback_multiplicity", {"p": 2, "e": 1, "m": 2, "N": 3, "n": 3}))

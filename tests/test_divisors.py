@@ -432,3 +432,23 @@ def test_pullback_check_rejects_an_unknown_type():
 def test_divisor_data_must_cover_all_lines():
     with pytest.raises(DimensionMismatchError):
         HoroDivisor(F2, 3, 1, {}, {})
+
+
+def test_divisor_data_must_be_keyed_by_the_line_keys():
+    # seven entries at F_2, N = 3, keyed 0..6: the right count, no line key
+    keys = line_keys(F2, 3)
+    zero = PAdicRational.integer(2, 0)
+    bad = {i: zero for i in range(len(keys))}
+    good = {k: zero for k in keys}
+    for lam, mu in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(DimensionMismatchError, match="line keys"):
+            HoroDivisor(F2, 3, 1, lam, mu)
+    # one key swapped for a key of another space
+    swapped = {**{k: zero for k in keys[1:]}, (1, 1, 1, 1): zero}
+    with pytest.raises(DimensionMismatchError, match="line keys"):
+        HoroDivisor(F2, 3, 1, good, swapped)
+    with pytest.raises(DimensionMismatchError, match="line keys"):
+        radon_forward(F2, bad, 1, 3)
+    d = HoroDivisor(F2, 3, 1, good, good)
+    assert is_principal_pair(d) and is_principal_pair(d + d)
+    assert list(d.lam) == list(d.mu) == keys

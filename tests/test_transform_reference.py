@@ -5,6 +5,8 @@ over the incidence lists, and fourier collapses the character sum to the
 same incidence sums.  The references below keep those formulas as plain
 dict-and-generator sums over incidence_lists and PAdicRational arithmetic,
 and every transform must agree with them value for value and key for key.
+The family arithmetic itself (integer numerators over one shared exponent)
+is checked against element-wise PAdicRational arithmetic.
 """
 
 import random
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from toyshtlab import divisors
 from toyshtlab.divisors import (
+    LineFamily,
     PAdicRational,
     incidence_lists,
     line_keys,
@@ -166,9 +169,10 @@ def test_edge_dimensions_match_reference(field, N):
 def test_invariance_matches_reference(D, rng):
     # over F_3 a vector off its line's key vector can break invariance
     model = FiniteTateModel(FIELDS[1], D, -1)
-    f = invariant_function(rng, model, "T")
-    i = rng.randrange(1, len(f.values))
-    f.values[i] = f.values[i] + PAdicRational.integer(3, rng.randrange(2))
+    values = list(invariant_function(rng, model, "T").values)
+    i = rng.randrange(1, len(values))
+    values[i] = values[i] + PAdicRational.integer(3, rng.randrange(2))
+    f = TateFn(model, "T", values)
     assert f.is_fq_invariant() == is_invariant_reference(f)
     if not is_invariant_reference(f):
         with pytest.raises(NotInvariantError):
@@ -186,3 +190,59 @@ def test_patched_incidence_lists_leave_the_cache_sound(monkeypatch):
     check_radon(field, N, 1, mu)
     monkeypatch.undo()
     check_radon(field, N, 1, mu)
+
+
+FAMILY_SHAPES = [(2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FAMILY_SHAPES), st.sampled_from(["T", "T*"]), st.data())
+def test_family_arithmetic_matches_elementwise_reference(shape, side, data):
+    p, D = shape
+    model = FiniteTateModel(field_make(p, 1, 1), D, -1)
+    nums = st.lists(st.integers(-40, 40), min_size=p**D, max_size=p**D)
+    exps = st.integers(-2, 3)
+    a = TateFn.from_nums(model, side, data.draw(nums), data.draw(exps))
+    if data.draw(st.booleans()):
+        b = TateFn.from_nums(model, side, data.draw(nums), data.draw(exps))
+    else:
+        # a's values written over a larger exponent
+        k = data.draw(st.integers(0, 3))
+        b = TateFn.from_nums(model, side, [x * p**k for x in a.nums], a.exp + k)
+    c = PAdicRational(p, data.draw(st.integers(-40, 40)), data.draw(exps))
+    ra, rb = a.values, b.values
+    assert ra == tuple(TateFn(model, side, ra).values)
+    for x, y in ((a, b), (b, a)):
+        rx, ry = x.values, y.values
+        assert (x + y).values == tuple(u + v for u, v in zip(rx, ry))
+        assert (x - y).values == tuple(u - v for u, v in zip(rx, ry))
+        assert (-x).values == tuple(-u for u in rx)
+        assert x.scale(c).values == tuple(c * u for u in rx)
+        assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+    if ra == rb:
+        assert hash(a) == hash(b)
+    # the same numbers as families keyed by the vectors, read as mappings
+    keys = tuple(model.vectors())
+    la, lb = LineFamily(p, keys, a.nums, a.exp), LineFamily(p, keys, b.nums, b.exp)
+    assert list((la + lb).items()) == [(k, u + v) for k, u, v in zip(keys, ra, rb)]
+    assert list(la.scale(c).values()) == [c * u for u in ra]
+    assert (la == lb) == (ra == rb) == (la == dict(zip(keys, rb)))
+
+
+def test_family_equality_aligns_exponents():
+    # (3, 6, 0) / 3 and (1, 2, 0) / 3^0 are one family
+    model = FiniteTateModel(FIELDS[1], 1, -1)
+    a = TateFn.from_nums(model, "T", (3, 6, 0), 1)
+    b = TateFn.from_nums(model, "T", (1, 2, 0), 0)
+    assert a == b and b == a and hash(a) == hash(b) and a.values == b.values
+    assert a - b == TateFn.zero(model, "T") and len({a, b}) == 1
+    assert a + a == b.scale(PAdicRational.integer(3, 2))
+    # equal values on another side, or with one entry off, are another family
+    assert a != TateFn.from_nums(model, "T*", (1, 2, 0), 0)
+    assert a != TateFn.from_nums(model, "T", (1, 2, 1), 0)
+    keys = line_keys(FIELDS[0], 2)[:2]
+    la, lb = LineFamily(3, keys, (3, 6), 1), LineFamily(3, keys, (1, 2), 0)
+    assert la == lb and la == dict(lb.items()) and dict(la) == dict(lb)
+    assert la != LineFamily(3, keys[::-1], (1, 2), 0)
+    with pytest.raises(TypeError):
+        hash(la)
