@@ -159,10 +159,10 @@ def _replay_chart_mismatch(w: dict) -> bool:
 
 def check_trivial_locus_count(params: dict, seed: int):
     F = _field(params, default_m=2)
-    N, n = int(params["N"]), int(params["n"])
-    budget = _budget(params)
-    trivial = {pt.L for pt in toysht.indexed_or_streamed(F, N, n, budget)
-               if toysht.is_trivial(pt.L)}
+    N, n, budget = int(params["N"]), int(params["n"]), _budget(params)
+    # Frobenius-fixedness first, so the toy predicate runs on the trivial points only
+    trivial = {L for L in enumerate_grassmannian(F, N, n, budget=budget)
+               if toysht.is_trivial(L) and toysht.is_toy_shtuka(L)}
     rational = set(rational_subspaces(F, N, n, budget))
     expected = gauss_binomial(N, n, F.q)
     witnesses = [{"kind": "trivial_locus", "rows": L.basis} for L in trivial ^ rational]
@@ -176,7 +176,8 @@ def _replay_trivial_locus(w: dict) -> bool:
     n, budget = int(w["params"]["n"]), _budget(w["params"])
     if L.dim != n:
         raise DimensionMismatchError(f"rows span dimension {L.dim}, expected {n}")
-    return toysht.is_trivial(L) != (L in rational_subspaces(F, N, n, budget))
+    trivial = toysht.is_trivial(L) and toysht.is_toy_shtuka(L)
+    return trivial != (L in rational_subspaces(F, N, n, budget))
 
 
 def check_grassmannian_count(params: dict, seed: int):
@@ -191,7 +192,8 @@ def check_grassmannian_count(params: dict, seed: int):
 
 def check_dichotomy(params: dict, seed: int):
     F = _field(params, default_m=2)
-    N = int(params["N"])
+    if (N := int(params["N"])) < 0:
+        raise DimensionMismatchError(f"need N >= 0, got N={N}")
     budget = _budget(params)
     counters = {"pairs": 0}
     witnesses = []
@@ -226,7 +228,8 @@ def _frobenius_round_trip(f):
 
 def check_partial_frobenius_composition(params: dict, seed: int):
     F = _field(params, default_m=2)
-    N = int(params["N"])
+    if (N := int(params["N"])) < 0:
+        raise DimensionMismatchError(f"need N >= 0, got N={N}")
     budget = _budget(params)
     counters = {"flags": 0}
     witnesses = []

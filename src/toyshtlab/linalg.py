@@ -141,8 +141,8 @@ class Subspace:
         when it is rational."""
         if self._sigma is None:
             # entrywise q-power of an echelon basis is again an echelon basis
-            fr = self.field.frobenius
-            rows = tuple(tuple(fr(x) for x in row) for row in self.basis)
+            fr = self.field._frob
+            rows = tuple(tuple([fr[x] for x in row]) for row in self.basis)
             self._sigma = self if rows == self.basis else Subspace(
                 self.field, self.ambient_dim, rows, self.pivots
             )
@@ -241,8 +241,13 @@ def extend(S: Subspace, candidates) -> list:
 
 
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
+    """a + b, with no elimination where a summand is zero or the whole space."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
+    if not a.basis or b.dim == b.ambient_dim:
+        return b
+    if not b.basis or a.dim == a.ambient_dim:
+        return a
     return echelonize(a.field, a.basis + b.basis, a.ambient_dim)
 
 

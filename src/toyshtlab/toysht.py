@@ -1,7 +1,8 @@
 """Toy shtukas over F_{q^m}: the defining rank-at-most-one predicate, the
 toy locus indexed once per field value (toy_points), the trivial/nontrivial
-dichotomy, left/right flags, partial Frobeniuses, and membership in
-horospherical loci.
+dichotomy (is_trivial reads the basis, with no elimination, so a sweep of the
+trivial locus tests it before is_toy_shtuka), left/right flags, partial
+Frobeniuses, and membership in horospherical loci.
 
 A point is a subspace L of F_{q^m}^N whose intersection with its coordinate
 Frobenius twist sigma(L) has codimension at most one in L.  Nontrivial points
@@ -135,15 +136,6 @@ def toy_points(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
     if key not in _toy_index:
         _toy_index[key] = tuple(enumerate_toysht(field, N, n, budget))
     return _toy_index[key]
-
-
-def indexed_or_streamed(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
-    """The toy points of toy_points where the index already holds them, and
-    otherwise streamed by enumerate_toysht without indexing them, so a locus
-    with one reader is never kept whole; the budget is checked either way."""
-    if (*field.key, N, n) in _toy_index:
-        return toy_points(field, N, n, budget)
-    return enumerate_toysht(field, N, n, budget)
 
 
 def split_nontrivial(point: ToyPoint):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -236,10 +237,15 @@ def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
     calls = _count_calls(monkeypatch, linalg.rref)
     r = run(CheckSpec("dichotomy", {"p": 3, "e": 1, "m": 2, "N": 3}))
     assert r.verdict == "pass"
+    eliminations = len(calls)
     points = sum(1 for n in (1, 2) for _ in enumerate_toysht(F9, 3, n))
     assert r.counters["pairs"] == 28 * points == 5096
-    # per point: the toy predicate and the flag, one rref each
-    assert len(calls) <= r.counters["pairs"] + 2 * points
+    # one rref per toy plane (the predicate; lines need none) and per flag,
+    # and M + W only for the 78 nontrivial planes against the 26 rational W
+    # of dimension 1 or 2: a nontrivial line has M = 0, and W = 0 or F^3 is
+    # a summand span_sum returns as it is.  One elimination per (nontrivial
+    # point, W) pair would be 156 * 28 = 4,368.
+    assert eliminations == 91 + points + 78 * 26 == 2301 < 156 * 28
 
 
 def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
@@ -271,19 +277,48 @@ def test_chart_sweep_reads_ranks_off_the_cone(monkeypatch):
     assert r.verdict == "pass" and r.counters["matrices"] == 7 * 16 and ranks == []
 
 
-def test_trivial_locus_count_streams_until_the_locus_is_indexed(monkeypatch):
-    # F_4, N = 3, n = 1: streamed (and not indexed) before the dichotomy
-    # indexes levels 1 and 2, read from the index after
-    calls = _count_calls(monkeypatch, toysht.enumerate_toysht)
-    spec = {**F4P, "N": 3, "n": 1}
-    assert run(CheckSpec("trivial_locus_count", spec)).verdict == "pass"
-    assert len(calls) == 1 and toysht._toy_index == {}
-    assert run(CheckSpec("dichotomy", {**F4P, "N": 3})).verdict == "pass"
-    for seed in range(3):
-        assert run(CheckSpec("trivial_locus_count", spec, seed)).verdict == "pass"
-    assert len(calls) == 3
+@pytest.mark.parametrize("field,N,n", [(F4, 3, 1), (F9, 4, 2)], ids=["F4-3-1", "F9-4-2"])
+def test_trivial_locus_count_tests_frobenius_before_the_toy_predicate(monkeypatch, field, N, n):
+    # every subspace is tested for Frobenius-fixedness, the toy predicate
+    # runs on the gauss_binomial(N, n, q) rational ones only, and no toy
+    # locus is enumerated or indexed
+    streams = _count_calls(monkeypatch, toysht.enumerate_toysht)
+    predicates = _count_calls(monkeypatch, toysht.is_toy_shtuka)
+    spec = {"p": field.p, "e": field.e, "m": field.m, "N": N, "n": n}
+    r = run(CheckSpec("trivial_locus_count", spec))
+    rational = linalg.gauss_binomial(N, n, field.q)
+    assert r.verdict == "pass" and r.counters["trivial"] == rational
+    assert streams == [] and toysht._toy_index == {}
+    assert len(predicates) == rational
     r = run(CheckSpec("trivial_locus_count", {**spec, "budget": 20}))
     assert r.counters["witnesses"][0]["kind"] == "budget_exceeded"
+
+
+def test_trivial_locus_count_fails_where_the_toy_predicate_rejects_rational_points(monkeypatch):
+    # the toy predicate still decides membership of the trivial points: one
+    # that rejects every rational subspace empties the trivial locus
+    original = toysht.is_toy_shtuka
+    monkeypatch.setattr(toysht, "is_toy_shtuka", lambda L: not L.is_rational() and original(L))
+    r = run(CheckSpec("trivial_locus_count", {**F4P, "N": 3, "n": 1}))
+    assert r.verdict == "fail" and r.counters["trivial"] == 0
+    witnesses = r.counters["witnesses"]
+    assert Counter(w["kind"] for w in witnesses) == {"trivial_locus": 7, "trivial_count": 1}
+    assert all(replay_witness(w) for w in witnesses)
+    monkeypatch.undo()
+    assert not any(replay_witness(w) for w in witnesses)
+
+
+@pytest.mark.parametrize("name", ["dichotomy", "partial_frobenius_composition"])
+def test_sweeps_over_every_dimension_reject_a_negative_N(name):
+    for N in (-1, -2):
+        r = run(CheckSpec(name, {**F4P, "N": N}))
+        assert r.verdict == "fail"
+        (w,) = r.counters["witnesses"]
+        assert (w["kind"], w["type"]) == ("exception", "DimensionMismatchError")
+        assert replay_witness(w)
+    # N = 0 has nothing to sweep and passes
+    r = run(CheckSpec(name, {**F4P, "N": 0}))
+    assert r.verdict == "pass" and r.counters["witnesses"] == []
 
 
 def test_toy_locus_is_enumerated_once(monkeypatch):

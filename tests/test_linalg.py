@@ -112,6 +112,45 @@ def test_sum_intersect_trivial_cases():
     assert intersect(a, b) == zero_subspace(F2, 4)
 
 
+def draw_subspace(data, field, N):
+    """The zero space, the whole space, or the span of up to N + 1 drawn rows
+    with entries in F or in F_q, so rational subspaces come up often."""
+    kind = data.draw(st.sampled_from(("zero", "whole", "span")))
+    if kind == "zero":
+        return zero_subspace(field, N)
+    if kind == "whole":
+        return full_space(field, N)
+    elem = st.sampled_from(data.draw(st.sampled_from((field.elements(), field.subfield))))
+    return echelonize(field, data.draw(st.lists(st.tuples(*[elem] * N), max_size=N + 1)), N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([F4, F9]), st.integers(0, 4), st.data())
+def test_span_sum_is_the_echelon_form_of_the_stacked_bases(field, N, data):
+    # zero-space and whole-space summands are drawn on both sides; span_sum
+    # returns such a summand's partner, or the whole space, as it is
+    a, b = draw_subspace(data, field, N), draw_subspace(data, field, N)
+    total = span_sum(a, b)
+    expected = echelonize(field, a.basis + b.basis, N)
+    assert total == expected and total.pivots == expected.pivots
+    if not a.basis or b.dim == N:
+        assert total is b
+    elif not b.basis or a.dim == N:
+        assert total is a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([F4, F9]), st.integers(0, 4), st.data())
+def test_frobenius_image_is_entrywise_and_fixes_exactly_the_rational_subspaces(
+    field, N, data
+):
+    S = draw_subspace(data, field, N)
+    image = S.frobenius_image()
+    frob = tuple(tuple(field.frobenius(x) for x in row) for row in S.basis)
+    assert image.basis == frob and image.pivots == S.pivots
+    assert (image is S) == (S in rational_subspaces(field, N, S.dim))
+
+
 def test_modular_law_against_span_enumeration():
     rng = random.Random(7)
     for _ in range(30):
