@@ -12,7 +12,7 @@ t-adic order of a local equation along such lifted curves.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, product
 from operator import getitem, xor
 
@@ -165,21 +165,14 @@ class Chart:
         return tuple(r[n:] for r in rows)
 
 
-_canonical: dict = {}
-
-
+@cache
 def canonical_chart(field: Field, W: Subspace) -> Chart:
     """The chart centered at rational W, completed by standard basis vectors:
     one per field value and W, built on first use and shared after."""
-    key = (*field.key, W)
-    if key not in _canonical:
-        N = W.ambient_dim
-        pivset = set(W.pivots)
-        wp = [
-            tuple(1 if k == j else 0 for k in range(N)) for j in range(N) if j not in pivset
-        ]
-        _canonical[key] = Chart(field, N, W.basis, wp)
-    return _canonical[key]
+    N = W.ambient_dim
+    pivset = set(W.pivots)
+    wp = [tuple(1 if k == j else 0 for k in range(N)) for j in range(N) if j not in pivset]
+    return Chart(field, N, W.basis, wp)
 
 
 def artin_schreier(field: Field, A):
@@ -206,20 +199,15 @@ def rank_le1(field: Field, A) -> bool:
     return True
 
 
-_cones: dict = {}
-
-
+@cache
 def rank_le1_locus(field: Field, s: int, t: int):
     """The s-by-t matrices of rank at most one, sorted: the zero matrix and
     each u v^T with u normalized (first nonzero entry 1) and v nonzero, so
     each once.  One tuple per field value and shape, built on first use."""
-    key = (*field.key, s, t)
-    if key not in _cones:
-        us = [u for u in product(field.elements(), repeat=s) if next(filter(None, u), 0) == 1]
-        vs = list(product(field.elements(), repeat=t))[1:]
-        _cones[key] = tuple(sorted([((0,) * t,) * s] + [
-            tuple(tuple(field.mul(x, y) for y in v) for x in u) for u in us for v in vs]))
-    return _cones[key]
+    us = [u for u in product(field.elements(), repeat=s) if next(filter(None, u), 0) == 1]
+    vs = list(product(field.elements(), repeat=t))[1:]
+    return tuple(sorted([((0,) * t,) * s] + [
+        tuple(tuple(field.mul(x, y) for y in v) for x in u) for u in us for v in vs]))
 
 
 def _graph_predicate(field: Field, N: int, n: int, chart: Chart):

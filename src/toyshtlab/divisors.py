@@ -10,6 +10,7 @@ perpendicular lines, so both sides of a divisor share one list of lines.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cache
 from operator import add, itemgetter, neg
 
 from .charts import SchubertCenters, jtype_flag_pullback_probe, schubert_multiplicity_probe
@@ -209,9 +210,6 @@ class HoroDivisor:
         return HoroDivisor(self.field, self.N, self.n, -self.lam, -self.mu)
 
 
-_incidence_cache: dict = {}
-
-
 def line_keys(field: Field, N: int):
     """Canonical keys for the rational lines: their echelon generator rows."""
     return list(incidence_lists(field, N))
@@ -251,16 +249,14 @@ def _gather(positions):
     return lambda seq: tuple(seq[i] for i in positions)
 
 
+@cache
 def _incidence_entry(field: Field, N: int):
     """The cache entry of the field's value and N: (incidence_lists,
     incidence_index)."""
-    tag = (*field.key, N)
-    if tag not in _incidence_cache:
-        keys = tuple(L.basis[0] for L in rational_subspaces(field, N, 1))
-        inc = {hk: [jk for jk in keys if pairing(field, hk, jk) == 0] for hk in keys}
-        pos = {k: i for i, k in enumerate(keys)}
-        _incidence_cache[tag] = inc, (keys, [_gather(pos[jk] for jk in inc[hk]) for hk in keys])
-    return _incidence_cache[tag]
+    keys = tuple(L.basis[0] for L in rational_subspaces(field, N, 1))
+    inc = {hk: [jk for jk in keys if pairing(field, hk, jk) == 0] for hk in keys}
+    pos = {k: i for i, k in enumerate(keys)}
+    return inc, (keys, [_gather(pos[jk] for jk in inc[hk]) for hk in keys])
 
 
 def incidence_lists(field: Field, N: int) -> dict:
@@ -429,15 +425,10 @@ def _pullback_components(flags, markers, divisor_type: str):
     The markers a subspace lies in ("H") or under ("J") are found once per
     subspace value, so a flag is on the components on(small) & on(big).
     """
-    memo = {}
-
+    @cache
     def on(X: Subspace) -> frozenset:
-        if X not in memo:
-            memo[X] = frozenset(
-                k for k, mk in enumerate(markers)
-                if (mk.contains(X) if divisor_type == "H" else X.contains(mk))
-            )
-        return memo[X]
+        return frozenset(k for k, mk in enumerate(markers)
+                         if (mk.contains(X) if divisor_type == "H" else X.contains(mk)))
 
     failures, comps = [], [[] for _ in markers]
     for f in flags:

@@ -150,11 +150,19 @@ class Field:
         # F_q, the fixed points of the Frobenius, in increasing order
         self.subfield = tuple(x for x in range(order) if self._frob[x] == x)
         assert len(self.subfield) == self.q, "Frobenius fixed field has wrong size"
+        self._hash = hash(self.key)
 
     @property
     def key(self) -> tuple:
-        """The field's value (p, e, m, modulus), the key of every per-value cache."""
+        """The field's value (p, e, m, modulus): fields compare and hash by
+        it, so every per-value cache keyed by a field is keyed by its value."""
         return (self.p, self.e, self.m, self.modulus)
+
+    def __eq__(self, other) -> bool:
+        return self is other or isinstance(other, Field) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _find_modulus(self, seed: int) -> tuple[int, ...]:
         p, d = self.p, self.degree
@@ -175,41 +183,26 @@ class Field:
         p, order = self.p, self.order
         mod = self.modulus
 
-        def raw_mul(a: int, b: int) -> int:
-            pa, pb = self._int_to_poly(a), self._int_to_poly(b)
-            return self._poly_to_int(_pmulmod(pa, pb, mod, p))
-
         # find a multiplicative generator, seed-rotated deterministic order
         n1 = order - 1
         factors = _prime_factors(n1) if n1 > 1 else []
         gen = 1
         for k in range(1, order):
             g = 1 + (self.seed + k - 1) % n1 if n1 > 0 else 1
-            ok = True
-            for ell in factors:
-                t = 1
-                kk = n1 // ell
-                base = g
-                while kk:
-                    if kk & 1:
-                        t = raw_mul(t, base)
-                    base = raw_mul(base, base)
-                    kk >>= 1
-                if t == 1:
-                    ok = False
-                    break
-            if ok:
+            gp = self._int_to_poly(g)
+            if all(_ppowmod(gp, n1 // ell, mod, p) != (1,) for ell in factors):
                 gen = g
                 break
         self.generator = gen
 
         exp = [1] * (2 * max(n1, 1))
         log = [0] * order
-        v = 1
+        gp, v = self._int_to_poly(gen), (1,)
         for i in range(n1):
-            exp[i] = v
-            log[v] = i
-            v = raw_mul(v, gen)
+            x = self._poly_to_int(v)
+            exp[i] = x
+            log[x] = i
+            v = _pmulmod(v, gp, mod, p)
         for i in range(n1, len(exp)):
             exp[i] = exp[i - n1] if n1 else 1
         self._exp = exp

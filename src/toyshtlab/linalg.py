@@ -15,6 +15,7 @@ characteristic and above the bound they go through rref.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 
 from .errors import BudgetExceededError, DimensionMismatchError
@@ -193,18 +194,13 @@ class Packing:
         return mask
 
 
-_packings: dict = {}
-
-
+@cache
 def packing(field: Field, N: int):
     """The Packing of F^N, built once per field value and N and shared after;
     None for odd p or order**N above POINT_SET_MAX."""
     if field.p != 2 or field.order**N > POINT_SET_MAX:
         return None
-    key = (*field.key, N)
-    if key not in _packings:
-        _packings[key] = Packing(field, N)
-    return _packings[key]
+    return Packing(field, N)
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:
@@ -378,9 +374,6 @@ def enumerate_grassmannian(field: Field, N: int, n: int, budget: int = DEFAULT_E
     yield from _echelon_bases(field, N, n, field.elements())
 
 
-_rational: dict = {}
-
-
 def rational_subspaces(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
     """The F_q-rational n-dimensional subspaces of F^N, as a tuple in
     enumerate_grassmannian order: the echelon bases with entries in F_q,
@@ -390,7 +383,9 @@ def rational_subspaces(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_
     shared after, as its subspaces are immutable; the budget is checked on
     every call."""
     _gate(N, n, field.q, budget)
-    key = (*field.key, N, n)
-    if key not in _rational:
-        _rational[key] = tuple(_echelon_bases(field, N, n, field.subfield))
-    return _rational[key]
+    return _rational_subspaces(field, N, n)
+
+
+@cache
+def _rational_subspaces(field: Field, N: int, n: int):
+    return tuple(_echelon_bases(field, N, n, field.subfield))

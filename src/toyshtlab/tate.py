@@ -13,6 +13,7 @@ leave Z[1/p] and are independent of the character.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from .errors import (
@@ -42,7 +43,8 @@ class FiniteTateModel:
 
     The dual model carries the offset -c-D, so perpendicularity negates the
     dimension theory and double duality restores it.  Models compare by
-    value: the field's value, D and c.
+    value: the field's value, D and c; so equal models share every table
+    cached by model.
     """
 
     def __init__(self, field: Field, D: int, c: int):
@@ -53,14 +55,7 @@ class FiniteTateModel:
         self.D = D
         self.c = c
         self.c_star = -c - D
-        self._key = (*field.key, D, c)
-        self._vectors = None
-        self._line_index = None
-        self._lines = None
-        self._pair_zero = None
-        self._shell_keys = {}
-        self._extensions = {}
-        self._generators = {}
+        self._key = (field, D, c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteTateModel) and self._key == other._key
@@ -74,12 +69,11 @@ class FiniteTateModel:
     def offset(self, side: str) -> int:
         return self.c if side == "T" else self.c_star
 
+    @cache
     def vectors(self):
         """All vectors, listed so that position agrees with index()."""
-        if self._vectors is None:
-            elems = tuple(self.field.elements())
-            self._vectors = [tuple(reversed(v)) for v in product(elems, repeat=self.D)]
-        return self._vectors
+        elems = tuple(self.field.elements())
+        return tuple(tuple(reversed(v)) for v in product(elems, repeat=self.D))
 
     def index(self, v) -> int:
         q = self.q
@@ -88,35 +82,30 @@ class FiniteTateModel:
             out = out * q + x
         return out
 
+    @cache
     def line_index(self):
         """For each vector index, the normalized representative of the
         vector's line (first nonzero coordinate 1); None at 0."""
-        if self._line_index is None:
-            f = self.field
-            self._line_index = [None] + [_line_key(f, v) for v in self.vectors()[1:]]
-        return self._line_index
+        return (None, *(_line_key(self.field, v) for v in self.vectors()[1:]))
 
+    @cache
     def lines(self):
         """Normalized representatives of the scalar orbits of nonzero
         vectors, in order of first appearance among the vectors."""
-        if self._lines is None:
-            self._lines = list(dict.fromkeys(self.line_index()[1:]))
-        return self._lines
+        return tuple(dict.fromkeys(self.line_index()[1:]))
 
+    @cache
     def pair_zero_table(self):
         """incidence_index at d = D with gathers between vectors and lines:
         (getters, at_keys, per_vector, at_reps).  at_keys takes a family on
         vectors to the line keys, per_vector takes a family on line keys to
         the nonzero vectors, and at_reps takes a family on vectors to the
         key vector of each vector's line (0 for 0)."""
-        if self._pair_zero is None:
-            keys, getters = incidence_index(self.field, self.D)
-            at = [self.index(k) for k in keys]
-            pos = {k: i for i, k in enumerate(keys)}
-            of = [pos[k] for k in self.line_index()[1:]]
-            reps = _gather([0] + [at[j] for j in of])
-            self._pair_zero = getters, _gather(at), _gather(of), reps
-        return self._pair_zero
+        keys, getters = incidence_index(self.field, self.D)
+        at = [self.index(k) for k in keys]
+        pos = {k: i for i, k in enumerate(keys)}
+        of = [pos[k] for k in self.line_index()[1:]]
+        return getters, _gather(at), _gather(of), _gather([0] + [at[j] for j in of])
 
     def subspace(self, rows) -> Subspace:
         return echelonize(self.field, rows, self.D)
@@ -205,6 +194,7 @@ def fourier(f: TateFn) -> TateFn:
                             f.exp - model.field.e * model.offset(f.side))
 
 
+@cache
 def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
     """The shell between nested lattices, keyed by the projective quotient
     outer/inner: (vector index, quotient-line key) for each vector of outer
@@ -214,11 +204,8 @@ def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
     Both sides take quotient coordinates against one set of rows of outer
     completing inner, so two keys pair to zero iff the vector and functional
     do.  Keys are normalized like line_keys(field, dim outer - dim inner).
-    Cached on the model by the value of (inner, outer).
+    Cached by the value of (model, inner, outer).
     """
-    cached = model._shell_keys.get((inner, outer))
-    if cached is not None:
-        return cached
     if not outer.contains(inner):
         raise LatticeNotNestedError("inner lattice must sit inside the outer one")
     f, D = model.field, model.D
@@ -239,23 +226,27 @@ def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
         form = tuple(pairing(f, w, row) for row in rows)
         if any(form):
             functionals.append((model.index(w), _line_key(f, form)))
-    model._shell_keys[(inner, outer)] = vectors, functionals
-    return vectors, functionals
+    return tuple(vectors), tuple(functionals)
+
+
+@cache
+def _extension_gathers(model: FiniteTateModel, inner: Subspace, outer: Subspace):
+    """Per side ("T", then "T*"), the gather taking (0, *family) on the line
+    keys of outer/inner to its extension by zero through the shell."""
+    # the shell first: it rejects a pair that is not nested
+    shells = shell_keys(model, inner, outer)
+    keys = incidence_index(model.field, outer.dim - inner.dim)[0]
+    pos = {k: i + 1 for i, k in enumerate(keys)}
+    return tuple(_gather(pos.get(at.get(i), 0) for i in range(model.q**model.D))
+                 for at in map(dict, shells))
 
 
 def _extended(model: FiniteTateModel, g, inner: Subspace, outer: Subspace, side: str) -> TateFn:
     """g, a family on the line keys of outer/inner, pulled back to the shell on
-    the side's space and extended by zero, by gathers cached on the model."""
-    gathers = model._extensions.get((inner, outer))
-    if gathers is None:
-        shells = shell_keys(model, inner, outer)
-        keys = incidence_index(model.field, outer.dim - inner.dim)[0]
-        pos = {k: i + 1 for i, k in enumerate(keys)}
-        gathers = model._extensions[(inner, outer)] = [
-            _gather(pos.get(at.get(i), 0) for i in range(model.q**model.D))
-            for at in map(dict, shells)]
+    the side's space and extended by zero."""
+    gather = _extension_gathers(model, inner, outer)[side == "T*"]
     g = line_family(model.field, outer.dim - inner.dim, g)
-    return TateFn.from_nums(model, side, gathers[side == "T*"]((0, *g.nums)), g.exp)
+    return TateFn.from_nums(model, side, gather((0, *g.nums)), g.exp)
 
 
 def eps_extend(model: FiniteTateModel, g, inner: Subspace, outer: Subspace) -> TateFn:
@@ -413,12 +404,13 @@ def partial_frobenius_pullback(pair: TatePair, direction: str) -> TatePair:
 
 def canonical_generators(model: FiniteTateModel, chain):
     """The three full-function pairs spanning the preimage of the canonical
-    Picard subgroup: value slots at the origin included.  Cached on the
-    model by the value of the chain."""
-    chain = tuple(chain)
-    cached = model._generators.get(chain)
-    if cached is not None:
-        return cached
+    Picard subgroup: value slots at the origin included.  Cached by the
+    value of the model and the chain."""
+    return _generators(model, tuple(chain))
+
+
+@cache
+def _generators(model: FiniteTateModel, chain):
     _check_chain(model, chain)
     Wm1, W0, W1 = chain
     qv = PAdicRational.q_power(model.field.p, model.field.e, 1)
@@ -432,8 +424,7 @@ def canonical_generators(model: FiniteTateModel, chain):
         -(ind("T*", perp(Wm1)) - ind("T*", perp(W0))),
         ind("T", W0) - ind("T", Wm1).scale(qv),
     )
-    model._generators[chain] = out = g1, g2, g3
-    return out
+    return g1, g2, g3
 
 
 def canonical_preimage_check(model: FiniteTateModel, chain) -> bool:

@@ -16,8 +16,8 @@ dichotomy_by_rank), which also serve as the oracles the replays use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .errors import (
     DimensionMismatchError,
@@ -34,6 +34,7 @@ from .linalg import (
     combine,
     echelonize,
     enumerate_grassmannian,
+    gauss_binomial,
     intersection_dim,
     packing,
     rational_subspaces,
@@ -45,15 +46,15 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class ToyPoint:
-    """A toy shtuka point with its cached Frobenius twist and, computed on
-    first use, its flag and the vectors that step along it."""
+    """A toy shtuka point with, computed on first use, its flag and the
+    vectors that step along it."""
 
     L: Subspace
-    sigma_L: Subspace = dc_field(compare=False, default=None)
 
-    def __post_init__(self):
-        if self.sigma_L is None:
-            object.__setattr__(self, "sigma_L", self.L.frobenius_image())
+    @property
+    def sigma_L(self) -> Subspace:
+        """The Frobenius twist, cached on L (Subspace.frobenius_image)."""
+        return self.L.frobenius_image()
 
     @cached_property
     def flag(self):
@@ -123,19 +124,19 @@ def enumerate_toysht(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BU
             yield ToyPoint(L)
 
 
-_toy_index: dict = {}
-
-
 def toy_points(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
     """The toy shtuka points of dimension n over F_{q^m}, as a tuple in
     enumerate_toysht order: one per field value and (N, n), as
     rational_subspaces, built on first use and shared after, so the points'
     cached flags are shared too; the budget is checked on every call."""
     _gate(N, n, field.order, budget)
-    key = (*field.key, N, n)
-    if key not in _toy_index:
-        _toy_index[key] = tuple(enumerate_toysht(field, N, n, budget))
-    return _toy_index[key]
+    return _toy_points(field, N, n)
+
+
+@cache
+def _toy_points(field: Field, N: int, n: int):
+    # the caller has gated the size, so enumerate at exactly that size
+    return tuple(enumerate_toysht(field, N, n, gauss_binomial(N, n, field.order)))
 
 
 def split_nontrivial(point: ToyPoint):
@@ -289,13 +290,12 @@ def dichotomy_by_rank(point: ToyPoint, W: Subspace):
     l' and s' the remainders of l and s modulo it, L cap W is fixed iff
     l' != 0, and the image is fixed iff s' lies on the line through l'.
     """
-    inter, _ = point.flag
     if not W.is_rational():
         raise ValueError("W must be F_q-rational")
     steps = point.flag_steps
     if steps is None:
         return {"sub_fixed": True, "quot_fixed": True}
-    MW = span_sum(inter, W)
+    MW = span_sum(point.flag[0], W)
     l, s = (MW.reduce(v) for v in steps)
     sub_fixed = any(l)
     quot_fixed = _in_line(W.field, s, l)

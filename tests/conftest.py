@@ -13,10 +13,10 @@ from toyshtlab import charts, linalg, toysht  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def empty_counted_caches():
-    """Start each test with no toy index, canonical chart or packed toy
-    verdict cached, so a test that counts enumerations, eliminations or
-    spans counts the same alone and in any order of the suite."""
-    toysht._toy_index.clear()
-    charts._canonical.clear()
-    for pk in linalg._packings.values():
-        pk.verdicts.clear()
+    """Start each test with no toy index, canonical chart or packing (and so
+    no packed toy verdict) cached, so a test that counts enumerations,
+    eliminations or spans counts the same alone and in any order of the
+    suite."""
+    toysht._toy_points.cache_clear()
+    charts.canonical_chart.cache_clear()
+    linalg.packing.cache_clear()

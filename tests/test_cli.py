@@ -240,12 +240,13 @@ def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
     eliminations = len(calls)
     points = sum(1 for n in (1, 2) for _ in enumerate_toysht(F9, 3, n))
     assert r.counters["pairs"] == 28 * points == 5096
-    # one rref per toy plane (the predicate; lines need none) and per flag,
-    # and M + W only for the 78 nontrivial planes against the 26 rational W
-    # of dimension 1 or 2: a nontrivial line has M = 0, and W = 0 or F^3 is
-    # a summand span_sum returns as it is.  One elimination per (nontrivial
+    # one rref per toy plane (the predicate; lines need none), one per flag
+    # of the 156 nontrivial points (a trivial point reads no flag), and
+    # M + W only for the 78 nontrivial planes against the 26 rational W of
+    # dimension 1 or 2: a nontrivial line has M = 0, and W = 0 or F^3 is a
+    # summand span_sum returns as it is.  One elimination per (nontrivial
     # point, W) pair would be 156 * 28 = 4,368.
-    assert eliminations == 91 + points + 78 * 26 == 2301 < 156 * 28
+    assert eliminations == 91 + 156 + 78 * 26 == 2275 < 156 * 28
 
 
 def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
@@ -288,7 +289,7 @@ def test_trivial_locus_count_tests_frobenius_before_the_toy_predicate(monkeypatc
     r = run(CheckSpec("trivial_locus_count", spec))
     rational = linalg.gauss_binomial(N, n, field.q)
     assert r.verdict == "pass" and r.counters["trivial"] == rational
-    assert streams == [] and toysht._toy_index == {}
+    assert streams == [] and toysht._toy_points.cache_info().currsize == 0
     assert len(predicates) == rational
     r = run(CheckSpec("trivial_locus_count", {**spec, "budget": 20}))
     assert r.counters["witnesses"][0]["kind"] == "budget_exceeded"

@@ -8,7 +8,7 @@ from toyshtlab.charts import jtype_flag_pullback_probe
 from toyshtlab.divisors import (
     HoroDivisor,
     PAdicRational,
-    _incidence_cache,
+    _incidence_entry,
     _pullback_components,
     incidence_lists,
     is_principal_pair,
@@ -111,9 +111,12 @@ def test_incidence_cache_keyed_by_field_value():
     # separately built, equal-valued fields: field_make would share one object
     fields = [Field(2, 1, 1) for _ in range(200)]
     assert len({id(field) for field in fields}) == 200
+    _incidence_entry.cache_clear()
     for field in fields:
         assert incidence_lists(field, 3) is incidence_lists(fields[0], 3)
-    assert sum(1 for tag in _incidence_cache if tag[:3] == (2, 1, 1) and tag[-1] == 3) == 1
+    # one entry, built once, for all 200 fields
+    info = _incidence_entry.cache_info()
+    assert info.currsize == info.misses == 1
 
 
 def test_radon_delta_difference_pg22():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -255,3 +256,24 @@ def test_tables_are_linear_in_order():
     for t in tables:
         assert len(t) <= 2 * F.order
         assert all(isinstance(x, int) for x in t)
+
+
+# (p, e, m) -> generator at seeds 0, 1 and 5, and one digest over every
+# tower's modulus, generator and exp, log and Frobenius tables at those seeds,
+# as the generator search by integer square-and-multiply found them
+GENERATORS = {
+    (2, 1, 2): (2, 2, 3), (2, 1, 3): (2, 2, 6), (2, 2, 2): (2, 2, 6), (2, 1, 8): (3, 3, 6),
+    (3, 1, 2): (4, 4, 6), (5, 1, 4): (6, 6, 28), (3, 1, 6): (3, 3, 6), (3, 2, 3): (3, 3, 6),
+    (7, 1, 3): (22, 22, 8), (3, 1, 7): (5, 5, 6), (7, 1, 4): (12, 12, 12),
+}
+TABLES_DIGEST = "b6f2fd0758626ff525c23d044dbe1e1f6f14070044d585dfa665e2d194671944"
+
+
+def test_generator_search_and_tables_pinned():
+    digest = hashlib.sha256()
+    for tower, generators in GENERATORS.items():
+        for seed, g in zip((0, 1, 5), generators):
+            F = Field(*tower, seed=seed)
+            assert F.generator == g, (tower, seed)
+            digest.update(repr((tower, seed, F.modulus, g, F._exp, F._log, F._frob)).encode())
+    assert digest.hexdigest() == TABLES_DIGEST

@@ -143,7 +143,10 @@ def test_packings_are_keyed_by_field_value():
     assert packing(F8, 2) is mine and packing(F8, 1) is not mine
 
 
-def test_odd_characteristic_builds_no_point_sets():
+def test_odd_characteristic_builds_no_point_sets(monkeypatch):
+    # every Packing built during the test, by field and N
+    built, original = [], linalg.Packing
+    monkeypatch.setattr(linalg, "Packing", lambda F, N: built.append((F, N)) or original(F, N))
     for F in (F3, F9):
         assert packing(F, 3) is None
         subs = all_subspaces(F, 3) if F is F3 else all_rational(F, 3)
@@ -152,4 +155,4 @@ def test_odd_characteristic_builds_no_point_sets():
             assert_pair_matches_ranks(a, subs[-1])
     r = cli.run(cli.CheckSpec("dichotomy", {"p": 3, "e": 1, "m": 2, "N": 3}))
     assert r.verdict == "pass"
-    assert not any(key[0] == 3 for key in linalg._packings)
+    assert built == []

@@ -19,6 +19,7 @@ from toyshtlab.tate import (
     FiniteTateModel,
     TateFn,
     TatePair,
+    _generators,
     canonical_generators,
     canonical_preimage_check,
     eps_extend,
@@ -288,7 +289,7 @@ def test_eps_extend_dual_support():
         key = dict(functionals)
         for j, val in enumerate(out.values):
             assert val == (g[key[j]] if j in key else PAdicRational.integer(f.p, 0))
-    # cached on the model by the value of the pair, not the objects
+    # cached by the value of the model and the pair, not the objects
     assert shell_keys(m, inner, outer) is shell_keys(m, standard(m, 1), standard(m, 3))
 
 
@@ -549,12 +550,13 @@ def test_canonical_preimage():
 def test_canonical_generators_cached_by_chain_value():
     m = model_q2()
     chain = chain_for(m)
+    _generators.cache_clear()
     first = canonical_generators(m, chain)
     # the same chain rebuilt from fresh subspaces finds the cached pairs
     rebuilt = tuple(m.subspace(list(W.basis)) for W in chain)
     assert all(W is not V for W, V in zip(chain, rebuilt))
     assert canonical_generators(m, rebuilt) is first
-    assert len(m._generators) == 1
+    assert _generators.cache_info().currsize == 1
     with pytest.raises(WrongChainError):
         canonical_generators(m, (chain[1], chain[0], chain[2]))
 
@@ -564,6 +566,7 @@ def test_canonical_pair_checks_hold_on_cached_pairs(field):
     m = FiniteTateModel(field, 4, -2)
     chain = chain_for(m)
     rng = random.Random(5)
+    _generators.cache_clear()
     for _ in range(2):
         # run twice: the second pass reads the cached generator pairs
         assert picard_relation_check(m, chain)
@@ -575,4 +578,4 @@ def test_canonical_pair_checks_hold_on_cached_pairs(field):
         values[1:] = [on_line[k] for k in m.line_index()[1:]]
         f = TateFn(m, "T", values)
         assert gamma_identity_check(m, f, chain)
-    assert len(m._generators) == 1
+    assert _generators.cache_info().currsize == 1

@@ -183,7 +183,7 @@ def test_patched_incidence_lists_leave_the_cache_sound(monkeypatch):
     # a run with incidence_lists patched, as the incidence_count replay test
     # does, neither uses nor caches an index built from the patched lists
     field, N = FIELDS[1], 3
-    divisors._incidence_cache.pop((field.p, field.e, field.m, field.modulus, N), None)
+    divisors._incidence_entry.cache_clear()
     mu = zero_sum_family(random.Random(0), line_keys(field, N), field.p)
     monkeypatch.setattr(divisors, "incidence_lists",
                         lambda F, N: {k: v[1:] for k, v in incidence_lists(F, N).items()})
