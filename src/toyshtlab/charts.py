@@ -422,7 +422,9 @@ class SchubertCenters:
     its adapted chart.  None of this depends on the probed point, so one
     index serves every probe of W; it is filled lazily, one center at a
     time, only as far as the searches through it reach.  normals keeps a
-    normal vector of each hyperplane H probed, taken once per H.
+    normal vector of each hyperplane H probed, taken once per H, and bases
+    the probe base of each point L0 probed (schubert_probe_base), taken once
+    per L0.
     """
 
     def __init__(self, field: Field, N: int, n: int, W: Subspace):
@@ -430,6 +432,7 @@ class SchubertCenters:
         self._rest = iter(rational_subspaces(field, N, N - n))
         self._found = []
         self.normals = {}
+        self.bases = {}
 
     def __iter__(self):
         i = 0
@@ -487,6 +490,26 @@ def schubert_adapted_chart(centers: SchubertCenters, L0: Subspace):
     raise NotOnVarietyError("no adapted chart found for this Schubert center")
 
 
+def schubert_probe_base(centers: SchubertCenters, L0: Subspace):
+    """(chart, entry, B0, A0) for probes at L0: the adapted chart and its
+    Schubert entry (schubert_adapted_chart), the matrix B0 of L0 in it and
+    its Artin-Schreier image A0.  None of it draws randomness or depends on
+    the component, so it is taken once per L0 and kept on centers.bases;
+    raises NotOnVarietyError, and keeps nothing, unless L0 is a nontrivial
+    point on the Schubert divisor in its chart."""
+    base = centers.bases.get(L0)
+    if base is None:
+        chart, (ai, bj) = schubert_adapted_chart(centers, L0)
+        B0 = chart.coordinates(L0)
+        if B0 is None or B0[ai][bj] != 0:
+            raise NotOnVarietyError("base point is not on the Schubert divisor in its chart")
+        A0 = artin_schreier(centers.field, B0)
+        if all(x == 0 for row in A0 for x in row):
+            raise NotOnVarietyError("probe base point must be nontrivial")
+        base = centers.bases[L0] = chart, (ai, bj), B0, A0
+    return base
+
+
 def schubert_multiplicity_probe(centers: SchubertCenters, L0: Subspace, component, rng):
     """Order of the Schubert equation along a random toy-locus curve through
     the nontrivial point L0 on the Schubert divisor of the W of centers.
@@ -498,13 +521,7 @@ def schubert_multiplicity_probe(centers: SchubertCenters, L0: Subspace, componen
     """
     kind, sub = component
     field, N, n = centers.field, centers.N, centers.n
-    chart, (ai, bj) = schubert_adapted_chart(centers, L0)
-    B0 = chart.coordinates(L0)
-    if B0 is None or B0[ai][bj] != 0:
-        raise NotOnVarietyError("base point is not on the Schubert divisor in its chart")
-    A0 = artin_schreier(field, B0)
-    if all(x == 0 for row in A0 for x in row):
-        raise NotOnVarietyError("probe base point must be nontrivial")
+    chart, (ai, bj), B0, A0 = schubert_probe_base(centers, L0)
     width = N - n
 
     if kind == "H":

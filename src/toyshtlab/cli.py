@@ -235,7 +235,7 @@ def check_partial_frobenius_composition(params: dict, seed: int):
     witnesses = []
     for side, levels in (("right", range(0, N)), ("left", range(1, N + 1))):
         for n in levels:
-            for f in toysht.enumerate_flags(F, N, n, side, budget=budget):
+            for f in toysht.flags(F, N, n, side, budget):
                 counters["flags"] += 1
                 if _frobenius_round_trip(f) != f.frobenius_image():
                     witnesses.append({"kind": "composition", "side": side,

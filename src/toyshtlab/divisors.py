@@ -26,7 +26,7 @@ from .linalg import (
 )
 from .toysht import (
     FlagPoint,
-    enumerate_flags,
+    flags,
     horospherical_membership,
     partial_frobenius_plus,
     toy_points,
@@ -459,11 +459,11 @@ def partial_frobenius_divisor_pullback_check(
     model, where perpendicularity turns it into a J case.
     """
     _check_divisor_type(divisor_type)
-    flags = list(enumerate_flags(field, N, n, "right", budget=budget))
+    rights = flags(field, N, n, "right", budget)
     marker_dim = N - 1 if divisor_type == "H" else 1
     markers = rational_subspaces(field, N, marker_dim, budget)
-    set_failures, comps = _pullback_components(flags, markers, divisor_type)
-    report = {"flags": len(flags), "set_failures": set_failures, "probes": {},
+    set_failures, comps = _pullback_components(rights, markers, divisor_type)
+    report = {"flags": len(rights), "set_failures": set_failures, "probes": {},
               "mode": "exhaustive"}
     if rng is not None and 1 <= n <= N - 2:
         report["mode"] = "probabilistic"

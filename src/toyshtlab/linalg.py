@@ -76,7 +76,7 @@ def combine(field: Field, coeffs, rows, width: int):
 class Subspace:
     """A linear subspace of F_{q^m}^N in canonical reduced-echelon form."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_sigma", "_points")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_sigma", "_points", "_hash")
 
     def __init__(self, field: Field, ambient_dim: int, basis, pivots):
         self.field = field
@@ -85,6 +85,7 @@ class Subspace:
         self.pivots = tuple(pivots)
         self._sigma = None
         self._points = None
+        self._hash = None
 
     @property
     def dim(self) -> int:
@@ -98,7 +99,10 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        # taken on first use and kept, as the basis never changes
+        if self._hash is None:
+            self._hash = hash((self.ambient_dim, self.basis))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Subspace(N={self.ambient_dim}, dim={self.dim}, basis={self.basis})"
@@ -121,7 +125,8 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
-        if other.dim > self.dim:
+        # the basis lengths, not the dim property: every flag check lands here
+        if len(other.basis) > len(self.basis):
             return False
         mine = self.points()
         if mine is not None:

@@ -56,12 +56,13 @@ class FiniteTateModel:
         self.c = c
         self.c_star = -c - D
         self._key = (field, D, c)
+        self._hash = hash(self._key)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteTateModel) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def n(self, lattice: Subspace) -> int:
         return lattice.dim + self.c

@@ -1,8 +1,9 @@
 """Toy shtukas over F_{q^m}: the defining rank-at-most-one predicate, the
 toy locus indexed once per field value (toy_points), the trivial/nontrivial
 dichotomy (is_trivial reads the basis, with no elimination, so a sweep of the
-trivial locus tests it before is_toy_shtuka), left/right flags, partial
-Frobeniuses, and membership in horospherical loci.
+trivial locus tests it before is_toy_shtuka), left/right flags, indexed
+once per field value and kind too (flags), partial Frobeniuses, and
+membership in horospherical loci.
 
 A point is a subspace L of F_{q^m}^N whose intersection with its coordinate
 Frobenius twist sigma(L) has codimension at most one in L.  Nontrivial points
@@ -146,7 +147,7 @@ def split_nontrivial(point: ToyPoint):
     return point.flag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlagPoint:
     """A nested pair of subspaces with a one-step dimension gap.
 
@@ -161,7 +162,7 @@ class FlagPoint:
     def validate(self) -> None:
         if self.kind not in ("left", "right"):
             raise InvalidFlagError(f"unknown kind {self.kind!r}")
-        if self.big.dim != self.small.dim + 1:
+        if len(self.big.basis) != len(self.small.basis) + 1:
             raise InvalidFlagError("dimension gap must be exactly one")
         if not self.big.contains(self.small):
             raise InvalidFlagError("small is not contained in big")
@@ -210,6 +211,20 @@ def subspaces_one_less(L: Subspace, budget: int = DEFAULT_ENUM_BUDGET):
         yield echelonize(f, [combine(f, coeffs, L.basis, N) for coeffs in H.basis], N)
 
 
+def _fiber(N: int, n: int, kind: str):
+    """The (ambient, dimension) of the Grassmannian a trivial point's fiber
+    ranges over, for flags of the given kind at level n; raises
+    InvalidFlagError for an unknown kind and DimensionMismatchError for a
+    level without flags."""
+    if kind not in ("left", "right"):
+        raise InvalidFlagError(f"unknown kind {kind!r}")
+    right = kind == "right"
+    if not (0 <= n < N if right else 0 < n <= N):
+        bounds = "0 <= n < N" if right else "0 < n <= N"
+        raise DimensionMismatchError(f"{kind} flags need {bounds}, got n={n}, N={N}")
+    return (N - n, 1) if right else (n, n - 1)
+
+
 def enumerate_flags(
     field: Field, N: int, n: int, kind: str, budget: int = DEFAULT_ENUM_BUDGET
 ):
@@ -221,12 +236,8 @@ def enumerate_flags(
     partner is forced; over a trivial one it ranges over a projective fiber.
     The budget bounds the points (toy_points) and each fiber.
     """
-    if kind not in ("left", "right"):
-        raise InvalidFlagError(f"unknown kind {kind!r}")
+    _fiber(N, n, kind)
     right = kind == "right"
-    if not (0 <= n < N if right else 0 < n <= N):
-        bounds = "0 <= n < N" if right else "0 < n <= N"
-        raise DimensionMismatchError(f"{kind} flags need {bounds}, got n={n}, N={N}")
     for pt in toy_points(field, N, n, budget):
         if is_trivial(pt.L):
             fiber = superspaces_one_more if right else subspaces_one_less
@@ -236,6 +247,28 @@ def enumerate_flags(
             partners = (total if right else inter,)
         for other in partners:
             yield FlagPoint(pt.L, other, kind) if right else FlagPoint(other, pt.L, kind)
+
+
+def flags(field: Field, N: int, n: int, kind: str, budget: int = DEFAULT_ENUM_BUDGET):
+    """The flags of the given kind at level n, as a tuple in enumerate_flags
+    order: one per field value and (N, n, kind), as toy_points, built on
+    first use and shared after, so the fiber subspaces' cached point sets
+    and Frobenius images are shared too.  On every call the budget is
+    checked on the points and on one trivial point's fiber, which every
+    level has (the rational subspaces), raising as enumerate_flags would."""
+    fiber = _fiber(N, n, kind)
+    _gate(N, n, field.order, budget)
+    _gate(*fiber, field.order, budget)
+    return _flags(field, N, n, kind)
+
+
+@cache
+def _flags(field: Field, N: int, n: int, kind: str):
+    # the caller has gated the points and the fibers, so enumerate at the
+    # larger of the two sizes
+    q = field.order
+    sizes = (gauss_binomial(N, n, q), gauss_binomial(*_fiber(N, n, kind), q))
+    return tuple(enumerate_flags(field, N, n, kind, max(sizes)))
 
 
 def _in_line(field: Field, v, l) -> bool:

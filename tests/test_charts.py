@@ -559,6 +559,39 @@ def test_adapted_centers_match_exhaustive_search(field, N, n):
                      (9, 3, 1): {True: 78, "H through L0": 78}}[(field.order, N, n)]
 
 
+def test_schubert_probe_base_is_one_coordinates_call_per_point(monkeypatch):
+    # F_4, N = 4, n = 2: probes of both kinds at the first three clean
+    # points of every component of the first W, each point probed twice per
+    # component, on two centers objects; the base of a point is taken once
+    # per centers object, whatever the component or the draw
+    calls = []
+    original = Chart.coordinates
+
+    def counted(self, L):
+        calls.append(L)
+        return original(self, L)
+
+    monkeypatch.setattr(Chart, "coordinates", counted)
+    N, n = 4, 2
+    W = rational_subspaces(F4, N, N - n)[0]
+    comps = [("H", H) for H in rational_subspaces(F4, N, N - 1) if H.contains(W)]
+    comps += [("J", J) for J in rational_subspaces(F4, N, 1) if W.contains(J)]
+    clean = _component_points(comps, toy_locus(F4, N, n))
+    rng = random.Random(3)
+    for _ in range(2):
+        calls.clear()
+        centers = SchubertCenters(F4, N, n, W)
+        probed = []
+        for comp in comps:
+            for L0 in clean[comp][:3] * 2:
+                assert schubert_multiplicity_probe(centers, L0, comp, rng) == 1
+                probed.append(L0)
+        distinct = set(probed)
+        assert len(probed) > len(distinct) > 3
+        assert len(calls) == len(distinct) and set(calls) == distinct
+        assert set(centers.bases) == distinct
+
+
 def test_adapted_centers_fill_lazily():
     W = echelonize(F4, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)
     L0 = echelonize(F4, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)

@@ -272,6 +272,24 @@ def test_transversality_sweep_makes_one_elimination_per_cone_matrix(monkeypatch)
     assert len(rrefs) <= 338 and ranks == []
 
 
+def test_flag_checks_enumerate_each_flag_level_once(monkeypatch):
+    # the default suite's two flag checks, at two seeds, twice: every flag
+    # level is streamed once, into the flag index, and read from it after
+    calls = _count_calls(monkeypatch, toysht.enumerate_flags)
+    specs = [CheckSpec(s.name, dict(s.params), seed) for s in cli.DEFAULT_SUITE
+             if s.name in ("partial_frobenius_composition", "pullback_multiplicity")
+             for seed in (0, 1)]
+    first = [run(s) for s in specs]
+    second = [run(s) for s in specs]
+    for a, b in zip(first, second):
+        assert a.verdict == "pass"
+        a.elapsed_ms = b.elapsed_ms = 0
+        assert a == b
+    levels = Counter((N, n, kind) for _, N, n, kind, _ in calls)
+    assert levels == Counter([(3, n, "right") for n in (0, 1, 2)]
+                             + [(3, n, "left") for n in (1, 2, 3)])
+
+
 def test_chart_sweep_reads_ranks_off_the_cone(monkeypatch):
     ranks = _count_calls(monkeypatch, charts.rank_le1)
     r = run(CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": 1}))

@@ -25,6 +25,7 @@ from toyshtlab.toysht import (
     dichotomy_check,
     enumerate_flags,
     enumerate_toysht,
+    flags,
     horospherical_membership,
     is_toy_shtuka,
     is_trivial,
@@ -197,6 +198,40 @@ def test_enumerate_flags_rejects_a_level_without_flags(kind, n):
     # names the kind and the caller's level, not an inner fiber's
     with pytest.raises(DimensionMismatchError, match=f"^{kind} flags need .*, got n={n}, N=3$"):
         next(enumerate_flags(F4, 3, n, kind))
+    with pytest.raises(DimensionMismatchError, match=f"^{kind} flags need .*, got n={n}, N=3$"):
+        flags(F4, 3, n, kind)
+    with pytest.raises(InvalidFlagError, match="unknown kind 'up'"):
+        flags(F4, 3, 1, "up")
+
+
+@pytest.mark.parametrize("field,N", [(F2, 1), (F2, 2), (F2, 3), (F2, 4), (F4, 1), (F4, 2),
+                                     (F4, 3), (F4, 4), (F9, 3)])
+def test_flags_index_enumerate_flags(field, N):
+    for kind, levels in (("right", range(0, N)), ("left", range(1, N + 1))):
+        for n in levels:
+            index = flags(field, N, n, kind)
+            assert index == tuple(enumerate_flags(field, N, n, kind)), (kind, n)
+
+
+def _budget_message(build):
+    with pytest.raises(BudgetExceededError) as info:
+        build()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kind,n", [
+    # the points: 21 lines or planes of F_4^3, each fiber at most 5
+    ("right", 1), ("left", 2),
+    # a fiber: one point, the zero space or F_4^3, over 21 lines or planes
+    ("right", 0), ("left", 3),
+])
+def test_cached_flags_keep_the_budget(kind, n):
+    # raised before and after the index is built, as the stream raises it
+    expected = _budget_message(lambda: list(enumerate_flags(F4, 3, n, kind, 20)))
+    assert _budget_message(lambda: flags(F4, 3, n, kind, 20)) == expected
+    index = flags(F4, 3, n, kind)
+    assert _budget_message(lambda: flags(F4, 3, n, kind, 20)) == expected
+    assert flags(F4, 3, n, kind, 21) is index
 
 
 def test_partial_frobenius_fixes_rational_flags():

@@ -7,7 +7,7 @@ from toyshtlab.charts import canonical_chart, rank_le1_locus
 from toyshtlab.divisors import incidence_index, incidence_lists
 from toyshtlab.gf import Field
 from toyshtlab.linalg import packing, rational_subspaces
-from toyshtlab.toysht import toy_points
+from toyshtlab.toysht import flags, toy_points
 
 
 def _standard(model, dim):
@@ -25,6 +25,8 @@ def test_equal_values_share_every_cached_table():
         lambda f: packing(f, 3),
         lambda f: rational_subspaces(f, 4, 2),
         lambda f: toy_points(f, 4, 2),
+        lambda f: flags(f, 3, 1, "right"),
+        lambda f: flags(f, 3, 2, "left"),
         lambda f: canonical_chart(f, W),
         lambda f: rank_le1_locus(f, 2, 3),
         lambda f: incidence_lists(f, 3),
@@ -36,6 +38,7 @@ def test_equal_values_share_every_cached_table():
     F9, G9 = Field(3, 1, 2), Field(3, 1, 2)
     assert rational_subspaces(F9, 3, 1) is rational_subspaces(G9, 3, 1)
     assert toy_points(F9, 3, 2) is toy_points(G9, 3, 2)
+    assert flags(F9, 3, 1, "right") is flags(G9, 3, 1, "right")
 
     # two models over separately built F_3, each with its own subspaces
     m, n = (tate.FiniteTateModel(Field(3, 1, 1), 4, -2) for _ in range(2))
