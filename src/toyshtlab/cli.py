@@ -90,10 +90,7 @@ def _tate_model(params: dict) -> tate.FiniteTateModel:
 
 
 def _standard_flag(model: tate.FiniteTateModel, dim: int):
-    rows = [
-        tuple(1 if k == i else 0 for k in range(model.D)) for i in range(dim)
-    ]
-    return model.subspace(rows)
+    return model.subspace([tuple(int(k == i) for k in range(model.D)) for i in range(dim)])
 
 
 def _default_chain(model: tate.FiniteTateModel):
@@ -613,17 +610,32 @@ def run_suite(specs):
 
 
 def load_config(path: str):
+    """The specs of a JSON suite: a list of entries, or an object whose "suite"
+    is one.  An entry is an object with a registered "name", and optionally a
+    "params" object and an int "seed"; else ConfigParseError, before any run."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as ex:
         raise ConfigParseError(str(ex)) from ex
-    entries = doc["suite"] if isinstance(doc, dict) else doc
-    try:
-        return [CheckSpec(e["name"], dict(e.get("params", {})), int(e.get("seed", 0)))
-                for e in entries]
-    except (KeyError, TypeError, AttributeError, ValueError) as ex:
-        raise ConfigParseError(f"malformed suite entry: {ex}") from ex
+    entries = doc.get("suite") if isinstance(doc, dict) else doc
+    if not isinstance(entries, list):
+        raise ConfigParseError('a suite is a list of entries, or an object with a "suite" list')
+    specs = []
+    for e in entries:
+        if not isinstance(e, dict) or not isinstance(e.get("name"), str):
+            why = "not an object with a check name"
+        elif e["name"] not in REGISTRY:
+            why = f"unknown check {e['name']!r}"
+        elif not isinstance(params := e.get("params", {}), dict):
+            why = "params is not an object"
+        elif type(seed := e.get("seed", 0)) is not int:
+            why = "seed is not an int"
+        else:
+            specs.append(CheckSpec(e["name"], dict(params), seed))
+            continue
+        raise ConfigParseError(f"malformed suite entry {e!r}: {why}")
+    return specs
 
 
 def replay_witness(witness: dict) -> bool:
@@ -674,6 +686,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.check:
+        if args.check not in REGISTRY:
+            parser.error(f"unknown check {args.check!r}")
         params = {}
         for kv in args.param:
             if "=" not in kv:
@@ -685,7 +699,10 @@ def main(argv=None) -> int:
                 params[k] = v
         specs = [CheckSpec(args.check, params, args.seed)]
     elif args.config:
-        specs = load_config(args.config)
+        try:
+            specs = load_config(args.config)
+        except ConfigParseError as ex:
+            parser.error(str(ex))
     else:
         specs = [CheckSpec(s.name, dict(s.params), args.seed) for s in DEFAULT_SUITE]
 

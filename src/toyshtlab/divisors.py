@@ -3,21 +3,23 @@ finite Radon transform with its q-power normalization, the principal-divisor
 criterion, and the Schubert decomposition checks.
 
 Coefficients live in Z[1/p]: a family is integer numerators over one power
-of p (Family), a scalar is a PAdicRational.  Hyperplanes are indexed by their
+of p (Family), a scalar an int or a Fraction.  A value enters a family through
+Family.numerators or scale, where its denominator is checked to be a power of
+p, and leaves it as a Fraction.  Hyperplanes are indexed by their
 perpendicular lines, so both sides of a divisor share one list of lines.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from fractions import Fraction
 from functools import cache
 from operator import add, itemgetter, neg
 
 from .charts import SchubertCenters, jtype_flag_pullback_probe, schubert_multiplicity_probe
 from .errors import DimensionMismatchError, SumNotZeroError
-from .gf import Field
+from .gf import DEFAULT_BUDGET, Field
 from .linalg import (
-    DEFAULT_ENUM_BUDGET,
     Subspace,
     intersection_dim,
     pairing,
@@ -36,64 +38,19 @@ from .toysht import (
 PROBE_REPEATS = 5
 
 
-class PAdicRational:
-    """An exact element of Z[1/p]: numerator / p^exponent, with p coprime to
-    the numerator in canonical form."""
+def fraction(p: int, num: int, exp: int) -> Fraction:
+    """The value num / p**exp as a Fraction; exp may be negative."""
+    return Fraction(num, p**exp) if exp >= 0 else Fraction(num * p**-exp)
 
-    __slots__ = ("p", "num", "exp")
 
-    def __init__(self, p: int, num: int, exp: int = 0):
-        self.p = p
-        if num == 0:
-            self.num, self.exp = 0, 0
-            return
-        while num % p == 0:
-            num //= p
-            exp -= 1
-        self.num = num
-        self.exp = exp
-
-    @classmethod
-    def integer(cls, p: int, value: int) -> "PAdicRational":
-        return cls(p, value, 0)
-
-    @classmethod
-    def q_power(cls, p: int, e: int, k: int) -> "PAdicRational":
-        """The value q^k for q = p^e."""
-        return cls(p, 1, -e * k)
-
-    def __add__(self, other: "PAdicRational") -> "PAdicRational":
-        k = max(self.exp, other.exp)
-        a = self.num * self.p ** (k - self.exp)
-        b = other.num * self.p ** (k - other.exp)
-        return PAdicRational(self.p, a + b, k)
-
-    def __sub__(self, other: "PAdicRational") -> "PAdicRational":
-        return self + (-other)
-
-    def __neg__(self) -> "PAdicRational":
-        return PAdicRational(self.p, -self.num, self.exp)
-
-    def __mul__(self, other: "PAdicRational") -> "PAdicRational":
-        return PAdicRational(self.p, self.num * other.num, self.exp + other.exp)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PAdicRational)
-            and self.num == other.num
-            and self.exp == other.exp
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.exp))
-
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def __repr__(self) -> str:
-        if self.exp <= 0:
-            return f"{self.num * self.p ** -self.exp}"
-        return f"{self.num}/{self.p}^{self.exp}"
+def _p_exponent(p: int, c) -> int:
+    """k with c.denominator == p**k, for c an int or a Fraction; else ValueError."""
+    d, k = c.denominator, 0
+    while d % p == 0:
+        d, k = d // p, k + 1
+    if d != 1:
+        raise ValueError(f"{c} is not in Z[1/{p}]")
+    return k
 
 
 class Family:
@@ -109,23 +66,23 @@ class Family:
 
     @staticmethod
     def numerators(p: int, values: list):
-        """PAdicRational values as integer numerators and their shared exponent."""
-        k = max([v.exp for v in values] + [0])
-        return [v.num * p ** (k - v.exp) for v in values], k
+        """Int or Fraction values as integer numerators and their shared
+        exponent; a denominator that is not a power of p raises ValueError."""
+        exps = [_p_exponent(p, v) for v in values]
+        k = max(exps, default=0)
+        return [v.numerator * p ** (k - e) for v, e in zip(values, exps)], k
 
     def _align(self, other):
         """Both numerator tuples over the larger exponent, and that exponent."""
         if type(other) is not type(self) or other._space() != self._space():
             raise ValueError(f"cannot combine families on {self._space()} and {other._space()}")
-        a, b, k, p = self.nums, other.nums, self.exp, self.p
-        if other.exp > k:
-            a, k = tuple(x * p ** (other.exp - k) for x in a), other.exp
-        elif other.exp < k:
-            b = tuple(x * p ** (k - other.exp) for x in b)
+        k = max(self.exp, other.exp)
+        a, b = (f.nums if f.exp == k else tuple(x * f.p ** (k - f.exp) for x in f.nums)
+                for f in (self, other))
         return a, b, k
 
     def rationals(self) -> tuple:
-        return tuple(PAdicRational(self.p, x, self.exp) for x in self.nums)
+        return tuple(fraction(self.p, x, self.exp) for x in self.nums)
 
     def __add__(self, other):
         a, b, k = self._align(other)
@@ -137,8 +94,9 @@ class Family:
     def __neg__(self):
         return self._like(map(neg, self.nums), self.exp)
 
-    def scale(self, c: PAdicRational):
-        return self._like([c.num * x for x in self.nums], self.exp + c.exp)
+    def scale(self, c):
+        """The family times c, an int or a Fraction in Z[1/p]."""
+        return self._like([c.numerator * x for x in self.nums], self.exp + _p_exponent(self.p, c))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self) or other._space() != self._space():
@@ -152,7 +110,7 @@ class Family:
 
 class LineFamily(Family, Mapping):
     """A Family on the rational lines, read as a mapping from the keys in
-    order to PAdicRational values; it equals any mapping with the same items
+    order to Fraction values; it equals any mapping with the same items
     and, like a dict, has no hash."""
 
     __slots__ = ("order", "_pos")
@@ -169,10 +127,10 @@ class LineFamily(Family, Mapping):
     def _like(self, nums, exp: int):
         return LineFamily(self.p, self.order, nums, exp)
 
-    def __getitem__(self, key) -> PAdicRational:
+    def __getitem__(self, key) -> Fraction:
         if self._pos is None:
             self._pos = {k: i for i, k in enumerate(self.order)}
-        return PAdicRational(self.p, self.nums[self._pos[key]], self.exp)
+        return fraction(self.p, self.nums[self._pos[key]], self.exp)
 
     def __iter__(self):
         return iter(self.order)
@@ -230,8 +188,9 @@ def line_values(field: Field, N: int, vals, denom: int) -> LineFamily:
 
 def line_family(field: Field, N: int, values) -> LineFamily:
     """A family on the line keys of P^(N-1) (a LineFamily, or any mapping to
-    PAdicRational) as a LineFamily in line-key order; a mapping keyed by
-    anything else raises DimensionMismatchError."""
+    ints or Fractions in Z[1/p]) as a LineFamily in line-key order; a mapping
+    keyed by anything else raises DimensionMismatchError, a value outside
+    Z[1/p] ValueError."""
     keys = _incidence_entry(field, N)[1][0]
     if isinstance(values, LineFamily) and values.order == keys:
         return values
@@ -295,12 +254,14 @@ def _incidence_sums(field: Field, d: int, values, power: int) -> LineFamily:
 
 
 def radon_forward(field: Field, mu, n: int, N: int) -> LineFamily:
-    """lambda_H = q^(n-(N-1)) * sum of mu over lines inside H."""
+    """lambda_H = q^(n-(N-1)) * sum of mu over lines inside H; linear over
+    Z[1/p]: T(x*a + y) = T(x)*a + T(y)."""
     return _incidence_sums(field, N, mu, n - (N - 1))
 
 
 def radon_backward(field: Field, lam, n: int, N: int) -> LineFamily:
-    """mu_J = q^(1-n) * sum of lambda over hyperplanes through J."""
+    """mu_J = q^(1-n) * sum of lambda over hyperplanes through J; linear
+    over Z[1/p]."""
     return _incidence_sums(field, N, lam, 1 - n)
 
 
@@ -317,7 +278,7 @@ def schubert_deficit(L: Subspace, W: Subspace) -> int:
     return intersection_dim(L, W)
 
 
-def toy_locus(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> list:
+def toy_locus(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGET) -> list:
     """The nontrivial toy points of dimension n in enumeration order, read
     from toy_points, each as (point, rational hyperplanes containing L,
     rational lines inside L)."""
@@ -441,14 +402,8 @@ def _pullback_components(flags, markers, divisor_type: str):
     return failures, comps
 
 
-def partial_frobenius_divisor_pullback_check(
-    field: Field,
-    N: int,
-    n: int,
-    divisor_type: str,
-    rng=None,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> dict:
+def partial_frobenius_divisor_pullback_check(field: Field, N: int, n: int, divisor_type: str,
+                                             rng=None, budget: int = DEFAULT_BUDGET) -> dict:
     """Set-level identification of the preimage of a horospherical component
     under the plus partial Frobenius, with sampled multiplicity probes
     through the Frobenius factorization.

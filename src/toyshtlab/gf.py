@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .errors import BudgetExceededError, NonPrimeError, ReducibleModulusError
 
+# the one default size budget of field orders, enumerations and the command line
 DEFAULT_BUDGET = 1 << 20
 
 

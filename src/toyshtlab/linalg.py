@@ -19,9 +19,7 @@ from functools import cache
 from itertools import combinations, product
 
 from .errors import BudgetExceededError, DimensionMismatchError
-from .gf import Field
-
-DEFAULT_ENUM_BUDGET = 1 << 22
+from .gf import DEFAULT_BUDGET, Field
 
 # the largest order**N whose vectors are packed for point sets: F_4^4, the
 # largest space on which point sets were timed against rref; a Packing holds
@@ -372,14 +370,14 @@ def _gate(N: int, n: int, base: int, budget: int) -> None:
         raise BudgetExceededError(f"{total} subspaces exceeds budget {budget}")
 
 
-def enumerate_grassmannian(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
+def enumerate_grassmannian(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGET):
     """Yield every n-dimensional subspace of F^N exactly once, in canonical
     pivot-set-major order."""
     _gate(N, n, field.order, budget)
     yield from _echelon_bases(field, N, n, field.elements())
 
 
-def rational_subspaces(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
+def rational_subspaces(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGET):
     """The F_q-rational n-dimensional subspaces of F^N, as a tuple in
     enumerate_grassmannian order: the echelon bases with entries in F_q,
     which are exactly the Frobenius-fixed subspaces.

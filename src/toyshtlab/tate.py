@@ -5,14 +5,16 @@ finite Radon transform in the lattice normalization, and the divisor-pair
 calculus of the principal criterion, Schubert pairs and the canonical Picard
 relations.
 
-Everything identities with scalar-orbit sums: for a nontrivial additive
+Every identity works with scalar-orbit sums: for a nontrivial additive
 character psi of F_q the inner sum over c in F_q^x of psi(c t) is q-1 when
 t = 0 and -1 otherwise, so transforms of scalar-invariant functions never
-leave Z[1/p] and are independent of the character.
+leave Z[1/p] and are independent of the character.  Values and scalars are
+ints or Fractions; a function holds its values as a divisors.Family.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from itertools import product
 
@@ -24,7 +26,7 @@ from .errors import (
     WrongChainError,
     WrongIndexError,
 )
-from .divisors import (Family, LineFamily, PAdicRational, _gather, _incidence_sums,
+from .divisors import (Family, LineFamily, _gather, _incidence_sums, fraction,
                        incidence_index, line_family, line_keys, line_values, zero_sum_draw)
 from .gf import Field
 from .linalg import Subspace, combine, echelonize, extend, pairing, perp
@@ -115,7 +117,8 @@ class FiniteTateModel:
 class TateFn(Family):
     """A Z[1/p]-valued function on the model space or its dual, with the
     value at 0 carried explicitly: a Family in vector order (index()).
-    Immutable; values reads it as a tuple of PAdicRational."""
+    Immutable; built from ints or Fractions in Z[1/p], and values reads it
+    as a tuple of Fractions."""
 
     __slots__ = ("model", "side")
 
@@ -156,8 +159,8 @@ class TateFn(Family):
             nums[model.index(v)] = 1
         return cls.from_nums(model, side, nums)
 
-    def at_zero(self) -> PAdicRational:
-        return PAdicRational(self.p, self.nums[0], self.exp)
+    def at_zero(self) -> Fraction:
+        return fraction(self.p, self.nums[0], self.exp)
 
     def punctured(self) -> "TateFn":
         """The function with the value at 0 forced to zero."""
@@ -168,13 +171,14 @@ class TateFn(Family):
         return self.model.pair_zero_table()[3](self.nums) == self.nums
 
 
-def integrate(f: TateFn) -> PAdicRational:
+def integrate(f: TateFn) -> Fraction:
     """Total mass, with a point weighing q to the side's offset."""
-    return PAdicRational(f.p, sum(f.nums), f.exp - f.model.field.e * f.model.offset(f.side))
+    return fraction(f.p, sum(f.nums), f.exp - f.model.field.e * f.model.offset(f.side))
 
 
 def fourier(f: TateFn) -> TateFn:
-    """Exact orbit-sum Fourier transform of a scalar-invariant function.
+    """Exact orbit-sum Fourier transform of a scalar-invariant function;
+    linear over Z[1/p]: T(x*a + y) = T(x)*a + T(y).
 
     The output side is the opposite of the input side; no character enters
     the computation, only the collapsed orbit sums q-1 and -1.
@@ -252,14 +256,14 @@ def _extended(model: FiniteTateModel, g, inner: Subspace, outer: Subspace, side:
 
 def eps_extend(model: FiniteTateModel, g, inner: Subspace, outer: Subspace) -> TateFn:
     """Pull a function on the projective quotient back to the shell between
-    the lattices and extend by zero."""
+    the lattices and extend by zero; linear over Z[1/p]."""
     return _extended(model, g, inner, outer, "T")
 
 
 def eps_extend_dual(model: FiniteTateModel, gstar, inner: Subspace, outer: Subspace) -> TateFn:
     """Dual version, supported on the perp shell of the dual space; the
     hyperplane of the quotient seen by a functional is keyed by the
-    normalized vector of its induced form."""
+    normalized vector of its induced form.  Linear over Z[1/p]."""
     return _extended(model, gstar, inner, outer, "T*")
 
 
@@ -270,7 +274,7 @@ def is_admissible(model: FiniteTateModel, inner: Subspace, outer: Subspace) -> b
 def radon_finite(model: FiniteTateModel, g, inner: Subspace, outer: Subspace) -> LineFamily:
     """The Radon transform on the projective quotient, normalized by
     q^(n(inner)+1); takes zero-sum input on lines to zero-sum output on
-    hyperplanes keyed by their normal lines."""
+    hyperplanes keyed by their normal lines, linearly over Z[1/p]."""
     if not is_admissible(model, inner, outer):
         raise NotAdmissibleError("lattice pair violates the admissibility bounds")
     # quotient line representatives are the kernel's line keys; the kernel
@@ -329,7 +333,7 @@ class TatePair:
     def __neg__(self) -> "TatePair":
         return TatePair(-self.f1, -self.f2)
 
-    def scale(self, c: PAdicRational) -> "TatePair":
+    def scale(self, c) -> "TatePair":
         return TatePair(self.f1.scale(c), self.f2.scale(c))
 
     def __eq__(self, other) -> bool:
@@ -376,8 +380,7 @@ def picard_relation_check(model: FiniteTateModel, chain) -> bool:
     """Whether the b-bundle differs from the a-bundle by q-1 copies of the
     determinant class, as divisor pairs modulo principal ones."""
     ell_a, ell_b, ell_det = line_bundle_pairs(model, chain)
-    qm1 = PAdicRational.integer(model.field.p, model.q - 1)
-    return is_principal(ell_b - ell_a - ell_det.scale(qm1))
+    return is_principal(ell_b - ell_a - ell_det.scale(model.q - 1))
 
 
 def gamma_identity_check(model: FiniteTateModel, f: TateFn, chain) -> bool:
@@ -388,14 +391,14 @@ def gamma_identity_check(model: FiniteTateModel, f: TateFn, chain) -> bool:
         raise NotInvariantError("needs a scalar-invariant function")
     ell_a, ell_b, _ = line_bundle_pairs(model, chain)
     pair = TatePair(fourier(f).punctured(), f.punctured())
-    qm1 = PAdicRational.integer(model.field.p, model.q - 1)
-    return is_principal(pair.scale(qm1) - ell_a.scale(integrate(f)) + ell_b.scale(f.at_zero()))
+    return is_principal(pair.scale(model.q - 1) - ell_a.scale(integrate(f))
+                        + ell_b.scale(f.at_zero()))
 
 
 def partial_frobenius_pullback(pair: TatePair, direction: str) -> TatePair:
     """Divisor pullback along a partial Frobenius: minus scales the dual
     slot by q, plus scales the space slot by q."""
-    qv = PAdicRational.q_power(pair.f2.model.field.p, pair.f2.model.field.e, 1)
+    qv = pair.f2.model.q
     if direction == "minus":
         return TatePair(pair.f1.scale(qv), pair.f2)
     if direction == "plus":
@@ -414,16 +417,15 @@ def canonical_generators(model: FiniteTateModel, chain):
 def _generators(model: FiniteTateModel, chain):
     _check_chain(model, chain)
     Wm1, W0, W1 = chain
-    qv = PAdicRational.q_power(model.field.p, model.field.e, 1)
     ind = lambda side, S: TateFn.indicator(model, side, S)
     g1 = TatePair(ind("T*", perp(W0)), ind("T", W0))
     g2 = TatePair(
-        ind("T*", perp(W1)).scale(qv) - ind("T*", perp(W0)),
+        ind("T*", perp(W1)).scale(model.q) - ind("T*", perp(W0)),
         ind("T", W1) - ind("T", W0),
     )
     g3 = TatePair(
         -(ind("T*", perp(Wm1)) - ind("T*", perp(W0))),
-        ind("T", W0) - ind("T", Wm1).scale(qv),
+        ind("T", W0) - ind("T", Wm1).scale(model.q),
     )
     return g1, g2, g3
 

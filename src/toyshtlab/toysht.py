@@ -26,9 +26,8 @@ from .errors import (
     NotAToyShtukaError,
     TrivialPointError,
 )
-from .gf import Field
+from .gf import DEFAULT_BUDGET, Field
 from .linalg import (
-    DEFAULT_ENUM_BUDGET,
     QuotientMap,
     Subspace,
     _gate,
@@ -118,14 +117,14 @@ def is_trivial(L: Subspace) -> bool:
     return L.is_rational()
 
 
-def enumerate_toysht(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
+def enumerate_toysht(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGET):
     """Stream the toy shtuka points of dimension n over F_{q^m}."""
     for L in enumerate_grassmannian(field, N, n, budget=budget):
         if is_toy_shtuka(L):
             yield ToyPoint(L)
 
 
-def toy_points(field: Field, N: int, n: int, budget: int = DEFAULT_ENUM_BUDGET):
+def toy_points(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGET):
     """The toy shtuka points of dimension n over F_{q^m}, as a tuple in
     enumerate_toysht order: one per field value and (N, n), as
     rational_subspaces, built on first use and shared after, so the points'
@@ -197,14 +196,14 @@ def partial_frobenius_minus(f: FlagPoint) -> FlagPoint:
     return out
 
 
-def superspaces_one_more(L: Subspace, budget: int = DEFAULT_ENUM_BUDGET):
+def superspaces_one_more(L: Subspace, budget: int = DEFAULT_BUDGET):
     """All subspaces of dimension dim L + 1 containing L."""
     qm = QuotientMap(L)
     for line in enumerate_grassmannian(L.field, qm.dim, 1, budget=budget):
         yield echelonize(L.field, L.basis + (qm.lift(line.basis[0]),), L.ambient_dim)
 
 
-def subspaces_one_less(L: Subspace, budget: int = DEFAULT_ENUM_BUDGET):
+def subspaces_one_less(L: Subspace, budget: int = DEFAULT_BUDGET):
     """All hyperplanes of L, via coordinates in a basis of L."""
     f, k, N = L.field, L.dim, L.ambient_dim
     for H in enumerate_grassmannian(f, k, k - 1, budget=budget):
@@ -225,9 +224,7 @@ def _fiber(N: int, n: int, kind: str):
     return (N - n, 1) if right else (n, n - 1)
 
 
-def enumerate_flags(
-    field: Field, N: int, n: int, kind: str, budget: int = DEFAULT_ENUM_BUDGET
-):
+def enumerate_flags(field: Field, N: int, n: int, kind: str, budget: int = DEFAULT_BUDGET):
     """Stream all flags of the given kind at level n.
 
     Right flags at level n pair an n-dimensional toy point with an
@@ -249,7 +246,7 @@ def enumerate_flags(
             yield FlagPoint(pt.L, other, kind) if right else FlagPoint(other, pt.L, kind)
 
 
-def flags(field: Field, N: int, n: int, kind: str, budget: int = DEFAULT_ENUM_BUDGET):
+def flags(field: Field, N: int, n: int, kind: str, budget: int = DEFAULT_BUDGET):
     """The flags of the given kind at level n, as a tuple in enumerate_flags
     order: one per field value and (N, n, kind), as toy_points, built on
     first use and shared after, so the fiber subspaces' cached point sets

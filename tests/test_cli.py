@@ -144,6 +144,58 @@ def test_load_config_rejects_entries_that_do_not_convert(tmp_path, entry):
         load_config(str(cfg))
 
 
+GOOD_ENTRY = {"name": "grassmannian_count", "params": {"p": 2, "e": 1, "m": 1, "N": 3, "n": 1}}
+
+
+@pytest.mark.parametrize("doc,why", [
+    ({}, '"suite" list'),
+    ({"suite": {"name": "grassmannian_count"}}, '"suite" list'),
+    ([{"name": "grassmannian_count", "seed": True}], "seed is not an int"),
+    ([{"name": "grassmannian_count", "seed": 2.7}], "seed is not an int"),
+    ([{"name": "grassmannian_count", "seed": "3"}], "seed is not an int"),
+    ([{"name": "grassmannian_count", "params": [["N", 2]]}], "params is not an object"),
+    ([GOOD_ENTRY, {"name": "no_such_check"}], "unknown check 'no_such_check'"),
+    ([GOOD_ENTRY, "grassmannian_count"], "not an object with a check name"),
+])
+def test_load_config_rejects_what_is_not_a_suite(tmp_path, doc, why):
+    # no seed but an int, no params but an object, no unknown name, even
+    # after valid entries: every entry is checked before any check runs
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.raises(ConfigParseError, match=why):
+        load_config(str(cfg))
+
+
+def test_load_config_takes_a_bare_list_and_int_seeds(tmp_path):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps([{**GOOD_ENTRY, "seed": -3}, {"name": "selftest_negated"}]))
+    assert load_config(str(cfg)) == [CheckSpec("grassmannian_count", GOOD_ENTRY["params"], -3),
+                                     CheckSpec("selftest_negated", {}, 0)]
+
+
+@pytest.mark.parametrize("doc", [{}, [GOOD_ENTRY, {"name": "no_such_check"}],
+                                 [{"name": "grassmannian_count", "seed": "3"}]])
+def test_main_reports_a_bad_config_as_a_usage_error(tmp_path, capsys, doc):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(cfg), "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    # argparse's usage, then one line naming the fault
+    assert err[0].startswith("usage: toyshtlab")
+    assert all(line.startswith(" ") for line in err[1:-1])
+    assert err[-1].startswith("toyshtlab: error: ") and not out.exists()
+
+
+def test_main_reports_an_unknown_check_as_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--check", "no_such_check"])
+    assert exit_info.value.code == 2
+    assert "toyshtlab: error: unknown check 'no_such_check'" in capsys.readouterr().err
+
+
 def test_main_single_check_json(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(
@@ -600,17 +652,19 @@ def test_radon_fourier_square_names_a_lattice_dimension_out_of_range(dims):
     ],
 )
 def test_sampled_tate_checks_build_few_scalars(name, params, monkeypatch):
-    # families are integer numerators over one exponent; with one
-    # PAdicRational per entry a warm run built 1,815, 1,830 and 8,087
+    # families are integer numerators over one exponent, and a value leaves
+    # one as a Fraction only through divisors.fraction; with one scalar per
+    # entry a warm run built 1,815, 1,830 and 8,087
     assert run(CheckSpec(name, dict(params))).verdict == "pass"
     made = []
-    init = divisors.PAdicRational.__init__
+    fraction = divisors.fraction
 
-    def counted(self, *args, **kwargs):
+    def counted(*args):
         made.append(args)
-        init(self, *args, **kwargs)
+        return fraction(*args)
 
-    monkeypatch.setattr(divisors.PAdicRational, "__init__", counted)
+    for module in (divisors, tate):
+        monkeypatch.setattr(module, "fraction", counted)
     assert run(CheckSpec(name, dict(params))).verdict == "pass"
     assert len(made) < 50
 

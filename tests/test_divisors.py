@@ -1,17 +1,20 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
 from toyshtlab import charts, divisors
 from toyshtlab.charts import jtype_flag_pullback_probe
 from toyshtlab.divisors import (
+    Family,
     HoroDivisor,
-    PAdicRational,
     _incidence_entry,
     _pullback_components,
+    fraction,
     incidence_lists,
     is_principal_pair,
+    line_family,
     line_keys,
     line_values,
     on_component,
@@ -36,34 +39,6 @@ from toyshtlab.toysht import (
 F2 = field_make(2, 1, 1)
 F3 = field_make(3, 1, 1)
 F4 = field_make(2, 1, 2)
-
-
-def test_padic_canonical_form():
-    x = PAdicRational(2, 4, 0)
-    assert (x.num, x.exp) == (1, -2)
-    assert PAdicRational(2, 0, 5) == PAdicRational.integer(2, 0)
-    half = PAdicRational(2, 1, 1)
-    assert half + half == PAdicRational.integer(2, 1)
-    assert half * PAdicRational(2, 6, 0) == PAdicRational(2, 3, 0)
-    assert -half == PAdicRational(2, -1, 1)
-
-
-def test_padic_repr_prints_integers_as_integers():
-    assert repr(PAdicRational.integer(2, 4)) == "4"
-    assert repr(PAdicRational.integer(3, 6)) == "6"
-    assert repr(PAdicRational.integer(3, -9)) == "-9"
-    assert repr(PAdicRational(2, 1, 1)) == "1/2^1"
-    assert repr(PAdicRational(3, -2, 2)) == "-2/3^2"
-
-
-def test_padic_denominators_are_p_powers_only():
-    # products and sums never need non-p denominators
-    rng = random.Random(1)
-    for _ in range(200):
-        a = PAdicRational(3, rng.randrange(-20, 21), rng.randrange(-2, 3))
-        b = PAdicRational(3, rng.randrange(-20, 21), rng.randrange(-2, 3))
-        for v in (a + b, a * b, a - b):
-            assert v.num == 0 or v.num % 3 != 0
 
 
 def _hyperplanes_through_counts(field, N):
@@ -121,14 +96,14 @@ def test_incidence_cache_keyed_by_field_value():
 
 def test_radon_delta_difference_pg22():
     keys = line_keys(F2, 3)
-    mu = {k: PAdicRational.integer(2, 0) for k in keys}
+    mu = {k: 0 for k in keys}
     J0, J1 = keys[0], keys[1]
-    mu[J0] = PAdicRational.integer(2, 1)
-    mu[J1] = PAdicRational.integer(2, -1)
+    mu[J0] = 1
+    mu[J1] = -1
     lam = radon_forward(F2, mu, 1, 3)
     inc = incidence_lists(F2, 3)
-    half = PAdicRational(2, 1, 1)
-    zero = PAdicRational.integer(2, 0)
+    half = Fraction(1, 2)
+    zero = 0
     for hk in keys:
         has0, has1 = J0 in inc[hk], J1 in inc[hk]
         if has0 and not has1:
@@ -140,7 +115,7 @@ def test_radon_delta_difference_pg22():
     # same data at level 2 comes out integral
     lam2 = radon_forward(F2, mu, 2, 3)
     for hk in keys:
-        assert lam2[hk].exp == 0
+        assert lam2[hk].denominator == 1
     assert radon_backward(F2, lam, 1, 3) == mu
 
 
@@ -155,17 +130,38 @@ def test_zero_sum_draw_and_line_values():
     vals, denom = zero_sum_draw(a, 13)
     mu = line_values(F3, 3, vals, denom)
     assert list(mu) == line_keys(F3, 3)
-    assert list(mu.values()) == [PAdicRational(3, v, denom) for v in vals]
+    assert list(mu.values()) == [Fraction(v, 3**denom) for v in vals]
     with pytest.raises(DimensionMismatchError, match="expected 13 values, got 12"):
         line_values(F3, 3, vals[1:], denom)
 
 
+def test_values_enter_a_family_only_from_z_1_over_p():
+    # ints and Fractions with p-power denominators, over one shared exponent
+    values = [Fraction(1, 2), 3, Fraction(-3, 4), 0, 4]
+    assert Family.numerators(2, values) == ([2, 12, -3, 0, 16], 2)
+    assert Family.numerators(3, []) == ([], 0)
+    # a denominator with another prime is refused, not read as a power of p
+    with pytest.raises(ValueError, match="not in Z"):
+        Family.numerators(2, [Fraction(1, 3)])
+    with pytest.raises(ValueError, match="not in Z"):
+        Family.numerators(2, [Fraction(1, 6)])
+    mu = line_values(F2, 3, [1, -1, 0, 0, 0, 0, 0], 1)
+    with pytest.raises(ValueError, match="not in Z"):
+        mu.scale(Fraction(1, 3))
+    with pytest.raises(ValueError, match="not in Z"):
+        line_family(F2, 3, {k: Fraction(1, 3) for k in line_keys(F2, 3)})
+    # an int or a p-power Fraction scales, and values leave as Fractions
+    assert mu.scale(Fraction(3, 2)) == mu.scale(3).scale(Fraction(1, 2))
+    assert list(mu.scale(-4).values()) == [-2, 2, 0, 0, 0, 0, 0]
+    assert fraction(3, 5, -2) == 45 and fraction(3, 5, 2) == Fraction(5, 9)
+
+
 def test_radon_zero_and_sum_check():
-    mu = {k: PAdicRational.integer(2, 0) for k in line_keys(F2, 3)}
+    mu = {k: 0 for k in line_keys(F2, 3)}
     lam = radon_forward(F2, mu, 1, 3)
-    assert all(v.is_zero() for v in lam.values())
+    assert all(v == 0 for v in lam.values())
     bad = dict(mu)
-    bad[line_keys(F2, 3)[0]] = PAdicRational.integer(2, 1)
+    bad[line_keys(F2, 3)[0]] = 1
     with pytest.raises(SumNotZeroError):
         radon_forward(F2, bad, 1, 3)
     with pytest.raises(SumNotZeroError):
@@ -181,32 +177,25 @@ def test_radon_roundtrips_random(field, N):
         for _ in range(50):
             vals = [rng.randrange(-9, 10) for _ in keys]
             vals[-1] -= sum(vals)
-            mu = {k: PAdicRational(p, v, rng.randrange(2)) for k, v in zip(keys, vals)}
-            total = PAdicRational.integer(p, 0)
-            for v in mu.values():
-                total = total + v
-            if not total.is_zero():
-                mu[keys[-1]] = mu[keys[-1]] - total
+            mu = {k: Fraction(v, p ** rng.randrange(2)) for k, v in zip(keys, vals)}
+            mu[keys[-1]] -= sum(mu.values())
             lam = radon_forward(field, mu, n, N)
             assert radon_backward(field, lam, n, N) == mu
-            lam_total = PAdicRational.integer(p, 0)
-            for v in lam.values():
-                lam_total = lam_total + v
-            assert lam_total.is_zero()
+            assert sum(lam.values()) == 0
 
 
 def test_principal_pair_examples():
     keys = line_keys(F2, 3)
-    zero = {k: PAdicRational.integer(2, 0) for k in keys}
+    zero = {k: 0 for k in keys}
     assert is_principal_pair(HoroDivisor(F2, 3, 1, zero, zero))
     mu = dict(zero)
-    mu[keys[0]] = PAdicRational.integer(2, 1)
-    mu[keys[1]] = PAdicRational.integer(2, -1)
+    mu[keys[0]] = 1
+    mu[keys[1]] = -1
     lam = radon_forward(F2, mu, 1, 3)
     assert is_principal_pair(HoroDivisor(F2, 3, 1, lam, mu))
     # a bare generator with no lambda side fails the zero-sum test
     single = dict(zero)
-    single[keys[0]] = PAdicRational.integer(2, 1)
+    single[keys[0]] = 1
     assert not is_principal_pair(HoroDivisor(F2, 3, 1, zero, single))
     # right mu, wrong level: the q-power mismatch is detected
     assert not is_principal_pair(HoroDivisor(F2, 3, 2, lam, mu))
@@ -215,12 +204,12 @@ def test_principal_pair_examples():
 def test_principal_set_subgroup_and_level_shift():
     rng = random.Random(4)
     keys = line_keys(F2, 3)
-    qv = PAdicRational.q_power(2, 1, 1)
+    qv = F2.q
 
     def random_principal(n):
         vals = [rng.randrange(-5, 6) for _ in keys]
         vals[-1] -= sum(vals)
-        mu = {k: PAdicRational.integer(2, v) for k, v in zip(keys, vals)}
+        mu = dict(zip(keys, vals))
         return HoroDivisor(F2, 3, n, radon_forward(F2, mu, n, 3), mu)
 
     for _ in range(20):
@@ -440,7 +429,7 @@ def test_divisor_data_must_cover_all_lines():
 def test_divisor_data_must_be_keyed_by_the_line_keys():
     # seven entries at F_2, N = 3, keyed 0..6: the right count, no line key
     keys = line_keys(F2, 3)
-    zero = PAdicRational.integer(2, 0)
+    zero = 0
     bad = {i: zero for i in range(len(keys))}
     good = {k: zero for k in keys}
     for lam, mu in ((bad, good), (good, bad), (bad, bad)):

@@ -240,6 +240,12 @@ def test_grassmannian_budget():
         list(enumerate_grassmannian(F9, 5, 2, budget=1000))
 
 
+def test_library_default_budget_is_the_command_line_default():
+    # the 2**21 - 1 lines of F_2^21 exceed the one default budget of 2**20
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_grassmannian(field_make(2, 1, 1), 21, 1))
+
+
 def test_subfield_enumeration_is_frobenius_fixed_locus():
     # the index holds the Frobenius-fixed subspaces in enumeration order
     F8 = field_make(2, 1, 3)

@@ -1,15 +1,20 @@
-"""The index-form transforms against loop references of the same formulas.
+"""The index-form transforms against loop references of the same formulas,
+and the linearity every transform rests on.
 
 radon_forward, radon_backward and radon_finite sum a coefficient family
 over the incidence lists, and fourier collapses the character sum to the
 same incidence sums.  The references below keep those formulas as plain
-dict-and-generator sums over incidence_lists and PAdicRational arithmetic,
-and every transform must agree with them value for value and key for key.
+dict-and-generator sums over incidence_lists in Fraction arithmetic, and
+every transform must agree with them value for value and key for key.
 The family arithmetic itself (integer numerators over one shared exponent)
-is checked against element-wise PAdicRational arithmetic.
+is checked against element-wise Fraction arithmetic.  Each of the six
+transforms must also be linear over Z[1/p], T(x*a + y) = T(x)*a + T(y),
+with a negative control that a shifted transform fails the same test.
 """
 
 import random
+from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from toyshtlab import divisors
 from toyshtlab.divisors import (
     LineFamily,
-    PAdicRational,
     incidence_lists,
     line_keys,
     radon_backward,
@@ -25,26 +29,33 @@ from toyshtlab.divisors import (
 )
 from toyshtlab.errors import NotInvariantError, SumNotZeroError
 from toyshtlab.gf import field_make
-from toyshtlab.tate import FiniteTateModel, TateFn, fourier, radon_finite
+from toyshtlab.linalg import rational_subspaces
+from toyshtlab.tate import (
+    FiniteTateModel,
+    TateFn,
+    eps_extend,
+    eps_extend_dual,
+    fourier,
+    is_admissible,
+    radon_finite,
+)
 
 FIELDS = [field_make(2, 1, 1), field_make(3, 1, 1)]
+
+
+def z_p(p, num, exp):
+    """num / p**exp, for any integer exp."""
+    return num * Fraction(p) ** -exp
 
 
 def incidence_sums_reference(field, d, values, power):
     """q^power times the sum of a zero-sum family over each incidence list
     of P^(d-1), keyed and ordered like the input."""
-    p = field.p
-    total = PAdicRational.integer(p, 0)
-    for v in values.values():
-        total = total + v
-    if not total.is_zero():
+    if sum(values.values()) != 0:
         raise SumNotZeroError("coefficients must sum to zero")
-    keys = list(values)
-    k = max([v.exp for v in values.values()] + [0])
-    byk = {jk: values[jk].num * p ** (k - values[jk].exp) for jk in keys}
     inc = incidence_lists(field, d)
-    factor = PAdicRational.q_power(p, field.e, power)
-    return {hk: PAdicRational(p, sum(byk[jk] for jk in inc[hk]), k) * factor for hk in keys}
+    factor = Fraction(field.q) ** power
+    return {hk: factor * sum(values[jk] for jk in inc[hk]) for hk in values}
 
 
 def is_invariant_reference(f):
@@ -65,32 +76,26 @@ def fourier_reference(f):
     lines perpendicular to l') - (sum over all lines), times q^offset."""
     if not is_invariant_reference(f):
         raise NotInvariantError("Fourier needs a scalar-invariant function")
-    model = f.model
-    p, e, q = model.field.p, model.field.e, model.q
-    k = max([v.exp for v in f.values] + [0])
-    nums = [v.num * p ** (k - v.exp) for v in f.values]
+    model, q, values = f.model, f.model.q, f.values
     inc = incidence_lists(model.field, model.D)
-    at = {rep: nums[model.index(rep)] for rep in inc}
+    at = {rep: values[model.index(rep)] for rep in inc}
     total = sum(at.values())
-    zero = nums[0]
+    zero = values[0]
     per_line = {
         rep: zero + q * sum(at[jk] for jk in perp_lines) - total
         for rep, perp_lines in inc.items()
     }
     out = [zero + (q - 1) * total] + [per_line[rep] for rep in model.line_index()[1:]]
-    pm = PAdicRational.q_power(p, e, model.offset(f.side))
+    pm = Fraction(q) ** model.offset(f.side)
     other = "T*" if f.side == "T" else "T"
-    return TateFn(model, other, [PAdicRational(p, x, k) * pm for x in out])
+    return TateFn(model, other, [x * pm for x in out])
 
 
 def zero_sum_family(rng, keys, p):
     """Values num / p^exp with exponents from -1 to 2 on the keys, in a
     shuffled key order, the last one making the sum zero."""
-    values = [PAdicRational(p, rng.randrange(-9, 10), rng.randrange(-1, 3)) for _ in keys]
-    total = PAdicRational.integer(p, 0)
-    for v in values[:-1]:
-        total = total + v
-    values[-1] = -total
+    values = [z_p(p, rng.randrange(-9, 10), rng.randrange(-1, 3)) for _ in keys]
+    values[-1] = -sum(values[:-1])
     order = list(range(len(keys)))
     rng.shuffle(order)
     return {keys[i]: values[i] for i in order}
@@ -100,8 +105,8 @@ def invariant_function(rng, model, side):
     """A scalar-invariant function with one fresh value object per vector."""
     p = model.field.p
     drawn = {rep: (rng.randrange(-9, 10), rng.randrange(-1, 3)) for rep in model.lines()}
-    values = [PAdicRational(p, rng.randrange(-9, 10), rng.randrange(-1, 3))]
-    values += [PAdicRational(p, *drawn[rep]) for rep in model.line_index()[1:]]
+    values = [z_p(p, rng.randrange(-9, 10), rng.randrange(-1, 3))]
+    values += [z_p(p, *drawn[rep]) for rep in model.line_index()[1:]]
     return TateFn(model, side, values)
 
 
@@ -171,7 +176,7 @@ def test_invariance_matches_reference(D, rng):
     model = FiniteTateModel(FIELDS[1], D, -1)
     values = list(invariant_function(rng, model, "T").values)
     i = rng.randrange(1, len(values))
-    values[i] = values[i] + PAdicRational.integer(3, rng.randrange(2))
+    values[i] = values[i] + rng.randrange(2)
     f = TateFn(model, "T", values)
     assert f.is_fq_invariant() == is_invariant_reference(f)
     if not is_invariant_reference(f):
@@ -209,7 +214,7 @@ def test_family_arithmetic_matches_elementwise_reference(shape, side, data):
         # a's values written over a larger exponent
         k = data.draw(st.integers(0, 3))
         b = TateFn.from_nums(model, side, [x * p**k for x in a.nums], a.exp + k)
-    c = PAdicRational(p, data.draw(st.integers(-40, 40)), data.draw(exps))
+    c = z_p(p, data.draw(st.integers(-40, 40)), data.draw(exps))
     ra, rb = a.values, b.values
     assert ra == tuple(TateFn(model, side, ra).values)
     for x, y in ((a, b), (b, a)):
@@ -236,7 +241,7 @@ def test_family_equality_aligns_exponents():
     b = TateFn.from_nums(model, "T", (1, 2, 0), 0)
     assert a == b and b == a and hash(a) == hash(b) and a.values == b.values
     assert a - b == TateFn.zero(model, "T") and len({a, b}) == 1
-    assert a + a == b.scale(PAdicRational.integer(3, 2))
+    assert a + a == b.scale(2)
     # equal values on another side, or with one entry off, are another family
     assert a != TateFn.from_nums(model, "T*", (1, 2, 0), 0)
     assert a != TateFn.from_nums(model, "T", (1, 2, 1), 0)
@@ -246,3 +251,106 @@ def test_family_equality_aligns_exponents():
     assert la != LineFamily(3, keys[::-1], (1, 2), 0)
     with pytest.raises(TypeError):
         hash(la)
+
+
+def axpy(x, a, y):
+    """x * a + y, value by value, on the keys of x."""
+    return {k: x[k] * a + y[k] for k in x}
+
+
+def linear_at(transform, x, a, y):
+    """Whether transform(x * a + y) == transform(x) * a + transform(y), value
+    by value in Fraction arithmetic; x and y are dicts on one key set."""
+    def out(v):
+        f = transform(v)
+        if isinstance(f, LineFamily):
+            return dict(f.items())
+        return {(f.side, i): u for i, u in enumerate(f.values)}
+    return out(axpy(x, a, y)) == axpy(out(x), a, out(y))
+
+
+def scalars(p):
+    """Scalars num / p**exp of Z[1/p]."""
+    return st.builds(lambda num, exp: z_p(p, num, exp), st.integers(-20, 20), st.integers(-2, 3))
+
+
+@cache
+def admissible_pairs(p, D):
+    """(model, inner, outer) for every offset and rational admissible pair
+    of the model F_p^D."""
+    field = field_make(p, 1, 1)
+    subs = [S for d in range(D + 1) for S in rational_subspaces(field, D, d)]
+    models = [FiniteTateModel(field, D, c) for c in range(-D, 1)]
+    return [(m, inner, outer) for m in models for inner in subs for outer in subs
+            if is_admissible(m, inner, outer)]
+
+
+def radon_transforms(field, N, n):
+    return [lambda v: radon_forward(field, v, n, N), lambda v: radon_backward(field, v, n, N)]
+
+
+def tate_transforms(model, inner, outer, side):
+    def fourier_of(v):
+        return fourier(TateFn(model, side, list(v.values())))
+    return [lambda g: radon_finite(model, g, inner, outer),
+            lambda g: eps_extend(model, g, inner, outer),
+            lambda g: eps_extend_dual(model, g, inner, outer),
+            fourier_of]
+
+
+def tate_inputs(rng, model, inner, outer, side):
+    """Per transform of tate_transforms, an input: zero-sum families on the
+    quotient lines for the first three, a scalar-invariant function on the
+    side's vectors for fourier."""
+    keys = line_keys(model.field, outer.dim - inner.dim)
+    g = zero_sum_family(rng, keys, model.field.p)
+    return [g, g, g, dict(enumerate(invariant_function(rng, model, side).values))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(-3, 4), st.randoms(), st.data())
+def test_radon_transforms_are_linear(field, N, n, rng, data):
+    keys = line_keys(field, N)
+    x, y = zero_sum_family(rng, keys, field.p), zero_sum_family(rng, keys, field.p)
+    a = data.draw(scalars(field.p))
+    for transform in radon_transforms(field, N, n):
+        assert linear_at(transform, x, a, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 4), (2, 5), (3, 4)]), st.sampled_from(["T", "T*"]),
+       st.randoms(), st.data())
+def test_tate_transforms_are_linear(shape, side, rng, data):
+    model, inner, outer = data.draw(st.sampled_from(admissible_pairs(*shape)))
+    xs = tate_inputs(rng, model, inner, outer, side)
+    ys = tate_inputs(rng, model, inner, outer, side)
+    a = data.draw(scalars(model.field.p))
+    for transform, x, y in zip(tate_transforms(model, inner, outer, side), xs, ys):
+        assert linear_at(transform, x, a, y)
+
+
+def test_admissible_pairs_cover_every_shape():
+    # F_2^4 and F_3^4 admit only 0 < F^4 at c = -2; F_2^5 has 64 pairs
+    assert [len(admissible_pairs(*s)) for s in [(2, 4), (2, 5), (3, 4)]] == [1, 64, 1]
+
+
+def shifted(transform):
+    """transform plus the family of ones on its output space: not linear."""
+    def out(v):
+        f = transform(v)
+        return f + f._like([1] * len(f.nums), 0)
+    return out
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_a_shifted_transform_fails_the_linearity_check(i):
+    rng = random.Random(i)
+    field = FIELDS[0]
+    model, inner, outer = admissible_pairs(2, 4)[0]
+    transforms = radon_transforms(field, 3, 1) + tate_transforms(model, inner, outer, "T")
+    keys = line_keys(field, 3)
+    xs = [zero_sum_family(rng, keys, 2)] * 2 + tate_inputs(rng, model, inner, outer, "T")
+    ys = [zero_sum_family(rng, keys, 2)] * 2 + tate_inputs(rng, model, inner, outer, "T")
+    a = Fraction(3, 2)
+    assert linear_at(transforms[i], xs[i], a, ys[i])
+    assert not linear_at(shifted(transforms[i]), xs[i], a, ys[i])
