@@ -96,7 +96,8 @@ class Family:
 
     def scale(self, c):
         """The family times c, an int or a Fraction in Z[1/p]."""
-        return self._like([c.numerator * x for x in self.nums], self.exp + _p_exponent(self.p, c))
+        num, exp = c.numerator, self.exp + _p_exponent(self.p, c)
+        return self._like([num * x for x in self.nums], exp)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self) or other._space() != self._space():
@@ -188,9 +189,8 @@ def line_values(field: Field, N: int, vals, denom: int) -> LineFamily:
 
 def line_family(field: Field, N: int, values) -> LineFamily:
     """A family on the line keys of P^(N-1) (a LineFamily, or any mapping to
-    ints or Fractions in Z[1/p]) as a LineFamily in line-key order; a mapping
-    keyed by anything else raises DimensionMismatchError, a value outside
-    Z[1/p] ValueError."""
+    Z[1/p] values) as a LineFamily in line-key order; a mapping keyed by
+    anything else raises DimensionMismatchError."""
     keys = _incidence_entry(field, N)[1][0]
     if isinstance(values, LineFamily) and values.order == keys:
         return values

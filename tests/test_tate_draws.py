@@ -2,7 +2,7 @@
 
 Every one of these checks passes, so its report cannot show a changed draw.
 For seeds 0 and 3, a digest of the inputs each check evaluates, in order,
-was recorded while families were still lists of one PAdicRational per
+was recorded while families were still lists of one scalar object per
 entry: the (vals, denom) sequence of radon_duality and radon_fourier_square,
 and the (origin, lines) sequence of gamma_identity.  A change in how many
 draws a trial makes, or in their order, moves the digest.
