@@ -22,7 +22,7 @@ from .errors import (
     NotOnVarietyError,
     TruncationTooShortError,
 )
-from .gf import Field
+from .gf import Field, randbelow
 from .linalg import (
     Subspace,
     combine,
@@ -357,7 +357,7 @@ def hensel_lift_probe(field: Field, A_series, B0):
 def random_series(field: Field, rng, T: int, const: int = 0):
     """Random series with prescribed constant term: one draw per coefficient
     of t through t^T."""
-    return (const, *(rng.randrange(field.order) for _ in range(T)))
+    return (const, *(randbelow(rng, field.order) for _ in range(T)))
 
 
 def rank1_curve(field: Field, rng, A0, T: int):
@@ -607,8 +607,8 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
         out = (0,) * len(M[0][0])
         for ci, row in zip(c, M):
             if ci:
-                out = series_add(field, out, series_scale(field, ci, row[jstar]))
-        return (field.sub(out[0], d[jstar]),) + out[1:]
+                out = field.axpy(ci, row[jstar], out)
+        return (field.sub(out[0], d[jstar]), *out[1:])
 
     def attempt(T):
         h_curve = [random_series(field, rng, T, const=h0[j]) for j in range(width)]

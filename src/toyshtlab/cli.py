@@ -29,7 +29,7 @@ from .errors import (
     ToyshtError,
     UnknownCheckError,
 )
-from .gf import DEFAULT_BUDGET, field_make
+from .gf import DEFAULT_BUDGET, field_make, randbelow
 from .linalg import echelonize, enumerate_grassmannian, gauss_binomial, rational_subspaces
 
 SCHEMA_VERSION = "toyshtlab-report-v1"
@@ -427,8 +427,8 @@ def check_gamma_identity(params: dict, seed: int):
     rng = random.Random(seed)
     witnesses = []
     for _ in range(trials):
-        origin = rng.randrange(-6, 7)
-        lines = [[rng.randrange(-6, 7), rng.randrange(2)] for _ in model.lines()]
+        origin = randbelow(rng, 13) - 6
+        lines = [[randbelow(rng, 13) - 6, randbelow(rng, 2)] for _ in model.lines()]
         if not tate.gamma_identity_check(model, _invariant_fn(model, origin, lines), chain):
             witnesses.append({"kind": "gamma", "origin": origin, "lines": lines})
     return "probabilistic", {"trials": trials}, witnesses
@@ -671,8 +671,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="toyshtlab", description="run verification checks and emit reports"
     )
-    parser.add_argument("--config", help="JSON suite file")
-    parser.add_argument("--check", help="single registered check to run")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--config", help="JSON suite file")
+    mode.add_argument("--check", help="single registered check to run")
     parser.add_argument(
         "--param",
         action="append",
@@ -684,6 +685,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the report document here")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args(argv)
+    if args.param and not args.check:
+        parser.error("--param applies only to --check")
 
     if args.check:
         if args.check not in REGISTRY:

@@ -18,14 +18,8 @@ from operator import add, itemgetter, neg
 
 from .charts import SchubertCenters, jtype_flag_pullback_probe, schubert_multiplicity_probe
 from .errors import DimensionMismatchError, SumNotZeroError
-from .gf import DEFAULT_BUDGET, Field
-from .linalg import (
-    Subspace,
-    intersection_dim,
-    pairing,
-    perp,
-    rational_subspaces,
-)
+from .gf import DEFAULT_BUDGET, Field, randbelow
+from .linalg import Subspace, intersection_dim, perp, rational_subspaces
 from .toysht import (
     FlagPoint,
     flags,
@@ -177,9 +171,9 @@ def line_keys(field: Field, N: int):
 def zero_sum_draw(rng, count: int):
     """A random zero-sum family on count keys: numerators from -9..9, the
     last one set so they sum to zero, then a denominator exponent from 0..2."""
-    vals = [rng.randrange(-9, 10) for _ in range(count)]
+    vals = [randbelow(rng, 19) - 9 for _ in range(count)]
     vals[-1] -= sum(vals)
-    return vals, rng.randrange(3)
+    return vals, randbelow(rng, 3)
 
 
 def line_values(field: Field, N: int, vals, denom: int) -> LineFamily:
@@ -211,9 +205,16 @@ def _gather(positions):
 @cache
 def _incidence_entry(field: Field, N: int):
     """The cache entry of the field's value and N: (incidence_lists,
-    incidence_index)."""
+    incidence_index).  The pairing is symmetric, so each unordered pair of
+    keys is paired once; the lists still fill in key order."""
     keys = tuple(L.basis[0] for L in rational_subspaces(field, N, 1))
-    inc = {hk: [jk for jk in keys if pairing(field, hk, jk) == 0] for hk in keys}
+    inc = {k: [] for k in keys}
+    for i, hk in enumerate(keys):
+        for jk in keys[i:]:
+            if not field.dot(hk, jk):
+                inc[hk].append(jk)
+                if jk != hk:
+                    inc[jk].append(hk)
     pos = {k: i for i, k in enumerate(keys)}
     return inc, (keys, [_gather(pos[jk] for jk in inc[hk]) for hk in keys])
 
@@ -250,7 +251,7 @@ def _incidence_sums(field: Field, d: int, values, power: int) -> LineFamily:
     out = LineFamily(field.p, keys, [sum(g(family.nums)) for g in getters],
                      family.exp - field.e * power)
     return out if family is values else LineFamily(
-        field.p, tuple(values), *Family.numerators(field.p, [out[k] for k in values]))
+        field.p, tuple(values), map(dict(zip(keys, out.nums)).get, values), out.exp)
 
 
 def radon_forward(field: Field, mu, n: int, N: int) -> LineFamily:

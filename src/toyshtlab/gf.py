@@ -8,7 +8,9 @@ reproducible run to run.  Multiplication, inversion and the relative
 Frobenius x -> x^q go through precomputed exp/log tables.  In characteristic
 2 addition is xor; in odd characteristic it goes through Zech logarithms,
 g^i + g^j = g^(i + Z(j - i)) with Z(d) = log(1 + g^d), and -1 = g^((order-1)/2).
-Every table has O(order) entries, each filled in one step.
+Every table has O(order) entries, each filled in one step.  The row kernels
+axpy (v + c*row) and dot read them inside their loops, with no method call per
+entry; randbelow draws as rng.randrange(n) does, without its argument checks.
 """
 
 from __future__ import annotations
@@ -277,6 +279,38 @@ class Field:
         n1 = self.order - 1
         return self._exp[(n1 - self._log[a]) % n1]
 
+    def axpy(self, c: int, row, v) -> list:
+        """v + c * row, entrywise, for c nonzero.  In odd characteristic
+        c * y = g^m with m reduced below order - 1, then added by Zech."""
+        exp, log, lc = self._exp, self._log, self._log[c]
+        if self.p == 2:
+            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(v, row)]
+        zech, n1, out = self._zech, self.order - 1, []
+        for x, y in zip(v, row):
+            if y:
+                m = (lc + log[y]) % n1
+                # x + g^m = g^(m + Z(log x - m)); a negative index wraps, as in add
+                z = zech[log[x] - m] if x else 0
+                x = exp[m + z] if z >= 0 else 0
+            out.append(x)
+        return out
+
+    def dot(self, a, b) -> int:
+        """The standard bilinear pairing sum_i a_i b_i, added as in axpy."""
+        exp, log, acc = self._exp, self._log, 0
+        if self.p == 2:
+            for x, y in zip(a, b):
+                if x and y:
+                    acc ^= exp[log[x] + log[y]]
+            return acc
+        zech, n1 = self._zech, self.order - 1
+        for x, y in zip(a, b):
+            if x and y:
+                m = (log[x] + log[y]) % n1
+                z = zech[log[acc] - m] if acc else 0
+                acc = exp[m + z] if z >= 0 else 0
+        return acc
+
     def frobenius(self, x: int) -> int:
         """The relative Frobenius x -> x^q."""
         return self._frob[x]
@@ -286,6 +320,18 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, e={self.e}, m={self.m})"
+
+
+def randbelow(rng, n: int) -> int:
+    """rng.randrange(n) for a random.Random: the same value, leaving rng in the
+    same state, by the same getrandbits rejection loop; n < 1 raises."""
+    if n < 1:
+        raise ValueError(f"empty range for randbelow({n})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 _fields: dict = {}

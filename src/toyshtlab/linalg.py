@@ -30,8 +30,8 @@ POINT_SET_MAX = 1 << 8
 def rref(field: Field, rows, width: int):
     """Reduced row echelon form; returns (rows, pivot columns).
 
-    Each row is cleared as row + (-c) * pivot row, with -c taken once per
-    row, so an entry costs one add and one mul in every characteristic."""
+    Each row is cleared as row + (-c) * pivot row through Field.axpy, with
+    -c taken once per row, so no entry costs a Field method call."""
     mat = [list(r) for r in rows]
     pivots = []
     rank = 0
@@ -46,14 +46,12 @@ def rref(field: Field, rows, width: int):
         mat[rank], mat[piv] = mat[piv], mat[rank]
         inv = field.inv(mat[rank][col])
         if inv != 1:
-            mat[rank] = [field.mul(inv, x) for x in mat[rank]]
+            mat[rank] = field.axpy(inv, mat[rank], [0] * width)
         row = mat[rank]
         for i in range(len(mat)):
             c = mat[i][col]
             if i != rank and c != 0:
-                negc = field.neg(c)
-                mi = mat[i]
-                mat[i] = [field.add(mi[j], field.mul(negc, row[j])) for j in range(width)]
+                mat[i] = field.axpy(field.neg(c), row, mat[i])
         pivots.append(col)
         rank += 1
         if rank == len(mat):
@@ -63,11 +61,10 @@ def rref(field: Field, rows, width: int):
 
 def combine(field: Field, coeffs, rows, width: int):
     """sum_i coeffs[i] * rows[i] as a vector of length width, skipping zero coefficients."""
-    add, mul = field.add, field.mul
     v = (0,) * width
     for c, row in zip(coeffs, rows):
         if c:
-            v = [add(x, mul(c, y)) for x, y in zip(v, row)]
+            v = field.axpy(c, row, v)
     return tuple(v)
 
 
@@ -108,13 +105,10 @@ class Subspace:
     def reduce(self, vec):
         """Remainder of vec after clearing all pivot coordinates."""
         f = self.field
-        v = list(vec)
+        v = vec
         for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c != 0:
-                negc = f.neg(c)
-                for j in range(self.ambient_dim):
-                    v[j] = f.add(v[j], f.mul(negc, row[j]))
+            if v[p]:
+                v = f.axpy(f.neg(v[p]), row, v)
         return tuple(v)
 
     def contains_vector(self, vec) -> bool:
@@ -274,13 +268,8 @@ def sum_and_intersection(a: Subspace, b: Subspace):
     return total, inter
 
 
-def pairing(field: Field, a, b) -> int:
-    """The standard bilinear pairing sum_i a_i b_i."""
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+# the standard bilinear pairing sum_i a_i b_i, as pairing(field, a, b)
+pairing = Field.dot
 
 
 def perp(a: Subspace) -> Subspace:

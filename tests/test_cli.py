@@ -196,6 +196,25 @@ def test_main_reports_an_unknown_check_as_a_usage_error(capsys):
     assert "toyshtlab: error: unknown check 'no_such_check'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,fault", [
+    # beside --check, a --config (even an invalid one) was never read
+    (["--check", "grassmannian_count", "--param", "N=3", "--param", "n=1",
+      "--config", "{cfg}"], "not allowed with argument"),
+    # without --check, every --param was ignored
+    (["--param", "N=3"], "--param applies only to --check"),
+    (["--config", "{cfg}", "--param", "N=3"], "--param applies only to --check"),
+])
+def test_main_rejects_a_flag_it_would_drop(tmp_path, capsys, argv, fault):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{}")
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main([a.format(cfg=cfg) for a in argv] + ["--out", str(out)])
+    assert exit_info.value.code == 2
+    assert fault in capsys.readouterr().err.splitlines()[-1]
+    assert not out.exists()
+
+
 def test_main_single_check_json(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(

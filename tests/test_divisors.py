@@ -82,6 +82,64 @@ def test_incidence_lists_match_pairing_double_loop(field, d):
     assert inc == expected
 
 
+def _brute_force_incidence(field, N):
+    keys = [L.basis[0] for L in rational_subspaces(field, N, 1)]
+
+    def pairing(a, b):
+        acc = 0
+        for x, y in zip(a, b):
+            acc = field.add(acc, field.mul(x, y))
+        return acc
+
+    return {hk: [jk for jk in keys if pairing(hk, jk) == 0] for hk in keys}
+
+
+# F_2 with N <= 6, F_3 with N <= 5, q = 4 and q = 9 with N = 3
+SYMMETRIC_CASES = ([(F2, N) for N in range(2, 7)] + [(F3, N) for N in range(2, 6)]
+                   + [(F4, 3), (field_make(3, 2, 1), 3)])
+
+
+@pytest.mark.parametrize("field,N", SYMMETRIC_CASES,
+                         ids=[f"q{f.order}-N{N}" for f, N in SYMMETRIC_CASES])
+def test_symmetric_incidence_build_matches_brute_force(field, N):
+    inc = incidence_lists(field, N)
+    expected = _brute_force_incidence(field, N)
+    assert list(inc) == list(expected)
+    assert inc == expected
+
+
+def test_incidence_build_reads_every_coordinate(monkeypatch):
+    # negative control: a pairing that drops the last coordinate must be caught
+    dot = Field.dot
+    monkeypatch.setattr(Field, "dot", lambda self, a, b: dot(self, a[:-1], b[:-1]))
+    _incidence_entry.cache_clear()
+    try:
+        for field, N in ((F2, 4), (F3, 3)):
+            assert incidence_lists(field, N) != _brute_force_incidence(field, N)
+    finally:
+        _incidence_entry.cache_clear()
+
+
+def test_radon_on_a_mapping_builds_no_fraction_per_value(monkeypatch):
+    keys = line_keys(F3, 5)
+    assert len(keys) == 121
+    rng = random.Random(24)
+    vals, denom = zero_sum_draw(rng, len(keys))
+    family = line_values(F3, 5, vals, denom)
+    order = keys[:]
+    rng.shuffle(order)
+    mu = {k: family[k] for k in order}
+    expected = radon_forward(F3, family, 2, 5)
+    calls = []
+    monkeypatch.setattr(divisors, "fraction", lambda *args: calls.append(args))
+    lam = radon_forward(F3, mu, 2, 5)
+    assert calls == []
+    monkeypatch.undo()
+    assert list(lam) == order
+    assert dict(lam) == dict(expected)
+    assert radon_backward(F3, lam, 2, 5) == mu
+
+
 def test_incidence_cache_keyed_by_field_value():
     # separately built, equal-valued fields: field_make would share one object
     fields = [Field(2, 1, 1) for _ in range(200)]

@@ -8,7 +8,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
 from toyshtlab.errors import BudgetExceededError, NonPrimeError
-from toyshtlab.gf import DEFAULT_BUDGET, Field, _is_irreducible, field_make, is_prime
+from toyshtlab.gf import (
+    DEFAULT_BUDGET, Field, _is_irreducible, field_make, is_prime, randbelow)
 
 from helpers import coeffs, field_pow
 
@@ -277,3 +278,55 @@ def test_generator_search_and_tables_pinned():
             assert F.generator == g, (tower, seed)
             digest.update(repr((tower, seed, F.modulus, g, F._exp, F._log, F._frob)).encode())
     assert digest.hexdigest() == TABLES_DIGEST
+
+
+# F_2, F_4, F_8, F_3, F_9, F_25, F_27
+KERNEL_TOWERS = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 1), (3, 1, 2), (5, 1, 2), (3, 1, 3)]
+
+
+@pytest.mark.parametrize("p,e,m", KERNEL_TOWERS)
+def test_axpy_and_dot_match_add_mul_exhaustive(p, e, m):
+    F = field_make(p, e, m)
+    pairs = list(product(F.elements(), repeat=2))
+    v, row = [x for x, _ in pairs], [y for _, y in pairs]
+    for c in range(1, F.order):
+        # every entry x + c*y in one call
+        assert F.axpy(c, row, v) == [F.add(x, F.mul(c, y)) for x, y in pairs], c
+        # every accumulation step s + x*y of a pairing
+        assert [F.dot((1, x), (c, y)) for x, y in pairs] == [
+            F.add(c, F.mul(x, y)) for x, y in pairs], c
+    assert [F.dot((x,), (y,)) for x, y in pairs] == [F.mul(x, y) for x, y in pairs]
+    assert F.dot((), ()) == 0
+
+
+F2187 = field_make(3, 1, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_axpy_and_dot_are_folds_of_add_and_mul_on_f2187(data):
+    elem = st.integers(0, F2187.order - 1)
+    width = data.draw(st.integers(0, 8))
+    a, b = (data.draw(st.lists(elem, min_size=width, max_size=width)) for _ in range(2))
+    c = data.draw(st.integers(1, F2187.order - 1))
+    assert F2187.axpy(c, a, b) == [F2187.add(y, F2187.mul(c, x)) for x, y in zip(a, b)]
+    acc = 0
+    for x, y in zip(a, b):
+        acc = F2187.add(acc, F2187.mul(x, y))
+    assert F2187.dot(a, b) == acc
+
+
+def test_randbelow_is_randrange_with_the_same_generator_state():
+    ns = [1, 2, 3, 4, 9, 13, 19, 64, 65, 2187]
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            for n in ns:
+                assert randbelow(ours, n) == theirs.randrange(n), (seed, n)
+            # the offset ranges of the Radon and gamma draws
+            assert randbelow(ours, 19) - 9 == theirs.randrange(-9, 10)
+            assert randbelow(ours, 13) - 6 == theirs.randrange(-6, 7)
+        assert ours.getstate() == theirs.getstate()
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            randbelow(random.Random(0), n)

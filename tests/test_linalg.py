@@ -379,3 +379,27 @@ def test_ranks_match_sympy(p):
         lr, sr = MW.reduce(l), MW.reduce(s)
         assert MW.dim + any(lr) == sympy_rank(M + W + [l], N)
         assert MW.dim + any(lr) + (not _in_line(field, sr, lr)) == sympy_rank(M + W + [l, s], N)
+
+
+def test_row_operations_make_no_per_entry_field_calls(monkeypatch):
+    """rref, reduce, combine and pairing go through the table kernels: in odd
+    characteristic not one Field.add or Field.mul is called."""
+    F27 = field_make(3, 1, 3)
+    rng = random.Random(24)
+    mat = [tuple(rng.randrange(F27.order) for _ in range(7)) for _ in range(5)]
+    calls = []
+    for name in ("add", "mul"):
+        method = getattr(Field, name)
+        monkeypatch.setattr(Field, name, lambda self, a, b, method=method, name=name: (
+            calls.append(name), method(self, a, b))[1])
+    rows, pivots = rref(F27, mat, 7)
+    S = linalg.Subspace(F27, 7, rows, pivots)
+    v = combine(F27, (2, 5, 1, 0, 7), mat, 7)
+    assert S.contains_vector(v) and S.reduce(v) == (0,) * 7
+    linalg.pairing(F27, mat[0], mat[1])
+    assert calls == []
+    F27.add(1, 1)  # the counter is live
+    assert calls == ["add"]
+    assert len(pivots) == 5
+    assert all(r[p] == 1 and all(o[p] == 0 for o in rows if o is not r)
+               for r, p in zip(rows, pivots))
