@@ -50,20 +50,8 @@ def _adder(field: Field):
     return xor if field.p == 2 else field.add
 
 
-def series_add(field: Field, a, b):
-    return tuple(map(_adder(field), a, b))
-
-
 def series_sub(field: Field, a, b):
     return tuple(map(xor if field.p == 2 else field.sub, a, b))
-
-
-def series_scale(field: Field, c: int, a):
-    """c a, through the log/exp tables."""
-    if not c:
-        return (0,) * len(a)
-    exp, log, lc = field._exp, field._log, field._log[c]
-    return tuple(exp[lc + log[x]] if x else 0 for x in a)
 
 
 def series_qth_power(field: Field, a):
@@ -81,12 +69,13 @@ def series_order(a):
 
 def series_mul(field: Field, a, b):
     """The product truncated at t^T: each pair of nonzero coefficients is
-    one exp[log x + log y], and pairs beyond t^T are never formed."""
+    one exp[log x + log y], added by xor for p = 2 and by one Zech lookup
+    otherwise, as in Field.axpy; pairs beyond t^T are never formed."""
     T = len(a) - 1
     exp, log = field._exp, field._log
     lb = [(j, log[y]) for j, y in enumerate(b) if y]
     out = [0] * (T + 1)
-    add = None if field.p == 2 else field.add
+    zech, n1 = (None, 1) if field.p == 2 else (field._zech, field.order - 1)
     for i, x in enumerate(a):
         if x:
             lx = log[x]
@@ -94,10 +83,12 @@ def series_mul(field: Field, a, b):
                 k = i + j
                 if k > T:
                     break
-                if add is None:
+                if zech is None:
                     out[k] ^= exp[lx + ly]
                 else:
-                    out[k] = add(out[k], exp[lx + ly])
+                    m, y = (lx + ly) % n1, out[k]
+                    z = zech[log[y] - m] if y else 0
+                    out[k] = exp[m + z] if z >= 0 else 0
     return tuple(out)
 
 
@@ -564,17 +555,16 @@ def schubert_multiplicity_probe(centers: SchubertCenters, L0: Subspace, componen
 # ---------------------------------------------------------------------------
 # multiplicity probe for divisor pullbacks along partial Frobeniuses
 
-def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, rng):
-    """Orders of the local equation of the J-type flag component, and of its
-    Frobenius pullback, along a random curve on the chart model of flags.
-
-    Works on the space of pairs (L, L') with sigma L inside L', presented
-    over a chart as matrices B with the line H = L' cap W recording the
-    image of B - B^(q).  The component is the locus where the rational line
-    J sits inside the graph of B; the Frobenius factorization of the two
-    partial Frobeniuses pulls its equation back to its entrywise q-power.
-    The base flag must lie on the component.  Returns (order, pulled_order).
-    """
+@cache
+def jtype_probe_base(field: Field, N: int, n: int, J: Subspace, flag):
+    """(B0, h0, jstar, a0, c, d) for J-type probes at flag: the matrix B0 of
+    flag.small in the canonical chart of the first rational W meeting J and
+    flag.small trivially, the coordinates h0 of the line H0 = flag.big cap W
+    with jstar its first nonzero index, the heights a0 of the Artin-Schreier
+    rows over h0, and the chart coordinates (c, d) of J.  None of it draws
+    randomness, so it is one tuple of tuples per value of (J, flag), built
+    on first use and shared after; raises NotOnVarietyError, and keeps
+    nothing, unless the flag lies on the component in the model."""
     width = N - n
     L0 = flag.small
     # chart avoiding both J and the base point
@@ -592,7 +582,7 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
     jstar = next(j for j in range(width) if h0[j] != 0)
     # scalar heights of the Artin-Schreier rows over the line direction
     hinv = field.inv(h0[jstar])
-    a0 = [field.mul(A0[i][jstar], hinv) for i in range(n)]
+    a0 = tuple(field.mul(A0[i][jstar], hinv) for i in range(n))
     if any(A0[i][j] != field.mul(a0[i], h0[j]) for i in range(n) for j in range(width)):
         raise NotOnVarietyError("base point leaves the model")
     coeffs = chart.coords(J.basis[0])
@@ -601,6 +591,23 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
         raise NotOnVarietyError("J must be transversal to the chart center")
     if any(pairing(field, c, col) != dj for col, dj in zip(zip(*B0), d)):
         raise NotOnVarietyError("base point is off the component")
+    return B0, h0, jstar, a0, c, d
+
+
+def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, rng):
+    """Orders of the local equation of the J-type flag component, and of its
+    Frobenius pullback, along a random curve on the chart model of flags.
+
+    Works on the space of pairs (L, L') with sigma L inside L', presented
+    over a chart as matrices B with the line H = L' cap W recording the
+    image of B - B^(q).  The component is the locus where the rational line
+    J sits inside the graph of B; the Frobenius factorization of the two
+    partial Frobeniuses pulls its equation back to its entrywise q-power.
+    The base flag must lie on the component, and the rng-free part of the
+    model comes from jtype_probe_base.  Returns (order, pulled_order).
+    """
+    width = N - n
+    B0, h0, jstar, a0, c, d = jtype_probe_base(field, N, n, J, flag)
 
     def component_eq(M):
         # sum_i c_i B[i][jstar] - d[jstar]

@@ -269,12 +269,15 @@ def _flags(field: Field, N: int, n: int, kind: str):
 
 
 def _in_line(field: Field, v, l) -> bool:
-    """True iff v is a multiple of l (for l = 0, iff v = 0)."""
+    """True iff v is a multiple of l (for l = 0, iff v = 0): with c = v_j / l_j
+    at the first nonzero l_j, v and l vanish together and log v_k - log l_k
+    is log c mod order - 1, read on the log table with no Field call."""
     j = next((k for k, x in enumerate(l) if x), None)
-    if j is None:
+    if j is None or not v[j]:
         return not any(v)
-    c = field.mul(v[j], field.inv(l[j]))
-    return all(x == field.mul(c, y) for x, y in zip(v, l))
+    log, n1 = field._log, field.order - 1
+    lc = log[v[j]] - log[l[j]]
+    return all(x and (log[x] - log[y] - lc) % n1 == 0 if y else not x for x, y in zip(v, l))
 
 
 def _quotient_fixed(L: int, S: int, LW: int, SW: int) -> bool:

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -8,16 +10,29 @@ src = str(Path(__file__).resolve().parents[1] / "src")
 if src not in sys.path:
     sys.path.insert(0, src)
 
-from toyshtlab import charts, linalg, toysht  # noqa: E402
+import toyshtlab  # noqa: E402
+
+
+def package_caches():
+    """Every functools.cache a toyshtlab module defines at module level; a
+    cache imported into another module is listed once, under the module
+    that defines it."""
+    out = []
+    for info in pkgutil.iter_modules(toyshtlab.__path__, "toyshtlab."):
+        module = importlib.import_module(info.name)
+        out += [obj for obj in vars(module).values()
+                if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__]
+    return out
+
+
+PACKAGE_CACHES = package_caches()
 
 
 @pytest.fixture(autouse=True)
 def empty_counted_caches():
-    """Start each test with no toy or flag index, canonical chart or packing
-    (and so no packed toy verdict) cached, so a test that counts
-    enumerations, eliminations or spans counts the same alone and in any
-    order of the suite."""
-    toysht._toy_points.cache_clear()
-    toysht._flags.cache_clear()
-    charts.canonical_chart.cache_clear()
-    linalg.packing.cache_clear()
+    """Start each test with every package cache empty (the toy and flag
+    indexes, canonical charts, packings and so packed toy verdicts, J-type
+    probe bases, ...), so a test that counts enumerations, eliminations,
+    spans or builds counts the same alone and in any order of the suite."""
+    for clear in PACKAGE_CACHES:
+        clear.cache_clear()

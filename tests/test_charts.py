@@ -14,18 +14,17 @@ from toyshtlab.charts import (
     chart_equivalence_check,
     hensel_lift_probe,
     jtype_flag_pullback_probe,
+    jtype_probe_base,
     minor_equations,
     rank1_curve,
     rank_le1,
     rank_le1_locus,
     schubert_adapted_chart,
     schubert_multiplicity_probe,
-    series_add,
     series_matrix_as,
     series_mul,
     series_order,
     series_qth_power,
-    series_scale,
     series_sub,
     transversality_check,
     valuation_probe,
@@ -247,7 +246,7 @@ def test_series_arithmetic_and_qth_power():
     g = F4.generator
     s = _series((g, 1, g), 8)
     assert series_mul(F4, s, t)[1] == g
-    assert not any(series_add(F4, s, s))  # characteristic 2
+    assert not any(map(F4.add, s, s))  # characteristic 2
     p = series_qth_power(F4, s)
     assert p[0] == F4.frobenius(g)
     assert p[2] == 1 and p[1] == 0
@@ -275,11 +274,8 @@ def test_series_kernel_matches_schoolbook(name, T, data):
     coeff = st.one_of(st.just(0), st.integers(0, field.order - 1))
     a, b = (tuple(data.draw(st.lists(coeff, min_size=T + 1, max_size=T + 1)))
             for _ in range(2))
-    c = data.draw(coeff)
     assert series_mul(field, a, b) == _schoolbook_mul(field, a, b)
-    assert series_add(field, a, b) == tuple(map(field.add, a, b))
     assert series_sub(field, a, b) == tuple(map(field.sub, a, b))
-    assert series_scale(field, c, a) == tuple(field.mul(c, x) for x in a)
     power = _series((1,), T)
     for _ in range(field.q):
         power = _schoolbook_mul(field, power, a)
@@ -314,7 +310,7 @@ def _eval_poly(field, poly, point):
         for x, e in zip(point, exps):
             for _ in range(e):
                 term = series_mul(field, term, x)
-        acc = series_add(field, acc, term)
+        acc = tuple(map(field.add, acc, term))
     return acc
 
 
@@ -461,6 +457,22 @@ def test_jtype_flag_probe_wider_level():
     for f in trivial_based[:3] + moving_based[:3]:
         v_id, v_frob = jtype_flag_pullback_probe(F4, 4, 2, J, f, rng)
         assert (v_id, v_frob) == (1, F4.q)
+
+
+def test_jtype_probe_base_is_cached_immutable_and_never_on_failure():
+    J = echelonize(F4, [(1, 0, 0)], 3)
+    right = list(enumerate_flags(F4, 3, 1, "right"))
+    on = next(f for f in right if f.small.contains(J))
+    base = jtype_probe_base(F4, 3, 1, J, on)
+    # hashable, so every part is a tuple and no caller can change it
+    hash(base)
+    assert jtype_probe_base(F4, 3, 1, J, on) is base
+    off = next(f for f in right if not f.small.contains(J))
+    size = jtype_probe_base.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NotOnVarietyError):
+            jtype_probe_base(F4, 3, 1, J, off)
+        assert jtype_probe_base.cache_info().currsize == size
 
 
 # --- the per-W index of Schubert-adapted centers ----------------------------

@@ -470,6 +470,23 @@ def test_pullback_probes_build_one_chart_per_w(divisor_type, monkeypatch):
     assert probes > len(built) == len(set(built)) > 0
 
 
+def test_pullback_probes_share_one_base_per_j_and_flag(monkeypatch):
+    # the default pullback check at seeds 0 and 1: one base per distinct
+    # (J, flag) the probes draw, every other probe reads it from the cache
+    drawn = []
+
+    def recorded(field, N, n, J, f, rng):
+        drawn.append((J, f))
+        return jtype_flag_pullback_probe(field, N, n, J, f, rng)
+
+    monkeypatch.setattr(divisors, "jtype_flag_pullback_probe", recorded)
+    for seed in (0, 1):
+        partial_frobenius_divisor_pullback_check(F4, 3, 1, "J", rng=random.Random(seed))
+    info = charts.jtype_probe_base.cache_info()
+    assert info.misses == info.currsize == len(set(drawn))
+    assert info.hits == len(drawn) - info.misses > 0
+
+
 def test_pullback_check_rejects_an_unknown_type():
     for bad in ("X", "h", ""):
         with pytest.raises(ValueError, match="divisor type"):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from toyshtlab.linalg import (
 )
 from toyshtlab.toysht import (
     FlagPoint,
+    _in_line,
     ToyPoint,
     dichotomy_check,
     enumerate_flags,
@@ -42,6 +45,7 @@ F4 = field_make(2, 1, 2)
 F8 = field_make(2, 1, 3)
 F9 = field_make(3, 1, 2)
 F16 = field_make(2, 1, 4)
+F3 = field_make(3, 1, 1)
 
 # brute-force census over F_4, frozen: all 2-subspaces of F_4^4 passing the
 # intersection condition, and the Frobenius-fixed ones among them
@@ -404,3 +408,13 @@ def test_rank_forms_on_random_bases(pair):
     if toy:
         pt = ToyPoint(L)
         assert dichotomy_check(pt, W) == dichotomy_by_subspaces(pt, W)
+
+
+def test_in_line_matches_the_multiplication_reference():
+    # v is a multiple of l iff v = c l for some c, zero vectors included
+    for field in (F3, F9):
+        vectors = list(product(field.elements(), repeat=2))
+        for v, l in product(vectors, repeat=2):
+            expected = any(all(x == field.mul(c, y) for x, y in zip(v, l))
+                           for c in field.elements())
+            assert _in_line(field, v, l) == expected, (field, v, l)

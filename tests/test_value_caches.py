@@ -3,11 +3,18 @@ FiniteTateModel, never by identity: equal values built separately get the
 same object from every cached builder."""
 
 from toyshtlab import tate
-from toyshtlab.charts import canonical_chart, rank_le1_locus
+from conftest import PACKAGE_CACHES
+from toyshtlab.charts import canonical_chart, jtype_probe_base, rank_le1_locus
 from toyshtlab.divisors import incidence_index, incidence_lists
 from toyshtlab.gf import Field
-from toyshtlab.linalg import packing, rational_subspaces
+from toyshtlab.linalg import echelonize, packing, rational_subspaces
 from toyshtlab.toysht import flags, toy_points
+
+
+def _jtype_base(f):
+    J = echelonize(f, [(1, 0, 0)], 3)
+    return jtype_probe_base(f, 3, 1, J, next(x for x in flags(f, 3, 1, "right")
+                                             if x.small.contains(J)))
 
 
 def _standard(model, dim):
@@ -31,6 +38,7 @@ def test_equal_values_share_every_cached_table():
         lambda f: rank_le1_locus(f, 2, 3),
         lambda f: incidence_lists(f, 3),
         lambda f: incidence_index(f, 3),
+        _jtype_base,
     ]
     for build in field_builders:
         assert build(F) is build(G)
@@ -56,3 +64,12 @@ def test_equal_values_share_every_cached_table():
     ]
     for build in model_builders:
         assert build(m, chains[0]) is build(n, chains[1])
+
+
+def test_conftest_clears_every_package_cache():
+    # the scan that empties caches between tests finds those that count
+    names = {f"{c.__module__}.{c.__qualname__}" for c in PACKAGE_CACHES}
+    assert names >= {"toyshtlab.toysht._toy_points", "toyshtlab.toysht._flags",
+                     "toyshtlab.charts.canonical_chart", "toyshtlab.linalg.packing",
+                     "toyshtlab.charts.jtype_probe_base"}
+    assert len(names) == len(PACKAGE_CACHES)
