@@ -36,7 +36,7 @@ from .linalg import (
     rational_subspaces,
     rref,
 )
-from .toysht import is_toy_shtuka
+from .toysht import _toy_points
 
 INFINITE = "INFINITE"
 
@@ -202,39 +202,32 @@ def rank_le1_locus(field: Field, s: int, t: int):
 
 
 def _graph_predicate(field: Field, N: int, n: int, chart: Chart):
-    """is_toy_shtuka on the graph of a matrix A (a tuple of row tuples) of
-    the chart.  On point sets each graph row w'_i + sum_j a_j w_j is packed
-    once per row value a, and the rows are spanned with no elimination: the
-    bases are rational, so sigma(graph A) is the graph of A^(q), and the
-    graph G is toy iff |G cap sigma G| * order >= |G|.  The verdict of each
-    point set is kept in the Packing's verdicts, so a graph met before, in
-    this chart or another of F^N, spans once."""
+    """Whether the graph of a matrix A (a tuple of row tuples) of the chart
+    is a toy shtuka, read off the toy-locus index (toysht.toy_points), which
+    the caller gates.  On point sets each graph row w'_i + sum_j a_j w_j is
+    packed once per row value a, and the graph's point set, spanned with no
+    elimination, is looked up among the index points' point sets; elsewhere
+    the graph itself is looked up among the index subspaces."""
     if n <= 1 or n >= N:
         return lambda A: True
+    index = _toy_points(field, N, n)
     pk = packing(field, N)
     if pk is None:
-        return lambda A: is_toy_shtuka(chart.graph(A))
+        toy = frozenset(pt.L for pt in index)
+        return lambda A: chart.graph(A) in toy
+    toy = frozenset(pt.L.points() for pt in index)
     w = [pk.multiples[pk.pack(v)] for v in chart.w_basis]
     values = list(product(field.elements(), repeat=N - n))
     rows = [{a: reduce(xor, map(getitem, w, a), pk.pack(wp)) for a in values}
             for wp in chart.wp_basis]
-    verdicts, fr, size = pk.verdicts, field.frobenius, field.order**n
-
-    def predicate(A):
-        G = pk.span([t[a] for t, a in zip(rows, A)])
-        if G not in verdicts:
-            twist = pk.span([t[tuple(map(fr, a))] for t, a in zip(rows, A)])
-            verdicts[G] = (G & twist).bit_count() * field.order >= size
-        return verdicts[G]
-
-    return predicate
+    return lambda A: pk.span([t[a] for t, a in zip(rows, A)]) in toy
 
 
 def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart) -> dict:
-    """Compare the intrinsic toy predicate on graphs with the chart-side
-    rank condition on Artin-Schreier images, over every matrix, as n-tuples
-    of row values; an image has rank at most one iff it lies in the cone
-    index rank_le1_locus."""
+    """Compare the intrinsic toy predicate on graphs, read off the toy-locus
+    index, with the chart-side rank condition on Artin-Schreier images, over
+    every matrix, as n-tuples of row values; an image has rank at most one
+    iff it lies in the cone index rank_le1_locus."""
     if (chart.N, chart.n) != (N, n):
         raise DimensionMismatchError(f"chart of (N, n) = {chart.N, chart.n}, check of {N, n}")
     # the row values, and their Artin-Schreier images; for n = 0 the one

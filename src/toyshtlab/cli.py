@@ -132,6 +132,10 @@ def check_chart_equivalence(params: dict, seed: int):
     if not 0 <= n <= N:
         raise DimensionMismatchError(f"need 0 <= n <= N, got n={n} with N={N}")
     budget = _gate(F.order ** (n * (N - n)), params, "matrices per chart")
+    if 1 < n < N:
+        # gates, and builds, the toy-locus index the chart predicate reads;
+        # at the other levels every graph is toy and no index is read
+        toysht.toy_points(F, N, n, budget)
     counters = {"charts": 0, "matrices": 0}
     witnesses = []
     for W in rational_subspaces(F, N, N - n, budget):
@@ -415,8 +419,8 @@ def _invariant_fn(model: tate.FiniteTateModel, origin: int, lines) -> tate.TateF
     if len(lines) != len(model.lines()):
         raise DimensionMismatchError(f"expected {len(model.lines())} lines, got {len(lines)}")
     k = max([den for _, den in lines] + [0])
-    on_line = {rep: num * p ** (k - den) for rep, (num, den) in zip(model.lines(), lines)}
-    nums = [origin * p**k] + [on_line[rep] for rep in model.line_index()[1:]]
+    per_vector = model.pair_zero_table()[2]
+    nums = [origin * p**k, *per_vector([num * p ** (k - den) for num, den in lines])]
     return tate.TateFn.from_nums(model, "T", nums, k)
 
 

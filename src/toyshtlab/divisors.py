@@ -242,16 +242,14 @@ def incidence_index(field: Field, N: int):
 
 def _incidence_sums(field: Field, d: int, values, power: int) -> LineFamily:
     """q^power times the sum of a zero-sum coefficient family over each
-    incidence list of P^(d-1), keyed and ordered like the input."""
+    incidence list of P^(d-1), in line-key order."""
     family = line_family(field, d, values)
     keys, getters = incidence_index(field, d)
     if sum(family.nums):
         raise SumNotZeroError("coefficients must sum to zero")
     # the factor q^power = p^(e * power) goes into the shared exponent
-    out = LineFamily(field.p, keys, [sum(g(family.nums)) for g in getters],
-                     family.exp - field.e * power)
-    return out if family is values else LineFamily(
-        field.p, tuple(values), map(dict(zip(keys, out.nums)).get, values), out.exp)
+    return LineFamily(field.p, keys, [sum(g(family.nums)) for g in getters],
+                      family.exp - field.e * power)
 
 
 def radon_forward(field: Field, mu, n: int, N: int) -> LineFamily:
@@ -291,7 +289,7 @@ def toy_locus(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGET) -> lis
 
 
 def schubert_decomposition_check(
-    field: Field, N: int, n: int, W: Subspace, locus: list, rng=None
+    field: Field, N: int, n: int, W: Subspace, locus: list, rng
 ) -> dict:
     """Set-level equality of the Schubert locus with the union of
     horospherical pieces for W, the codimension-two bound on the deeper
@@ -325,7 +323,7 @@ def schubert_decomposition_check(
             )
             if not deep:
                 report["codim2_failures"].append(pt.L.basis)
-    if rng is not None and not report["vacuous"]:
+    if not report["vacuous"]:
         report["probes"] = _sampled_multiplicity_probes(
             field, N, n, W, hyperplanes, lines, rng, locus
         )
@@ -358,7 +356,7 @@ def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, locus)
             continue
         orders = []
         for _ in range(PROBE_REPEATS):
-            L0 = pts[rng.randrange(len(pts))]
+            L0 = pts[randbelow(rng, len(pts))]
             orders.append(schubert_multiplicity_probe(centers, L0, component, rng))
         out[(kind, sub.basis)] = orders
     return out
@@ -404,7 +402,7 @@ def _pullback_components(flags, markers, divisor_type: str):
 
 
 def partial_frobenius_divisor_pullback_check(field: Field, N: int, n: int, divisor_type: str,
-                                             rng=None, budget: int = DEFAULT_BUDGET) -> dict:
+                                             rng, budget: int = DEFAULT_BUDGET) -> dict:
     """Set-level identification of the preimage of a horospherical component
     under the plus partial Frobenius, with sampled multiplicity probes
     through the Frobenius factorization.
@@ -421,7 +419,7 @@ def partial_frobenius_divisor_pullback_check(field: Field, N: int, n: int, divis
     set_failures, comps = _pullback_components(rights, markers, divisor_type)
     report = {"flags": len(rights), "set_failures": set_failures, "probes": {},
               "mode": "exhaustive"}
-    if rng is not None and 1 <= n <= N - 2:
+    if 1 <= n <= N - 2:
         report["mode"] = "probabilistic"
         for mk, comp in zip(markers, comps):
             if not comp:
@@ -432,7 +430,7 @@ def partial_frobenius_divisor_pullback_check(field: Field, N: int, n: int, divis
                 level, line, key = n, mk, ("J", mk.basis)
             orders = []
             for _ in range(PROBE_REPEATS):
-                f = comp[rng.randrange(len(comp))]
+                f = comp[randbelow(rng, len(comp))]
                 if divisor_type == "H":
                     # dual model: the hyperplane component of right flags
                     # becomes the line component of right flags at the

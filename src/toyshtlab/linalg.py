@@ -160,10 +160,9 @@ class Packing:
     """The vectors of F^N, for p = 2, packed into ints with log2(order) bits
     per coordinate, coordinate i in bits from i * log2(order) on: vector
     addition is xor, and multiples[v][c] is c * v.  A point set is an int
-    with bit v set for each packed vector v it holds.  verdicts maps each
-    point set a chart sweep has decided to its toy verdict."""
+    with bit v set for each packed vector v it holds."""
 
-    __slots__ = ("shifts", "multiples", "verdicts")
+    __slots__ = ("shifts", "multiples")
 
     def __init__(self, field: Field, N: int):
         self.shifts = tuple(field.degree * i for i in range(N))
@@ -175,7 +174,6 @@ class Packing:
                 table = [(y << sh) | low for y in times_c for low in table]
             scaled.append(table)
         self.multiples = list(zip(*scaled))
-        self.verdicts = {}
 
     def pack(self, vec) -> int:
         return sum(x << sh for x, sh in zip(vec, self.shifts))

@@ -91,11 +91,10 @@ class FiniteTateModel:
         vector's line (first nonzero coordinate 1); None at 0."""
         return (None, *(_line_key(self.field, v) for v in self.vectors()[1:]))
 
-    @cache
     def lines(self):
         """Normalized representatives of the scalar orbits of nonzero
-        vectors, in order of first appearance among the vectors."""
-        return tuple(dict.fromkeys(self.line_index()[1:]))
+        vectors: the line keys of F_q^D, in key order (incidence_index)."""
+        return incidence_index(self.field, self.D)[0]
 
     @cache
     def pair_zero_table(self):

@@ -431,8 +431,9 @@ def test_toy_locus_is_enumerated_once(monkeypatch):
 
 
 def test_chart_sweep_spans_each_graph_once(monkeypatch):
-    # F_4, N = 4, n = 2: 35 charts of 256 matrices meet 357 subspaces; each
-    # matrix spans its graph, and only a graph not met before spans its twist
+    # F_4, N = 4, n = 2: 35 charts of 256 matrices; with the toy-locus index
+    # warm, each matrix spans its graph once and reads its verdict off it
+    toysht.toy_points(F4, 4, 2)
     calls = []
     original = linalg.Packing.span
 
@@ -443,7 +444,7 @@ def test_chart_sweep_spans_each_graph_once(monkeypatch):
     monkeypatch.setattr(linalg.Packing, "span", counted)
     r = run(CheckSpec("chart_equivalence", {**F4P, "N": 4, "n": 2}))
     assert r.verdict == "pass" and r.counters["matrices"] == 8960
-    assert len(calls) <= 8960 + 357
+    assert len(calls) == 8960
 
 
 def test_schubert_probes_take_one_normal_per_component(monkeypatch):
@@ -550,6 +551,19 @@ def test_budget_bounds_matrix_sweeps(name, params):
     assert w["kind"] == "budget_exceeded" and w["params"]["budget"] == 100
     assert replay_witness(w)
     assert not replay_witness({**w, "params": {**w["params"], "budget": 1 << 20}})
+
+
+def test_chart_sweep_gates_the_toy_locus_it_reads():
+    # F_4, N = 4, n = 2: 256 matrices per chart fit a budget of 300, the 357
+    # subspaces of the toy-locus index the predicate reads do not
+    r = run(CheckSpec("chart_equivalence", {**F4P, "N": 4, "n": 2, "budget": 300}))
+    (w,) = r.counters["witnesses"]
+    assert w["kind"] == "budget_exceeded" and "357 subspaces" in w["message"]
+    assert replay_witness(w)
+    # at n = 1 every graph is toy and no index is read: 16 matrices per
+    # chart fit, though the 21 lines of F_4^3 would not
+    r = run(CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": 1, "budget": 16}))
+    assert r.verdict == "pass" and r.counters["matrices"] == 7 * 16
 
 
 @pytest.mark.parametrize(

@@ -135,9 +135,25 @@ def test_radon_on_a_mapping_builds_no_fraction_per_value(monkeypatch):
     lam = radon_forward(F3, mu, 2, 5)
     assert calls == []
     monkeypatch.undo()
-    assert list(lam) == order
+    # the output is in line-key order, whatever order the mapping has
+    assert list(lam) == keys
     assert dict(lam) == dict(expected)
     assert radon_backward(F3, lam, 2, 5) == mu
+
+
+def test_radon_of_a_shuffled_mapping_adds_to_the_equal_family():
+    # F_2, N = 3: one transform family per line-key order, so the transform
+    # of a mapping in any order combines with that of the equal family
+    keys = line_keys(F2, 3)
+    rng = random.Random(3)
+    family = line_values(F2, 3, *zero_sum_draw(rng, len(keys)))
+    order = keys[:]
+    rng.shuffle(order)
+    assert order != keys
+    a = radon_forward(F2, {k: family[k] for k in order}, 1, 3)
+    b = radon_forward(F2, family, 1, 3)
+    assert a == b
+    assert a + b == a.scale(2) == b.scale(2)
 
 
 def test_incidence_cache_keyed_by_field_value():
@@ -345,8 +361,12 @@ def test_pullback_check_set_and_probes():
         assert all((a, b) == (1, 2) for a, b in orders)
 
 
-def test_pullback_check_set_only_without_rng():
-    rep = partial_frobenius_divisor_pullback_check(F4, 3, 2, "J")
+def test_pullback_check_is_set_only_where_no_probe_runs():
+    # n = 2 = N - 1 has no probe level, so the rng is never drawn from
+    rng = random.Random(0)
+    state = rng.getstate()
+    rep = partial_frobenius_divisor_pullback_check(F4, 3, 2, "J", rng=rng)
+    assert rng.getstate() == state
     assert rep["set_failures"] == [] and rep["mode"] == "exhaustive"
 
 

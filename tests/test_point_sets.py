@@ -1,6 +1,7 @@
 """The point-set kernel against the rank formulas it replaces: containment,
 intersection dimensions, the toy predicate, the dichotomy and the chart-side
-predicate, exhaustively on small spaces and by hypothesis over F_8 and F_16;
+predicate (also on a space without point sets), exhaustively on small spaces
+and by hypothesis over F_8 and F_16;
 and the packed tables' cache, keyed by field value and never built for odd p."""
 
 from itertools import product
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toyshtlab import cli, linalg
-from toyshtlab.charts import _graph_predicate, canonical_chart
+from toyshtlab.charts import _graph_predicate, canonical_chart, chart_equivalence_check
 from toyshtlab.gf import Field, field_make
 from toyshtlab.linalg import (
     POINT_SET_MAX,
@@ -83,9 +84,8 @@ def test_dichotomy_matches_ranks_exhaustive(F, N, pairs):
 
 
 def test_chart_predicate_matches_ranks_exhaustive():
-    # every chart and matrix of the F_4, N = 4, n = 2 chart_equivalence sweep;
-    # the charts share the verdicts kept on the Packing, so verdicts read
-    # from it are compared too
+    # every chart and matrix of the F_4, N = 4, n = 2 chart_equivalence sweep,
+    # whose charts all read one toy-locus index
     N, n = 4, 2
     verdicts = 0
     for W in rational_subspaces(F4, N, N - n):
@@ -96,8 +96,22 @@ def test_chart_predicate_matches_ranks_exhaustive():
             assert predicate(A) == is_toy_shtuka_by_rank(chart.graph(A))
             verdicts += 1
     assert verdicts == 8960
-    # one entry per subspace met: the 2-subspaces of F_4^4
-    assert len(packing(F4, N).verdicts) == 357
+
+
+def test_chart_predicate_without_point_sets_matches_ranks():
+    # F_9, N = 4, n = 2 has no point sets, so the predicate looks each graph
+    # up among the toy-locus index subspaces; one chart, all 6,561 matrices
+    N, n = 4, 2
+    assert packing(F9, N) is None
+    chart = canonical_chart(F9, rational_subspaces(F9, N, N - n)[0])
+    predicate = _graph_predicate(F9, N, n, chart)
+    checked = 0
+    for A in product(product(range(F9.order), repeat=N - n), repeat=n):
+        assert predicate(A) == is_toy_shtuka_by_rank(chart.graph(A))
+        checked += 1
+    assert checked == 6561
+    rep = chart_equivalence_check(F9, N, n, chart)
+    assert rep == {"checked": 6561, "counterexamples": []}
 
 
 # F_8^2, the largest space over F_8 with point sets, and F_16^2, at the bound

@@ -50,12 +50,12 @@ def z_p(p, num, exp):
 
 def incidence_sums_reference(field, d, values, power):
     """q^power times the sum of a zero-sum family over each incidence list
-    of P^(d-1), keyed and ordered like the input."""
+    of P^(d-1), in line-key order, whatever the order of the input."""
     if sum(values.values()) != 0:
         raise SumNotZeroError("coefficients must sum to zero")
     inc = incidence_lists(field, d)
     factor = Fraction(field.q) ** power
-    return {hk: factor * sum(values[jk] for jk in inc[hk]) for hk in values}
+    return {hk: factor * sum(values[jk] for jk in inc[hk]) for hk in inc}
 
 
 def is_invariant_reference(f):

@@ -1,6 +1,6 @@
-"""Every per-value cache is a functools.cache keyed by the value of Field and
-FiniteTateModel, never by identity: equal values built separately get the
-same object from every cached builder."""
+"""Every per-value cache but field_make's is a functools.cache keyed by the
+value of Field and FiniteTateModel, never by identity: equal values built
+separately get the same object from every cached builder."""
 
 from toyshtlab import tate
 from conftest import PACKAGE_CACHES
@@ -72,4 +72,8 @@ def test_conftest_clears_every_package_cache():
     assert names >= {"toyshtlab.toysht._toy_points", "toyshtlab.toysht._flags",
                      "toyshtlab.charts.canonical_chart", "toyshtlab.linalg.packing",
                      "toyshtlab.charts.jtype_probe_base"}
+    # and the caches of methods, which live on their classes
+    assert names >= {"toyshtlab.tate.FiniteTateModel.vectors",
+                     "toyshtlab.tate.FiniteTateModel.line_index",
+                     "toyshtlab.tate.FiniteTateModel.pair_zero_table"}
     assert len(names) == len(PACKAGE_CACHES)
