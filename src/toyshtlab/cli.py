@@ -29,8 +29,8 @@ from .errors import (
     ToyshtError,
     UnknownCheckError,
 )
-from .gf import DEFAULT_BUDGET, field_make, randbelow
-from .linalg import echelonize, enumerate_grassmannian, gauss_binomial, rational_subspaces
+from .gf import DEFAULT_BUDGET, field_make, gate, gauss_binomial, randbelow
+from .linalg import echelonize, enumerate_grassmannian, rational_subspaces
 
 SCHEMA_VERSION = "toyshtlab-report-v1"
 
@@ -66,14 +66,6 @@ def _budget(params: dict) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
-def _gate(size: int, params: dict, what: str) -> int:
-    """The budget, once size is known not to exceed it."""
-    budget = _budget(params)
-    if size > budget:
-        raise BudgetExceededError(f"{size} {what} exceeds budget {budget}")
-    return budget
-
-
 def _field(params: dict, default_m: int = 1):
     p = int(params.get("p", 2))
     e = int(params.get("e", 1))
@@ -85,7 +77,7 @@ def _tate_model(params: dict) -> tate.FiniteTateModel:
     """The check's Tate model over F_q, gated up front on its q**D vectors."""
     F = _field(params, default_m=1)
     D, c = int(params["D"]), int(params["c"])
-    _gate(F.q**D, params, "vectors")
+    gate(_budget(params), "vectors", F.q, D)
     return tate.FiniteTateModel(F, D, c)
 
 
@@ -131,7 +123,7 @@ def check_chart_equivalence(params: dict, seed: int):
     N, n = int(params["N"]), int(params["n"])
     if not 0 <= n <= N:
         raise DimensionMismatchError(f"need 0 <= n <= N, got n={n} with N={N}")
-    budget = _gate(F.order ** (n * (N - n)), params, "matrices per chart")
+    gate(budget := _budget(params), "matrices per chart", F.order, n * (N - n))
     if 1 < n < N:
         # gates, and builds, the toy-locus index the chart predicate reads;
         # at the other levels every graph is toy and no index is read
@@ -311,7 +303,7 @@ def _radon_space(params: dict):
     """The check's field, N and n, gated up front on the rational lines."""
     F = _field(params, default_m=1)
     N, n = int(params["N"]), int(params["n"])
-    _gate(gauss_binomial(N, 1, F.q), params, "rational lines")
+    gate(_budget(params), "rational lines", F.q, 1, N)
     return F, N, n
 
 
@@ -358,7 +350,7 @@ def check_transversality_locus(params: dict, seed: int):
     F = _field(params, default_m=1)
     s, t = int(params["s"]), int(params["t"])
     # gated on the ambient matrices, though only the cone index is swept
-    _gate(F.order ** (s * t), params, "matrices")
+    gate(_budget(params), "matrices", F.order, s * t)
     cone = charts.rank_le1_locus(F, s, t)
     witnesses = []
     for A in cone:

@@ -15,10 +15,36 @@ entry; randbelow draws as rng.randrange(n) does, without its argument checks.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import BudgetExceededError, NonPrimeError, ReducibleModulusError
 
 # the one default size budget of field orders, enumerations and the command line
 DEFAULT_BUDGET = 1 << 20
+
+
+def gauss_binomial(N: int, n: int, q: int) -> int:
+    """Number of n-dimensional subspaces of an N-dimensional space over F_q,
+    as a product of min(n, N - n) factors, since [N, n] = [N, N - n]."""
+    if n < 0 or n > N:
+        return 0
+    num = den = 1
+    for i in range(min(n, N - n)):
+        num *= q ** (N - i) - 1
+        den *= q ** (i + 1) - 1
+    assert num % den == 0
+    return num // den
+
+
+def gate(budget: int, what: str, base: int, n: int, N: int | None = None) -> None:
+    """Refuse a size above budget: base**n, or given N the n-subspaces of F_base^N.  It is at
+    least base**b (b = n or n(N - n)), and is built only where that bound may fit the budget."""
+    b = n if N is None else n * (N - n)
+    if b * (base.bit_length() - 1) >= budget.bit_length():
+        raise BudgetExceededError(f"at least {base}**{b} {what} exceeds budget {budget}")
+    size = base**n if N is None else gauss_binomial(N, n, base)
+    if size > budget:
+        raise BudgetExceededError(f"{size} {what} exceeds budget {budget}")
 
 
 def is_prime(n: int) -> bool:
@@ -138,9 +164,8 @@ class Field:
             raise NonPrimeError(f"p={p} is not prime")
         if e < 1 or m < 1:
             raise ValueError("extension degrees must be >= 1")
+        gate(budget, "field elements", p, e * m)
         order = p ** (e * m)
-        if order > budget:
-            raise BudgetExceededError(f"field order {order} exceeds budget {budget}")
         self.p = p
         self.e = e
         self.m = m
@@ -334,18 +359,16 @@ def randbelow(rng, n: int) -> int:
     return r
 
 
-_fields: dict = {}
-
-
 def field_make(p: int, e: int, m: int, seed: int = 0, budget: int = DEFAULT_BUDGET) -> Field:
     """F_{q^m} with q = p^e, rejecting orders beyond the budget.
 
     One Field per value (p, e, m, seed): it is built on first use and shared
     after, as it is immutable; the budget is checked on every call."""
-    key = (p, e, m, seed)
-    field = _fields.get(key)
-    if field is None:
-        field = _fields[key] = Field(p, e, m, seed=seed, budget=budget)
-    elif field.order > budget:
-        raise BudgetExceededError(f"field order {field.order} exceeds budget {budget}")
-    return field
+    gate(budget, "field elements", p, e * m)
+    return _field(p, e, m, seed)
+
+
+@cache
+def _field(p: int, e: int, m: int, seed: int) -> Field:
+    # the caller has gated the order, so build at exactly that order
+    return Field(p, e, m, seed=seed, budget=p ** (e * m))

@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 
-from .errors import BudgetExceededError, DimensionMismatchError
-from .gf import DEFAULT_BUDGET, Field
+from .errors import DimensionMismatchError
+from .gf import DEFAULT_BUDGET, Field, gate, gauss_binomial  # noqa: F401 (re-exported)
 
 # the largest order**N whose vectors are packed for point sets: F_4^4, the
 # largest space on which point sets were timed against rref; a Packing holds
@@ -317,19 +317,6 @@ class QuotientMap:
         return tuple(v)
 
 
-def gauss_binomial(N: int, n: int, q: int) -> int:
-    """Number of n-dimensional subspaces of an N-dimensional space over F_q."""
-    if n < 0 or n > N:
-        return 0
-    num = 1
-    den = 1
-    for i in range(n):
-        num *= q ** (N - i) - 1
-        den *= q ** (n - i) - 1
-    assert num % den == 0
-    return num // den
-
-
 def _echelon_bases(field: Field, N: int, n: int, elems):
     """Every n-dimensional subspace of F^N whose reduced echelon basis has
     its free entries in elems, in canonical pivot-set-major order."""
@@ -352,9 +339,7 @@ def _gate(N: int, n: int, base: int, budget: int) -> None:
     """Reject n outside 0..N, then more than budget n-subspaces of F_base^N."""
     if n < 0 or n > N:
         raise DimensionMismatchError(f"need 0 <= n <= N, got n={n}, N={N}")
-    total = gauss_binomial(N, n, base)
-    if total > budget:
-        raise BudgetExceededError(f"{total} subspaces exceeds budget {budget}")
+    gate(budget, "subspaces", base, n, N)
 
 
 def enumerate_grassmannian(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGET):

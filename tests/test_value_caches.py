@@ -1,6 +1,6 @@
-"""Every per-value cache but field_make's is a functools.cache keyed by the
-value of Field and FiniteTateModel, never by identity: equal values built
-separately get the same object from every cached builder."""
+"""Every per-value cache is a functools.cache keyed by the value of Field
+and FiniteTateModel, never by identity: equal values built separately get
+the same object from every cached builder."""
 
 from toyshtlab import tate
 from conftest import PACKAGE_CACHES
@@ -71,7 +71,7 @@ def test_conftest_clears_every_package_cache():
     names = {f"{c.__module__}.{c.__qualname__}" for c in PACKAGE_CACHES}
     assert names >= {"toyshtlab.toysht._toy_points", "toyshtlab.toysht._flags",
                      "toyshtlab.charts.canonical_chart", "toyshtlab.linalg.packing",
-                     "toyshtlab.charts.jtype_probe_base"}
+                     "toyshtlab.charts.jtype_probe_base", "toyshtlab.gf._field"}
     # and the caches of methods, which live on their classes
     assert names >= {"toyshtlab.tate.FiniteTateModel.vectors",
                      "toyshtlab.tate.FiniteTateModel.line_index",
