@@ -194,7 +194,10 @@ def rank_le1(field: Field, A) -> bool:
 def rank_le1_locus(field: Field, s: int, t: int):
     """The s-by-t matrices of rank at most one, sorted: the zero matrix and
     each u v^T with u normalized (first nonzero entry 1) and v nonzero, so
-    each once.  One tuple per field value and shape, built on first use."""
+    each once.  One tuple per field value and shape, built on first use.
+    With s or t zero the one matrix is the empty one, returned unenumerated."""
+    if min(s, t) == 0:
+        return (((0,) * t,) * s,)
     us = [u for u in product(field.elements(), repeat=s) if next(filter(None, u), 0) == 1]
     vs = list(product(field.elements(), repeat=t))[1:]
     return tuple(sorted([((0,) * t,) * s] + [

@@ -59,24 +59,40 @@ class Report:
     seed: int
 
 
+def _ints(*values) -> None:
+    """Raise ValueError unless every value is an int that is not a bool, the one
+    rule for the integers of a spec or a witness: true, 4.9, "4" or null is refused."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{x!r} is not an int")
+
+
+def _int(params: dict, key: str, default=None) -> int:
+    """params[key], or default where a default is given and key is missing,
+    read by the rule of _ints."""
+    x = params[key] if default is None else params.get(key, default)
+    _ints(x)
+    return x
+
+
 def _budget(params: dict) -> int:
     if "budget" in params:
-        return int(params["budget"])
+        return _int(params, "budget")
     env = os.environ.get(BUDGET_ENV)
     return int(env) if env else DEFAULT_BUDGET
 
 
 def _field(params: dict, default_m: int = 1):
-    p = int(params.get("p", 2))
-    e = int(params.get("e", 1))
-    m = int(params.get("m", default_m))
+    p = _int(params, "p", 2)
+    e = _int(params, "e", 1)
+    m = _int(params, "m", default_m)
     return field_make(p, e, m, budget=_budget(params))
 
 
 def _tate_model(params: dict) -> tate.FiniteTateModel:
     """The check's Tate model over F_q, gated up front on its q**D vectors."""
     F = _field(params, default_m=1)
-    D, c = int(params["D"]), int(params["c"])
+    D, c = _int(params, "D"), _int(params, "c")
     gate(_budget(params), "vectors", F.q, D)
     return tate.FiniteTateModel(F, D, c)
 
@@ -99,28 +115,21 @@ def _vectors(F, width: int, rows) -> list:
     for r in out:
         if len(r) != width:
             raise DimensionMismatchError(f"row of length {len(r)}, expected {width}")
-        if not all(isinstance(x, int) and 0 <= x < F.order for x in r):
+        if not all(type(x) is int and 0 <= x < F.order for x in r):
             raise ValueError(f"row {list(r)} has an entry not an int in range({F.order})")
     return out
-
-
-def _ints(*values) -> None:
-    """Raise unless every value is an int, as in every value list the checks emit."""
-    for x in values:
-        if not isinstance(x, int):
-            raise ValueError(f"{x!r} is not an int")
 
 
 def _decode(w: dict, *keys):
     """A witness's field and N, and the subspaces spanned by its rows under keys."""
     F = _field(w["params"], default_m=2)
-    N = int(w["params"]["N"])
+    N = _int(w["params"], "N")
     return (F, N, *(echelonize(F, _vectors(F, N, w[k]), N) for k in keys))
 
 
 def check_chart_equivalence(params: dict, seed: int):
     F = _field(params, default_m=2)
-    N, n = int(params["N"]), int(params["n"])
+    N, n = _int(params, "N"), _int(params, "n")
     if not 0 <= n <= N:
         raise DimensionMismatchError(f"need 0 <= n <= N, got n={n} with N={N}")
     gate(budget := _budget(params), "matrices per chart", F.order, n * (N - n))
@@ -141,7 +150,7 @@ def check_chart_equivalence(params: dict, seed: int):
 
 def _replay_chart_mismatch(w: dict) -> bool:
     F, N, W = _decode(w, "W")
-    n = int(w["params"]["n"])
+    n = _int(w["params"], "n")
     A = tuple(_vectors(F, N - n, w["A"]))
     if len(A) != n or W.dim != N - n:
         raise DimensionMismatchError(f"need A of {n} rows and W of dimension {N - n}")
@@ -152,7 +161,7 @@ def _replay_chart_mismatch(w: dict) -> bool:
 
 def check_trivial_locus_count(params: dict, seed: int):
     F = _field(params, default_m=2)
-    N, n, budget = int(params["N"]), int(params["n"]), _budget(params)
+    N, n, budget = _int(params, "N"), _int(params, "n"), _budget(params)
     # Frobenius-fixedness first, so the toy predicate runs on the trivial points only
     trivial = {L for L in enumerate_grassmannian(F, N, n, budget=budget)
                if toysht.is_trivial(L) and toysht.is_toy_shtuka(L)}
@@ -166,7 +175,7 @@ def check_trivial_locus_count(params: dict, seed: int):
 
 def _replay_trivial_locus(w: dict) -> bool:
     F, N, L = _decode(w, "rows")
-    n, budget = int(w["params"]["n"]), _budget(w["params"])
+    n, budget = _int(w["params"], "n"), _budget(w["params"])
     if L.dim != n:
         raise DimensionMismatchError(f"rows span dimension {L.dim}, expected {n}")
     trivial = toysht.is_trivial(L) and toysht.is_toy_shtuka(L)
@@ -175,7 +184,7 @@ def _replay_trivial_locus(w: dict) -> bool:
 
 def check_grassmannian_count(params: dict, seed: int):
     F = _field(params, default_m=1)
-    N, n = int(params["N"]), int(params["n"])
+    N, n = _int(params, "N"), _int(params, "n")
     count = sum(1 for _ in enumerate_grassmannian(F, N, n, budget=_budget(params)))
     expected = gauss_binomial(N, n, F.order)
     counters = {"count": count, "expected": expected}
@@ -185,7 +194,7 @@ def check_grassmannian_count(params: dict, seed: int):
 
 def check_dichotomy(params: dict, seed: int):
     F = _field(params, default_m=2)
-    if (N := int(params["N"])) < 0:
+    if (N := _int(params, "N")) < 0:
         raise DimensionMismatchError(f"need N >= 0, got N={N}")
     budget = _budget(params)
     counters = {"pairs": 0}
@@ -221,7 +230,7 @@ def _frobenius_round_trip(f):
 
 def check_partial_frobenius_composition(params: dict, seed: int):
     F = _field(params, default_m=2)
-    if (N := int(params["N"])) < 0:
+    if (N := _int(params, "N")) < 0:
         raise DimensionMismatchError(f"need N >= 0, got N={N}")
     budget = _budget(params)
     counters = {"flags": 0}
@@ -244,7 +253,7 @@ def _replay_composition(w: dict) -> bool:
 
 def check_schubert_decomposition(params: dict, seed: int):
     F = _field(params, default_m=2)
-    N, n = int(params["N"]), int(params["n"])
+    N, n = _int(params, "N"), _int(params, "n")
     budget = _budget(params)
     rng = random.Random(seed)
     counters = {"centers": 0, "points": 0, "probe_orders": []}
@@ -272,7 +281,7 @@ def _replay_schubert(witness: dict) -> bool:
     over the rational subspaces, independent of divisors.toy_locus."""
     params = witness["params"]
     F, N, W, L = _decode(witness, "W", "L")
-    if L.dim != int(params["n"]) or L.is_rational() or not toysht.is_toy_shtuka(L):
+    if L.dim != _int(params, "n") or L.is_rational() or not toysht.is_toy_shtuka(L):
         return False
     deficit = divisors.schubert_deficit(L, W)
 
@@ -294,7 +303,7 @@ def _replay_schubert(witness: dict) -> bool:
 
 def _trials(params: dict, default: int) -> int:
     """A sampled check's number of trials; 0 is allowed, a negative count raises."""
-    if (trials := int(params.get("trials", default))) < 0:
+    if (trials := _int(params, "trials", default)) < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     return trials
 
@@ -302,7 +311,7 @@ def _trials(params: dict, default: int) -> int:
 def _radon_space(params: dict):
     """The check's field, N and n, gated up front on the rational lines."""
     F = _field(params, default_m=1)
-    N, n = int(params["N"]), int(params["n"])
+    N, n = _int(params, "N"), _int(params, "n")
     gate(_budget(params), "rational lines", F.q, 1, N)
     return F, N, n
 
@@ -348,7 +357,7 @@ def _transversality_mismatch(A, a: int, b: int, transversal: bool) -> bool:
 
 def check_transversality_locus(params: dict, seed: int):
     F = _field(params, default_m=1)
-    s, t = int(params["s"]), int(params["t"])
+    s, t = _int(params, "s"), _int(params, "t")
     # gated on the ambient matrices, though only the cone index is swept
     gate(_budget(params), "matrices", F.order, s * t)
     cone = charts.rank_le1_locus(F, s, t)
@@ -363,12 +372,12 @@ def check_transversality_locus(params: dict, seed: int):
 
 def _replay_transversality(w: dict) -> bool:
     F = _field(w["params"], default_m=1)
-    s, t = int(w["params"]["s"]), int(w["params"]["t"])
+    s, t = _int(w["params"], "s"), _int(w["params"], "t")
     A = tuple(_vectors(F, t, w["A"]))
     if len(A) != s:
         raise DimensionMismatchError(f"A has {len(A)} rows, expected {s}")
-    a, b = w["a"], w["b"]
-    if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < s and 0 <= b < t):
+    a, b = _int(w, "a"), _int(w, "b")
+    if not (0 <= a < s and 0 <= b < t):
         raise ValueError(f"(a, b) = ({a!r}, {b!r}) is not in range({s}) x range({t})")
     return _transversality_mismatch(A, a, b, charts.transversality_check(F, s, t, a, b, A))
 
@@ -376,8 +385,8 @@ def _replay_transversality(w: dict) -> bool:
 def _radon_fourier_pair(params: dict):
     """The check's Tate model and its (inner, outer) lattice pair."""
     model = _tate_model(params)
-    dims = (int(params.get("inner_dim", max(0, -2 - model.c))),
-            int(params.get("outer_dim", model.D)))
+    dims = (_int(params, "inner_dim", max(0, -2 - model.c)),
+            _int(params, "outer_dim", model.D))
     if not all(0 <= d <= model.D for d in dims):
         raise DimensionMismatchError(f"need 0 <= inner_dim, outer_dim <= D={model.D}, got {dims}")
     return (model, *(_standard_flag(model, d) for d in dims))
@@ -451,7 +460,7 @@ def check_canonical_preimage(params: dict, seed: int):
 
 def check_pullback_multiplicity(params: dict, seed: int):
     F = _field(params, default_m=2)
-    N, n = int(params["N"]), int(params["n"])
+    N, n = _int(params, "N"), _int(params, "n")
     rep = divisors.partial_frobenius_divisor_pullback_check(
         F, N, n, params.get("type", "J"), rng=random.Random(seed), budget=_budget(params)
     )
@@ -479,7 +488,7 @@ def check_selftest_negated(params: dict, seed: int):
     """Deliberately wrong claim, kept for harness self-tests: asserts that a
     nontrivial point is trivial and must therefore fail with a witness."""
     F = _field(params, default_m=2)
-    N = int(params.get("N", 2))
+    N = _int(params, "N", 2)
     for pt in toysht.toy_points(F, N, 1, _budget(params)):
         if not toysht.is_trivial(pt.L):
             return "exhaustive", {}, [{"kind": "negated_trivial", "rows": pt.L.basis}]
@@ -488,7 +497,7 @@ def check_selftest_negated(params: dict, seed: int):
 
 def _replay_negated_trivial(w: dict) -> bool:
     F = _field(w["params"], default_m=2)
-    N = int(w["params"].get("N", 2))
+    N = _int(w["params"], "N", 2)
     L = echelonize(F, _vectors(F, N, w["rows"]), N)
     if L.dim != 1:
         raise DimensionMismatchError(f"rows span dimension {L.dim}, expected 1")
@@ -498,9 +507,13 @@ def _replay_negated_trivial(w: dict) -> bool:
 def _replay_rerun(w: dict) -> bool:
     """Rerun the check from the stamped spec, for the kinds whose input is
     the spec itself or its seeded probes; the failure reproduces iff the
-    check raises the same exception type or emits the same witness again."""
+    check raises the same exception type or emits the same witness again;
+    a check name that is not registered raises UnknownCheckError."""
+    name, params, seed = w["check"], dict(w["params"]), _int(w, "seed")
+    if name not in REGISTRY:
+        raise UnknownCheckError(f"no check named {name!r}")
     try:
-        _, _, again = REGISTRY[w["check"]](dict(w["params"]), w["seed"])
+        _, _, again = REGISTRY[name](params, seed)
     except CHECK_ERRORS as ex:
         return type(ex).__name__ == w.get("type")
     payload = {k: v for k, v in w.items() if k not in ("check", "params", "seed")}

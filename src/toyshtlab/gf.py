@@ -24,8 +24,7 @@ DEFAULT_BUDGET = 1 << 20
 
 
 def gauss_binomial(N: int, n: int, q: int) -> int:
-    """Number of n-dimensional subspaces of an N-dimensional space over F_q,
-    as a product of min(n, N - n) factors, since [N, n] = [N, N - n]."""
+    """Number of n-subspaces of an N-dimensional space over F_q, from min(n, N - n) factors."""
     if n < 0 or n > N:
         return 0
     num = den = 1
@@ -37,10 +36,12 @@ def gauss_binomial(N: int, n: int, q: int) -> int:
 
 
 def gate(budget: int, what: str, base: int, n: int, N: int | None = None) -> None:
-    """Refuse a size above budget: base**n, or given N the n-subspaces of F_base^N.  It is at
-    least base**b (b = n or n(N - n)), and is built only where that bound may fit the budget."""
-    b = n if N is None else n * (N - n)
-    if b * (base.bit_length() - 1) >= budget.bit_length():
+    """Refuse a size above budget: base**n, or given N the n-subspaces of F_base^N.  It lies in
+    [2**(b(k - 1)), 2**(bk + 2)), b = n or n(N - n), k = bit_length(base); built only if need be."""
+    b, k, room = n if N is None else n * (N - n), base.bit_length(), budget.bit_length()
+    if b * k + 2 < room and budget > 0:
+        return
+    if b * (k - 1) > room:
         raise BudgetExceededError(f"at least {base}**{b} {what} exceeds budget {budget}")
     size = base**n if N is None else gauss_binomial(N, n, base)
     if size > budget:
@@ -160,11 +161,11 @@ class Field:
     """
 
     def __init__(self, p: int, e: int, m: int, seed: int = 0, budget: int = DEFAULT_BUDGET):
+        gate(budget, "field elements", p, e * m)
         if not is_prime(p):
             raise NonPrimeError(f"p={p} is not prime")
         if e < 1 or m < 1:
             raise ValueError("extension degrees must be >= 1")
-        gate(budget, "field elements", p, e * m)
         order = p ** (e * m)
         self.p = p
         self.e = e

@@ -4,8 +4,7 @@ elimination), ranks of sums, annihilators, quotient coordinates, Grassmannian
 enumeration, the shared index of rational subspaces, and point sets.
 
 Subspaces are immutable and identified with their reduced row-echelon basis,
-which is unique, so equality of subspaces is equality of bases.  All counting
-is exact integer arithmetic.
+which is unique, so equality of subspaces is equality of bases.
 
 For p = 2 and order**N at most POINT_SET_MAX, a subspace also has a point
 set: one int with a bit per packed vector of F^N (see Packing).  Containment

@@ -1,5 +1,7 @@
 import copy
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -820,6 +822,16 @@ MALFORMED_ROWS = {
     "transversality_rows": ({**TRANSVERSAL, "A": [[0, 0]]}, DimensionMismatchError),
     "transversality_index": ({**TRANSVERSAL, "a": 5}, ValueError),
     "transversality_float_index": ({**TRANSVERSAL, "b": 1.0}, ValueError),
+    # a JSON true is not the int 1
+    "dichotomy_bool": ({"kind": "dichotomy", "params": F4N3,
+                        "L": [[1, True, 0]], "W": [[1, 0, 0]]}, ValueError),
+    "transversality_bool_index": ({**TRANSVERSAL, "a": True}, ValueError),
+    "radon_roundtrip_bool": ({"kind": "radon_roundtrip", "params": {"p": 2, "e": 1, "N": 3, "n": 1},
+                              "denom": 0, "vals": [True, -1, 0, 0, 0, 0, 0]}, ValueError),
+    "gamma_bool": ({"kind": "gamma", "params": {"p": 3, "e": 1, "D": 4, "c": -2},
+                    "origin": True, "lines": [[0, 0]] * 40}, ValueError),
+    "rerun_bool_seed": ({"kind": "grass_count", "check": "grassmannian_count",
+                         "params": {"p": 2, "N": 3, "n": 1}, "seed": True}, ValueError),
 }
 
 
@@ -868,6 +880,68 @@ def test_replay_rejects_values_that_are_not_ints(kind):
 
 def test_replay_accepts_a_well_formed_transversality_witness():
     assert not replay_witness(TRANSVERSAL)
+
+
+@pytest.mark.parametrize("kind", ["budget_exceeded", "exception", "picard"])
+def test_rerun_replay_rejects_a_check_that_is_not_registered(kind):
+    # the lookup of the name is no failure of the check that reproduces
+    w = {"kind": kind, "check": "no_such_check", "params": {}, "seed": 0,
+         "type": "KeyError", "message": "'no_such_check'"}
+    with pytest.raises(UnknownCheckError, match="no_such_check"):
+        replay_witness(w)
+
+
+# (check, params with values that are not ints, the same params with ints)
+NOT_INT_PARAMS = [
+    ("dichotomy", {**F4N3, "N": None}, {"N": 2}),
+    ("dichotomy", {**F4N3, "N": [2]}, {"N": 2}),
+    ("dichotomy", {**F4N3, "N": {"N": 2}}, {"N": 2}),
+    ("grassmannian_count", {"p": 2, "N": 4.9, "n": True}, {"N": 4, "n": 1}),
+    ("grassmannian_count", {"p": 2, "N": 4, "n": "1"}, {"n": 1}),
+    ("grassmannian_count", {"p": 2, "N": 3, "n": 1, "budget": True}, {"budget": 100}),
+    ("radon_fourier_square", {"p": 2, "D": 5, "c": -2, "trials": 2.0}, {"trials": 2}),
+    ("transversality_locus", {"p": 2, "s": True, "t": 2}, {"s": 1}),
+]
+
+
+@pytest.mark.parametrize("name,params,ints", NOT_INT_PARAMS)
+def test_a_param_that_is_not_an_int_is_a_report(tmp_path, name, params, ints):
+    # every integer parameter is an int that is not a bool, as a seed is;
+    # anything else fails its check alone, and the suite goes on
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps([{"name": name, "params": params}, GOOD_ENTRY]))
+    out = tmp_path / "r.json"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    first, second = json.loads(out.read_text())["reports"]
+    (w,) = first["counters"]["witnesses"]
+    assert (w["kind"], w["type"]) == ("exception", "ValueError") and "is not an int" in w["message"]
+    assert first["params"] == params and second["verdict"] == "pass"
+    assert replay_witness(w)
+    assert not replay_witness({**w, "params": {**w["params"], **ints}})
+
+
+def _bounded_product(bound):
+    """itertools.product that refuses to list more than bound tuples."""
+    def bounded(*iterables, repeat=1):
+        pools = [tuple(x) for x in iterables] * repeat
+        assert math.prod(map(len, pools)) <= bound, "an enumeration no gate bounds"
+        return itertools.product(*pools)
+    return bounded
+
+
+@pytest.mark.parametrize("name,params", [
+    ("chart_equivalence", {**F4N3, "N": 12, "n": 0}),
+    ("chart_equivalence", {**F4N3, "N": 12, "n": 12}),
+    ("transversality_locus", {"p": 2, "e": 1, "m": 2, "s": 0, "t": 12}),
+    ("transversality_locus", {"p": 2, "e": 1, "m": 2, "s": 12, "t": 0}),
+])
+def test_an_empty_cone_shape_lists_no_factor_vectors(monkeypatch, name, params):
+    # an s x t cone with s or t zero holds one matrix, the empty one, and
+    # its ambient gate (order**0 = 1) does not bound the 4**12 factor
+    # vectors it would be built from
+    monkeypatch.setattr(charts, "product", _bounded_product(4**2))
+    r = run(CheckSpec(name, {**params, "budget": 100}))
+    assert r.verdict == "pass" and r.counters["matrices"] == 1
 
 
 @pytest.mark.parametrize(

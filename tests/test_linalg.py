@@ -192,7 +192,9 @@ def test_gauss_binomial_values():
     assert gauss_binomial(4, 0, 2) == 1
     assert gauss_binomial(4, 2, 2) == 35
     assert gauss_binomial(3, 1, 3) == 13
-    assert gauss_binomial(5, 2, 9) == 605242
+    assert gauss_binomial(5, 2, 9) == gauss_binomial(5, 3, 9) == 605242
+    # a level with one subspace is counted with no factor
+    assert gauss_binomial(10**6, 0, 2) == gauss_binomial(10**6, 10**6, 2) == 1
 
 
 @pytest.mark.parametrize("q_field,m", [(F2, 1), (F4, 2), (F3, 1), (F9, 2)])
