@@ -38,7 +38,7 @@ def gauss_binomial(N: int, n: int, q: int) -> int:
 def gate(budget: int, what: str, base: int, n: int, N: int | None = None) -> None:
     """Refuse a size above budget: base**n, or given N the n-subspaces of F_base^N.  It lies in
     [2**(b(k - 1)), 2**(bk + 2)), b = n or n(N - n), k = bit_length(base); built only if need be."""
-    b, k, room = n if N is None else n * (N - n), base.bit_length(), budget.bit_length()
+    b, k, room = (n if N is None else n * (N - n)), base.bit_length(), budget.bit_length()
     if b * k + 2 < room and budget > 0:
         return
     if b * (k - 1) > room:
