@@ -897,7 +897,7 @@ NOT_INT_PARAMS = [
     ("dichotomy", {**F4N3, "N": [2]}, {"N": 2}),
     ("dichotomy", {**F4N3, "N": {"N": 2}}, {"N": 2}),
     ("grassmannian_count", {"p": 2, "N": 4.9, "n": True}, {"N": 4, "n": 1}),
-    ("grassmannian_count", {"p": 2, "N": 4, "n": "1"}, {"n": 1}),
+    ("grassmannian_count", {"p": 2, "N": "4", "n": 1}, {"N": 4}),
     ("grassmannian_count", {"p": 2, "N": 3, "n": 1, "budget": True}, {"budget": 100}),
     ("radon_fourier_square", {"p": 2, "D": 5, "c": -2, "trials": 2.0}, {"trials": 2}),
     ("transversality_locus", {"p": 2, "s": True, "t": 2}, {"s": 1}),
