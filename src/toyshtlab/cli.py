@@ -29,8 +29,8 @@ from .errors import (
     ToyshtError,
     UnknownCheckError,
 )
-from .gf import DEFAULT_BUDGET, field_make, gate, gauss_binomial, randbelow
-from .linalg import echelonize, enumerate_grassmannian, rational_subspaces
+from .gf import DEFAULT_BUDGET, field_make, gate, randbelow
+from .linalg import echelonize, enumerate_grassmannian, gauss_binomial, rational_subspaces
 
 SCHEMA_VERSION = "toyshtlab-report-v1"
 

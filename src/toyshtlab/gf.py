@@ -37,9 +37,10 @@ def gauss_binomial(N: int, n: int, q: int) -> int:
 
 def gate(budget: int, what: str, base: int, n: int, N: int | None = None) -> None:
     """Refuse a size above budget: base**n, or given N the n-subspaces of F_base^N.  It lies in
-    [2**(b(k - 1)), 2**(bk + 2)), b = n or n(N - n), k = bit_length(base); built only if need be."""
+    [2**(b(k - 1)), 2**(bk + 2)), b = n or n(N - n), k = bit_length(base); built only if need be.
+    A b < 0 sizes nothing and passes, for the caller to refuse as out of range."""
     b, k, room = (n if N is None else n * (N - n)), base.bit_length(), budget.bit_length()
-    if b * k + 2 < room and budget > 0:
+    if b < 0 or b * k + 2 < room and budget > 0:
         return
     if b * (k - 1) > room:
         raise BudgetExceededError(f"at least {base}**{b} {what} exceeds budget {budget}")
@@ -157,11 +158,10 @@ def _is_irreducible(f, p) -> bool:
 class Field:
     """The field F_{q^m} with q = p^e, presented over its subfield F_q.
 
-    Immutable after construction; safe to share between workers.
+    Immutable after construction; safe to share between workers; field_make gates its order.
     """
 
-    def __init__(self, p: int, e: int, m: int, seed: int = 0, budget: int = DEFAULT_BUDGET):
-        gate(budget, "field elements", p, e * m)
+    def __init__(self, p: int, e: int, m: int, seed: int = 0):
         if not is_prime(p):
             raise NonPrimeError(f"p={p} is not prime")
         if e < 1 or m < 1:
@@ -371,5 +371,4 @@ def field_make(p: int, e: int, m: int, seed: int = 0, budget: int = DEFAULT_BUDG
 
 @cache
 def _field(p: int, e: int, m: int, seed: int) -> Field:
-    # the caller has gated the order, so build at exactly that order
-    return Field(p, e, m, seed=seed, budget=p ** (e * m))
+    return Field(p, e, m, seed=seed)

@@ -26,7 +26,7 @@ from .errors import (
     NotAToyShtukaError,
     TrivialPointError,
 )
-from .gf import DEFAULT_BUDGET, Field, gauss_binomial
+from .gf import DEFAULT_BUDGET, Field
 from .linalg import (
     QuotientMap,
     Subspace,
@@ -34,6 +34,7 @@ from .linalg import (
     combine,
     echelonize,
     enumerate_grassmannian,
+    gauss_binomial,
     intersection_dim,
     packing,
     rational_subspaces,

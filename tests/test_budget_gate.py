@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from toyshtlab.cli import CheckSpec, replay_witness, run
-from toyshtlab.errors import BudgetExceededError
-from toyshtlab.gf import gate
+from toyshtlab.errors import BudgetExceededError, NonPrimeError
+from toyshtlab.gf import field_make, gate
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "toyshtlab"
 F4 = {"p": 2, "e": 1, "m": 2}
@@ -78,6 +78,19 @@ def test_gate_names_an_overrun_by_its_bound():
         gate(1 << 20, "subspaces", 3, 3, 10**6)
     with pytest.raises(BudgetExceededError, match=r"^at least 2\*\*1000000000000 matrices"):
         gate(1 << 20, "matrices", 2, 10**12)
+
+
+@pytest.mark.parametrize("budget", [-5, 0, 3, 1 << 20])
+def test_gate_passes_a_negative_exponent_on_to_its_caller(budget):
+    # base**-1 and n > N count nothing for the gate to refuse; the caller
+    # refuses the exponent as out of range
+    for base in (0, 2, 3):
+        gate(budget, "things", base, -1)
+        gate(budget, "things", base, 5, 3)
+    with pytest.raises(ValueError, match="extension degrees"):
+        field_make(2, -1, 1, budget=budget)
+    with pytest.raises(NonPrimeError):
+        field_make(0, -1, 1, budget=budget)
 
 
 def constructions(tree):

@@ -920,6 +920,30 @@ def test_a_param_that_is_not_an_int_is_a_report(tmp_path, name, params, ints):
     assert not replay_witness({**w, "params": {**w["params"], **ints}})
 
 
+# (field params that name no field, the error type, the same params naming F_4)
+BAD_DEGREES = [
+    ({"p": 2, "e": -1, "m": 2}, "ValueError", {"e": 1}),
+    ({"p": 2, "e": 1, "m": 0}, "ValueError", {"m": 2}),
+    ({"p": 0, "e": -1, "m": 2}, "NonPrimeError", {"p": 2, "e": 1}),
+    ({"p": 0, "e": -1, "m": 2, "budget": 3}, "NonPrimeError", {"p": 2, "e": 1, "budget": 100}),
+]
+
+
+@pytest.mark.parametrize("field,error,good", BAD_DEGREES)
+def test_a_degree_below_one_is_a_report(tmp_path, field, error, good):
+    # a negative exponent sizes nothing, so the gate passes it on and the
+    # field refuses it; the suite goes on
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps([{"name": "dichotomy", "params": {**F4N3, **field}}, GOOD_ENTRY]))
+    out = tmp_path / "r.json"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    first, second = json.loads(out.read_text())["reports"]
+    (w,) = first["counters"]["witnesses"]
+    assert (w["kind"], w["type"]) == ("exception", error) and second["verdict"] == "pass"
+    assert replay_witness(w)
+    assert not replay_witness({**w, "params": {**w["params"], **good}})
+
+
 def _bounded_product(bound):
     """itertools.product that refuses to list more than bound tuples."""
     def bounded(*iterables, repeat=1):
