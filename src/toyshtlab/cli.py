@@ -108,10 +108,19 @@ def _default_chain(model: tate.FiniteTateModel):
 # --- individual checks and their replay rules ---------------------------------
 
 
+def _list(x, what: str):
+    """x, a witness's array (a JSON list, or a tuple where a check in this
+    process built it); anything else raises ValueError."""
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{what} {x!r} is not a list")
+    return x
+
+
 def _vectors(F, width: int, rows) -> list:
-    """A witness's rows as tuples of field elements; a row not of the given
-    width or an entry that is not an int in range(F.order) raises."""
-    out = [tuple(r) for r in rows]
+    """A witness's rows as tuples of field elements; rows that are not a list
+    of lists, a row not of the given width or an entry that is not an int in
+    range(F.order) raises."""
+    out = [tuple(_list(r, "row")) for r in _list(rows, "rows")]
     for r in out:
         if len(r) != width:
             raise DimensionMismatchError(f"row of length {len(r)}, expected {width}")
@@ -345,7 +354,7 @@ def check_radon_duality(params: dict, seed: int):
 
 def _replay_radon_roundtrip(w: dict) -> bool:
     F, N, n = _radon_space(w["params"])
-    _ints(w["denom"], *w["vals"])
+    _ints(w["denom"], *_list(w["vals"], "vals"))
     return not _radon_round_trips(F, N, n, w["vals"], w["denom"])
 
 
@@ -403,7 +412,7 @@ def check_radon_fourier_square(params: dict, seed: int):
 
 def _replay_radon_fourier(w: dict) -> bool:
     model, inner, outer = _radon_fourier_pair(w["params"])
-    _ints(w["denom"], *w["vals"])
+    _ints(w["denom"], *_list(w["vals"], "vals"))
     return not tate.radon_fourier_commutes(model, inner, outer, w["vals"], w["denom"])
 
 
@@ -420,7 +429,7 @@ def _invariant_fn(model: tate.FiniteTateModel, origin: int, lines) -> tate.TateF
     if len(lines) != len(model.lines()):
         raise DimensionMismatchError(f"expected {len(model.lines())} lines, got {len(lines)}")
     k = max([den for _, den in lines] + [0])
-    per_vector = model.pair_zero_table()[2]
+    per_vector = model.pair_zero_table()[1]
     nums = [origin * p**k, *per_vector([num * p ** (k - den) for num, den in lines])]
     return tate.TateFn.from_nums(model, "T", nums, k)
 
@@ -441,8 +450,9 @@ def check_gamma_identity(params: dict, seed: int):
 
 def _replay_gamma(w: dict) -> bool:
     model = _tate_model(w["params"])
-    _ints(w["origin"], *(x for entry in w["lines"] for x in entry))
-    f = _invariant_fn(model, w["origin"], w["lines"])
+    lines = [_list(entry, "line") for entry in _list(w["lines"], "lines")]
+    _ints(w["origin"], *(x for entry in lines for x in entry))
+    f = _invariant_fn(model, w["origin"], lines)
     return not tate.gamma_identity_check(model, f, _default_chain(model))
 
 
@@ -653,6 +663,8 @@ def replay_witness(witness: dict) -> bool:
     kind = witness.get("kind")
     if kind not in REPLAY:
         raise UnknownCheckError(f"no replay rule for witness kind {kind!r}")
+    if not isinstance(witness.get("params", {}), dict):
+        raise ValueError(f"params {witness['params']!r} is not an object")
     return REPLAY[kind](witness)
 
 

@@ -11,10 +11,14 @@ perpendicular lines, so both sides of a divisor share one list of lines.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from operator import add, itemgetter, neg
+from typing import NamedTuple
 
 from .charts import SchubertCenters, jtype_flag_pullback_probe, schubert_multiplicity_probe
 from .errors import DimensionMismatchError, SumNotZeroError
@@ -30,6 +34,16 @@ from .toysht import (
 
 # multiplicity probes drawn per Schubert component and per pullback marker
 PROBE_REPEATS = 5
+
+# the fewest lines at which incidence_sums correlates in Singer order rather
+# than gathering per key; timed per call, the gather is faster at 21 lines
+# (F_4, N = 3) and fewer, the correlation at 31 (F_2, N = 5; F_5, N = 3) and
+# from 14 lines on where N = 2
+SINGER_MIN_LINES = 22
+
+# (slot bits, array typecode of that width) for the packed correlation
+_SLOTS = sorted((array(code).itemsize * 8, code) for code in "HIQ")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def fraction(p: int, num: int, exp: int) -> Fraction:
@@ -240,15 +254,144 @@ def incidence_index(field: Field, N: int):
     return _incidence_entry(field, N)[1]
 
 
+def _line_key(field: Field, v) -> tuple:
+    """The key of the line through a nonzero vector: the vector with its
+    first nonzero coordinate scaled to 1, as in line_keys."""
+    inv = field.inv(next(x for x in v if x != 0))
+    return tuple(field.mul(inv, x) for x in v)
+
+
+class SingerTable(NamedTuple):
+    """The rational lines of P^(N-1) along a Singer cycle S, a collineation
+    whose powers carry the line <e_0> through all n of them: line J_k is
+    S^k <e_0> and hyperplane H_j is S^j H_0, with H_0 = e_0^perp.
+
+    lines[k] and normals[j] are the key indices of J_k and of the normal
+    line of H_j; diffs is the difference set D = {d : J_d in H_0}, so that
+    J_k lies in H_j iff (k - j) mod n is in D.  to_singer gathers a family
+    in key order into line order, and to_keys a family in hyperplane order
+    into key order.  words holds, per slot width w, (w, typecode, R_w) with
+    R_w = sum over d in D of 2**(w * (-d mod n))."""
+
+    lines: tuple
+    normals: tuple
+    diffs: tuple
+    to_singer: itemgetter
+    to_keys: itemgetter
+    words: tuple
+
+
+def _orbit(field: Field, pos: dict, step, N: int) -> list:
+    """The key indices of <e_0>, step(<e_0>), ... up to the first return."""
+    v = e0 = (1,) + (0,) * (N - 1)
+    walk = [pos[e0]]
+    while (k := pos[_line_key(field, v := step(v))]) != walk[0]:
+        walk.append(k)
+    return walk
+
+
+def singer_words(diffs, n: int) -> tuple:
+    """Per slot width w, (w, typecode, R_w) for the difference set diffs of
+    a cycle of n lines."""
+    return tuple((w, code, sum(1 << w * (-d % n) for d in diffs)) for w, code in _SLOTS)
+
+
+@cache
+def singer_table(field: Field, N: int) -> SingerTable:
+    """The SingerTable of the rational lines of P^(N-1), cached by the
+    field's value and N.
+
+    By Singer's theorem (J. Singer, Trans. AMS 43, 1938) a cyclic group
+    acts regularly on the points and on the hyperplanes of PG(N-1, q), so
+    the point-hyperplane incidence matrix is circulant in its order.  S is
+    the companion matrix of the first monic degree-N polynomial over F_q,
+    in product(field.subfield, ...) order with a nonzero constant term,
+    whose walk from <e_0> visits all n lines before it returns (a primitive
+    polynomial's does, so one is found); the walk is the certificate, so no
+    primitivity test is made.  The normal line of
+    H_j is (S^T)^(-j) <e_0>, read off the walk of S^T.
+    """
+    keys = incidence_index(field, N)[0]
+    pos = {k: i for i, k in enumerate(keys)}
+    for c in product(field.subfield, repeat=N):
+        if not c[0]:
+            continue
+        nc = [field.neg(x) for x in c]
+        # S e_i = e_(i+1) for i < N - 1 and S e_(N-1) = -sum c_i e_i
+        lines = _orbit(field, pos, lambda v: field.axpy(v[-1], nc, (0, *v[:-1]))
+                       if v[-1] else (0, *v[:-1]), N)
+        if len(lines) == len(keys):
+            break
+    n = len(keys)
+    # S^T v = (v_1, ..., v_(N-1), -sum c_i v_i)
+    dual = _orbit(field, pos, lambda v: (*v[1:], field.dot(nc, v)), N)
+    normals = tuple(dual[-j % n] for j in range(n))
+    diffs = tuple(d for d, k in enumerate(lines) if not keys[k][0])
+    back = [0] * n
+    for j, k in enumerate(normals):
+        back[k] = j
+    return SingerTable(tuple(lines), normals, diffs, _gather(lines), _gather(back),
+                       singer_words(diffs, n))
+
+
+def _fold(x: int, bits: int) -> int:
+    """The low bits of x plus its high part: a product of two numbers of
+    bits bits folded once, so that slot t + n adds to slot t."""
+    return (x & ((1 << bits) - 1)) + (x >> bits)
+
+
+def singer_sums(table: SingerTable, nums) -> tuple | None:
+    """incidence_sums through the table as one cyclic correlation: the
+    numerators, less their minimum, are packed into w-bit slots of one int
+    in line order and multiplied by R_w, and the product folded once gives
+    every hyperplane's sum in its slot, with no carry between slots since
+    |D| * (max - min) < 2**w.  None where no slot width holds the range."""
+    lo = min(nums)
+    spread = len(table.diffs) * (max(nums) - lo)
+    for w, code, word in table.words:
+        if spread >> w == 0:
+            break
+    else:
+        return None
+    slots = array(code, [x - lo for x in table.to_singer(nums)])
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    bits = w * len(slots)
+    out = array(code, _fold(int.from_bytes(slots, "little") * word, bits)
+                .to_bytes(bits // 8, "little"))
+    if _BIG_ENDIAN:
+        out.byteswap()
+    sums = table.to_keys(out)
+    shift = len(table.diffs) * lo
+    return tuple([x + shift for x in sums]) if shift else sums
+
+
+def incidence_sums(field: Field, N: int, nums) -> tuple:
+    """For numerators in line-key order, each key's sum over the lines
+    perpendicular to it, in line-key order: the one incidence kernel behind
+    every Radon and Fourier transform.
+
+    From SINGER_MIN_LINES lines on, a range that fits 64-bit slots goes
+    through singer_sums; fewer lines, or a wider range (Z[1/p] numerators
+    are unbounded), through the per-key getters of incidence_index."""
+    keys, getters = incidence_index(field, N)
+    if len(keys) >= SINGER_MIN_LINES:
+        sums = singer_sums(singer_table(field, N), nums)
+        if sums is not None:
+            return sums
+    return tuple([sum(g(nums)) for g in getters])
+
+
 def _incidence_sums(field: Field, d: int, values, power: int) -> LineFamily:
     """q^power times the sum of a zero-sum coefficient family over each
-    incidence list of P^(d-1), in line-key order."""
+    incidence list of P^(d-1), in line-key order, through incidence_sums:
+    from SINGER_MIN_LINES lines on one cyclic correlation in Singer order,
+    since by Singer's theorem the incidence matrix is circulant there."""
     family = line_family(field, d, values)
-    keys, getters = incidence_index(field, d)
     if sum(family.nums):
         raise SumNotZeroError("coefficients must sum to zero")
     # the factor q^power = p^(e * power) goes into the shared exponent
-    return LineFamily(field.p, keys, [sum(g(family.nums)) for g in getters],
+    return LineFamily(field.p, family.order, incidence_sums(field, d, family.nums),
                       family.exp - field.e * power)
 
 

@@ -26,17 +26,11 @@ from .errors import (
     WrongChainError,
     WrongIndexError,
 )
-from .divisors import (Family, LineFamily, _gather, _incidence_sums, fraction,
-                       incidence_index, line_family, line_keys, line_values, zero_sum_draw)
+from .divisors import (Family, LineFamily, _gather, _incidence_sums, _line_key, fraction,
+                       incidence_index, incidence_sums, line_family, line_keys, line_values,
+                       zero_sum_draw)
 from .gf import Field
 from .linalg import Subspace, combine, echelonize, extend, pairing, perp
-
-
-def _line_key(field: Field, v):
-    """The normalized representative of the line through a nonzero vector:
-    its first nonzero coordinate scaled to 1, as in line_keys."""
-    inv = field.inv(next(x for x in v if x != 0))
-    return tuple(field.mul(inv, x) for x in v)
 
 
 class FiniteTateModel:
@@ -98,16 +92,16 @@ class FiniteTateModel:
 
     @cache
     def pair_zero_table(self):
-        """incidence_index at d = D with gathers between vectors and lines:
-        (getters, at_keys, per_vector, at_reps).  at_keys takes a family on
-        vectors to the line keys, per_vector takes a family on line keys to
-        the nonzero vectors, and at_reps takes a family on vectors to the
-        key vector of each vector's line (0 for 0)."""
-        keys, getters = incidence_index(self.field, self.D)
+        """The gathers between vectors and the line keys of F_q^D:
+        (at_keys, per_vector, at_reps).  at_keys takes a family on vectors
+        to the line keys, per_vector takes a family on line keys to the
+        nonzero vectors, and at_reps takes a family on vectors to the key
+        vector of each vector's line (0 for 0)."""
+        keys = self.lines()
         at = [self.index(k) for k in keys]
         pos = {k: i for i, k in enumerate(keys)}
         of = [pos[k] for k in self.line_index()[1:]]
-        return getters, _gather(at), _gather(of), _gather([0] + [at[j] for j in of])
+        return _gather(at), _gather(of), _gather([0] + [at[j] for j in of])
 
     def subspace(self, rows) -> Subspace:
         return echelonize(self.field, rows, self.D)
@@ -167,7 +161,7 @@ class TateFn(Family):
 
     def is_fq_invariant(self) -> bool:
         """Whether each vector's value is that at its line's key vector."""
-        return self.model.pair_zero_table()[3](self.nums) == self.nums
+        return self.model.pair_zero_table()[2](self.nums) == self.nums
 
 
 def integrate(f: TateFn) -> Fraction:
@@ -180,18 +174,22 @@ def fourier(f: TateFn) -> TateFn:
     linear over Z[1/p]: T(x*a + y) = T(x)*a + T(y).
 
     The output side is the opposite of the input side; no character enters
-    the computation, only the collapsed orbit sums q-1 and -1.
+    the computation, only the collapsed orbit sums q-1 and -1.  The sums
+    over perpendicular lines are those of the Radon transform, one cyclic
+    correlation of divisors.incidence_sums (in Singer order, by Singer's
+    theorem, from SINGER_MIN_LINES lines on).
     """
     if not f.is_fq_invariant():
         raise NotInvariantError("Fourier needs a scalar-invariant function")
     model, q = f.model, f.model.q
-    getters, at_keys, per_vector, _ = model.pair_zero_table()
+    at_keys, per_vector, _ = model.pair_zero_table()
     zero, at = f.nums[0], at_keys(f.nums)
     # the orbit sum over c != 0 of psi(c <v, w>) is q-1 when v is
     # perpendicular to w and -1 otherwise, so the value on a line l' is
     # f(0) + q * (sum of f over lines perpendicular to l') - (sum over all)
     total = sum(at)
-    per_line = [zero + q * sum(g(at)) - total for g in getters]
+    base = zero - total
+    per_line = [base + q * s for s in incidence_sums(model.field, model.D, at)]
     # the factor q^offset goes into the shared exponent
     return TateFn.from_nums(model, "T*" if f.side == "T" else "T",
                             (zero + (q - 1) * total, *per_vector(per_line)),

@@ -832,6 +832,18 @@ MALFORMED_ROWS = {
                     "origin": True, "lines": [[0, 0]] * 40}, ValueError),
     "rerun_bool_seed": ({"kind": "grass_count", "check": "grassmannian_count",
                          "params": {"p": 2, "N": 3, "n": 1}, "seed": True}, ValueError),
+    # a value where a list or an object belongs
+    "dichotomy_rows_int": ({"kind": "dichotomy", "params": F4N3,
+                            "L": 5, "W": [[1, 0, 0]]}, ValueError),
+    "dichotomy_row_int": ({"kind": "dichotomy", "params": F4N3,
+                           "L": [5], "W": [[1, 0, 0]]}, ValueError),
+    "radon_roundtrip_vals_int": ({"kind": "radon_roundtrip",
+                                  "params": {"p": 2, "e": 1, "N": 3, "n": 1},
+                                  "denom": 0, "vals": 5}, ValueError),
+    "gamma_line_int": ({"kind": "gamma", "params": {"p": 3, "e": 1, "D": 4, "c": -2},
+                        "origin": 0, "lines": [0, 1]}, ValueError),
+    "params_int": ({"kind": "dichotomy", "params": 5,
+                    "L": [[1, 0, 0]], "W": [[1, 0, 0]]}, ValueError),
 }
 
 

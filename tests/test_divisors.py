@@ -1,5 +1,6 @@
 import functools
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,13 @@ from toyshtlab.charts import jtype_flag_pullback_probe
 from toyshtlab.divisors import (
     Family,
     HoroDivisor,
+    SINGER_MIN_LINES,
     _incidence_entry,
     _pullback_components,
     fraction,
+    incidence_index,
     incidence_lists,
+    incidence_sums,
     is_principal_pair,
     line_family,
     line_keys,
@@ -23,6 +27,9 @@ from toyshtlab.divisors import (
     radon_forward,
     schubert_decomposition_check,
     schubert_deficit,
+    singer_sums,
+    singer_table,
+    singer_words,
     toy_locus,
     zero_sum_draw,
 )
@@ -106,6 +113,105 @@ def test_symmetric_incidence_build_matches_brute_force(field, N):
     expected = _brute_force_incidence(field, N)
     assert list(inc) == list(expected)
     assert inc == expected
+
+
+# F_2 with N <= 7, F_3 with N <= 5, q = 4, 5 and 9 (e = 2) with N = 2, 3, and
+# F_4 as m = 2 over F_2 (rational lines) with N = 4
+KERNEL_CASES = ([(F2, N) for N in range(1, 8)] + [(F3, N) for N in range(1, 6)]
+                + [(f, N) for f in (field_make(2, 2, 1), field_make(5, 1, 1),
+                                    field_make(3, 2, 1)) for N in (2, 3)]
+                + [(F4, 4)])
+KERNEL_IDS = [f"q{f.q}-m{f.m}-N{N}" for f, N in KERNEL_CASES]
+# numerators up to these magnitudes need 16-, 32- and 64-bit slots, and the
+# last no slot at all
+MAGNITUDES = [9, 2**12, 2**28, 2**60, 10**30]
+
+
+def _brute_force_sums(field, N, nums):
+    keys = line_keys(field, N)
+    at = dict(zip(keys, nums))
+    return tuple(sum(at[jk] for jk in perp_lines)
+                 for perp_lines in _brute_force_incidence(field, N).values())
+
+
+def _slot_width(table, nums):
+    """The slot rule: the narrowest width w with |D| * (max - min) < 2**w."""
+    spread = len(table.diffs) * (max(nums) - min(nums))
+    return next((w for w, _, _ in table.words if spread < 1 << w), None)
+
+
+def _kernel_inputs(field, N):
+    """Per magnitude, numerators of both signs on the line keys."""
+    rng = random.Random(field.order * 10 + N)
+    n = len(line_keys(field, N))
+    return [[rng.randint(-mag, mag) for _ in range(n)] for mag in MAGNITUDES]
+
+
+@pytest.mark.parametrize("field,N", KERNEL_CASES, ids=KERNEL_IDS)
+def test_incidence_sums_match_the_gather_and_brute_force(field, N):
+    keys, getters = incidence_index(field, N)
+    table = singer_table(field, N)
+    n = len(keys)
+    # Singer order is an order of the keys, j -> H_j a bijection onto them
+    assert sorted(table.lines) == sorted(table.normals) == list(range(n))
+    assert len(table.diffs) == gauss_binomial(N - 1, 1, field.q)
+    for nums in _kernel_inputs(field, N):
+        expected = _brute_force_sums(field, N, nums)
+        assert tuple(sum(g(nums)) for g in getters) == expected
+        assert tuple(incidence_sums(field, N, nums)) == expected
+        got = singer_sums(table, nums)
+        if _slot_width(table, nums) is None:
+            assert got is None
+        else:
+            assert tuple(got) == expected
+
+
+def test_singer_sums_pack_into_the_narrowest_slot_width(monkeypatch):
+    codes = []
+    monkeypatch.setattr(divisors, "array",
+                        lambda code, init: codes.append(code) or array(code, init))
+    seen = set()
+    for field, N in KERNEL_CASES:
+        table = singer_table(field, N)
+        typecode = {w: code for w, code, _ in table.words}
+        for nums in _kernel_inputs(field, N):
+            codes.clear()
+            w = _slot_width(table, nums)
+            singer_sums(table, nums)
+            # packed and unpacked at width w, or not packed at all
+            assert codes == ([] if w is None else [typecode[w]] * 2)
+            seen.add(w)
+    assert seen == {16, 32, 64, None}
+
+
+@pytest.mark.parametrize("field,N", [(F2, 4), (F4, 4), (F2, 5), (F3, 4)],
+                         ids=["q2-N4", "q2-m2-N4", "q2-N5", "q3-N4"])
+def test_incidence_sums_correlate_from_the_crossover_on(field, N, monkeypatch):
+    # the path is chosen from the number of lines and the range alone
+    calls = []
+    monkeypatch.setattr(divisors, "singer_sums",
+                        lambda *args: calls.append(args) or singer_sums(*args))
+    small, _, _, _, wide = _kernel_inputs(field, N)
+    for nums in (small, wide):
+        assert tuple(incidence_sums(field, N, nums)) == _brute_force_sums(field, N, nums)
+    singer = len(line_keys(field, N)) >= SINGER_MIN_LINES
+    assert len(calls) == (2 if singer else 0)
+
+
+@pytest.mark.parametrize("field,N", [(F2, 3), (F2, 5), (F3, 4), (field_make(3, 2, 1), 3)],
+                         ids=["q2-N3", "q2-N5", "q3-N4", "q9-N3"])
+def test_singer_sums_catch_a_rotated_difference_set_and_a_skipped_fold(field, N, monkeypatch):
+    # negative controls: the brute-force comparison fails for a wrong kernel
+    table = singer_table(field, N)
+    n = len(table.lines)
+    nums = _kernel_inputs(field, N)[0]
+    expected = _brute_force_sums(field, N, nums)
+    assert singer_sums(table, nums) == expected
+    rotated = tuple(sorted((d + 1) % n for d in table.diffs))
+    bad = table._replace(diffs=rotated, words=singer_words(rotated, n))
+    assert singer_sums(bad, nums) != expected
+    monkeypatch.setattr(divisors, "_fold", lambda x, bits: x & ((1 << bits) - 1))
+    assert singer_sums(table, nums) != expected
 
 
 def test_incidence_build_reads_every_coordinate(monkeypatch):

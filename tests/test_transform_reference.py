@@ -24,6 +24,7 @@ from toyshtlab.divisors import (
     LineFamily,
     incidence_lists,
     line_keys,
+    line_values,
     radon_backward,
     radon_forward,
 )
@@ -195,6 +196,27 @@ def test_patched_incidence_lists_leave_the_cache_sound(monkeypatch):
     check_radon(field, N, 1, mu)
     monkeypatch.undo()
     check_radon(field, N, 1, mu)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F3"])
+@pytest.mark.parametrize("N", [3, 5])
+def test_a_wrong_q_power_fails_the_round_trip_at_a_basis_vector(field, N, monkeypatch):
+    # negative control: the zero-sum basis e_i - e_last, through both paths
+    # of the incidence kernel, round trips, and none of it with power + 1
+    n = 1
+    keys = line_keys(field, N)
+    basis = [line_values(field, N, [int(k == i) - int(k == len(keys) - 1)
+                                    for k in range(len(keys))], 0)
+             for i in range(len(keys) - 1)]
+
+    def round_trips(mu):
+        return radon_backward(field, radon_forward(field, mu, n, N), n, N) == mu
+
+    assert all(map(round_trips, basis))
+    sums = divisors._incidence_sums
+    monkeypatch.setattr(divisors, "_incidence_sums",
+                        lambda f, d, values, power: sums(f, d, values, power + 1))
+    assert not any(map(round_trips, basis))
 
 
 FAMILY_SHAPES = [(2, 1), (2, 2), (3, 1), (3, 2)]

@@ -5,7 +5,7 @@ the same object from every cached builder."""
 from toyshtlab import tate
 from conftest import PACKAGE_CACHES
 from toyshtlab.charts import canonical_chart, jtype_probe_base, rank_le1_locus
-from toyshtlab.divisors import incidence_index, incidence_lists
+from toyshtlab.divisors import incidence_index, incidence_lists, singer_table
 from toyshtlab.gf import Field
 from toyshtlab.linalg import echelonize, packing, rational_subspaces
 from toyshtlab.toysht import flags, toy_points
@@ -38,6 +38,7 @@ def test_equal_values_share_every_cached_table():
         lambda f: rank_le1_locus(f, 2, 3),
         lambda f: incidence_lists(f, 3),
         lambda f: incidence_index(f, 3),
+        lambda f: singer_table(f, 4),
         _jtype_base,
     ]
     for build in field_builders:
@@ -45,6 +46,7 @@ def test_equal_values_share_every_cached_table():
     # odd characteristic, where there is no packing
     F9, G9 = Field(3, 1, 2), Field(3, 1, 2)
     assert rational_subspaces(F9, 3, 1) is rational_subspaces(G9, 3, 1)
+    assert singer_table(F9, 3) is singer_table(G9, 3)
     assert toy_points(F9, 3, 2) is toy_points(G9, 3, 2)
     assert flags(F9, 3, 1, "right") is flags(G9, 3, 1, "right")
 
@@ -71,7 +73,8 @@ def test_conftest_clears_every_package_cache():
     names = {f"{c.__module__}.{c.__qualname__}" for c in PACKAGE_CACHES}
     assert names >= {"toyshtlab.toysht._toy_points", "toyshtlab.toysht._flags",
                      "toyshtlab.charts.canonical_chart", "toyshtlab.linalg.packing",
-                     "toyshtlab.charts.jtype_probe_base", "toyshtlab.gf._field"}
+                     "toyshtlab.charts.jtype_probe_base", "toyshtlab.gf._field",
+                     "toyshtlab.divisors.singer_table"}
     # and the caches of methods, which live on their classes
     assert names >= {"toyshtlab.tate.FiniteTateModel.vectors",
                      "toyshtlab.tate.FiniteTateModel.line_index",
