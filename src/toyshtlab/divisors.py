@@ -179,7 +179,7 @@ class HoroDivisor:
 
 def line_keys(field: Field, N: int):
     """Canonical keys for the rational lines: their echelon generator rows."""
-    return list(incidence_lists(field, N))
+    return list(singer_table(field, N).keys)
 
 
 def zero_sum_draw(rng, count: int):
@@ -192,14 +192,14 @@ def zero_sum_draw(rng, count: int):
 
 def line_values(field: Field, N: int, vals, denom: int) -> LineFamily:
     """The family vals / p**denom on the line keys of P^(N-1), in key order."""
-    return LineFamily(field.p, _incidence_entry(field, N)[1][0], vals, denom)
+    return LineFamily(field.p, singer_table(field, N).keys, vals, denom)
 
 
 def line_family(field: Field, N: int, values) -> LineFamily:
     """A family on the line keys of P^(N-1) (a LineFamily, or any mapping to
     Z[1/p] values) as a LineFamily in line-key order; a mapping keyed by
     anything else raises DimensionMismatchError."""
-    keys = _incidence_entry(field, N)[1][0]
+    keys = singer_table(field, N).keys
     if isinstance(values, LineFamily) and values.order == keys:
         return values
     if len(values) != len(keys) or not all(k in values for k in keys):
@@ -208,29 +208,14 @@ def line_family(field: Field, N: int, values) -> LineFamily:
 
 
 def _gather(positions):
-    """itemgetter of the positions, returning a tuple also for one position
-    or none (where itemgetter returns a bare item or refuses)."""
+    """itemgetter of the positions, taking a tuple to a tuple also for one
+    position or none (a slice, where the positions return a bare item or
+    are refused)."""
     positions = tuple(positions)
     if len(positions) > 1:
         return itemgetter(*positions)
-    return lambda seq: tuple(seq[i] for i in positions)
-
-
-@cache
-def _incidence_entry(field: Field, N: int):
-    """The cache entry of the field's value and N: (incidence_lists,
-    incidence_index).  The pairing is symmetric, so each unordered pair of
-    keys is paired once; the lists still fill in key order."""
-    keys = tuple(L.basis[0] for L in rational_subspaces(field, N, 1))
-    inc = {k: [] for k in keys}
-    for i, hk in enumerate(keys):
-        for jk in keys[i:]:
-            if not field.dot(hk, jk):
-                inc[hk].append(jk)
-                if jk != hk:
-                    inc[jk].append(hk)
-    pos = {k: i for i, k in enumerate(keys)}
-    return inc, (keys, [_gather(pos[jk] for jk in inc[hk]) for hk in keys])
+    i = positions[0] if positions else 0
+    return itemgetter(slice(i, i + len(positions)))
 
 
 def incidence_lists(field: Field, N: int) -> dict:
@@ -240,18 +225,10 @@ def incidence_lists(field: Field, N: int) -> dict:
     to the lines inside it, or, the pairing being symmetric, as line key to
     the hyperplanes through it.
 
-    Cached by the field's value, so equal fields built separately share one
-    entry.
+    The incidence of singer_table, so equal fields built separately share
+    one dict.
     """
-    return _incidence_entry(field, N)[0]
-
-
-def incidence_index(field: Field, N: int):
-    """incidence_lists in index form, from the same cache entry: the line
-    keys in order, as a tuple, and per key a getter such that
-    sum(getter(family)) sums a family given in key order over the key's
-    incidence list."""
-    return _incidence_entry(field, N)[1]
+    return singer_table(field, N).incidence
 
 
 def _line_key(field: Field, v) -> tuple:
@@ -262,20 +239,27 @@ def _line_key(field: Field, v) -> tuple:
 
 
 class SingerTable(NamedTuple):
-    """The rational lines of P^(N-1) along a Singer cycle S, a collineation
-    whose powers carry the line <e_0> through all n of them: line J_k is
-    S^k <e_0> and hyperplane H_j is S^j H_0, with H_0 = e_0^perp.
+    """The line keys of P^(N-1), in rational_subspaces order (pos maps each
+    to its index), and the lines along a Singer cycle S, a collineation
+    whose powers carry <e_0> through all n of them: line J_k is S^k <e_0>
+    and hyperplane H_j is S^j H_0, with H_0 = e_0^perp.
 
     lines[k] and normals[j] are the key indices of J_k and of the normal
     line of H_j; diffs is the difference set D = {d : J_d in H_0}, so that
-    J_k lies in H_j iff (k - j) mod n is in D.  to_singer gathers a family
-    in key order into line order, and to_keys a family in hyperplane order
-    into key order.  words holds, per slot width w, (w, typecode, R_w) with
-    R_w = sum over d in D of 2**(w * (-d mod n))."""
+    J_k lies in H_j iff (k - j) mod n is in D.  incidence maps each key to
+    the keys perpendicular to it, in key order, and getters[i] gathers a
+    family in key order over the row of keys[i].  to_singer gathers a
+    family in key order into line order, and to_keys one in hyperplane
+    order into key order.  words holds, per slot width w, (w, typecode, R_w)
+    with R_w = sum over d in D of 2**(w * (-d mod n))."""
 
+    keys: tuple
+    pos: dict
     lines: tuple
     normals: tuple
     diffs: tuple
+    incidence: dict
+    getters: tuple
     to_singer: itemgetter
     to_keys: itemgetter
     words: tuple
@@ -298,8 +282,10 @@ def singer_words(diffs, n: int) -> tuple:
 
 @cache
 def singer_table(field: Field, N: int) -> SingerTable:
-    """The SingerTable of the rational lines of P^(N-1), cached by the
-    field's value and N.
+    """The SingerTable of P^(N-1), cached by the field's value and N: the
+    one incidence structure, which the line families, incidence_lists and
+    both paths of incidence_sums read.  The keys come first, so an N < 1
+    raises DimensionMismatchError.
 
     By Singer's theorem (J. Singer, Trans. AMS 43, 1938) a cyclic group
     acts regularly on the points and on the hyperplanes of PG(N-1, q), so
@@ -308,11 +294,13 @@ def singer_table(field: Field, N: int) -> SingerTable:
     in product(field.subfield, ...) order with a nonzero constant term,
     whose walk from <e_0> visits all n lines before it returns (a primitive
     polynomial's does, so one is found); the walk is the certificate, so no
-    primitivity test is made.  The normal line of
-    H_j is (S^T)^(-j) <e_0>, read off the walk of S^T.
+    primitivity test is made.  The normal line of H_j is (S^T)^(-j) <e_0>,
+    read off the walk of S^T; a walk that misses a line raises ValueError.
+    H_j holds J_(j+d) for d in D, so the rows are read off D in O(n |D|).
     """
-    keys = incidence_index(field, N)[0]
+    keys = tuple(L.basis[0] for L in rational_subspaces(field, N, 1))
     pos = {k: i for i, k in enumerate(keys)}
+    n = len(keys)
     for c in product(field.subfield, repeat=N):
         if not c[0]:
             continue
@@ -320,17 +308,23 @@ def singer_table(field: Field, N: int) -> SingerTable:
         # S e_i = e_(i+1) for i < N - 1 and S e_(N-1) = -sum c_i e_i
         lines = _orbit(field, pos, lambda v: field.axpy(v[-1], nc, (0, *v[:-1]))
                        if v[-1] else (0, *v[:-1]), N)
-        if len(lines) == len(keys):
+        if len(lines) == n:
             break
-    n = len(keys)
     # S^T v = (v_1, ..., v_(N-1), -sum c_i v_i)
     dual = _orbit(field, pos, lambda v: (*v[1:], field.dot(nc, v)), N)
+    if len(lines) != n or len(dual) != n:
+        raise ValueError(f"the walks of S and S^T visit {len(lines)} and {len(dual)} of {n} lines")
     normals = tuple(dual[-j % n] for j in range(n))
     diffs = tuple(d for d, k in enumerate(lines) if not keys[k][0])
-    back = [0] * n
-    for j, k in enumerate(normals):
-        back[k] = j
-    return SingerTable(tuple(lines), normals, diffs, _gather(lines), _gather(back),
+    # J_k lies in H_(k-d) for d in D; taken in key order, they fill each row in it
+    rows = [[] for _ in keys]
+    for i, k in enumerate(sorted(range(n), key=lines.__getitem__)):
+        for d in diffs:
+            rows[normals[(k - d) % n]].append(i)
+    return SingerTable(keys, pos, tuple(lines), normals, diffs,
+                       {h: [keys[i] for i in row] for h, row in zip(keys, rows)},
+                       tuple(map(_gather, rows)), _gather(lines),
+                       _gather(sorted(range(n), key=normals.__getitem__)),
                        singer_words(diffs, n))
 
 
@@ -373,20 +367,18 @@ def incidence_sums(field: Field, N: int, nums) -> tuple:
 
     From SINGER_MIN_LINES lines on, a range that fits 64-bit slots goes
     through singer_sums; fewer lines, or a wider range (Z[1/p] numerators
-    are unbounded), through the per-key getters of incidence_index."""
-    keys, getters = incidence_index(field, N)
-    if len(keys) >= SINGER_MIN_LINES:
-        sums = singer_sums(singer_table(field, N), nums)
+    are unbounded), through the per-key getters of the same singer_table."""
+    table = singer_table(field, N)
+    if len(table.keys) >= SINGER_MIN_LINES:
+        sums = singer_sums(table, nums)
         if sums is not None:
             return sums
-    return tuple([sum(g(nums)) for g in getters])
+    return tuple([sum(g(nums)) for g in table.getters])
 
 
 def _incidence_sums(field: Field, d: int, values, power: int) -> LineFamily:
     """q^power times the sum of a zero-sum coefficient family over each
-    incidence list of P^(d-1), in line-key order, through incidence_sums:
-    from SINGER_MIN_LINES lines on one cyclic correlation in Singer order,
-    since by Singer's theorem the incidence matrix is circulant there."""
+    incidence list of P^(d-1), in line-key order, through incidence_sums."""
     family = line_family(field, d, values)
     if sum(family.nums):
         raise SumNotZeroError("coefficients must sum to zero")

@@ -342,9 +342,10 @@ def _gate(N: int, n: int, base: int, budget: int) -> None:
 
 
 def enumerate_grassmannian(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGET):
-    """Yield every n-dimensional subspace of F^N exactly once, in canonical
-    pivot-set-major order."""
+    """Yield every n-dimensional subspace of F^N exactly once, in canonical pivot-set-major
+    order; the budget bounds their count and the n * N entries of one basis."""
     _gate(N, n, field.order, budget)
+    gate(budget, "basis entries", n * N, 1)
     yield from _echelon_bases(field, N, n, field.elements())
 
 

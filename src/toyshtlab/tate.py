@@ -27,7 +27,7 @@ from .errors import (
     WrongIndexError,
 )
 from .divisors import (Family, LineFamily, _gather, _incidence_sums, _line_key, fraction,
-                       incidence_index, incidence_sums, line_family, line_keys, line_values,
+                       incidence_sums, line_family, line_keys, line_values, singer_table,
                        zero_sum_draw)
 from .gf import Field
 from .linalg import Subspace, combine, echelonize, extend, pairing, perp
@@ -87,8 +87,8 @@ class FiniteTateModel:
 
     def lines(self):
         """Normalized representatives of the scalar orbits of nonzero
-        vectors: the line keys of F_q^D, in key order (incidence_index)."""
-        return incidence_index(self.field, self.D)[0]
+        vectors: the line keys of F_q^D, in key order (singer_table)."""
+        return singer_table(self.field, self.D).keys
 
     @cache
     def pair_zero_table(self):
@@ -97,10 +97,9 @@ class FiniteTateModel:
         to the line keys, per_vector takes a family on line keys to the
         nonzero vectors, and at_reps takes a family on vectors to the key
         vector of each vector's line (0 for 0)."""
-        keys = self.lines()
-        at = [self.index(k) for k in keys]
-        pos = {k: i for i, k in enumerate(keys)}
-        of = [pos[k] for k in self.line_index()[1:]]
+        table = singer_table(self.field, self.D)
+        at = [self.index(k) for k in table.keys]
+        of = [table.pos[k] for k in self.line_index()[1:]]
         return _gather(at), _gather(of), _gather([0] + [at[j] for j in of])
 
     def subspace(self, rows) -> Subspace:
@@ -175,9 +174,8 @@ def fourier(f: TateFn) -> TateFn:
 
     The output side is the opposite of the input side; no character enters
     the computation, only the collapsed orbit sums q-1 and -1.  The sums
-    over perpendicular lines are those of the Radon transform, one cyclic
-    correlation of divisors.incidence_sums (in Singer order, by Singer's
-    theorem, from SINGER_MIN_LINES lines on).
+    over perpendicular lines are those of the Radon transform, one call of
+    divisors.incidence_sums.
     """
     if not f.is_fq_invariant():
         raise NotInvariantError("Fourier needs a scalar-invariant function")
@@ -237,9 +235,8 @@ def _extension_gathers(model: FiniteTateModel, inner: Subspace, outer: Subspace)
     keys of outer/inner to its extension by zero through the shell."""
     # the shell first: it rejects a pair that is not nested
     shells = shell_keys(model, inner, outer)
-    keys = incidence_index(model.field, outer.dim - inner.dim)[0]
-    pos = {k: i + 1 for i, k in enumerate(keys)}
-    return tuple(_gather(pos.get(at.get(i), 0) for i in range(model.q**model.D))
+    pos = singer_table(model.field, outer.dim - inner.dim).pos
+    return tuple(_gather(pos[at[i]] + 1 if i in at else 0 for i in range(model.q**model.D))
                  for at in map(dict, shells))
 
 

@@ -135,8 +135,8 @@ def toy_points(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGET):
 
 @cache
 def _toy_points(field: Field, N: int, n: int):
-    # the caller has gated the size, so enumerate at exactly that size
-    return tuple(enumerate_toysht(field, N, n, gauss_binomial(N, n, field.order)))
+    # the caller has gated the count; the stream also gates a basis's n * N entries
+    return tuple(enumerate_toysht(field, N, n, max(gauss_binomial(N, n, field.order), n * N)))
 
 
 def split_nontrivial(point: ToyPoint):

@@ -1,8 +1,9 @@
 """Reference constructions that only the tests use: field element digits and
-powers from the field's public arithmetic, the zero and full subspaces, and
-the image of a subspace under a quotient map."""
+powers from the field's public arithmetic, the zero and full subspaces, the
+image of a subspace under a quotient map, and the line/hyperplane incidence
+paired out entry by entry."""
 
-from toyshtlab.linalg import Subspace, echelonize
+from toyshtlab.linalg import Subspace, echelonize, rational_subspaces
 
 
 def coeffs(F, x):
@@ -37,3 +38,17 @@ def full_space(F, N):
 def image_subspace(qm, sub):
     """The image of sub in the quotient coordinates of the QuotientMap qm."""
     return echelonize(sub.field, [qm.apply(r) for r in sub.basis], qm.dim)
+
+
+def brute_force_incidence(F, N):
+    """For each line key of P^(N-1), in rational_subspaces order, the line
+    keys perpendicular to it, each pair summed with F.add and F.mul alone."""
+    keys = [L.basis[0] for L in rational_subspaces(F, N, 1)]
+
+    def pairing(a, b):
+        acc = 0
+        for x, y in zip(a, b):
+            acc = F.add(acc, F.mul(x, y))
+        return acc
+
+    return {hk: [jk for jk in keys if pairing(hk, jk) == 0] for hk in keys}

@@ -43,6 +43,18 @@ def test_an_overrun_of_any_size_is_a_budget_report(name, params):
     assert replay_witness(w)
 
 
+def test_a_basis_beyond_the_budget_is_a_budget_report():
+    # one subspace whose basis alone has n * N = 4 * 10**6 entries; counting
+    # it builds that basis, 0.36 s and growing with N**2
+    start = time.perf_counter()
+    r = run(CheckSpec("grassmannian_count", {"p": 2, "N": 2000, "n": 2000}))
+    assert time.perf_counter() - start < 0.5
+    (w,) = r.counters["witnesses"]
+    assert w["kind"] == "budget_exceeded", w
+    assert w["message"] == f"{4 * 10**6} basis entries exceeds budget {1 << 20}"
+    assert replay_witness(w)
+
+
 # (check, params, the least budget that admits it, what the gate that binds counts)
 CAPS = [
     ("grassmannian_count", {"p": 2, "m": 4, "N": 1, "n": 1}, 16, "field elements"),
@@ -51,6 +63,7 @@ CAPS = [
     ("chart_equivalence", {**F4, "N": 3, "n": 1}, 16, "matrices per chart"),
     ("radon_duality", {"p": 2, "N": 3, "n": 1, "trials": 5}, 7, "rational lines"),
     ("transversality_locus", {"p": 2, "s": 2, "t": 2}, 16, "matrices"),
+    ("grassmannian_count", {"p": 2, "N": 4, "n": 4}, 16, "basis entries"),
 ]
 
 

@@ -413,6 +413,22 @@ def test_sweeps_over_every_dimension_reject_a_negative_N(name):
     assert r.verdict == "pass" and r.counters["witnesses"] == []
 
 
+@pytest.mark.parametrize("name,params,sound", [
+    ("radon_duality", {"p": 2, "e": 1, "N": 0, "n": 1}, {"N": 3}),
+    ("radon_duality", {"p": 2, "e": 1, "N": -1, "n": 1}, {"N": 3}),
+    ("gamma_identity", {"p": 2, "e": 1, "D": 0, "c": -2}, {"D": 4}),
+], ids=["radon_N0", "radon_N-1", "gamma_D0"])
+def test_a_space_with_no_lines_is_a_dimension_report(name, params, sound):
+    # singer_table reads the line keys before it builds anything, so a space
+    # with no rational lines raises DimensionMismatchError and no other error
+    r = run(CheckSpec(name, {**params, "trials": 2}))
+    assert r.verdict == "fail"
+    (w,) = r.counters["witnesses"]
+    assert (w["kind"], w["type"]) == ("exception", "DimensionMismatchError")
+    assert replay_witness(w)
+    assert not replay_witness({**w, "params": {**w["params"], **sound}})
+
+
 def test_toy_locus_is_enumerated_once(monkeypatch):
     # dichotomy (levels 1, 2) and partial_frobenius_composition (levels
     # 0..3) on F_4, N = 3, twice and at two seeds, read one toy index: one

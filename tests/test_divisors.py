@@ -2,19 +2,20 @@ import functools
 import random
 from array import array
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
+from helpers import brute_force_incidence
 from toyshtlab import charts, divisors
 from toyshtlab.charts import jtype_flag_pullback_probe
 from toyshtlab.divisors import (
     Family,
     HoroDivisor,
     SINGER_MIN_LINES,
-    _incidence_entry,
+    _gather,
     _pullback_components,
     fraction,
-    incidence_index,
     incidence_lists,
     incidence_sums,
     is_principal_pair,
@@ -89,18 +90,6 @@ def test_incidence_lists_match_pairing_double_loop(field, d):
     assert inc == expected
 
 
-def _brute_force_incidence(field, N):
-    keys = [L.basis[0] for L in rational_subspaces(field, N, 1)]
-
-    def pairing(a, b):
-        acc = 0
-        for x, y in zip(a, b):
-            acc = field.add(acc, field.mul(x, y))
-        return acc
-
-    return {hk: [jk for jk in keys if pairing(hk, jk) == 0] for hk in keys}
-
-
 # F_2 with N <= 6, F_3 with N <= 5, q = 4 and q = 9 with N = 3
 SYMMETRIC_CASES = ([(F2, N) for N in range(2, 7)] + [(F3, N) for N in range(2, 6)]
                    + [(F4, 3), (field_make(3, 2, 1), 3)])
@@ -110,7 +99,7 @@ SYMMETRIC_CASES = ([(F2, N) for N in range(2, 7)] + [(F3, N) for N in range(2, 6
                          ids=[f"q{f.order}-N{N}" for f, N in SYMMETRIC_CASES])
 def test_symmetric_incidence_build_matches_brute_force(field, N):
     inc = incidence_lists(field, N)
-    expected = _brute_force_incidence(field, N)
+    expected = brute_force_incidence(field, N)
     assert list(inc) == list(expected)
     assert inc == expected
 
@@ -131,7 +120,7 @@ def _brute_force_sums(field, N, nums):
     keys = line_keys(field, N)
     at = dict(zip(keys, nums))
     return tuple(sum(at[jk] for jk in perp_lines)
-                 for perp_lines in _brute_force_incidence(field, N).values())
+                 for perp_lines in brute_force_incidence(field, N).values())
 
 
 def _slot_width(table, nums):
@@ -149,15 +138,20 @@ def _kernel_inputs(field, N):
 
 @pytest.mark.parametrize("field,N", KERNEL_CASES, ids=KERNEL_IDS)
 def test_incidence_sums_match_the_gather_and_brute_force(field, N):
-    keys, getters = incidence_index(field, N)
     table = singer_table(field, N)
-    n = len(keys)
+    n = len(table.keys)
+    # the rows read off D are the pairing's incidence, in key order
+    inc = brute_force_incidence(field, N)
+    assert list(table.keys) == list(inc) == line_keys(field, N)
+    assert incidence_lists(field, N) is table.incidence
+    assert table.incidence == inc
+    assert table.pos == {k: i for i, k in enumerate(table.keys)}
     # Singer order is an order of the keys, j -> H_j a bijection onto them
     assert sorted(table.lines) == sorted(table.normals) == list(range(n))
     assert len(table.diffs) == gauss_binomial(N - 1, 1, field.q)
     for nums in _kernel_inputs(field, N):
         expected = _brute_force_sums(field, N, nums)
-        assert tuple(sum(g(nums)) for g in getters) == expected
+        assert tuple(sum(g(nums)) for g in table.getters) == expected
         assert tuple(incidence_sums(field, N, nums)) == expected
         got = singer_sums(table, nums)
         if _slot_width(table, nums) is None:
@@ -215,15 +209,39 @@ def test_singer_sums_catch_a_rotated_difference_set_and_a_skipped_fold(field, N,
 
 
 def test_incidence_build_reads_every_coordinate(monkeypatch):
-    # negative control: a pairing that drops the last coordinate must be caught
+    # negative control: a pairing that drops the last coordinate, in the
+    # walk of S^T that places the hyperplanes, must be caught: the build
+    # raises or its lists differ from the brute force
     dot = Field.dot
     monkeypatch.setattr(Field, "dot", lambda self, a, b: dot(self, a[:-1], b[:-1]))
-    _incidence_entry.cache_clear()
     try:
         for field, N in ((F2, 4), (F3, 3)):
-            assert incidence_lists(field, N) != _brute_force_incidence(field, N)
+            singer_table.cache_clear()
+            try:
+                inc = incidence_lists(field, N)
+            except ValueError:
+                continue
+            assert inc != brute_force_incidence(field, N)
     finally:
-        _incidence_entry.cache_clear()
+        singer_table.cache_clear()
+
+
+def test_singer_table_refuses_a_walk_that_misses_a_line(monkeypatch):
+    # with that pairing the walk of S^T over F_3 returns after 3 of the 13
+    # lines of P^2, which an unchecked table read as an IndexError
+    dot = Field.dot
+    monkeypatch.setattr(Field, "dot", lambda self, a, b: dot(self, a[:-1], b[:-1]))
+    with pytest.raises(ValueError, match=r"^the walks of S and S\^T visit 13 and 3 of 13 lines$"):
+        singer_table(F3, 3)
+
+
+@pytest.mark.parametrize("positions", [(), (4,), (0, 5, 2)], ids=["none", "one", "three"])
+def test_gather_returns_a_tuple_for_any_count_of_positions(positions):
+    t = tuple(range(10, 20))
+    getter = _gather(positions)
+    # a C-level getter, so a gather makes no Python call per key
+    assert type(getter) is itemgetter
+    assert getter(t) == tuple(t[i] for i in positions)
 
 
 def test_radon_on_a_mapping_builds_no_fraction_per_value(monkeypatch):
@@ -266,11 +284,11 @@ def test_incidence_cache_keyed_by_field_value():
     # separately built, equal-valued fields: field_make would share one object
     fields = [Field(2, 1, 1) for _ in range(200)]
     assert len({id(field) for field in fields}) == 200
-    _incidence_entry.cache_clear()
+    singer_table.cache_clear()
     for field in fields:
         assert incidence_lists(field, 3) is incidence_lists(fields[0], 3)
     # one entry, built once, for all 200 fields
-    info = _incidence_entry.cache_info()
+    info = singer_table.cache_info()
     assert info.currsize == info.misses == 1
 
 

@@ -4,8 +4,9 @@ and the linearity every transform rests on.
 radon_forward, radon_backward and radon_finite sum a coefficient family
 over the incidence lists, and fourier collapses the character sum to the
 same incidence sums.  The references below keep those formulas as plain
-dict-and-generator sums over incidence_lists in Fraction arithmetic, and
-every transform must agree with them value for value and key for key.
+dict-and-generator sums in Fraction arithmetic, over incidence lists they
+pair out themselves with field.add and field.mul, and every transform must
+agree with them value for value and key for key.
 The family arithmetic itself (integer numerators over one shared exponent)
 is checked against element-wise Fraction arithmetic.  Each of the six
 transforms must also be linear over Z[1/p], T(x*a + y) = T(x)*a + T(y),
@@ -19,6 +20,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import brute_force_incidence
 from toyshtlab import divisors
 from toyshtlab.divisors import (
     LineFamily,
@@ -49,12 +51,17 @@ def z_p(p, num, exp):
     return num * Fraction(p) ** -exp
 
 
+# the incidence paired out entry by entry, independent of the Singer table
+# that incidence_lists reads
+reference_incidence = cache(brute_force_incidence)
+
+
 def incidence_sums_reference(field, d, values, power):
     """q^power times the sum of a zero-sum family over each incidence list
     of P^(d-1), in line-key order, whatever the order of the input."""
     if sum(values.values()) != 0:
         raise SumNotZeroError("coefficients must sum to zero")
-    inc = incidence_lists(field, d)
+    inc = reference_incidence(field, d)
     factor = Fraction(field.q) ** power
     return {hk: factor * sum(values[jk] for jk in inc[hk]) for hk in inc}
 
@@ -78,7 +85,7 @@ def fourier_reference(f):
     if not is_invariant_reference(f):
         raise NotInvariantError("Fourier needs a scalar-invariant function")
     model, q, values = f.model, f.model.q, f.values
-    inc = incidence_lists(model.field, model.D)
+    inc = reference_incidence(model.field, model.D)
     at = {rep: values[model.index(rep)] for rep in inc}
     total = sum(at.values())
     zero = values[0]
@@ -189,7 +196,7 @@ def test_patched_incidence_lists_leave_the_cache_sound(monkeypatch):
     # a run with incidence_lists patched, as the incidence_count replay test
     # does, neither uses nor caches an index built from the patched lists
     field, N = FIELDS[1], 3
-    divisors._incidence_entry.cache_clear()
+    divisors.singer_table.cache_clear()
     mu = zero_sum_family(random.Random(0), line_keys(field, N), field.p)
     monkeypatch.setattr(divisors, "incidence_lists",
                         lambda F, N: {k: v[1:] for k, v in incidence_lists(F, N).items()})

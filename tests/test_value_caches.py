@@ -5,7 +5,7 @@ the same object from every cached builder."""
 from toyshtlab import tate
 from conftest import PACKAGE_CACHES
 from toyshtlab.charts import canonical_chart, jtype_probe_base, rank_le1_locus
-from toyshtlab.divisors import incidence_index, incidence_lists, singer_table
+from toyshtlab.divisors import incidence_lists, singer_table
 from toyshtlab.gf import Field
 from toyshtlab.linalg import echelonize, packing, rational_subspaces
 from toyshtlab.toysht import flags, toy_points
@@ -37,7 +37,7 @@ def test_equal_values_share_every_cached_table():
         lambda f: canonical_chart(f, W),
         lambda f: rank_le1_locus(f, 2, 3),
         lambda f: incidence_lists(f, 3),
-        lambda f: incidence_index(f, 3),
+        lambda f: singer_table(f, 3),
         lambda f: singer_table(f, 4),
         _jtype_base,
     ]
