@@ -429,8 +429,7 @@ def _invariant_fn(model: tate.FiniteTateModel, origin: int, lines) -> tate.TateF
     if len(lines) != len(model.lines()):
         raise DimensionMismatchError(f"expected {len(model.lines())} lines, got {len(lines)}")
     k = max([den for _, den in lines] + [0])
-    per_vector = model.pair_zero_table()[1]
-    nums = [origin * p**k, *per_vector([num * p ** (k - den) for num, den in lines])]
+    nums = [origin * p**k, *(num * p ** (k - den) for num, den in lines)]
     return tate.TateFn.from_nums(model, "T", nums, k)
 
 
@@ -460,10 +459,9 @@ def check_canonical_preimage(params: dict, seed: int):
     model = _tate_model(params)
     chain = _default_chain(model)
     ok = tate.canonical_preimage_check(model, chain)
-    # a perturbed pair must leave the membership set
+    # a pair perturbed by the indicator of the first line must leave the membership set
     g1 = tate.canonical_generators(model, chain)[0]
-    at = model.index(model.lines()[0])
-    bad = tate.TateFn.from_nums(model, "T*", [int(i == at) for i in range(model.q**model.D)])
+    bad = tate.TateFn.from_nums(model, "T*", [int(i == 1) for i in range(1 + len(model.lines()))])
     ok = ok and tate.fourier(g1.f2) != (g1.f1 + bad)
     return "exhaustive", {}, [] if ok else [{"kind": "canonical_preimage"}]
 

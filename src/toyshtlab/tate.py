@@ -69,15 +69,10 @@ class FiniteTateModel:
     @cache
     def vectors(self):
         """All vectors, listed so that position agrees with index()."""
-        elems = tuple(self.field.elements())
-        return tuple(tuple(reversed(v)) for v in product(elems, repeat=self.D))
+        return tuple(tuple(reversed(v)) for v in product(self.field.elements(), repeat=self.D))
 
     def index(self, v) -> int:
-        q = self.q
-        out = 0
-        for x in reversed(v):
-            out = out * q + x
-        return out
+        return sum(x * self.q**i for i, x in enumerate(v))
 
     @cache
     def line_index(self):
@@ -92,34 +87,46 @@ class FiniteTateModel:
 
     @cache
     def pair_zero_table(self):
-        """The gathers between vectors and the line keys of F_q^D:
-        (at_keys, per_vector, at_reps).  at_keys takes a family on vectors
-        to the line keys, per_vector takes a family on line keys to the
-        nonzero vectors, and at_reps takes a family on vectors to the key
-        vector of each vector's line (0 for 0)."""
+        """The gathers where a TateFn enters and leaves per vector: at_keys
+        takes a family on vectors to the line keys of F_q^D, and per_vector
+        one on the line keys to the nonzero vectors."""
         table = singer_table(self.field, self.D)
-        at = [self.index(k) for k in table.keys]
-        of = [table.pos[k] for k in self.line_index()[1:]]
-        return _gather(at), _gather(of), _gather([0] + [at[j] for j in of])
+        return (_gather(self.index(k) for k in table.keys),
+                _gather(table.pos[k] for k in self.line_index()[1:]))
+
+    def check_lattices(self, *lattices) -> None:
+        """Raise unless each lattice is a subspace of this model's F_q^D."""
+        for L in lattices:
+            if L.field != self.field:
+                raise ValueError(f"a lattice over a field other than the model's F_{self.q}")
+            if L.ambient_dim != self.D:
+                raise DimensionMismatchError(f"a lattice in F_q^{L.ambient_dim}, not F_q^{self.D}")
 
     def subspace(self, rows) -> Subspace:
         return echelonize(self.field, rows, self.D)
 
 
 class TateFn(Family):
-    """A Z[1/p]-valued function on the model space or its dual, with the
-    value at 0 carried explicitly: a Family in vector order (index()).
-    Immutable; built from ints or Fractions in Z[1/p], and values reads it
-    as a tuple of Fractions."""
+    """A Z[1/p]-valued scalar-invariant function on the model space or its
+    dual: a Family of its values at 0 and on each line of model.lines().
+    Immutable; built from one int or Fraction in Z[1/p] per vector, in
+    index() order, constant on each line; values reads it back so."""
 
     __slots__ = ("model", "side")
 
     def __init__(self, model: FiniteTateModel, side: str, values):
-        self._init(model, side, *Family.numerators(model.field.p, list(values)))
+        values = tuple(values)
+        if len(values) != (size := model.q**model.D):
+            raise DimensionMismatchError(f"expected {size} values, got {len(values)}")
+        at_keys, per_vector = model.pair_zero_table()
+        at = at_keys(values)
+        if per_vector(at) != values[1:]:
+            raise NotInvariantError("a Tate function must be scalar-invariant")
+        self._init(model, side, *Family.numerators(model.field.p, [values[0], *at]))
 
     @classmethod
     def from_nums(cls, model: FiniteTateModel, side: str, nums, exp: int = 0) -> "TateFn":
-        """The function with value nums[i] / p**exp at the i-th of the q**D vectors."""
+        """The function with values nums / p**exp at 0, then on model.lines()."""
         out = cls.__new__(cls)
         out._init(model, side, nums, exp)
         return out
@@ -129,8 +136,8 @@ class TateFn(Family):
             raise ValueError("side must be 'T' or 'T*'")
         Family.__init__(self, model.field.p, nums, exp)
         self.model, self.side = model, side
-        if len(self.nums) != (size := model.q**model.D):
-            raise DimensionMismatchError(f"expected {size} values, got {len(self.nums)}")
+        if len(self.nums) != (size := 1 + len(model.lines())):
+            raise DimensionMismatchError(f"expected {size} numerators, got {len(self.nums)}")
 
     def _space(self):
         return (self.model, self.side)
@@ -138,18 +145,19 @@ class TateFn(Family):
     def _like(self, nums, exp: int) -> "TateFn":
         return TateFn.from_nums(self.model, self.side, nums, exp)
 
-    values = property(Family.rationals)
+    @property
+    def values(self) -> tuple:
+        zero, *at = self.rationals()
+        return (zero, *self.model.pair_zero_table()[1](at))
 
     @classmethod
     def zero(cls, model: FiniteTateModel, side: str) -> "TateFn":
-        return cls.from_nums(model, side, [0] * (model.q**model.D))
+        return cls.from_nums(model, side, [0] * (1 + len(model.lines())))
 
     @classmethod
-    def indicator(cls, model: FiniteTateModel, side: str, sub: Subspace) -> "TateFn":
-        nums = [0] * (model.q**model.D)
-        for v in sub.vectors():
-            nums[model.index(v)] = 1
-        return cls.from_nums(model, side, nums)
+    def indicator(cls, model: FiniteTateModel, side: str, S: Subspace) -> "TateFn":
+        model.check_lattices(S)
+        return cls.from_nums(model, side, [1, *(int(S.contains_vector(k)) for k in model.lines())])
 
     def at_zero(self) -> Fraction:
         return fraction(self.p, self.nums[0], self.exp)
@@ -158,14 +166,11 @@ class TateFn(Family):
         """The function with the value at 0 forced to zero."""
         return self._like((0, *self.nums[1:]), self.exp)
 
-    def is_fq_invariant(self) -> bool:
-        """Whether each vector's value is that at its line's key vector."""
-        return self.model.pair_zero_table()[2](self.nums) == self.nums
-
 
 def integrate(f: TateFn) -> Fraction:
     """Total mass, with a point weighing q to the side's offset."""
-    return fraction(f.p, sum(f.nums), f.exp - f.model.field.e * f.model.offset(f.side))
+    return fraction(f.p, f.nums[0] + (f.model.q - 1) * sum(f.nums[1:]),
+                    f.exp - f.model.field.e * f.model.offset(f.side))
 
 
 def fourier(f: TateFn) -> TateFn:
@@ -177,24 +182,19 @@ def fourier(f: TateFn) -> TateFn:
     over perpendicular lines are those of the Radon transform, one call of
     divisors.incidence_sums.
     """
-    if not f.is_fq_invariant():
-        raise NotInvariantError("Fourier needs a scalar-invariant function")
     model, q = f.model, f.model.q
-    at_keys, per_vector, _ = model.pair_zero_table()
-    zero, at = f.nums[0], at_keys(f.nums)
+    zero, at = f.nums[0], f.nums[1:]
     # the orbit sum over c != 0 of psi(c <v, w>) is q-1 when v is
     # perpendicular to w and -1 otherwise, so the value on a line l' is
     # f(0) + q * (sum of f over lines perpendicular to l') - (sum over all)
     total = sum(at)
-    base = zero - total
-    per_line = [base + q * s for s in incidence_sums(model.field, model.D, at)]
+    per_line = [zero - total + q * s for s in incidence_sums(model.field, model.D, at)]
     # the factor q^offset goes into the shared exponent
     return TateFn.from_nums(model, "T*" if f.side == "T" else "T",
-                            (zero + (q - 1) * total, *per_vector(per_line)),
+                            (zero + (q - 1) * total, *per_line),
                             f.exp - model.field.e * model.offset(f.side))
 
 
-@cache
 def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
     """The shell between nested lattices, keyed by the projective quotient
     outer/inner: (vector index, quotient-line key) for each vector of outer
@@ -206,6 +206,12 @@ def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
     do.  Keys are normalized like line_keys(field, dim outer - dim inner).
     Cached by the value of (model, inner, outer).
     """
+    model.check_lattices(inner, outer)
+    return _shell_keys(model, inner, outer)
+
+
+@cache
+def _shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
     if not outer.contains(inner):
         raise LatticeNotNestedError("inner lattice must sit inside the outer one")
     f, D = model.field, model.D
@@ -232,17 +238,19 @@ def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
 @cache
 def _extension_gathers(model: FiniteTateModel, inner: Subspace, outer: Subspace):
     """Per side ("T", then "T*"), the gather taking (0, *family) on the line
-    keys of outer/inner to its extension by zero through the shell."""
+    keys of outer/inner to the TateFn numerators of its extension by zero."""
     # the shell first: it rejects a pair that is not nested
-    shells = shell_keys(model, inner, outer)
+    shells = _shell_keys(model, inner, outer)
     pos = singer_table(model.field, outer.dim - inner.dim).pos
-    return tuple(_gather(pos[at[i]] + 1 if i in at else 0 for i in range(model.q**model.D))
+    keys = [model.index(k) for k in model.lines()]
+    return tuple(_gather([0, *(pos[at[i]] + 1 if i in at else 0 for i in keys)])
                  for at in map(dict, shells))
 
 
 def _extended(model: FiniteTateModel, g, inner: Subspace, outer: Subspace, side: str) -> TateFn:
     """g, a family on the line keys of outer/inner, pulled back to the shell on
     the side's space and extended by zero."""
+    model.check_lattices(inner, outer)
     gather = _extension_gathers(model, inner, outer)[side == "T*"]
     g = line_family(model.field, outer.dim - inner.dim, g)
     return TateFn.from_nums(model, side, gather((0, *g.nums)), g.exp)
@@ -262,6 +270,7 @@ def eps_extend_dual(model: FiniteTateModel, gstar, inner: Subspace, outer: Subsp
 
 
 def is_admissible(model: FiniteTateModel, inner: Subspace, outer: Subspace) -> bool:
+    model.check_lattices(inner, outer)
     return outer.contains(inner) and model.n(inner) <= -2 and model.n(outer) >= 2
 
 
@@ -338,27 +347,18 @@ def is_principal(pair: TatePair) -> bool:
     """The membership criterion for divisors of rational functions: the
     second slot integrates to zero once extended by zero through the origin,
     and the first slot is its Fourier transform away from the origin."""
-    if not pair.f2.is_fq_invariant() or not pair.f1.is_fq_invariant():
-        raise NotInvariantError("principal test needs scalar-invariant slots")
     # the transform at 0 is q^offset times the integral: one test checks both
     return fourier(pair.f2.punctured()) == pair.f1.punctured()
 
 
 def schubert_pair(model: FiniteTateModel, W: Subspace) -> TatePair:
     """The divisor pair of the degeneracy locus of a lattice at index zero."""
+    model.check_lattices(W)
     if model.n(W) != 0:
         raise WrongIndexError("the lattice must sit at dimension-theory value 0")
     return TatePair(
         TateFn.indicator(model, "T*", perp(W)), TateFn.indicator(model, "T", W)
     ).punctured()
-
-
-def _check_chain(model: FiniteTateModel, chain) -> None:
-    Wm1, W0, W1 = chain
-    if not (W0.contains(Wm1) and W1.contains(W0)):
-        raise WrongChainError("chain must be nested")
-    if model.n(Wm1) != -1 or model.n(W0) != 0 or model.n(W1) != 1:
-        raise WrongChainError("chain must sit at dimension-theory values -1, 0, 1")
 
 
 def line_bundle_pairs(model: FiniteTateModel, chain):
@@ -381,8 +381,6 @@ def gamma_identity_check(model: FiniteTateModel, f: TateFn, chain) -> bool:
     """The two-generator expression of the divisor class of (Four f, f):
     q-1 copies of it match the mass of f against the a-bundle minus the
     value at the origin against the b-bundle, modulo principal pairs."""
-    if not f.is_fq_invariant():
-        raise NotInvariantError("needs a scalar-invariant function")
     ell_a, ell_b, _ = line_bundle_pairs(model, chain)
     pair = TatePair(fourier(f).punctured(), f.punctured())
     return is_principal(pair.scale(model.q - 1) - ell_a.scale(integrate(f))
@@ -404,13 +402,17 @@ def canonical_generators(model: FiniteTateModel, chain):
     """The three full-function pairs spanning the preimage of the canonical
     Picard subgroup: value slots at the origin included.  Cached by the
     value of the model and the chain."""
+    model.check_lattices(*chain)
     return _generators(model, tuple(chain))
 
 
 @cache
 def _generators(model: FiniteTateModel, chain):
-    _check_chain(model, chain)
     Wm1, W0, W1 = chain
+    if not (W0.contains(Wm1) and W1.contains(W0)):
+        raise WrongChainError("chain must be nested")
+    if model.n(Wm1) != -1 or model.n(W0) != 0 or model.n(W1) != 1:
+        raise WrongChainError("chain must sit at dimension-theory values -1, 0, 1")
     ind = lambda side, S: TateFn.indicator(model, side, S)
     g1 = TatePair(ind("T*", perp(W0)), ind("T", W0))
     g2 = TatePair(

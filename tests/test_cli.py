@@ -1168,3 +1168,27 @@ def test_witness_kind_replays(kind, monkeypatch):
     monkeypatch.undo()
     for _, read in pairs:
         assert not replay_witness(negate(read) if negate else read)
+
+
+def test_canonical_preimage_perturbs_by_an_invariant_line(monkeypatch):
+    # at q = 3 a perturbation on one vector is not scalar-invariant, so the
+    # negative control would hold for that reason alone: the check perturbs
+    # by a whole line, which enters as a Tate function and which the
+    # membership criterion rejects
+    params = {"p": 3, "e": 1, "D": 4, "c": -2}
+    model = cli._tate_model(params)
+    # built first, so the only family sum the check makes is g1.f1 + bad
+    tate.canonical_generators(model, cli._default_chain(model))
+    added, add = [], tate.TateFn.__add__
+    monkeypatch.setattr(tate.TateFn, "__add__", lambda f, g: added.append(g) or add(f, g))
+    assert cli.check_canonical_preimage(params, 0)[2] == []
+    monkeypatch.undo()
+    (bad,) = added
+    assert bad.side == "T*" and bad == tate.TateFn(model, "T*", bad.values)
+    assert sum(map(bool, bad.values)) == model.q - 1
+    lines = [model.subspace([k]) for k in model.lines()[1:3]]
+    f2 = (tate.TateFn.indicator(model, "T", lines[0])
+          - tate.TateFn.indicator(model, "T", lines[1])).punctured()
+    pair = tate.TatePair(tate.fourier(f2).punctured(), f2)
+    assert tate.is_principal(pair)
+    assert not tate.is_principal(pair + tate.TatePair(bad, tate.TateFn.zero(model, "T")))

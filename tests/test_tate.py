@@ -15,7 +15,7 @@ from toyshtlab.errors import (
     WrongIndexError,
 )
 from toyshtlab.gf import field_make
-from toyshtlab.linalg import gauss_binomial, pairing, perp
+from toyshtlab.linalg import echelonize, gauss_binomial, pairing, perp
 from toyshtlab.tate import (
     FiniteTateModel,
     TateFn,
@@ -92,6 +92,10 @@ def test_function_and_pair_guards_raise():
     for size in (0, 26, 28):
         with pytest.raises(DimensionMismatchError, match=f"expected 27 values, got {size}"):
             TateFn(m, "T", [zero] * size)
+    # the numerators are the value at 0 and one per line of F_3^3
+    assert len(TateFn(m, "T", [zero] * 27).nums) == 1 + len(m.lines()) == 14
+    with pytest.raises(DimensionMismatchError, match="expected 14 numerators, got 27"):
+        TateFn.from_nums(m, "T", [zero] * 27)
     f, g = TateFn.zero(m, "T"), TateFn.zero(m, "T*")
     with pytest.raises(ValueError):
         f + g
@@ -218,9 +222,10 @@ def test_fourier_requires_invariance():
     m = FiniteTateModel(F3, 2, -1)
     values = list(TateFn.zero(m, "T").values)
     values[m.index((1, 0))] = 1
-    f = TateFn(m, "T", values)
+    # over F_3 one vector off its line's key vector breaks invariance, and
+    # the function is refused where it enters, before any transform
     with pytest.raises(NotInvariantError):
-        fourier(f)
+        TateFn(m, "T", values)
 
 
 # (field, D, c, dim inner, dim outer) of the shells checked exhaustively
@@ -456,17 +461,17 @@ def test_gamma_identity_pinned_and_random():
 
 
 def test_gamma_identity_requires_invariance():
+    # over F_2 every function is scalar-invariant, so this one enters
     m = model_q2()
     values = list(TateFn.zero(m, "T").values)
     values[m.index((1, 0, 0, 0))] = 1
     values[m.index((0, 1, 0, 0))] = -1
-    f = TateFn(m, "T", values)
+    assert TateFn(m, "T", values).values == tuple(values)
     fr = FiniteTateModel(F3, 2, -1)
     values = list(TateFn.zero(fr, "T").values)
     values[fr.index((1, 0))] = 1
-    g = TateFn(fr, "T", values)
     with pytest.raises(NotInvariantError):
-        gamma_identity_check(fr, g, None)
+        gamma_identity_check(fr, TateFn(fr, "T", values), None)
 
 
 def test_partial_frobenius_pullback_composition():
@@ -535,11 +540,62 @@ def test_canonical_preimage():
         f2 = g1.f2.scale(a) + g2.f2 - g3.f2
         f1 = g1.f1.scale(a) + g2.f1 - g3.f1
         assert fourier(f2) == f1
-        # a perturbed first slot leaves it
-        values = list(TateFn.zero(m, "T*").values)
-        values[m.index(m.lines()[0])] = 1
-        bad = TateFn(m, "T*", values)
+        # a first slot perturbed on one line, scalar-invariant, leaves it
+        bad = TateFn.indicator(m, "T*", m.subspace([m.lines()[0]])).punctured()
+        assert bad == TateFn(m, "T*", bad.values)
         assert fourier(f2) != f1 + bad
+
+
+def test_tate_entry_points_refuse_lattices_of_another_model():
+    # a flag in F_3^3, or one over F_9, is not a flag of lattices of F_3^4:
+    # every entry point refuses it, also where an equal-valued chain is cached
+    m = FiniteTateModel(F3, 4, -2)
+    chain = chain_for(m)
+    assert shell_keys(m, chain[1], chain[2]) and canonical_generators(m, chain)
+    F9 = field_make(3, 1, 2)
+    e = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+
+    def flag(field, D, rows):
+        return tuple(echelonize(field, rows[:d], D) for d in (1, 2, 3))
+
+    cases = [(DimensionMismatchError, flag(F3, 3, [v[:3] for v in e])),
+             (ValueError, flag(F9, 4, e)),
+             (ValueError, flag(F9, 4, [(1, 5, 0, 0), *e[1:]]))]
+    for error, (Wm1, W0, W1) in cases:
+        with pytest.raises(error):
+            TateFn.indicator(m, "T", W0)
+        with pytest.raises(error):
+            schubert_pair(m, W0)
+        with pytest.raises(error):
+            shell_keys(m, W0, W1)
+        with pytest.raises(error):
+            canonical_generators(m, (Wm1, W0, W1))
+
+
+def test_transforms_of_built_functions_gather_no_vectors(monkeypatch):
+    # per-vector gathers happen only where a function enters or is read per
+    # vector: no transform or criterion on built functions reaches them
+    m = FiniteTateModel(F3, 4, -2)
+    chain = chain_for(m)
+    inner, outer = standard(m, 0), standard(m, 4)
+    keys = line_keys(F3, 4)
+    g = dict(zip(keys, [1, -1] + [0] * (len(keys) - 2)))
+    f = TateFn.indicator(m, "T", chain[2]) - TateFn.indicator(m, "T", chain[1]).scale(
+        Fraction(2, 3))
+    pair = schubert_pair(m, chain[1])
+    calls = []
+    table = FiniteTateModel.pair_zero_table
+    monkeypatch.setattr(FiniteTateModel, "pair_zero_table",
+                        lambda model: calls.append(model) or table(model))
+    fourier(f)
+    is_principal(pair)
+    gamma_identity_check(m, f, chain)
+    eps_extend(m, g, inner, outer)
+    eps_extend_dual(m, g, inner, outer)
+    radon_finite(m, g, inner, outer)
+    assert calls == []
+    f.values
+    assert calls == [m]
 
 
 def test_canonical_generators_cached_by_chain_value():
