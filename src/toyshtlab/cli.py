@@ -142,6 +142,8 @@ def check_chart_equivalence(params: dict, seed: int):
     if not 0 <= n <= N:
         raise DimensionMismatchError(f"need 0 <= n <= N, got n={n} with N={N}")
     gate(budget := _budget(params), "matrices per chart", F.order, n * (N - n))
+    # each chart is an N x N change of basis, built also where it holds one matrix
+    gate(budget, "chart entries", N, 2)
     if 1 < n < N:
         # gates, and builds, the toy-locus index the chart predicate reads;
         # at the other levels every graph is toy and no index is read

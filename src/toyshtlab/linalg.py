@@ -3,8 +3,9 @@ combinations, greedy span completions, sums and intersections (both from one
 elimination), ranks of sums, annihilators, quotient coordinates, Grassmannian
 enumeration, the shared index of rational subspaces, and point sets.
 
-Subspaces are immutable and identified with their reduced row-echelon basis,
-which is unique, so equality of subspaces is equality of bases.
+Subspaces are immutable and identified with their field and reduced
+row-echelon basis, which is unique, so equality of subspaces is equality of
+field values and bases.
 
 For p = 2 and order**N at most POINT_SET_MAX, a subspace also has a point
 set: one int with a bit per packed vector of F^N (see Packing).  Containment
@@ -90,10 +91,12 @@ class Subspace:
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
             and self.basis == other.basis
+            and self.field == other.field
         )
 
     def __hash__(self) -> int:
-        # taken on first use and kept, as the basis never changes
+        # taken on first use and kept, as the basis never changes; the field
+        # is left out, so equal subspaces over equal fields hash equal
         if self._hash is None:
             self._hash = hash((self.ambient_dim, self.basis))
         return self._hash

@@ -195,56 +195,34 @@ def fourier(f: TateFn) -> TateFn:
                             f.exp - model.field.e * model.offset(f.side))
 
 
-def shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
-    """The shell between nested lattices, keyed by the projective quotient
-    outer/inner: (vector index, quotient-line key) for each vector of outer
-    outside inner, and (functional index, key of the induced form) for each
-    functional of perp(inner) outside perp(outer).
+@cache
+def _extension_gathers(model: FiniteTateModel, inner: Subspace, outer: Subspace):
+    """Per side ("T", then "T*"), the gather taking (0, *family) on the line
+    keys of outer/inner to the TateFn numerators of its extension by zero.
 
     Both sides take quotient coordinates against one set of rows of outer
-    completing inner, so two keys pair to zero iff the vector and functional
-    do.  Keys are normalized like line_keys(field, dim outer - dim inner).
-    Cached by the value of (model, inner, outer).
-    """
-    model.check_lattices(inner, outer)
-    return _shell_keys(model, inner, outer)
-
-
-@cache
-def _shell_keys(model: FiniteTateModel, inner: Subspace, outer: Subspace):
+    completing inner, so two quotient keys pair to zero iff the model lines
+    over them do.  Cached by the value of (model, inner, outer)."""
     if not outer.contains(inner):
         raise LatticeNotNestedError("inner lattice must sit inside the outer one")
     f, D = model.field, model.D
     rows = extend(inner, outer.basis)
-    # outer is {sum a_i rows_i + u : u in inner}, with quotient coordinates a
+    quotient, table = singer_table(f, len(rows)), singer_table(f, D)
+    # outer is {sum a_i rows_i + u : u in inner}; each line of the shell has
+    # one vector whose quotient coordinates a are a line key
+    primal = [0] * len(table.keys)
     inner_vectors = list(inner.vectors())
-    vectors = []
-    for a in product(tuple(f.elements()), repeat=len(rows)):
-        if not any(a):
-            continue
-        key = _line_key(f, a)
+    for i, a in enumerate(quotient.keys, 1):
         base = combine(f, a, rows, D)
         for u in inner_vectors:
-            vectors.append((model.index([f.add(x, y) for x, y in zip(base, u)]), key))
-    # w in perp(inner) induces a -> sum a_i <w, rows_i>, zero iff w in perp(outer)
-    functionals = []
-    for w in perp(inner).vectors():
-        form = tuple(pairing(f, w, row) for row in rows)
-        if any(form):
-            functionals.append((model.index(w), _line_key(f, form)))
-    return tuple(vectors), tuple(functionals)
-
-
-@cache
-def _extension_gathers(model: FiniteTateModel, inner: Subspace, outer: Subspace):
-    """Per side ("T", then "T*"), the gather taking (0, *family) on the line
-    keys of outer/inner to the TateFn numerators of its extension by zero."""
-    # the shell first: it rejects a pair that is not nested
-    shells = _shell_keys(model, inner, outer)
-    pos = singer_table(model.field, outer.dim - inner.dim).pos
-    keys = [model.index(k) for k in model.lines()]
-    return tuple(_gather([0, *(pos[at[i]] + 1 if i in at else 0 for i in keys)])
-                 for at in map(dict, shells))
+            primal[table.pos[_line_key(f, f.axpy(1, u, base))]] = i
+    # a line w of perp(inner) induces a -> sum a_i <w, rows_i>, zero iff w is in perp(outer)
+    dual = []
+    for w in table.keys:
+        form = [pairing(f, w, row) for row in rows]
+        on_shell = any(form) and not any(pairing(f, w, u) for u in inner.basis)
+        dual.append(quotient.pos[_line_key(f, form)] + 1 if on_shell else 0)
+    return _gather([0, *primal]), _gather([0, *dual])
 
 
 def _extended(model: FiniteTateModel, g, inner: Subspace, outer: Subspace, side: str) -> TateFn:

@@ -55,6 +55,18 @@ def test_a_basis_beyond_the_budget_is_a_budget_report():
     assert replay_witness(w)
 
 
+def test_a_chart_beyond_the_budget_is_a_budget_report():
+    # at n = 0 every count the chart sweep gates is 1, but its one chart is
+    # an N x N change of basis: 1.8 s to build and pass at N = 2,000 (2-vCPU Xeon)
+    start = time.perf_counter()
+    r = run(CheckSpec("chart_equivalence", {**F4, "N": 2000, "n": 0}))
+    assert time.perf_counter() - start < 0.5
+    (w,) = r.counters["witnesses"]
+    assert w["kind"] == "budget_exceeded", w
+    assert w["message"] == f"{4 * 10**6} chart entries exceeds budget {1 << 20}"
+    assert replay_witness(w)
+
+
 # (check, params, the least budget that admits it, what the gate that binds counts)
 CAPS = [
     ("grassmannian_count", {"p": 2, "m": 4, "N": 1, "n": 1}, 16, "field elements"),
@@ -64,6 +76,7 @@ CAPS = [
     ("radon_duality", {"p": 2, "N": 3, "n": 1, "trials": 5}, 7, "rational lines"),
     ("transversality_locus", {"p": 2, "s": 2, "t": 2}, 16, "matrices"),
     ("grassmannian_count", {"p": 2, "N": 4, "n": 4}, 16, "basis entries"),
+    ("chart_equivalence", {**F4, "N": 12, "n": 0}, 144, "chart entries"),
 ]
 
 

@@ -982,17 +982,18 @@ def _bounded_product(bound):
 
 
 @pytest.mark.parametrize("name,params", [
-    ("chart_equivalence", {**F4N3, "N": 12, "n": 0}),
-    ("chart_equivalence", {**F4N3, "N": 12, "n": 12}),
-    ("transversality_locus", {"p": 2, "e": 1, "m": 2, "s": 0, "t": 12}),
-    ("transversality_locus", {"p": 2, "e": 1, "m": 2, "s": 12, "t": 0}),
+    # budget 144 admits the 12 x 12 chart of the chart sweep, which its own gate bounds
+    ("chart_equivalence", {**F4N3, "N": 12, "n": 0, "budget": 144}),
+    ("chart_equivalence", {**F4N3, "N": 12, "n": 12, "budget": 144}),
+    ("transversality_locus", {"p": 2, "e": 1, "m": 2, "s": 0, "t": 12, "budget": 100}),
+    ("transversality_locus", {"p": 2, "e": 1, "m": 2, "s": 12, "t": 0, "budget": 100}),
 ])
 def test_an_empty_cone_shape_lists_no_factor_vectors(monkeypatch, name, params):
     # an s x t cone with s or t zero holds one matrix, the empty one, and
     # its ambient gate (order**0 = 1) does not bound the 4**12 factor
     # vectors it would be built from
     monkeypatch.setattr(charts, "product", _bounded_product(4**2))
-    r = run(CheckSpec(name, {**params, "budget": 100}))
+    r = run(CheckSpec(name, params))
     assert r.verdict == "pass" and r.counters["matrices"] == 1
 
 

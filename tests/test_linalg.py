@@ -104,6 +104,24 @@ def test_extend_takes_each_vector_that_leaves_the_span(field):
         assert all(v in rest for v in taken)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(F3, F9), (F2, F4)]), st.integers(1, 4), st.data())
+def test_subspaces_compare_by_field(fields, N, data):
+    # one basis tuple over F_q and over F_(q^2) spans two subspaces: they
+    # hash alike but stay two entries of a set or a dict
+    small, big = fields
+    elem = st.integers(0, small.order - 1)
+    rows = data.draw(st.lists(st.tuples(*[elem] * N), max_size=N))
+    S, B = echelonize(small, rows, N), echelonize(big, rows, N)
+    assert S.basis == B.basis and hash(S) == hash(B)
+    assert S != B and not S == B
+    assert len({S, B}) == 2 and len({S: 0, B: 1}) == 2
+    # a field of equal value, built separately, still matches
+    again = echelonize(Field(small.p, small.e, small.m), rows, N)
+    assert again.field is not small and again == S and hash(again) == hash(S)
+    assert len({S, again}) == 1
+
+
 def test_sum_intersect_trivial_cases():
     a = echelonize(F2, [(1, 0, 0, 0), (0, 1, 0, 0)], 4)
     b = echelonize(F2, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)

@@ -1,9 +1,11 @@
+import inspect
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from conftest import PACKAGE_CACHES
 from toyshtlab.divisors import line_keys, radon_forward
 from toyshtlab.errors import (
     DimensionMismatchError,
@@ -14,12 +16,14 @@ from toyshtlab.errors import (
     WrongChainError,
     WrongIndexError,
 )
-from toyshtlab.gf import field_make
+from toyshtlab import tate
+from toyshtlab.gf import Field, field_make
 from toyshtlab.linalg import echelonize, gauss_binomial, pairing, perp
 from toyshtlab.tate import (
     FiniteTateModel,
     TateFn,
     TatePair,
+    _extension_gathers,
     _generators,
     canonical_generators,
     canonical_preimage_check,
@@ -36,7 +40,6 @@ from toyshtlab.tate import (
     radon_finite,
     radon_fourier_commutativity_check,
     schubert_pair,
-    shell_keys,
 )
 
 F2 = field_make(2, 1, 1)
@@ -237,61 +240,96 @@ def _shell(field, D, c, din, dout):
     return m, standard(m, din), standard(m, dout), line_keys(field, dout - din)
 
 
-def _assert_keys_on_classes(m, keyed, small, big):
-    """keyed covers big minus small once, is constant on F^x v + small, and
-    takes one value per line of the quotient big/small."""
-    f = m.field
-    key = dict(keyed)
-    assert len(key) == len(keyed)
-    assert set(key) == {m.index(v) for v in big.vectors() if not small.contains_vector(v)}
+def _extensions(m, inner, outer, reps):
+    """eps_extend and eps_extend_dual of g(reps[i]) = i + 1, per vector."""
+    g = {rep: i for i, rep in enumerate(reps, 1)}
+    return eps_extend(m, g, inner, outer).values, eps_extend_dual(m, g, inner, outer).values
+
+
+def _assert_one_value_per_quotient_line(m, values, small, big, coords):
+    """values, an extension of g(line_keys[i]) = i + 1, is nonzero exactly on
+    big minus small, constant on F^x v + small, takes one value per line of
+    the quotient big/small, and at v the value of the line through coords(v)."""
+    f, d = m.field, big.dim - small.dim
+    reps = line_keys(f, d)
+    shell = [v for v in big.vectors() if not small.contains_vector(v)]
+    assert {i for i, x in enumerate(values) if x} == {m.index(v) for v in shell}
     small_vectors = list(small.vectors())
-    for v in big.vectors():
-        if small.contains_vector(v):
-            continue
+    for v in shell:
         for c, u in product(tuple(f.elements())[1:], small_vectors):
             w = tuple(f.add(f.mul(c, x), y) for x, y in zip(v, u))
-            assert key[m.index(w)] == key[m.index(v)]
-    d = big.dim - small.dim
-    assert len(set(key.values())) == gauss_binomial(d, 1, f.q)
+            assert values[m.index(w)] == values[m.index(v)]
+        a = coords(v)
+        inv = f.inv(next(x for x in a if x))
+        assert values[m.index(v)] == reps.index(tuple(f.mul(inv, x) for x in a)) + 1
+    assert len({values[m.index(v)] for v in shell}) == gauss_binomial(d, 1, f.q)
+
+
+def _check_eps_extend(shape):
+    m, inner, outer, reps = _shell(*shape)
+    values, _ = _extensions(m, inner, outer, reps)
+    # outer/inner of standard lattices has the coordinates din .. dout - 1
+    coords = lambda v: v[shape[3]:shape[4]]
+    _assert_one_value_per_quotient_line(m, values, inner, outer, coords)
+    assert eps_extend(m, dict.fromkeys(reps, 0), inner, outer) == TateFn.zero(m, "T")
+    with pytest.raises(LatticeNotNestedError):
+        eps_extend(m, dict.fromkeys(reps, 1), outer, inner)
+
+
+def _check_eps_extend_dual(shape):
+    m, inner, outer, reps = _shell(*shape)
+    f = m.field
+    values, dual = _extensions(m, inner, outer, reps)
+    # w in perp(inner) induces the form a -> sum a_i w_(din + i)
+    coords = lambda w: w[shape[3]:shape[4]]
+    _assert_one_value_per_quotient_line(m, dual, perp(outer), perp(inner), coords)
+    # one completion on both sides: the keys read off the values pair to
+    # zero iff the vectors do
+    vs = m.vectors()
+    key = dict(enumerate(reps, 1))
+    for v, x in zip(vs, values):
+        for w, y in zip(vs, dual):
+            if x and y:
+                assert (pairing(f, v, w) == 0) == (pairing(f, key[x], key[y]) == 0)
+    with pytest.raises(LatticeNotNestedError):
+        eps_extend_dual(m, dict.fromkeys(reps, 1), outer, inner)
 
 
 def test_eps_extend_support_and_values():
     for shape in SHELLS:
-        m, inner, outer, reps = _shell(*shape)
-        p = m.field.p
-        vectors, _ = shell_keys(m, inner, outer)
-        _assert_keys_on_classes(m, vectors, inner, outer)
-        assert {k for _, k in vectors} == set(reps)
-        g = {rep: i + 1 for i, rep in enumerate(reps)}
-        f = eps_extend(m, g, inner, outer)
-        key = dict(vectors)
-        for i, val in enumerate(f.values):
-            assert val == (g[key[i]] if i in key else 0)
-        zero_g = {rep: 0 for rep in reps}
-        assert eps_extend(m, zero_g, inner, outer) == TateFn.zero(m, "T")
-        with pytest.raises(LatticeNotNestedError):
-            eps_extend(m, g, outer, inner)
+        _check_eps_extend(shape)
 
 
 def test_eps_extend_dual_support():
     for shape in SHELLS:
-        m, inner, outer, reps = _shell(*shape)
-        f = m.field
-        vectors, functionals = shell_keys(m, inner, outer)
-        _assert_keys_on_classes(m, functionals, perp(outer), perp(inner))
-        assert {k for _, k in functionals} == set(reps)
-        # one completion on both sides: keys pair to zero iff vectors do
-        vs = m.vectors()
-        for i, kv in vectors:
-            for j, kw in functionals:
-                assert (pairing(f, vs[i], vs[j]) == 0) == (pairing(f, kv, kw) == 0)
-        g = {rep: i + 1 for i, rep in enumerate(reps)}
-        out = eps_extend_dual(m, g, inner, outer)
-        key = dict(functionals)
-        for j, val in enumerate(out.values):
-            assert val == (g[key[j]] if j in key else 0)
+        _check_eps_extend_dual(shape)
     # cached by the value of the model and the pair, not the objects
-    assert shell_keys(m, inner, outer) is shell_keys(m, standard(m, 1), standard(m, 3))
+    m, inner, outer, reps = _shell(*SHELLS[-1])
+    first = _extensions(m, inner, outer, reps)
+    misses = _extension_gathers.cache_info().misses
+    fresh = FiniteTateModel(Field(3, 1, 1), 4, -2)
+    assert fresh.field is not F3
+    assert _extensions(fresh, standard(fresh, 1), standard(fresh, 3), reps) == first
+    assert _extension_gathers.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("old,new,check", [
+    # the dual side reads its forms against the quotient rows in reverse
+    ("for row in rows]", "for row in rows[::-1]]", _check_eps_extend_dual),
+    # the primal side takes one vector, u = 0, of the inner lattice
+    ("for u in inner_vectors:", "for u in inner_vectors[:1]:", _check_eps_extend),
+], ids=["dual-rows-reversed", "primal-inner-zero-only"])
+def test_the_extension_checks_catch_a_broken_gather(monkeypatch, old, new, check):
+    source = inspect.getsource(tate._extension_gathers.__wrapped__)
+    assert source.count(old) == 1
+    namespace = dict(vars(tate))
+    exec(compile(source.replace(old, new), tate.__file__, "exec"), namespace)
+    monkeypatch.setattr(tate, "_extension_gathers", namespace["_extension_gathers"])
+    for shape in SHELLS:
+        # the inner lattices of dimension 1 or more
+        if shape[3]:
+            with pytest.raises(AssertionError):
+                check(shape)
 
 
 def test_radon_finite_delta_difference():
@@ -551,7 +589,8 @@ def test_tate_entry_points_refuse_lattices_of_another_model():
     # every entry point refuses it, also where an equal-valued chain is cached
     m = FiniteTateModel(F3, 4, -2)
     chain = chain_for(m)
-    assert shell_keys(m, chain[1], chain[2]) and canonical_generators(m, chain)
+    g = {(1,): 1}
+    assert eps_extend(m, g, chain[1], chain[2]) and canonical_generators(m, chain)
     F9 = field_make(3, 1, 2)
     e = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
 
@@ -567,14 +606,17 @@ def test_tate_entry_points_refuse_lattices_of_another_model():
         with pytest.raises(error):
             schubert_pair(m, W0)
         with pytest.raises(error):
-            shell_keys(m, W0, W1)
+            eps_extend(m, g, W0, W1)
+        with pytest.raises(error):
+            eps_extend_dual(m, g, W0, W1)
         with pytest.raises(error):
             canonical_generators(m, (Wm1, W0, W1))
 
 
 def test_transforms_of_built_functions_gather_no_vectors(monkeypatch):
     # per-vector gathers happen only where a function enters or is read per
-    # vector: no transform or criterion on built functions reaches them
+    # vector: no transform, criterion or extension map reaches them, nor
+    # reads a vector index of the model
     m = FiniteTateModel(F3, 4, -2)
     chain = chain_for(m)
     inner, outer = standard(m, 0), standard(m, 4)
@@ -584,9 +626,13 @@ def test_transforms_of_built_functions_gather_no_vectors(monkeypatch):
         Fraction(2, 3))
     pair = schubert_pair(m, chain[1])
     calls = []
-    table = FiniteTateModel.pair_zero_table
-    monkeypatch.setattr(FiniteTateModel, "pair_zero_table",
-                        lambda model: calls.append(model) or table(model))
+    for name in ("pair_zero_table", "index", "vectors", "line_index"):
+        method = getattr(FiniteTateModel, name)
+        monkeypatch.setattr(FiniteTateModel, name, lambda model, *args, name=name, method=method:
+                            calls.append(name) or method(model, *args))
+    # the extension gathers are built here, from line keys alone
+    for clear in PACKAGE_CACHES:
+        clear.cache_clear()
     fourier(f)
     is_principal(pair)
     gamma_identity_check(m, f, chain)
@@ -595,7 +641,7 @@ def test_transforms_of_built_functions_gather_no_vectors(monkeypatch):
     radon_finite(m, g, inner, outer)
     assert calls == []
     f.values
-    assert calls == [m]
+    assert calls.count("pair_zero_table") == 1
 
 
 def test_canonical_generators_cached_by_chain_value():

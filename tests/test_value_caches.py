@@ -5,7 +5,7 @@ the same object from every cached builder."""
 from toyshtlab import tate
 from conftest import PACKAGE_CACHES
 from toyshtlab.charts import canonical_chart, jtype_probe_base, rank_le1_locus
-from toyshtlab.divisors import incidence_lists, singer_table
+from toyshtlab.divisors import incidence_lists, line_keys, singer_table
 from toyshtlab.gf import Field
 from toyshtlab.linalg import echelonize, packing, rational_subspaces
 from toyshtlab.toysht import flags, toy_points
@@ -60,12 +60,17 @@ def test_equal_values_share_every_cached_table():
         lambda x, c: x.line_index(),
         lambda x, c: x.lines(),
         lambda x, c: x.pair_zero_table(),
-        lambda x, c: tate.shell_keys(x, c[0], c[2]),
         lambda x, c: tate._extension_gathers(x, c[0], c[2]),
         lambda x, c: tate.canonical_generators(x, list(c)),
     ]
     for build in model_builders:
         assert build(m, chains[0]) is build(n, chains[1])
+    # and the extension maps of equal values read one gather
+    tate._extension_gathers.cache_clear()
+    g = dict.fromkeys(line_keys(m.field, 2), 1)
+    for extend in (tate.eps_extend, tate.eps_extend_dual):
+        assert extend(m, g, *chains[0][::2]) == extend(n, g, *chains[1][::2])
+    assert tate._extension_gathers.cache_info().currsize == 1
 
 
 def test_conftest_clears_every_package_cache():
