@@ -204,44 +204,52 @@ def rank_le1_locus(field: Field, s: int, t: int):
         tuple(tuple(field.mul(x, y) for y in v) for x in u) for u in us for v in vs]))
 
 
-def _graph_predicate(field: Field, N: int, n: int, chart: Chart):
-    """Whether the graph of a matrix A (a tuple of row tuples) of the chart
-    is a toy shtuka, read off the toy-locus index (toysht.toy_points), which
-    the caller gates.  On point sets each graph row w'_i + sum_j a_j w_j is
-    packed once per row value a, and the graph's point set, spanned with no
-    elimination, is looked up among the index points' point sets; elsewhere
-    the graph itself is looked up among the index subspaces."""
+def _toy_matrices(field: Field, N: int, n: int, chart: Chart):
+    """The matrices (tuples of row tuples) of the chart whose graphs are toy
+    shtukas: the chart coordinates of the points of the toy-locus index
+    (toysht.toy_points, which the caller gates) that are graphs in it, taken
+    once per chart; None at the levels where every graph is toy, which read
+    no index.  On point sets a point P is a graph iff it meets W in 0 alone,
+    and then its row i is the row value a of its one point in the coset
+    w'_i + W, read off the top bit of P & C_i, C_i the coset's point set;
+    elsewhere each point's coordinates come from one Chart.coordinates."""
     if n <= 1 or n >= N:
-        return lambda A: True
+        return None
     index = _toy_points(field, N, n)
     pk = packing(field, N)
     if pk is None:
-        toy = frozenset(pt.L for pt in index)
-        return lambda A: chart.graph(A) in toy
-    toy = frozenset(pt.L.points() for pt in index)
+        return {A for A in (chart.coordinates(pt.L) for pt in index) if A is not None}
     w = [pk.multiples[pk.pack(v)] for v in chart.w_basis]
     values = list(product(field.elements(), repeat=N - n))
-    rows = [{a: reduce(xor, map(getitem, w, a), pk.pack(wp)) for a in values}
-            for wp in chart.wp_basis]
-    return lambda A: pk.span([t[a] for t, a in zip(rows, A)]) in toy
+
+    def coset(wp):
+        # the point set of wp + W, and the row value a of each of its points
+        row = {reduce(xor, map(getitem, w, a), wp): a for a in values}
+        return sum(1 << v for v in row), row
+
+    W, _ = coset(0)
+    cosets = [coset(pk.pack(wp)) for wp in chart.wp_basis]
+    return {tuple(row[(P & C).bit_length() - 1] for C, row in cosets)
+            for P in (pt.L.points() for pt in index) if P & W == 1}
 
 
 def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart) -> dict:
     """Compare the intrinsic toy predicate on graphs, read off the toy-locus
-    index, with the chart-side rank condition on Artin-Schreier images, over
-    every matrix, as n-tuples of row values; an image has rank at most one
-    iff it lies in the cone index rank_le1_locus."""
+    index as the chart's toy matrices, with the chart-side rank condition on
+    Artin-Schreier images, over every matrix, as n-tuples of row values; an
+    image has rank at most one iff it lies in the cone index rank_le1_locus."""
     if (chart.N, chart.n) != (N, n):
         raise DimensionMismatchError(f"chart of (N, n) = {chart.N, chart.n}, check of {N, n}")
-    # the row values, and their Artin-Schreier images; for n = 0 the one
-    # matrix is (), so no row is formed
+    # the row values, and their Artin-Schreier images in the same order, so
+    # the two products walk each matrix and its image together; for n = 0
+    # the one matrix is (), so no row is formed
     rows = list(product(field.elements(), repeat=(N - n) * (n > 0)))
-    as_rows = {a: artin_schreier(field, (a,))[0] for a in rows}
+    images = [artin_schreier(field, (a,))[0] for a in rows]
     counter = {"checked": len(rows) ** n, "counterexamples": []}
-    is_toy_graph = _graph_predicate(field, N, n, chart)
+    toy = _toy_matrices(field, N, n, chart)
     cone = frozenset(rank_le1_locus(field, n, N - n))
-    for A in product(rows, repeat=n):
-        if is_toy_graph(A) != (tuple(as_rows[a] for a in A) in cone):
+    for A, image in zip(product(rows, repeat=n), product(images, repeat=n)):
+        if (toy is None or A in toy) != (image in cone):
             counter["counterexamples"].append(A)
     return counter
 

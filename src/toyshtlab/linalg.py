@@ -149,8 +149,18 @@ class Subspace:
         return self._sigma
 
     def is_rational(self) -> bool:
-        """True iff the subspace is defined over F_q (basis fixed by Frobenius)."""
-        return self.frobenius_image() is self
+        """True iff the subspace is defined over F_q: every basis entry is
+        fixed by Frobenius, read entry by entry up to the first one moved, so
+        a rejected subspace builds no sigma image; a rational one keeps
+        itself as its image."""
+        if self._sigma is None:
+            fr = self.field._frob
+            for row in self.basis:
+                for x in row:
+                    if fr[x] != x:
+                        return False
+            self._sigma = self
+        return self._sigma is self
 
     def vectors(self):
         """All vectors of the subspace (use only at small dimensions)."""

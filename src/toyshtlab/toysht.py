@@ -280,41 +280,34 @@ def _in_line(field: Field, v, l) -> bool:
     return all(x and (log[x] - log[y] - lc) % n1 == 0 if y else not x for x, y in zip(v, l))
 
 
-def _quotient_fixed(L: int, S: int, LW: int, SW: int) -> bool:
-    """rank(S + W) = rank(L + W) on point sets: |S cap W| * |L| = |L cap W| * |S|."""
-    return SW.bit_count() * L.bit_count() == LW.bit_count() * S.bit_count()
-
-
-def dichotomy_check(point: ToyPoint, W: Subspace):
-    """For rational W, at least one of L cap W and im(L -> V/W) is
-    Frobenius-fixed.  Returns both flags; raises AssertionError, even under
-    python -O, when the disjunction fails.
+def dichotomy_check(point: ToyPoint, centers):
+    """For each rational W of centers, in order, the pair (sub_fixed,
+    quot_fixed): whether L cap W and im(L -> V/W) are Frobenius-fixed.  The
+    dichotomy says at least one of each pair holds; a pair with neither is a
+    violation, which the caller reports.
 
     As W is rational, L cap W is fixed iff it lies in M = L cap sigma L; and
     the image is fixed iff L + W is rational, iff rank(S + W) = rank(L + W)
     for S = L + sigma L.  On point sets (ToyPoint.flag_points) both are bit
-    tests: (L & W) & ~M == 0, and _quotient_fixed.  Elsewhere
-    dichotomy_by_rank decides them.
+    tests on W's point set: W & (L & ~M) == 0, and |S cap W| * |L| =
+    |L cap W| * |S|.  Elsewhere dichotomy_by_rank decides each center.
     """
     masks = point.flag_points
     if masks is None:
-        return dichotomy_by_rank(point, W)
-    if W.ambient_dim != point.L.ambient_dim:
+        return [dichotomy_by_rank(point, W) for W in centers]
+    N = point.L.ambient_dim
+    if any(W.ambient_dim != N for W in centers):
         raise DimensionMismatchError("ambient dimensions differ")
-    if not W.is_rational():
+    if not all(map(Subspace.is_rational, centers)):
         raise ValueError("W must be F_q-rational")
     L, M, S = masks
-    pW = W.points()
-    LW = L & pW
-    sub_fixed = not LW & ~M
-    quot_fixed = _quotient_fixed(L, S, LW, S & pW)
-    if not (sub_fixed or quot_fixed):
-        raise AssertionError("dichotomy violated")
-    return {"sub_fixed": sub_fixed, "quot_fixed": quot_fixed}
+    outside, ratio = L & ~M, S.bit_count() // L.bit_count()
+    return [(not W & outside, (S & W).bit_count() == (L & W).bit_count() * ratio)
+            for W in map(Subspace.points, centers)]
 
 
 def dichotomy_by_rank(point: ToyPoint, W: Subspace):
-    """dichotomy_check by elimination, in every characteristic.
+    """One pair of dichotomy_check by elimination, in every characteristic.
 
     L cap W is fixed iff rank(L + W) - rank(M + W) = dim L - dim M.  On a
     trivial point M = L = S and both sides hold.  Otherwise the flag
@@ -327,14 +320,10 @@ def dichotomy_by_rank(point: ToyPoint, W: Subspace):
         raise ValueError("W must be F_q-rational")
     steps = point.flag_steps
     if steps is None:
-        return {"sub_fixed": True, "quot_fixed": True}
+        return True, True
     MW = span_sum(point.flag[0], W)
     l, s = (MW.reduce(v) for v in steps)
-    sub_fixed = any(l)
-    quot_fixed = _in_line(W.field, s, l)
-    if not (sub_fixed or quot_fixed):
-        raise AssertionError("dichotomy violated")
-    return {"sub_fixed": sub_fixed, "quot_fixed": quot_fixed}
+    return any(l), _in_line(W.field, s, l)
 
 
 def horospherical_membership(point: ToyPoint):

@@ -1,7 +1,9 @@
 """Reference constructions that only the tests use: field element digits and
 powers from the field's public arithmetic, the zero and full subspaces, the
-image of a subspace under a quotient map, and the line/hyperplane incidence
-paired out entry by entry."""
+image of a subspace under a quotient map, the line/hyperplane incidence
+paired out entry by entry, and a library function recompiled with one edit."""
+
+import inspect
 
 from toyshtlab.linalg import Subspace, echelonize, rational_subspaces
 
@@ -52,3 +54,14 @@ def brute_force_incidence(F, N):
         return acc
 
     return {hk: [jk for jk in keys if pairing(hk, jk) == 0] for hk in keys}
+
+
+def edited(module, name: str, old: str, new: str):
+    """module.name recompiled from its source with its one occurrence of old
+    replaced by new, in a copy of the module's namespace: a defect to inject
+    with monkeypatch for a negative control."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]

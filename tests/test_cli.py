@@ -1,4 +1,5 @@
 import copy
+import inspect
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import edited
 import toyshtlab
 from toyshtlab import charts, cli, divisors, linalg, tate, toysht
 from toyshtlab.cli import (
@@ -448,21 +450,20 @@ def test_toy_locus_is_enumerated_once(monkeypatch):
     assert sorted(calls) == [(3, n) for n in range(4)]
 
 
-def test_chart_sweep_spans_each_graph_once(monkeypatch):
+def test_chart_sweep_reads_the_index_once_per_chart(monkeypatch):
     # F_4, N = 4, n = 2: 35 charts of 256 matrices; with the toy-locus index
-    # warm, each matrix spans its graph once and reads its verdict off it
-    toysht.toy_points(F4, 4, 2)
-    calls = []
-    original = linalg.Packing.span
-
-    def counted(self, rows):
-        calls.append(rows)
-        return original(self, rows)
-
-    monkeypatch.setattr(linalg.Packing, "span", counted)
+    # warm, each chart reads the point set of each of the 245 index points
+    # once, and no matrix spans its graph
+    index = {pt.L for pt in toysht.toy_points(F4, 4, 2)}
+    spans, reads = [], []
+    span, points = linalg.Packing.span, linalg.Subspace.points
+    monkeypatch.setattr(linalg.Packing, "span", lambda pk, rows: spans.append(rows) or span(pk, rows))
+    monkeypatch.setattr(linalg.Subspace, "points", lambda L: reads.append(L) or points(L))
     r = run(CheckSpec("chart_equivalence", {**F4P, "N": 4, "n": 2}))
     assert r.verdict == "pass" and r.counters["matrices"] == 8960
-    assert len(calls) == 8960
+    assert spans == [] and len(index) == 245
+    assert Counter(reads) == {L: r.counters["charts"] for L in index}
+    assert r.counters["charts"] == 35
 
 
 def test_schubert_probes_take_one_normal_per_component(monkeypatch):
@@ -481,12 +482,18 @@ def test_schubert_probes_take_one_normal_per_component(monkeypatch):
     assert 0 < len(calls) <= 105
 
 
+# the quotient side of the point-set dichotomy kernel, which the next two
+# tests break
+QUOTIENT_TEST = "(S & W).bit_count() == (L & W).bit_count() * ratio"
+
+
 def test_dichotomy_verdict_survives_optimized_python():
     # python -O strips assert statements; a broken quotient test must still
     # fail, on the test each characteristic runs: point sets at p = 2 and the
     # line test of the rank path at p = 3
+    source = inspect.getsource(toysht.dichotomy_check).replace(QUOTIENT_TEST, "False")
     cases = [
-        ("toysht._quotient_fixed = lambda L, S, LW, SW: False", 2, "98"),
+        (f"exec(compile({source!r}, toysht.__file__, 'exec'), vars(toysht))", 2, "98"),
         ("toysht._in_line = lambda field, v, l: False", 3, "936"),
     ]
     env = {k: v for k, v in os.environ.items() if k != "TOYSHT_BUDGET"}
@@ -506,9 +513,9 @@ def test_dichotomy_verdict_survives_optimized_python():
 def test_replays_do_not_read_point_sets(monkeypatch):
     # a defect of the point-set kernel fails the checks, but its witnesses do
     # not replay: the replays decide by rank
-    monkeypatch.setattr(toysht, "_quotient_fixed", lambda L, S, LW, SW: False)
-    monkeypatch.setattr(charts, "_graph_predicate",
-                        lambda F, N, n, chart: lambda A: False)
+    monkeypatch.setattr(toysht, "dichotomy_check",
+                        edited(toysht, "dichotomy_check", QUOTIENT_TEST, "False"))
+    monkeypatch.setattr(charts, "_toy_matrices", lambda F, N, n, chart: set())
     for spec in (CheckSpec("dichotomy", {**F4P, "N": 3}),
                  CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": 2})):
         r = run(spec)
@@ -1025,10 +1032,6 @@ F4P = {"p": 2, "e": 1, "m": 2}
 RAISED_KINDS = {"budget_exceeded", "exception"}
 
 
-def _raise_assertion(*args):
-    raise AssertionError("broken on purpose")
-
-
 def _flat_image(f):
     # a plus partial Frobenius that forgets the small space
     return toysht.FlagPoint(f.big, f.big, "left")
@@ -1064,8 +1067,10 @@ CASES = {
     ),
     "dichotomy": (
         CheckSpec("dichotomy", {**F4P, "N": 2}),
-        [(toysht, "dichotomy_check", _raise_assertion),
-         (toysht, "dichotomy_by_rank", _raise_assertion)], None,
+        # every pair violates, in the kernel the check reads and in the
+        # per-pair oracle its replay calls
+        [(toysht, "dichotomy_check", lambda pt, centers: [(False, False)] * len(centers)),
+         (toysht, "dichotomy_by_rank", lambda pt, W: (False, False))], None,
     ),
     "composition": (
         CheckSpec("partial_frobenius_composition", {**F4P, "N": 2}),

@@ -1,6 +1,6 @@
 """The point-set kernel against the rank formulas it replaces: containment,
-intersection dimensions, the toy predicate, the dichotomy and the chart-side
-predicate (also on a space without point sets), exhaustively on small spaces
+intersection dimensions, the toy predicate, the dichotomy and the chart's
+toy matrices (also on a space without point sets), exhaustively on small spaces
 and by hypothesis over F_8 and F_16;
 and the packed tables' cache, keyed by field value and never built for odd p."""
 
@@ -9,8 +9,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toyshtlab import cli, linalg
-from toyshtlab.charts import _graph_predicate, canonical_chart, chart_equivalence_check
+from helpers import edited
+from toyshtlab import charts, cli, linalg
+from toyshtlab.charts import _toy_matrices, canonical_chart, chart_equivalence_check
 from toyshtlab.gf import Field, field_make
 from toyshtlab.linalg import (
     POINT_SET_MAX,
@@ -64,22 +65,20 @@ def test_kernel_matches_ranks_on_every_pair():
                 assert_pair_matches_ranks(a, b)
 
 
-def dichotomy_pairs(F, N):
+@pytest.mark.parametrize("F,N,pairs", [
+    (F2, 4, 4355), (F4, 3, 672), (F4, 4, 27805), (F9, 3, 5096),
+], ids=["F2^4", "F4^3", "F4^4", "F9^3"])
+def test_dichotomy_matches_ranks_exhaustive(F, N, pairs):
+    # the per-point flags, on point sets or (F_9) by rank, against the
+    # per-pair oracle on a fresh point, for every (point, center) pair
     subs = all_rational(F, N)
+    count = 0
     for n in range(1, N):
         for pt in enumerate_toysht(F, N, n):
-            for W in subs:
-                yield pt, W
-
-
-@pytest.mark.parametrize(
-    "F,N,pairs", [(F2, 4, 4355), (F4, 3, 672), (F4, 4, 27805)], ids=["F2^4", "F4^3", "F4^4"]
-)
-def test_dichotomy_matches_ranks_exhaustive(F, N, pairs):
-    count = 0
-    for pt, W in dichotomy_pairs(F, N):
-        assert dichotomy_check(pt, W) == dichotomy_by_rank(ToyPoint(pt.L), W)
-        count += 1
+            flags = dichotomy_check(pt, subs)
+            assert flags == [dichotomy_by_rank(ToyPoint(pt.L), W) for W in subs]
+            assert all(map(any, flags))
+            count += len(flags)
     assert count == pairs
 
 
@@ -90,28 +89,51 @@ def test_chart_predicate_matches_ranks_exhaustive():
     verdicts = 0
     for W in rational_subspaces(F4, N, N - n):
         chart = canonical_chart(F4, W)
-        predicate = _graph_predicate(F4, N, n, chart)
+        toy = _toy_matrices(F4, N, n, chart)
         for flat in product(range(F4.order), repeat=n * (N - n)):
             A = (flat[:2], flat[2:])
-            assert predicate(A) == is_toy_shtuka_by_rank(chart.graph(A))
+            assert (A in toy) == is_toy_shtuka_by_rank(chart.graph(A))
             verdicts += 1
     assert verdicts == 8960
 
 
 def test_chart_predicate_without_point_sets_matches_ranks():
-    # F_9, N = 4, n = 2 has no point sets, so the predicate looks each graph
-    # up among the toy-locus index subspaces; one chart, all 6,561 matrices
+    # F_9, N = 4, n = 2 has no point sets, so the chart's toy matrices are
+    # the coordinates of the toy-locus index points; one chart, all 6,561
+    # matrices, against both the graphs found among the index subspaces
+    # and the rank form
     N, n = 4, 2
     assert packing(F9, N) is None
     chart = canonical_chart(F9, rational_subspaces(F9, N, N - n)[0])
-    predicate = _graph_predicate(F9, N, n, chart)
+    toy = _toy_matrices(F9, N, n, chart)
+    index = {pt.L for pt in enumerate_toysht(F9, N, n)}
+    by_graph = set()
     checked = 0
     for A in product(product(range(F9.order), repeat=N - n), repeat=n):
-        assert predicate(A) == is_toy_shtuka_by_rank(chart.graph(A))
+        graph = chart.graph(A)
+        if graph in index:
+            by_graph.add(A)
+        assert (A in toy) == is_toy_shtuka_by_rank(graph)
         checked += 1
     assert checked == 6561
+    assert toy == by_graph and len(toy) == 2673
     rep = chart_equivalence_check(F9, N, n, chart)
     assert rep == {"checked": 6561, "counterexamples": []}
+
+
+def test_a_coset_kernel_reading_the_next_coset_fails_the_chart_check(monkeypatch):
+    # the point-set kernel reading row i off coset i + 1 (the last row off
+    # its own) fails the F_4, N = 4, n = 2 sweep with 5,040 mismatches, and
+    # no witness replays, as the replay decides by rank.  A cyclic shift
+    # would only permute the rows, which maps the toy matrices and the cone
+    # each to itself, so no check could see it.
+    monkeypatch.setattr(charts, "_toy_matrices", edited(
+        charts, "_toy_matrices", "for C, row in cosets)", "for C, row in cosets[1:] + cosets[-1:])"))
+    r = cli.run(cli.CheckSpec("chart_equivalence", {"p": 2, "e": 1, "m": 2, "N": 4, "n": 2}))
+    assert r.verdict == "fail"
+    witnesses = r.counters["witnesses"]
+    assert len(witnesses) == 5040 and {w["kind"] for w in witnesses} == {"chart_mismatch"}
+    assert not any(map(cli.replay_witness, witnesses))
 
 
 # F_8^2, the largest space over F_8 with point sets, and F_16^2, at the bound

@@ -277,10 +277,8 @@ def test_duality_toy_iff_perp_toy():
 
 def test_dichotomy_trivial_cases():
     pt = nontrivial(F4, 3, 2)[0]
-    flags = dichotomy_check(pt, zero_subspace(F4, 3))
-    assert flags["sub_fixed"]
-    flags = dichotomy_check(pt, full_space(F4, 3))
-    assert flags["quot_fixed"]
+    (sub_fixed, _), (_, quot_fixed) = dichotomy_check(pt, [zero_subspace(F4, 3), full_space(F4, 3)])
+    assert sub_fixed and quot_fixed
 
 
 def test_dichotomy_exhaustive_n3():
@@ -290,9 +288,9 @@ def test_dichotomy_exhaustive_n3():
     checked = 0
     for n in (1, 2):
         for pt in enumerate_toysht(F4, 3, n):
-            for W in subs:
-                dichotomy_check(pt, W)
-                checked += 1
+            flags = dichotomy_check(pt, subs)
+            assert all(map(any, flags)), pt.L
+            checked += len(flags)
     assert checked == 21 * 16 * 2
 
 
@@ -332,10 +330,7 @@ def toy_by_intersection(L):
 def dichotomy_by_subspaces(point, W):
     Lp = intersect(point.L, W)
     Lpp = image_subspace(QuotientMap(W), point.L)
-    return {
-        "sub_fixed": Lp.frobenius_image() == Lp,
-        "quot_fixed": Lpp.frobenius_image() == Lpp,
-    }
+    return Lp.frobenius_image() == Lp, Lpp.frobenius_image() == Lpp
 
 
 @pytest.mark.parametrize("field,N", [(F4, 4), (F9, 3)], ids=["F4^4", "F9^3"])
@@ -352,8 +347,8 @@ def test_rank_form_dichotomy_exhaustive_n3(field):
     ]
     for n in range(4):
         for pt in enumerate_toysht(field, 3, n):
-            for W in rational:
-                assert dichotomy_check(pt, W) == dichotomy_by_subspaces(pt, W), (pt.L, W)
+            assert dichotomy_check(pt, rational) == [
+                dichotomy_by_subspaces(pt, W) for W in rational], pt.L
 
 
 def test_flag_is_cached_and_rejects_non_toy_points():
@@ -367,7 +362,7 @@ def test_flag_is_cached_and_rejects_non_toy_points():
     with pytest.raises(NotAToyShtukaError):
         split_nontrivial(ToyPoint(bad))
     with pytest.raises(NotAToyShtukaError):
-        dichotomy_check(ToyPoint(bad), zero_subspace(F4, 4))
+        dichotomy_check(ToyPoint(bad), [zero_subspace(F4, 4)])
 
 
 def test_flag_is_one_elimination(monkeypatch):
@@ -407,7 +402,7 @@ def test_rank_forms_on_random_bases(pair):
     assert toy == toy_by_intersection(L)
     if toy:
         pt = ToyPoint(L)
-        assert dichotomy_check(pt, W) == dichotomy_by_subspaces(pt, W)
+        assert dichotomy_check(pt, [W]) == [dichotomy_by_subspaces(pt, W)]
 
 
 def test_in_line_matches_the_multiplication_reference():
