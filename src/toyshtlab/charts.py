@@ -233,25 +233,28 @@ def _toy_matrices(field: Field, N: int, n: int, chart: Chart):
             for P in (pt.L.points() for pt in index) if P & W == 1}
 
 
-def chart_equivalence_check(field: Field, N: int, n: int, chart: Chart) -> dict:
-    """Compare the intrinsic toy predicate on graphs, read off the toy-locus
-    index as the chart's toy matrices, with the chart-side rank condition on
-    Artin-Schreier images, over every matrix, as n-tuples of row values; an
-    image has rank at most one iff it lies in the cone index rank_le1_locus."""
-    if (chart.N, chart.n) != (N, n):
-        raise DimensionMismatchError(f"chart of (N, n) = {chart.N, chart.n}, check of {N, n}")
+def chart_equivalence_check(field: Field, N: int, n: int, charts) -> list:
+    """Per chart, in order, compare the intrinsic toy predicate on graphs, read
+    off the toy-locus index as the chart's toy matrices, with the chart-side
+    rank condition on Artin-Schreier images, over every matrix as n-tuples of
+    row values; an image's rank <= 1 is one lookup in rank_le1_locus per call."""
+    for chart in charts:
+        if (chart.N, chart.n) != (N, n):
+            raise DimensionMismatchError(f"chart of (N, n) = {chart.N, chart.n}, check of {N, n}")
     # the row values, and their Artin-Schreier images in the same order, so
     # the two products walk each matrix and its image together; for n = 0
     # the one matrix is (), so no row is formed
     rows = list(product(field.elements(), repeat=(N - n) * (n > 0)))
     images = [artin_schreier(field, (a,))[0] for a in rows]
-    counter = {"checked": len(rows) ** n, "counterexamples": []}
-    toy = _toy_matrices(field, N, n, chart)
     cone = frozenset(rank_le1_locus(field, n, N - n))
-    for A, image in zip(product(rows, repeat=n), product(images, repeat=n)):
-        if (toy is None or A in toy) != (image in cone):
-            counter["counterexamples"].append(A)
-    return counter
+    in_cone = [image in cone for image in product(images, repeat=n)]
+    reports = []
+    for chart in charts:
+        toy = _toy_matrices(field, N, n, chart)
+        reports.append({"checked": len(in_cone), "counterexamples": [
+            A for A, rank_le1_image in zip(product(rows, repeat=n), in_cone)
+            if (toy is None or A in toy) != rank_le1_image]})
+    return reports
 
 
 # ---------------------------------------------------------------------------

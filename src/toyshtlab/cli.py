@@ -150,8 +150,9 @@ def check_chart_equivalence(params: dict, seed: int):
         toysht.toy_points(F, N, n, budget)
     counters = {"charts": 0, "matrices": 0}
     witnesses = []
-    for W in rational_subspaces(F, N, N - n, budget):
-        rep = charts.chart_equivalence_check(F, N, n, charts.canonical_chart(F, W))
+    centers = rational_subspaces(F, N, N - n, budget)
+    atlas = [charts.canonical_chart(F, W) for W in centers]
+    for W, rep in zip(centers, charts.chart_equivalence_check(F, N, n, atlas)):
         counters["charts"] += 1
         counters["matrices"] += rep["checked"]
         witnesses += [{"kind": "chart_mismatch", "W": W.basis, "A": A}
@@ -212,8 +213,8 @@ def check_dichotomy(params: dict, seed: int):
     witnesses = []
     subs = [W for d in range(N + 1) for W in rational_subspaces(F, N, d, budget)]
     for n in range(1, N):
-        for pt in toysht.toy_points(F, N, n, budget):
-            flags = toysht.dichotomy_check(pt, subs)
+        points = toysht.toy_points(F, N, n, budget)
+        for pt, flags in zip(points, toysht.dichotomy_check(points, subs)):
             witnesses += [{"kind": "dichotomy", "L": pt.L.basis, "W": W.basis}
                           for W, pair in zip(subs, flags) if pair == (False, False)]
             counters["pairs"] += len(subs)

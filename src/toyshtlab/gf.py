@@ -9,8 +9,9 @@ Frobenius x -> x^q go through precomputed exp/log tables.  In characteristic
 2 addition is xor; in odd characteristic it goes through Zech logarithms,
 g^i + g^j = g^(i + Z(j - i)) with Z(d) = log(1 + g^d), and -1 = g^((order-1)/2).
 Every table has O(order) entries, each filled in one step.  The row kernels
-axpy (v + c*row) and dot read them inside their loops, with no method call per
-entry; randbelow draws as rng.randrange(n) does, without its argument checks.
+axpy (v + c*row), axmy (v - c*row, with -c read on the log table) and dot read
+them inside their loops, with no method call per entry; randbelow draws as
+rng.randrange(n) does, without its argument checks.
 """
 
 from __future__ import annotations
@@ -243,6 +244,7 @@ class Field:
             frob[x] = exp[(log[x] * self.q) % n1] if n1 else x
         self._frob = frob
 
+        self._half = n1 // 2 if p != 2 else 0  # -1 = g^half, and 1 for p = 2
         if p != 2:
             # zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0 (d = half);
             # adding 1 changes only the constant digit
@@ -253,7 +255,6 @@ class Field:
                 if s:
                     zech[d] = log[s]
             self._zech = zech
-            self._half = n1 // 2
 
     def _int_to_poly(self, x: int) -> tuple[int, ...]:
         p = self.p
@@ -320,6 +321,10 @@ class Field:
                 x = exp[m + z] if z >= 0 else 0
             out.append(x)
         return out
+
+    def axmy(self, c: int, row, v) -> list:
+        """v - c * row, for c nonzero: axpy by -c, read as g^(log c + half)."""
+        return self.axpy(self._exp[self._log[c] + self._half], row, v)
 
     def dot(self, a, b) -> int:
         """The standard bilinear pairing sum_i a_i b_i, added as in axpy."""

@@ -30,8 +30,8 @@ POINT_SET_MAX = 1 << 8
 def rref(field: Field, rows, width: int):
     """Reduced row echelon form; returns (rows, pivot columns).
 
-    Each row is cleared as row + (-c) * pivot row through Field.axpy, with
-    -c taken once per row, so no entry costs a Field method call."""
+    Each row is cleared as row - c * pivot row through Field.axmy, so no
+    entry costs a Field method call."""
     mat = [list(r) for r in rows]
     pivots = []
     rank = 0
@@ -51,7 +51,7 @@ def rref(field: Field, rows, width: int):
         for i in range(len(mat)):
             c = mat[i][col]
             if i != rank and c != 0:
-                mat[i] = field.axpy(field.neg(c), row, mat[i])
+                mat[i] = field.axmy(c, row, mat[i])
         pivots.append(col)
         rank += 1
         if rank == len(mat):
@@ -105,12 +105,14 @@ class Subspace:
         return f"Subspace(N={self.ambient_dim}, dim={self.dim}, basis={self.basis})"
 
     def reduce(self, vec):
-        """Remainder of vec after clearing all pivot coordinates."""
+        """Remainder of vec after clearing all pivot coordinates (zero modulo F^N)."""
+        if len(self.basis) == self.ambient_dim:
+            return (0,) * self.ambient_dim
         f = self.field
         v = vec
         for row, p in zip(self.basis, self.pivots):
             if v[p]:
-                v = f.axpy(f.neg(v[p]), row, v)
+                v = f.axmy(v[p], row, v)
         return tuple(v)
 
     def contains_vector(self, vec) -> bool:

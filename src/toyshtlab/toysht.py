@@ -280,30 +280,51 @@ def _in_line(field: Field, v, l) -> bool:
     return all(x and (log[x] - log[y] - lc) % n1 == 0 if y else not x for x, y in zip(v, l))
 
 
-def dichotomy_check(point: ToyPoint, centers):
-    """For each rational W of centers, in order, the pair (sub_fixed,
-    quot_fixed): whether L cap W and im(L -> V/W) are Frobenius-fixed.  The
-    dichotomy says at least one of each pair holds; a pair with neither is a
-    violation, which the caller reports.
+# the (sub_fixed, quot_fixed) pairs, indexed by both flags: a level's lists share them
+_PAIRS = ((False, False), (False, True)), ((True, False), (True, True))
+
+
+def dichotomy_check(points, centers):
+    """For each toy point, in order, the list of pairs (sub_fixed,
+    quot_fixed) for the rational W of centers, in order: whether L cap W and
+    im(L -> V/W) are Frobenius-fixed.  The dichotomy says at least one of
+    each pair holds; a pair with neither is a violation, which the caller
+    reports.  The centers are checked, and their point sets read, once.
 
     As W is rational, L cap W is fixed iff it lies in M = L cap sigma L; and
     the image is fixed iff L + W is rational, iff rank(S + W) = rank(L + W)
     for S = L + sigma L.  On point sets (ToyPoint.flag_points) both are bit
     tests on W's point set: W & (L & ~M) == 0, and |S cap W| * |L| =
-    |L cap W| * |S|.  Elsewhere dichotomy_by_rank decides each center.
+    |L cap W| * |S|.  Elsewhere as in dichotomy_by_rank, with M + W taken
+    once per value of (M, W): sums maps each M to its M + W over the centers.
     """
-    masks = point.flag_points
-    if masks is None:
-        return [dichotomy_by_rank(point, W) for W in centers]
-    N = point.L.ambient_dim
-    if any(W.ambient_dim != N for W in centers):
-        raise DimensionMismatchError("ambient dimensions differ")
+    dims = {W.ambient_dim for W in centers}
     if not all(map(Subspace.is_rational, centers)):
         raise ValueError("W must be F_q-rational")
-    L, M, S = masks
-    outside, ratio = L & ~M, S.bit_count() // L.bit_count()
-    return [(not W & outside, (S & W).bit_count() == (L & W).bit_count() * ratio)
-            for W in map(Subspace.points, centers)]
+    center_points = [W.points() for W in centers]
+    sums, out = {}, []
+    for point in points:
+        if dims - {point.L.ambient_dim}:
+            raise DimensionMismatchError("ambient dimensions differ")
+        masks = point.flag_points
+        if masks is not None:
+            L, M, S = masks
+            outside, ratio = L & ~M, S.bit_count() // L.bit_count()
+            out.append([_PAIRS[not W & outside][(S & W).bit_count() == (L & W).bit_count() * ratio]
+                        for W in center_points])
+        elif (steps := point.flag_steps) is None:
+            out.append([(True, True)] * len(centers))
+        else:
+            if (M := point.flag[0]) not in sums:
+                sums[M] = [span_sum(M, W) for W in centers]
+            out.append([_fixed_modulo(MW, *steps) for MW in sums[M]])
+    return out
+
+
+def _fixed_modulo(MW, l, s):
+    """One pair from the remainders of the flag steps l, s modulo M + W."""
+    l = MW.reduce(l)
+    return _PAIRS[any(l)][_in_line(MW.field, MW.reduce(s), l)]
 
 
 def dichotomy_by_rank(point: ToyPoint, W: Subspace):
@@ -321,9 +342,7 @@ def dichotomy_by_rank(point: ToyPoint, W: Subspace):
     steps = point.flag_steps
     if steps is None:
         return True, True
-    MW = span_sum(point.flag[0], W)
-    l, s = (MW.reduce(v) for v in steps)
-    return any(l), _in_line(W.field, s, l)
+    return _fixed_modulo(span_sum(point.flag[0], W), *steps)
 
 
 def horospherical_membership(point: ToyPoint):

@@ -1,10 +1,13 @@
 """Reference constructions that only the tests use: field element digits and
 powers from the field's public arithmetic, the zero and full subspaces, the
 image of a subspace under a quotient map, the line/hyperplane incidence
-paired out entry by entry, and a library function recompiled with one edit."""
+paired out entry by entry, a library function recompiled with one edit, and
+a call counter on a library function or method."""
 
 import inspect
+import sys
 
+import toyshtlab
 from toyshtlab.linalg import Subspace, echelonize, rational_subspaces
 
 
@@ -65,3 +68,23 @@ def edited(module, name: str, old: str, new: str):
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     return namespace[name]
+
+
+def count_calls(monkeypatch, original) -> list:
+    """Count calls of a library function under every name a toyshtlab module
+    binds it to, or of a method on its class: the returned list gets the
+    arguments of each call (for a method, self first)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    owner, _, name = original.__qualname__.rpartition(".")
+    if owner:
+        monkeypatch.setattr(getattr(sys.modules[original.__module__], owner), name, counted)
+        return calls
+    for module in vars(toyshtlab).values():
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls

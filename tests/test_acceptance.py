@@ -49,9 +49,11 @@ def test_criterion_01_chart_equivalence():
         F = field(2, 1, m)
         for N in (2, 3, 4):
             for n in range(1, N):
-                for W in rational_subspaces(F, N, N - n):
-                    chart = charts.canonical_chart(F, W)
-                    rep = charts.chart_equivalence_check(F, N, n, chart)
+                centers = rational_subspaces(F, N, N - n)
+                reports = charts.chart_equivalence_check(
+                    F, N, n, [charts.canonical_chart(F, W) for W in centers])
+                assert len(reports) == len(centers)
+                for W, rep in zip(centers, reports):
                     assert rep["counterexamples"] == [], (N, n, m, W.basis)
                     assert rep["checked"] == F.order ** (n * (N - n))
 
@@ -79,8 +81,7 @@ def test_criterion_03_dichotomy():
     violations = 0
     scanned = 0
     for n in (1, 2):
-        for pt in toysht.enumerate_toysht(F, 3, n):
-            flags = toysht.dichotomy_check(pt, subs)
+        for flags in toysht.dichotomy_check(list(toysht.enumerate_toysht(F, 3, n)), subs):
             violations += sum(not any(pair) for pair in flags)
             scanned += len(flags)
     assert violations == 0 and scanned == 21 * 16 * 2

@@ -101,7 +101,7 @@ def test_chart_equivalence_cone_agrees_with_rank_le1(n):
         matrices = list(product(product(F4.elements(), repeat=(3 - n) * (n > 0)), repeat=n))
         for A in matrices:
             assert (artin_schreier(F4, A) in cone) == rank_le1(F4, artin_schreier(F4, A))
-        rep = chart_equivalence_check(F4, 3, n, chart)
+        (rep,) = chart_equivalence_check(F4, 3, n, [chart])
         assert rep["checked"] == len(matrices)
         assert rep["counterexamples"] == [
             A for A in matrices
@@ -182,8 +182,10 @@ def test_chart_and_coordinates_make_one_elimination_each(monkeypatch):
 
 @pytest.mark.parametrize("N,n", [(2, 1), (3, 1), (3, 2)])
 def test_chart_equivalence_small(N, n):
-    for W in rational_subspaces(F4, N, N - n):
-        rep = chart_equivalence_check(F4, N, n, canonical_chart(F4, W))
+    centers = rational_subspaces(F4, N, N - n)
+    reports = chart_equivalence_check(F4, N, n, [canonical_chart(F4, W) for W in centers])
+    assert len(reports) == len(centers)
+    for rep in reports:
         assert rep["counterexamples"] == []
         assert rep["checked"] == 4 ** (n * (N - n))
 
@@ -193,12 +195,12 @@ def test_chart_equivalence_rejects_a_chart_of_another_shape(N, n):
     # a chart of F^3, or one with n = 1, checked as (N, n) = (4, 2)
     chart = canonical_chart(F4, next(iter(rational_subspaces(F4, N, N - n))))
     with pytest.raises(DimensionMismatchError, match=rf"\({N}, {n}\).*\(4, 2\)"):
-        chart_equivalence_check(F4, 4, 2, chart)
+        chart_equivalence_check(F4, 4, 2, [chart])
 
 
 def test_chart_equivalence_m1_all_trivial():
     W = echelonize(F2, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)
-    rep = chart_equivalence_check(F2, 4, 2, canonical_chart(F2, W))
+    (rep,) = chart_equivalence_check(F2, 4, 2, [canonical_chart(F2, W)])
     assert rep["counterexamples"] == [] and rep["checked"] == 16
 
 

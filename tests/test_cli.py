@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -11,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import edited
-import toyshtlab
+from helpers import count_calls, edited
 from toyshtlab import charts, cli, divisors, linalg, tate, toysht
 from toyshtlab.cli import (
     DEFAULT_SUITE,
@@ -26,7 +26,7 @@ from toyshtlab.cli import (
     run_suite,
 )
 from toyshtlab.errors import ConfigParseError, DimensionMismatchError, UnknownCheckError
-from toyshtlab.gf import field_make
+from toyshtlab.gf import Field, field_make
 from toyshtlab.linalg import echelonize
 from toyshtlab.toysht import enumerate_toysht
 
@@ -291,43 +291,55 @@ def test_budget_env_bounds_dichotomy(monkeypatch):
     assert replay_witness(w)
 
 
-def _count_calls(monkeypatch, original) -> list:
-    """Count calls of a library function under every name a toyshtlab module
-    binds it to: the returned list gets the arguments of each call."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in vars(toyshtlab).values():
-        if getattr(module, original.__name__, None) is original:
-            monkeypatch.setattr(module, original.__name__, counted)
-    return calls
-
-
 def test_dichotomy_makes_one_elimination_per_pair(monkeypatch):
     # the rank path, which odd characteristic runs (F_9, N = 3); point sets
     # (p = 2) make none, see the next test
-    calls = _count_calls(monkeypatch, linalg.rref)
+    calls = count_calls(monkeypatch, linalg.rref)
     r = run(CheckSpec("dichotomy", {"p": 3, "e": 1, "m": 2, "N": 3}))
     assert r.verdict == "pass"
     eliminations = len(calls)
     points = sum(1 for n in (1, 2) for _ in enumerate_toysht(F9, 3, n))
     assert r.counters["pairs"] == 28 * points == 5096
     # one rref per toy plane (the predicate; lines need none), one per flag
-    # of the 156 nontrivial points (a trivial point reads no flag), and
-    # M + W only for the 78 nontrivial planes against the 26 rational W of
-    # dimension 1 or 2: a nontrivial line has M = 0, and W = 0 or F^3 is a
-    # summand span_sum returns as it is.  One elimination per (nontrivial
-    # point, W) pair would be 156 * 28 = 4,368.
-    assert eliminations == 91 + 156 + 78 * 26 == 2275 < 156 * 28
+    # of the 156 nontrivial points (a trivial point reads no flag), and one
+    # M + W per value of (M, W) in a level's call: M = L cap sigma L of a
+    # nontrivial plane is one of the 13 rational lines, against the 26
+    # rational W of dimension 1 or 2, while a nontrivial line has M = 0,
+    # and W = 0 or F^3 is a summand span_sum returns as it is.  One
+    # elimination per (nontrivial plane, W) pair would be 78 * 26 = 2,028.
+    assert eliminations == 91 + 156 + 13 * 26 == 585 < 91 + 156 + 78 * 26
+
+
+def test_odd_p_rank_path_makes_no_negation_and_checks_each_center_once(monkeypatch):
+    # rref and Subspace.reduce clear rows through Field.axmy, so an odd-p
+    # elimination, reduction and dichotomy sweep make no Field.neg call; the
+    # sweep makes one dichotomy_check call per level, N - 1 = 2, and each
+    # checks each center for rationality once
+    negs = count_calls(monkeypatch, Field.neg)
+    rationals = count_calls(monkeypatch, linalg.Subspace.is_rational)
+    checks = count_calls(monkeypatch, toysht.dichotomy_check)
+    F27 = field_make(3, 1, 3)
+    rng = random.Random(33)
+    mat = [tuple(rng.randrange(F27.order) for _ in range(6)) for _ in range(4)]
+    S = echelonize(F27, mat[:3], 6)
+    assert S.dim == 3 and not S.contains_vector(mat[3])
+    for F, p in ((F9, 3), (F4, 2)):
+        rationals.clear()
+        checks.clear()
+        subs = [W for d in range(4) for W in linalg.rational_subspaces(F, 3, d)]
+        r = run(CheckSpec("dichotomy", {"p": p, "e": 1, "m": 2, "N": 3}))
+        assert r.verdict == "pass" and len(checks) == 2
+        ids = {id(W) for W in subs}
+        assert Counter(id(W) for W, in rationals if id(W) in ids) == dict.fromkeys(ids, 2)
+    assert negs == []
+    F9.neg(1)  # the counter is live
+    assert len(negs) == 1
 
 
 def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
     # on point sets (F_4, N = 3) the dichotomy makes no elimination at all,
     # and chart_equivalence only the one of each Chart, none per matrix
-    calls = _count_calls(monkeypatch, linalg.rref)
+    calls = count_calls(monkeypatch, linalg.rref)
     r = run(CheckSpec("dichotomy", {**F4P, "N": 3}))
     assert r.verdict == "pass" and r.counters["pairs"] == 672 and calls == []
     for n in (1, 2):
@@ -340,8 +352,8 @@ def test_point_set_checks_make_no_elimination_per_pair(monkeypatch):
 def test_transversality_sweep_makes_one_elimination_per_cone_matrix(monkeypatch):
     # F_3, 3 x 3: 339 cone matrices, one Jacobian elimination per nonzero
     # one (not one per zero entry) and no rank computed
-    rrefs = _count_calls(monkeypatch, linalg.rref)
-    ranks = _count_calls(monkeypatch, charts.rank_le1)
+    rrefs = count_calls(monkeypatch, linalg.rref)
+    ranks = count_calls(monkeypatch, charts.rank_le1)
     r = run(CheckSpec("transversality_locus", {"p": 3, "e": 1, "s": 3, "t": 3}))
     assert r.verdict == "pass" and r.counters["matrices"] == 339
     assert len(rrefs) <= 338 and ranks == []
@@ -350,7 +362,7 @@ def test_transversality_sweep_makes_one_elimination_per_cone_matrix(monkeypatch)
 def test_flag_checks_enumerate_each_flag_level_once(monkeypatch):
     # the default suite's two flag checks, at two seeds, twice: every flag
     # level is streamed once, into the flag index, and read from it after
-    calls = _count_calls(monkeypatch, toysht.enumerate_flags)
+    calls = count_calls(monkeypatch, toysht.enumerate_flags)
     specs = [CheckSpec(s.name, dict(s.params), seed) for s in cli.DEFAULT_SUITE
              if s.name in ("partial_frobenius_composition", "pullback_multiplicity")
              for seed in (0, 1)]
@@ -366,9 +378,21 @@ def test_flag_checks_enumerate_each_flag_level_once(monkeypatch):
 
 
 def test_chart_sweep_reads_ranks_off_the_cone(monkeypatch):
-    ranks = _count_calls(monkeypatch, charts.rank_le1)
+    ranks = count_calls(monkeypatch, charts.rank_le1)
     r = run(CheckSpec("chart_equivalence", {**F4P, "N": 3, "n": 1}))
     assert r.verdict == "pass" and r.counters["matrices"] == 7 * 16 and ranks == []
+
+
+def test_chart_sweep_checks_each_matrix_against_the_cone_once(monkeypatch):
+    # F_4, N = 4, n = 2: 35 charts of the same 256 matrices, whose images
+    # are taken once per row value (16) and looked up in the cone once per
+    # run, not once per chart (35 * 16 = 560 images)
+    images = count_calls(monkeypatch, charts.artin_schreier)
+    cones = count_calls(monkeypatch, charts.rank_le1_locus)
+    r = run(CheckSpec("chart_equivalence", {**F4P, "N": 4, "n": 2}))
+    assert r.verdict == "pass" and r.counters["charts"] == 35
+    assert r.counters["matrices"] == 35 * 256
+    assert len(images) == 16 and len(cones) == 1
 
 
 @pytest.mark.parametrize("field,N,n", [(F4, 3, 1), (F9, 4, 2)], ids=["F4-3-1", "F9-4-2"])
@@ -376,8 +400,8 @@ def test_trivial_locus_count_tests_frobenius_before_the_toy_predicate(monkeypatc
     # every subspace is tested for Frobenius-fixedness, the toy predicate
     # runs on the gauss_binomial(N, n, q) rational ones only, and no toy
     # locus is enumerated or indexed
-    streams = _count_calls(monkeypatch, toysht.enumerate_toysht)
-    predicates = _count_calls(monkeypatch, toysht.is_toy_shtuka)
+    streams = count_calls(monkeypatch, toysht.enumerate_toysht)
+    predicates = count_calls(monkeypatch, toysht.is_toy_shtuka)
     spec = {"p": field.p, "e": field.e, "m": field.m, "N": N, "n": n}
     r = run(CheckSpec("trivial_locus_count", spec))
     rational = linalg.gauss_binomial(N, n, field.q)
@@ -1069,7 +1093,8 @@ CASES = {
         CheckSpec("dichotomy", {**F4P, "N": 2}),
         # every pair violates, in the kernel the check reads and in the
         # per-pair oracle its replay calls
-        [(toysht, "dichotomy_check", lambda pt, centers: [(False, False)] * len(centers)),
+        [(toysht, "dichotomy_check",
+          lambda points, centers: [[(False, False)] * len(centers) for _ in points]),
          (toysht, "dichotomy_by_rank", lambda pt, W: (False, False))], None,
     ),
     "composition": (

@@ -292,6 +292,7 @@ def test_axpy_and_dot_match_add_mul_exhaustive(p, e, m):
     for c in range(1, F.order):
         # every entry x + c*y in one call
         assert F.axpy(c, row, v) == [F.add(x, F.mul(c, y)) for x, y in pairs], c
+        assert F.axmy(c, row, v) == [F.sub(x, F.mul(c, y)) for x, y in pairs], c
         # every accumulation step s + x*y of a pairing
         assert [F.dot((1, x), (c, y)) for x, y in pairs] == [
             F.add(c, F.mul(x, y)) for x, y in pairs], c
@@ -314,6 +315,23 @@ def test_axpy_and_dot_are_folds_of_add_and_mul_on_f2187(data):
     for x, y in zip(a, b):
         acc = F2187.add(acc, F2187.mul(x, y))
     assert F2187.dot(a, b) == acc
+
+
+AXMY_FIELDS = [field_make(2, 1, 1), field_make(2, 1, 2), field_make(3, 1, 2), F2187]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_axmy_is_a_fold_of_sub_and_mul(data):
+    # F_2, F_4, F_9 and F_2187: v - c * row entry by entry, with -c read on
+    # the log table for odd p and equal to c for p = 2
+    F = data.draw(st.sampled_from(AXMY_FIELDS))
+    elem = st.integers(0, F.order - 1)
+    width = data.draw(st.integers(0, 8))
+    row, v = (data.draw(st.lists(elem, min_size=width, max_size=width)) for _ in range(2))
+    c = data.draw(st.integers(1, F.order - 1))
+    assert F.axmy(c, row, v) == [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+    assert F.axmy(c, row, F.axpy(c, row, v)) == v
 
 
 def test_randbelow_is_randrange_with_the_same_generator_state():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import edited
-from toyshtlab import charts, cli, linalg
+from toyshtlab import charts, cli, linalg, toysht
 from toyshtlab.charts import _toy_matrices, canonical_chart, chart_equivalence_check
 from toyshtlab.gf import Field, field_make
 from toyshtlab.linalg import (
@@ -25,7 +25,6 @@ from toyshtlab.linalg import (
 from toyshtlab.toysht import (
     ToyPoint,
     dichotomy_by_rank,
-    dichotomy_check,
     enumerate_toysht,
     is_toy_shtuka,
     is_toy_shtuka_by_rank,
@@ -69,17 +68,27 @@ def test_kernel_matches_ranks_on_every_pair():
     (F2, 4, 4355), (F4, 3, 672), (F4, 4, 27805), (F9, 3, 5096),
 ], ids=["F2^4", "F4^3", "F4^4", "F9^3"])
 def test_dichotomy_matches_ranks_exhaustive(F, N, pairs):
-    # the per-point flags, on point sets or (F_9) by rank, against the
-    # per-pair oracle on a fresh point, for every (point, center) pair
+    # the flags of each level's one call, on point sets or (F_9) by rank,
+    # against the per-pair oracle on a fresh point, for every (point,
+    # center) pair
     subs = all_rational(F, N)
     count = 0
     for n in range(1, N):
-        for pt in enumerate_toysht(F, N, n):
-            flags = dichotomy_check(pt, subs)
+        points = list(enumerate_toysht(F, N, n))
+        for pt, flags in zip(points, toysht.dichotomy_check(points, subs), strict=True):
             assert flags == [dichotomy_by_rank(ToyPoint(pt.L), W) for W in subs]
             assert all(map(any, flags))
             count += len(flags)
     assert count == pairs
+
+
+def test_a_memo_keyed_by_the_center_alone_fails_the_exhaustive_dichotomy(monkeypatch):
+    # negative control: M + W kept per W alone serves the sums of the first
+    # M met to the points of every other M of a level
+    monkeypatch.setattr(toysht, "dichotomy_check", edited(
+        toysht, "dichotomy_check", "for MW in sums[M]", "for MW in next(iter(sums.values()))"))
+    with pytest.raises(AssertionError):
+        test_dichotomy_matches_ranks_exhaustive(F9, 3, 5096)
 
 
 def test_chart_predicate_matches_ranks_exhaustive():
@@ -117,8 +126,8 @@ def test_chart_predicate_without_point_sets_matches_ranks():
         checked += 1
     assert checked == 6561
     assert toy == by_graph and len(toy) == 2673
-    rep = chart_equivalence_check(F9, N, n, chart)
-    assert rep == {"checked": 6561, "counterexamples": []}
+    assert chart_equivalence_check(F9, N, n, [chart]) == [
+        {"checked": 6561, "counterexamples": []}]
 
 
 def test_a_coset_kernel_reading_the_next_coset_fails_the_chart_check(monkeypatch):

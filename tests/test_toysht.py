@@ -277,7 +277,8 @@ def test_duality_toy_iff_perp_toy():
 
 def test_dichotomy_trivial_cases():
     pt = nontrivial(F4, 3, 2)[0]
-    (sub_fixed, _), (_, quot_fixed) = dichotomy_check(pt, [zero_subspace(F4, 3), full_space(F4, 3)])
+    [((sub_fixed, _), (_, quot_fixed))] = dichotomy_check(
+        [pt], [zero_subspace(F4, 3), full_space(F4, 3)])
     assert sub_fixed and quot_fixed
 
 
@@ -287,8 +288,8 @@ def test_dichotomy_exhaustive_n3():
         subs.extend(rational_subspaces(F4, 3, d))
     checked = 0
     for n in (1, 2):
-        for pt in enumerate_toysht(F4, 3, n):
-            flags = dichotomy_check(pt, subs)
+        points = list(enumerate_toysht(F4, 3, n))
+        for pt, flags in zip(points, dichotomy_check(points, subs), strict=True):
             assert all(map(any, flags)), pt.L
             checked += len(flags)
     assert checked == 21 * 16 * 2
@@ -346,9 +347,9 @@ def test_rank_form_dichotomy_exhaustive_n3(field):
         W for d in range(4) for W in rational_subspaces(field, 3, d)
     ]
     for n in range(4):
-        for pt in enumerate_toysht(field, 3, n):
-            assert dichotomy_check(pt, rational) == [
-                dichotomy_by_subspaces(pt, W) for W in rational], pt.L
+        points = list(enumerate_toysht(field, 3, n))
+        for pt, flags in zip(points, dichotomy_check(points, rational), strict=True):
+            assert flags == [dichotomy_by_subspaces(pt, W) for W in rational], pt.L
 
 
 def test_flag_is_cached_and_rejects_non_toy_points():
@@ -362,7 +363,7 @@ def test_flag_is_cached_and_rejects_non_toy_points():
     with pytest.raises(NotAToyShtukaError):
         split_nontrivial(ToyPoint(bad))
     with pytest.raises(NotAToyShtukaError):
-        dichotomy_check(ToyPoint(bad), [zero_subspace(F4, 4)])
+        dichotomy_check([ToyPoint(bad)], [zero_subspace(F4, 4)])
 
 
 def test_flag_is_one_elimination(monkeypatch):
@@ -402,7 +403,7 @@ def test_rank_forms_on_random_bases(pair):
     assert toy == toy_by_intersection(L)
     if toy:
         pt = ToyPoint(L)
-        assert dichotomy_check(pt, [W]) == [dichotomy_by_subspaces(pt, W)]
+        assert dichotomy_check([pt], [W]) == [[dichotomy_by_subspaces(pt, W)]]
 
 
 def test_in_line_matches_the_multiplication_reference():
