@@ -272,14 +272,16 @@ def transversal_entries(field: Field, s: int, t: int, A) -> set:
     """
     if not any(map(any, A)):
         return set()
+    # -A, entry by entry through Field.axmy, with no Field.neg call
+    minus = [field.axmy(1, row, [0] * t) for row in A]
     jac_rows = []
     for i1, i2 in combinations(range(s), 2):
         for j1, j2 in combinations(range(t), 2):
             g = [0] * (s * t)
             g[i1 * t + j1] = A[i2][j2]
             g[i2 * t + j2] = A[i1][j1]
-            g[i1 * t + j2] = field.neg(A[i2][j1])
-            g[i2 * t + j1] = field.neg(A[i1][j2])
+            g[i1 * t + j2] = minus[i2][j1]
+            g[i2 * t + j1] = minus[i1][j2]
             jac_rows.append(tuple(g))
     jac = echelonize(field, jac_rows, s * t)
     return {(a, b) for a in range(s) for b in range(t) if A[a][b] == 0

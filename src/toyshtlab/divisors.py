@@ -23,14 +23,16 @@ from typing import NamedTuple
 from .charts import SchubertCenters, jtype_flag_pullback_probe, schubert_multiplicity_probe
 from .errors import DimensionMismatchError, SumNotZeroError
 from .gf import DEFAULT_BUDGET, Field, randbelow
-from .linalg import Subspace, intersection_dim, perp, rational_subspaces
-from .toysht import (
-    FlagPoint,
-    flags,
-    horospherical_membership,
-    partial_frobenius_plus,
-    toy_points,
+from .linalg import (
+    Subspace,
+    intersection_dim,
+    perp,
+    positions,
+    rational_over,
+    rational_subspaces,
+    rational_under,
 )
+from .toysht import FlagPoint, flags, partial_frobenius_plus
 
 # multiplicity probes drawn per Schubert component and per pullback marker
 PROBE_REPEATS = 5
@@ -412,88 +414,74 @@ def schubert_deficit(L: Subspace, W: Subspace) -> int:
     return intersection_dim(L, W)
 
 
-def toy_locus(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGET) -> list:
-    """The nontrivial toy points of dimension n in enumeration order, read
-    from toy_points, each as (point, rational hyperplanes containing L,
-    rational lines inside L)."""
-    return [
-        (pt, *horospherical_membership(pt))
-        for pt in toy_points(field, N, n, budget)
-        if not pt.L.is_rational()
-    ]
-
-
 def schubert_decomposition_check(
-    field: Field, N: int, n: int, W: Subspace, locus: list, rng
+    field: Field, N: int, n: int, W: Subspace, points: list, rng
 ) -> dict:
     """Set-level equality of the Schubert locus with the union of
     horospherical pieces for W, the codimension-two bound on the deeper
     degeneracy locus, and sampled multiplicity-one probes.
 
-    locus is toy_locus(field, N, n); a sweep of several centers passes one
-    locus to every call.
+    points are the nontrivial toy points of dimension n, as subspaces in
+    toy_points order; a sweep of several centers passes one list to every
+    call.  L lies on a piece of W iff a rational hyperplane holds both or a
+    rational line lies in both, and on a deeper piece iff the same holds of
+    a rational (N - 2)-space or plane, each read off the cached queries
+    rational_over and rational_under.
     """
-    hyperplanes = [H for H in rational_subspaces(field, N, N - 1) if H.contains(W)]
-    lines = [J for J in rational_subspaces(field, N, 1) if W.contains(J)]
-    hyper_set, line_set = set(hyperplanes), set(lines)
+    hyperplanes, lines = rational_over(W, N - 1), rational_under(W, 1)
     report = {
-        "points": 0,
+        "points": len(points),
         "counterexamples": [],
         "codim2_failures": [],
         "probes": {},
-        "vacuous": True,
+        "vacuous": not points,
     }
-    for pt, H_set, J_set in locus:
-        report["vacuous"] = False
-        report["points"] += 1
-        deficit = schubert_deficit(pt.L, W)
-        horo = not hyper_set.isdisjoint(H_set) or not line_set.isdisjoint(J_set)
-        if (deficit > 0) != horo:
-            report["counterexamples"].append(pt.L.basis)
-        if deficit >= 2:
-            deep = any(
-                W.contains(P) and pt.L.contains(P) for P in rational_subspaces(field, N, 2)
-            ) or any(
-                H.contains(W) and H.contains(pt.L) for H in rational_subspaces(field, N, N - 2)
-            )
-            if not deep:
-                report["codim2_failures"].append(pt.L.basis)
-    if not report["vacuous"]:
-        report["probes"] = _sampled_multiplicity_probes(
-            field, N, n, W, hyperplanes, lines, rng, locus
-        )
+    for L in points:
+        deficit = schubert_deficit(L, W)
+        horo = hyperplanes & rational_over(L, N - 1) or lines & rational_under(L, 1)
+        if (deficit > 0) != bool(horo):
+            report["counterexamples"].append(L.basis)
+        if deficit >= 2 and not (rational_under(W, 2) & rational_under(L, 2)
+                                 or rational_over(W, N - 2) & rational_over(L, N - 2)):
+            report["codim2_failures"].append(L.basis)
+    if points:
+        report["probes"] = _sampled_multiplicity_probes(field, N, n, W, rng, points)
     return report
 
 
-def _component_points(components, locus) -> dict:
-    """For each component, the points of the locus on it and on no other
-    component, in locus order."""
-    out = {c: [] for c in components}
-    for pt, H_set, J_set in locus:
-        on = [c for c in components if c[1] in (H_set if c[0] == "H" else J_set)]
-        if len(on) == 1:
-            out[on[0]].append(pt.L)
+def _component_points(field: Field, N: int, n: int, W: Subspace, points) -> dict:
+    """The components of the Schubert divisor of W, each mapped to the
+    points on it and on no other component, in order: ("H", H) for the
+    rational hyperplanes H through W where n < N - 1, then ("J", J) for the
+    rational lines J inside W where n > 1, in rational_subspaces order.
+
+    The lines' bits sit past the hyperplanes' in one mask, so a point is
+    clean on a component iff it shares exactly one bit with W's mask."""
+    H, J = rational_subspaces(field, N, N - 1), rational_subspaces(field, N, 1)
+    mask = (rational_over(W, N - 1) if n < N - 1 else 0) | (
+        rational_under(W, 1) << len(H) if n > 1 else 0)
+    keys = {k: ("H", H[k]) if k < len(H) else ("J", J[k - len(H)]) for k in positions(mask)}
+    out = {c: [] for c in keys.values()}
+    for L in points:
+        on = mask & (rational_over(L, N - 1) | rational_under(L, 1) << len(H))
+        if on.bit_count() == 1:
+            out[keys[on.bit_length() - 1]].append(L)
     return out
 
 
-def _sampled_multiplicity_probes(field, N, n, W, hyperplanes, lines, rng, locus):
+def _sampled_multiplicity_probes(field, N, n, W, rng, points):
     """Probe every component of the Schubert divisor that carries points
     clean of the other components, all through one SchubertCenters of W."""
-    components = [("H", H) for H in hyperplanes if n < N - 1]
-    components += [("J", J) for J in lines if n > 1]
-    clean = _component_points(components, locus)
     centers = SchubertCenters(field, N, n, W)
     out = {}
-    for component in components:
-        kind, sub = component
-        pts = clean[component]
+    for component, pts in _component_points(field, N, n, W, points).items():
         if not pts:
             continue
         orders = []
         for _ in range(PROBE_REPEATS):
             L0 = pts[randbelow(rng, len(pts))]
             orders.append(schubert_multiplicity_probe(centers, L0, component, rng))
-        out[(kind, sub.basis)] = orders
+        out[(component[0], component[1].basis)] = orders
     return out
 
 
@@ -517,21 +505,19 @@ def _pullback_components(flags, markers, divisor_type: str):
     on_component, in flag-then-marker order; and per marker the flags on
     its component, in flag order.
 
-    The markers a subspace lies in ("H") or under ("J") are found once per
-    subspace value, so a flag is on the components on(small) & on(big).
+    markers are the rational subspaces of one dimension, in
+    rational_subspaces order, so the markers a subspace lies in ("H") or
+    under ("J") are the cached query rational_over or rational_under, and a
+    flag is on the components of both its small and its big space.
     """
-    @cache
-    def on(X: Subspace) -> frozenset:
-        return frozenset(k for k, mk in enumerate(markers)
-                         if (mk.contains(X) if divisor_type == "H" else X.contains(mk)))
-
+    query, d = rational_over if divisor_type == "H" else rational_under, markers[0].dim
     failures, comps = [], [[] for _ in markers]
     for f in flags:
         image = partial_frobenius_plus(f)
-        here = on(f.small) & on(f.big)
-        for k in sorted(here ^ (on(image.small) & on(image.big))):
+        here = query(f.small, d) & query(f.big, d)
+        for k in positions(here ^ (query(image.small, d) & query(image.big, d))):
             failures.append((f.small.basis, f.big.basis, markers[k].basis))
-        for k in here:
+        for k in positions(here):
             comps[k].append(f)
     return failures, comps
 

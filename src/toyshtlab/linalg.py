@@ -1,7 +1,8 @@
 """Subspace lattice operations over F_{q^m}: canonical echelon forms, linear
 combinations, greedy span completions, sums and intersections (both from one
 elimination), ranks of sums, annihilators, quotient coordinates, Grassmannian
-enumeration, the shared index of rational subspaces, and point sets.
+enumeration, the shared index of rational subspaces with its cached
+incidence queries (rational_over, rational_under), and point sets.
 
 Subspaces are immutable and identified with their field and reduced
 row-echelon basis, which is unique, so equality of subspaces is equality of
@@ -379,3 +380,24 @@ def rational_subspaces(field: Field, N: int, n: int, budget: int = DEFAULT_BUDGE
 @cache
 def _rational_subspaces(field: Field, N: int, n: int):
     return tuple(_echelon_bases(field, N, n, field.subfield))
+
+
+@cache
+def rational_over(X: Subspace, d: int) -> int:
+    """The rational d-spaces that contain X, as an int with bit k set for
+    position k of rational_subspaces(X.field, N, d): one entry per value of
+    (X, d), so equal subspaces built separately share it."""
+    subs = rational_subspaces(X.field, X.ambient_dim, d)
+    return sum(1 << k for k, S in enumerate(subs) if S.contains(X))
+
+
+@cache
+def rational_under(X: Subspace, d: int) -> int:
+    """As rational_over, for the rational d-spaces inside X."""
+    subs = rational_subspaces(X.field, X.ambient_dim, d)
+    return sum(1 << k for k, S in enumerate(subs) if X.contains(S))
+
+
+def positions(mask: int) -> list:
+    """The positions of the set bits of mask, in increasing order."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]

@@ -2,8 +2,7 @@
 toy locus indexed once per field value (toy_points), the trivial/nontrivial
 dichotomy (is_trivial reads the basis, with no elimination, so a sweep of the
 trivial locus tests it before is_toy_shtuka), left/right flags, indexed
-once per field value and kind too (flags), partial Frobeniuses, and
-membership in horospherical loci.
+once per field value and kind too (flags), and partial Frobeniuses.
 
 A point is a subspace L of F_{q^m}^N whose intersection with its coordinate
 Frobenius twist sigma(L) has codimension at most one in L.  Nontrivial points
@@ -37,7 +36,6 @@ from .linalg import (
     gauss_binomial,
     intersection_dim,
     packing,
-    rational_subspaces,
     span_sum,
     sum_and_intersection,
     sum_rank,
@@ -343,12 +341,3 @@ def dichotomy_by_rank(point: ToyPoint, W: Subspace):
     if steps is None:
         return True, True
     return _fixed_modulo(span_sum(point.flag[0], W), *steps)
-
-
-def horospherical_membership(point: ToyPoint):
-    """Rational hyperplanes containing L and rational lines contained in L."""
-    L = point.L
-    f, N = L.field, L.ambient_dim
-    H_set = set(H for H in rational_subspaces(f, N, N - 1) if H.contains(L))
-    J_set = set(J for J in rational_subspaces(f, N, 1) if L.contains(J))
-    return H_set, J_set

@@ -1,6 +1,6 @@
 """Reference constructions that only the tests use: field element digits and
 powers from the field's public arithmetic, the zero and full subspaces, the
-image of a subspace under a quotient map, the line/hyperplane incidence
+image of a subspace under a quotient map, the nontrivial toy subspaces, the line/hyperplane incidence
 paired out entry by entry, a library function recompiled with one edit, and
 a call counter on a library function or method."""
 
@@ -9,6 +9,7 @@ import sys
 
 import toyshtlab
 from toyshtlab.linalg import Subspace, echelonize, rational_subspaces
+from toyshtlab.toysht import toy_points
 
 
 def coeffs(F, x):
@@ -38,6 +39,12 @@ def zero_subspace(F, N):
 def full_space(F, N):
     rows = tuple(tuple(1 if i == j else 0 for j in range(N)) for i in range(N))
     return Subspace(F, N, rows, tuple(range(N)))
+
+
+def nontrivial_subspaces(F, N, n):
+    """The nontrivial toy points of dimension n, as subspaces in toy_points
+    order: the points a Schubert decomposition sweep passes to each center."""
+    return [pt.L for pt in toy_points(F, N, n) if not pt.L.is_rational()]
 
 
 def image_subspace(qm, sub):

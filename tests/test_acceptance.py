@@ -13,6 +13,8 @@ from toyshtlab.cli import CheckSpec, replay_witness, run_suite
 from toyshtlab.gf import field_make
 from toyshtlab.linalg import gauss_binomial, perp, rational_subspaces
 
+from helpers import nontrivial_subspaces
+
 FIELDS = {}
 
 
@@ -94,7 +96,7 @@ def test_criterion_04_schubert_decomposition():
     probe_count = 0
     for N in (3, 4):
         for n in range(1, N):
-            locus = divisors.toy_locus(F, N, n)
+            locus = nontrivial_subspaces(F, N, n)
             for W in rational_subspaces(F, N, N - n):
                 rep = divisors.schubert_decomposition_check(F, N, n, W, locus, rng=rng)
                 assert rep["counterexamples"] == [], (N, n, W.basis)

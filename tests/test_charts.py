@@ -36,7 +36,7 @@ from toyshtlab.errors import (
     NotOnVarietyError,
     TruncationTooShortError,
 )
-from toyshtlab.divisors import _component_points, toy_locus
+from toyshtlab.divisors import _component_points
 from toyshtlab.gf import field_make
 from toyshtlab.linalg import (
     echelonize,
@@ -46,6 +46,8 @@ from toyshtlab.linalg import (
     rational_subspaces,
 )
 from toyshtlab.toysht import enumerate_flags, enumerate_toysht
+
+from helpers import nontrivial_subspaces
 
 F2 = field_make(2, 1, 1)
 F3 = field_make(3, 1, 1)
@@ -540,7 +542,7 @@ def _chart_or_none(find, *args):
 def test_adapted_centers_match_exhaustive_search(field, N, n):
     # every W and every point clean on one of its components; one index per
     # W.  The center lies in no hyperplane component through the point
-    locus = toy_locus(field, N, n)
+    locus = nontrivial_subspaces(field, N, n)
     found = Counter()
     for W in rational_subspaces(field, N, N - n):
         hyperplanes = [H for H in rational_subspaces(field, N, N - 1)
@@ -548,7 +550,8 @@ def test_adapted_centers_match_exhaustive_search(field, N, n):
         components = [("H", H) for H in hyperplanes if n < N - 1]
         components += [("J", J) for J in rational_subspaces(field, N, 1)
                        if n > 1 and W.contains(J)]
-        clean = _component_points(components, locus)
+        clean = _component_points(field, N, n, W, locus)
+        assert list(clean) == components
         points = list(dict.fromkeys(L0 for pts in clean.values() for L0 in pts))
         centers = SchubertCenters(field, N, n, W)
         for L0 in points:
@@ -591,7 +594,8 @@ def test_schubert_probe_base_is_one_coordinates_call_per_point(monkeypatch):
     W = rational_subspaces(F4, N, N - n)[0]
     comps = [("H", H) for H in rational_subspaces(F4, N, N - 1) if H.contains(W)]
     comps += [("J", J) for J in rational_subspaces(F4, N, 1) if W.contains(J)]
-    clean = _component_points(comps, toy_locus(F4, N, n))
+    clean = _component_points(F4, N, n, W, nontrivial_subspaces(F4, N, n))
+    assert list(clean) == comps
     rng = random.Random(3)
     for _ in range(2):
         calls.clear()

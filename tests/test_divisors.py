@@ -6,7 +6,7 @@ from operator import itemgetter
 
 import pytest
 
-from helpers import brute_force_incidence
+from helpers import brute_force_incidence, nontrivial_subspaces
 from toyshtlab import charts, divisors
 from toyshtlab.charts import jtype_flag_pullback_probe
 from toyshtlab.divisors import (
@@ -31,18 +31,12 @@ from toyshtlab.divisors import (
     singer_sums,
     singer_table,
     singer_words,
-    toy_locus,
     zero_sum_draw,
 )
 from toyshtlab.errors import DimensionMismatchError, SumNotZeroError
 from toyshtlab.gf import Field, field_make
 from toyshtlab.linalg import echelonize, gauss_binomial, intersect, perp, rational_subspaces
-from toyshtlab.toysht import (
-    FlagPoint,
-    enumerate_flags,
-    enumerate_toysht,
-    horospherical_membership,
-)
+from toyshtlab.toysht import FlagPoint, enumerate_flags, enumerate_toysht
 
 F2 = field_make(2, 1, 1)
 F3 = field_make(3, 1, 1)
@@ -443,7 +437,7 @@ def test_schubert_decomposition_n3():
     rng = random.Random(19)
     for n, rows in ((1, [(0, 1, 0), (0, 0, 1)]), (2, [(1, 0, 0)])):
         W = echelonize(F4, rows, 3)
-        rep = schubert_decomposition_check(F4, 3, n, W, toy_locus(F4, 3, n), rng=rng)
+        rep = schubert_decomposition_check(F4, 3, n, W, nontrivial_subspaces(F4, 3, n), rng=rng)
         assert rep["counterexamples"] == []
         assert rep["codim2_failures"] == []
         assert not rep["vacuous"]
@@ -455,11 +449,10 @@ def test_schubert_decomposition_n3():
 def test_schubert_decomposition_same_with_shared_locus():
     # the locus read from the shared toy index, one for every center, must
     # not move a single rng draw against one streamed afresh per center
-    locus = toy_locus(F4, 3, 1)
+    locus = nontrivial_subspaces(F4, 3, 1)
     for k, W in enumerate(rational_subspaces(F4, 3, 2)):
         own, shared = random.Random(k), random.Random(k)
-        streamed = [(pt, *horospherical_membership(pt)) for pt in enumerate_toysht(F4, 3, 1)
-                    if not pt.L.is_rational()]
+        streamed = [pt.L for pt in enumerate_toysht(F4, 3, 1) if not pt.L.is_rational()]
         rep = schubert_decomposition_check(F4, 3, 1, W, streamed, rng=own)
         assert rep == schubert_decomposition_check(F4, 3, 1, W, locus, rng=shared)
         assert own.getstate() == shared.getstate()
@@ -468,7 +461,7 @@ def test_schubert_decomposition_same_with_shared_locus():
 
 def test_schubert_decomposition_vacuous_over_prime_field():
     W = echelonize(F2, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)
-    rep = schubert_decomposition_check(F2, 4, 2, W, toy_locus(F2, 4, 2), rng=random.Random(0))
+    rep = schubert_decomposition_check(F2, 4, 2, W, nontrivial_subspaces(F2, 4, 2), rng=random.Random(0))
     assert rep["vacuous"] and rep["points"] == 0
 
 

@@ -17,7 +17,10 @@ from toyshtlab.linalg import (
     gauss_binomial,
     intersect,
     perp,
+    positions,
+    rational_over,
     rational_subspaces,
+    rational_under,
     rref,
     span_sum,
     sum_and_intersection,
@@ -287,6 +290,39 @@ def test_rational_subspaces_shared_per_field_value():
     assert rational_subspaces(F4, 4, 2, budget=35) is a
     with pytest.raises(DimensionMismatchError):
         rational_subspaces(F4, 4, 5)
+
+
+@pytest.mark.parametrize("field,N", [pytest.param(F4, 3, id="F4^3"),
+                                     pytest.param(F4, 4, id="F4^4"),
+                                     pytest.param(F9, 3, id="F9^3"),
+                                     pytest.param(F3, 4, id="F3^4")])
+def test_rational_incidence_matches_containment_loops(field, N):
+    # point sets (F_4) and the rank path (odd p), every subspace X of F^N
+    # (0 and F^N among them) against every d in 0..N.  The oracle reads
+    # containment off the span of the stacked bases, not off contains
+    for n in range(N + 1):
+        for X in enumerate_grassmannian(field, N, n):
+            for d in range(N + 1):
+                subs = rational_subspaces(field, N, d)
+                over, under = rational_over(X, d), rational_under(X, d)
+                assert over < 1 << len(subs) and under < 1 << len(subs)
+                assert positions(over) == [k for k, S in enumerate(subs)
+                                           if span_sum(S, X).dim == S.dim]
+                assert positions(under) == [k for k, S in enumerate(subs)
+                                            if span_sum(S, X).dim == X.dim]
+
+
+def test_rational_incidence_has_one_entry_per_value():
+    # equal subspaces built separately share an entry; the same basis over
+    # F_3 and over F_9 are two values, so two entries
+    rows = [(1, 2, 0), (0, 0, 1)]
+    A, B = echelonize(F3, rows, 3), echelonize(Field(3, 1, 1), [(2, 1, 0), (0, 0, 2)], 3)
+    assert A is not B and A == B
+    for query in (rational_over, rational_under):
+        assert query(A, 1) == query(B, 1)
+        assert query.cache_info().currsize == 1
+        query(echelonize(F9, rows, 3), 1)
+        assert query.cache_info().currsize == 2
 
 
 def test_graph_chart_induced_map_full_rank():

@@ -17,10 +17,12 @@ from toyshtlab.charts import (
     jtype_flag_pullback_probe,
     schubert_multiplicity_probe,
 )
-from toyshtlab.divisors import _component_points, toy_locus
+from toyshtlab.divisors import _component_points
 from toyshtlab.gf import field_make
 from toyshtlab.linalg import echelonize, rational_subspaces
 from toyshtlab.toysht import enumerate_flags
+
+from helpers import nontrivial_subspaces
 
 F4 = field_make(2, 1, 2)
 
@@ -59,7 +61,8 @@ def test_schubert_probe_draws_pinned(kind):
              if H.contains(W)]
     comps += [("J", J) for J in rational_subspaces(F4, N, 1)
               if W.contains(J)]
-    clean = _component_points(comps, toy_locus(F4, N, n))
+    clean = _component_points(F4, N, n, W, nontrivial_subspaces(F4, N, n))
+    assert list(clean) == comps
     comp = next(c for c in comps if c[0] == kind and clean[c])
     for seed, pins in enumerate(SCHUBERT_PINS[kind]):
         rng = random.Random(seed)

@@ -19,7 +19,10 @@ from toyshtlab.linalg import (
     gauss_binomial,
     intersect,
     perp,
+    positions,
+    rational_over,
     rational_subspaces,
+    rational_under,
 )
 from toyshtlab.toysht import (
     FlagPoint,
@@ -29,7 +32,6 @@ from toyshtlab.toysht import (
     enumerate_flags,
     enumerate_toysht,
     flags,
-    horospherical_membership,
     is_toy_shtuka,
     is_trivial,
     partial_frobenius_minus,
@@ -295,30 +297,30 @@ def test_dichotomy_exhaustive_n3():
     assert checked == 21 * 16 * 2
 
 
+def horospherical(L):
+    """Whether L lies in a rational hyperplane or holds a rational line."""
+    N = L.ambient_dim
+    return bool(rational_over(L, N - 1) or rational_under(L, 1))
+
+
 def test_horospherical_membership_extremes():
     V = full_space(F4, 3)
-    H_set, J_set = horospherical_membership(ToyPoint(V))
-    assert not H_set and len(J_set) == 7
+    assert rational_over(V, 2) == 0 and rational_under(V, 1).bit_count() == 7
     J = echelonize(F4, [(1, 0, 0)], 3)
-    H_set, J_set = horospherical_membership(ToyPoint(J))
-    assert J_set == {J}
-    assert len(H_set) == gauss_binomial(2, 1, 2)  # hyperplanes through a line
+    lines = rational_subspaces(F4, 3, 1)
+    assert [lines[k] for k in positions(rational_under(J, 1))] == [J]
+    # hyperplanes through a line
+    assert rational_over(J, 2).bit_count() == gauss_binomial(2, 1, 2)
 
 
 def test_deep_interior_nonempty():
     # over F_4 a rational functional kills every vector of F_4^3, so the
     # deep interior of the n=1 level first shows up over F_8
     F8 = field_make(2, 1, 3)
-    flags = [
-        not any(horospherical_membership(p))
-        for p in nontrivial(F8, 3, 1)
-    ]
+    flags = [not horospherical(p.L) for p in nontrivial(F8, 3, 1)]
     assert any(flags)  # generic points avoid all horospherical loci
     assert not all(flags)
-    assert not any(
-        not any(horospherical_membership(p))
-        for p in nontrivial(F4, 3, 1)
-    )
+    assert not any(not horospherical(p.L) for p in nontrivial(F4, 3, 1))
 
 
 # --- rank forms against the subspace forms they replace ---------------------

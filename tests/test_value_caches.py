@@ -79,7 +79,8 @@ def test_conftest_clears_every_package_cache():
     assert names >= {"toyshtlab.toysht._toy_points", "toyshtlab.toysht._flags",
                      "toyshtlab.charts.canonical_chart", "toyshtlab.linalg.packing",
                      "toyshtlab.charts.jtype_probe_base", "toyshtlab.gf._field",
-                     "toyshtlab.divisors.singer_table"}
+                     "toyshtlab.divisors.singer_table", "toyshtlab.linalg.rational_over",
+                     "toyshtlab.linalg.rational_under"}
     # and the caches of methods, which live on their classes
     assert names >= {"toyshtlab.tate.FiniteTateModel.vectors",
                      "toyshtlab.tate.FiniteTateModel.line_index",
