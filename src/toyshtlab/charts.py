@@ -38,8 +38,6 @@ from .linalg import (
 )
 from .toysht import _toy_points
 
-INFINITE = "INFINITE"
-
 
 # ---------------------------------------------------------------------------
 # truncated power series: coefficient tuples (c_0, ..., c_T) over the field
@@ -302,24 +300,13 @@ def transversality_check(field: Field, s: int, t: int, a: int, b: int, A) -> boo
 # valuation probes
 
 
-def valuation_probe(divisor_eq, probe, defining_eqs=()):
-    """The t-adic order of a local equation along a probe curve.
-
-    divisor_eq maps the probe (a matrix of series) to a series; each
-    defining equation must vanish identically along the probe, which is how
-    membership in the ambient variety is certified to truncation order.
-    Returns the order, or INFINITE when every tracked coefficient vanishes.
-    """
-    for eq in defining_eqs:
-        r = eq(probe)
-        if any(r):
-            raise NotOnVarietyError("probe leaves the variety at order %s" % series_order(r))
-    s = divisor_eq(probe)
-    k = series_order(s)
-    if k is None:
-        return INFINITE
-    if k >= len(s) - 1:
-        raise TruncationTooShortError(f"order reached truncation {len(s) - 1}")
+def valuation_probe(series):
+    """The t-adic order of a series along a probe curve: the index of its
+    first nonzero coefficient, or None when every tracked coefficient
+    vanishes.  An order at the truncation says nothing, so it raises."""
+    k = series_order(series)
+    if k is not None and k >= len(series) - 1:
+        raise TruncationTooShortError(f"order reached truncation {len(series) - 1}")
     return k
 
 
@@ -329,20 +316,23 @@ def default_truncation(field: Field) -> int:
 
 def hensel_lift_probe(field: Field, A_series, B0):
     """The unique curve upstairs through B0 whose Artin-Schreier image is the
-    given downstairs curve.  Requires AS(B0) to equal the curve at t=0.
+    given downstairs curve.
 
     Additivity of x - x^q makes the correction the sum of the iterated
     q-power images of the curve minus its base: coefficient a_j at t^j adds
-    a_j^(q^r) at t^(j q^r) for every r while j q^r stays within t^T.
+    a_j^(q^r) at t^(j q^r) for every r while j q^r stays within t^T.  In
+    B - B^(q) those terms telescope, each q-th power cancelling the next
+    term, so AS(B) is AS(B0) + sum_j a_j t^j: the curve itself through t^T
+    once AS(B0) is its base.  The lift is checked once against the curve:
+    a mismatch at t^0 raises FiberEmptyError (B0 is not over the base), any
+    other NotOnVarietyError.
     """
     T = len(A_series[0][0]) - 1
     add, frob, q = _adder(field), field._frob, field.q
     out = []
-    for a_row, b_row, as_row in zip(A_series, B0, artin_schreier(field, B0)):
+    for a_row, b_row in zip(A_series, B0):
         orow = []
-        for a, b, c in zip(a_row, b_row, as_row):
-            if a[0] != c:
-                raise FiberEmptyError("fiber point does not sit over the curve base")
+        for a, b in zip(a_row, b_row):
             eps = [b] + [0] * T
             for j in range(1, T + 1):
                 x, k = a[j], j
@@ -351,6 +341,12 @@ def hensel_lift_probe(field: Field, A_series, B0):
                     x, k = frob[x], k * q
             orow.append(tuple(eps))
         out.append(orow)
+    pairs = [(x, a) for x_row, a_row in zip(series_matrix_as(field, out), A_series)
+             for x, a in zip(x_row, a_row)]
+    if any(x[0] != a[0] for x, a in pairs):
+        raise FiberEmptyError("fiber point does not sit over the curve base")
+    if any(x != a for x, a in pairs):
+        raise NotOnVarietyError("the lift's Artin-Schreier image leaves the curve")
     return out
 
 
@@ -381,18 +377,6 @@ def rank1_curve(field: Field, rng, A0, T: int):
     u = [random_series(field, rng, T, const=u0[i]) for i in range(rows)]
     v = [random_series(field, rng, T, const=v0[j]) for j in range(cols)]
     return [[series_mul(field, ui, vj) for vj in v] for ui in u]
-
-
-def minor_equations(field: Field, rows: int, cols: int):
-    """Callables sending a series matrix to each of its 2x2 minors."""
-    eqs = []
-    for i1, i2 in combinations(range(rows), 2):
-        for j1, j2 in combinations(range(cols), 2):
-            def eq(M, i1=i1, i2=i2, j1=j1, j2=j2):
-                return series_sub(field, series_mul(field, M[i1][j1], M[i2][j2]),
-                                  series_mul(field, M[i1][j2], M[i2][j1]))
-            eqs.append(eq)
-    return eqs
 
 
 def _retry_probe(attempt, T: int):
@@ -520,9 +504,8 @@ def schubert_multiplicity_probe(centers: SchubertCenters, L0: Subspace, componen
     the probed equation.
     """
     kind, sub = component
-    field, N, n = centers.field, centers.N, centers.n
+    field, n = centers.field, centers.n
     chart, (ai, bj), B0, A0 = schubert_probe_base(centers, L0)
-    width = N - n
 
     if kind == "H":
         if sub not in centers.normals:
@@ -542,21 +525,11 @@ def schubert_multiplicity_probe(centers: SchubertCenters, L0: Subspace, componen
             # d/dt of B(w'_J) is sum_i c_i Adot[i]
             return any(pairing(field, c, col) for col in zip(*Adot))
 
-    minors = minor_equations(field, n, width)
-
-    def on_locus(M):
-        # the first nonzero minor of the Artin-Schreier image, built once
-        AS_M = series_matrix_as(field, M)
-        return next((r for r in (e(AS_M) for e in minors) if any(r)), ())
-
     def attempt(T):
         A_curve = rank1_curve(field, rng, A0, T)
         if not crosses([[s[1] for s in row] for row in A_curve]):
             return None
-        probe = hensel_lift_probe(field, A_curve, B0)
-        order = valuation_probe(lambda M: M[ai][bj], probe,
-                                defining_eqs=[on_locus] if minors else ())
-        return None if order == INFINITE else order
+        return valuation_probe(hensel_lift_probe(field, A_curve, B0)[ai][bj])
 
     return _retry_probe(attempt, default_truncation(field))
 
@@ -632,26 +605,9 @@ def jtype_flag_pullback_probe(field: Field, N: int, n: int, J: Subspace, flag, r
         if pairing(field, c, [a[1] for a in a_curve]) == 0:
             return None
         A_curve = [[series_mul(field, a, h) for h in h_curve] for a in a_curve]
-        probe = hensel_lift_probe(field, A_curve, B0)
-
-        def on_model(M):
-            # rows of B - B^(q) must stay proportional to the moving line
-            AS_M = series_matrix_as(field, M)
-            for row in AS_M:
-                for j in range(width):
-                    if j == jstar:
-                        continue
-                    m = series_sub(field, series_mul(field, row[j], h_curve[jstar]),
-                                   series_mul(field, row[jstar], h_curve[j]))
-                    if any(m):
-                        return m
-            return ()
-
-        eq = component_eq(probe)
-        order = valuation_probe(lambda M: eq, probe, defining_eqs=[on_model])
-        pulled = valuation_probe(lambda M: series_qth_power(field, eq), probe)
-        if order == INFINITE or pulled == INFINITE:
-            return None
-        return order, pulled
+        eq = component_eq(hensel_lift_probe(field, A_curve, B0))
+        order = valuation_probe(eq)
+        pulled = valuation_probe(series_qth_power(field, eq))
+        return None if None in (order, pulled) else (order, pulled)
 
     return _retry_probe(attempt, default_truncation(field))

@@ -46,6 +46,8 @@ class FiniteTateModel:
     def __init__(self, field: Field, D: int, c: int):
         if field.m != 1:
             raise ValueError("the Tate model works over F_q itself (m = 1)")
+        if D < 0:
+            raise DimensionMismatchError(f"the Tate model needs D >= 0, got D={D}")
         self.field = field
         self.q = field.q
         self.D = D

@@ -1,8 +1,8 @@
 """Reference constructions that only the tests use: field element digits and
 powers from the field's public arithmetic, the zero and full subspaces, the
 image of a subspace under a quotient map, the nontrivial toy subspaces, the line/hyperplane incidence
-paired out entry by entry, a library function recompiled with one edit, and
-a call counter on a library function or method."""
+paired out entry by entry, a library function recompiled with one edit, a
+library function or method rebound everywhere, and a call counter on one."""
 
 import inspect
 import sys
@@ -77,6 +77,19 @@ def edited(module, name: str, old: str, new: str):
     return namespace[name]
 
 
+def rebind(monkeypatch, original, replacement) -> None:
+    """Replace a library function under every name a toyshtlab module binds
+    it to, or a method on its class, until the test ends: a defect to inject
+    for a negative control, as the benchmark's tracer rebinds what it times."""
+    owner, _, name = original.__qualname__.rpartition(".")
+    if owner:
+        monkeypatch.setattr(getattr(sys.modules[original.__module__], owner), name, replacement)
+        return
+    for module in vars(toyshtlab).values():
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def count_calls(monkeypatch, original) -> list:
     """Count calls of a library function under every name a toyshtlab module
     binds it to, or of a method on its class: the returned list gets the
@@ -87,11 +100,5 @@ def count_calls(monkeypatch, original) -> list:
         calls.append(args)
         return original(*args, **kwargs)
 
-    owner, _, name = original.__qualname__.rpartition(".")
-    if owner:
-        monkeypatch.setattr(getattr(sys.modules[original.__module__], owner), name, counted)
-        return calls
-    for module in vars(toyshtlab).values():
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
+    rebind(monkeypatch, original, counted)
     return calls

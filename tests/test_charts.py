@@ -1,12 +1,11 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toyshtlab.charts import (
-    INFINITE,
     Chart,
     SchubertCenters,
     artin_schreier,
@@ -15,7 +14,7 @@ from toyshtlab.charts import (
     hensel_lift_probe,
     jtype_flag_pullback_probe,
     jtype_probe_base,
-    minor_equations,
+    random_series,
     rank1_curve,
     rank_le1,
     rank_le1_locus,
@@ -29,7 +28,7 @@ from toyshtlab.charts import (
     transversality_check,
     valuation_probe,
 )
-from toyshtlab import charts, linalg
+from toyshtlab import charts, cli, linalg
 from toyshtlab.errors import (
     DimensionMismatchError,
     FiberEmptyError,
@@ -37,7 +36,7 @@ from toyshtlab.errors import (
     TruncationTooShortError,
 )
 from toyshtlab.divisors import _component_points
-from toyshtlab.gf import field_make
+from toyshtlab.gf import Field, field_make
 from toyshtlab.linalg import (
     echelonize,
     enumerate_grassmannian,
@@ -47,7 +46,7 @@ from toyshtlab.linalg import (
 )
 from toyshtlab.toysht import enumerate_flags, enumerate_toysht
 
-from helpers import nontrivial_subspaces
+from helpers import count_calls, edited, nontrivial_subspaces, rebind
 
 F2 = field_make(2, 1, 1)
 F3 = field_make(3, 1, 1)
@@ -289,21 +288,21 @@ def test_series_kernel_matches_schoolbook(name, T, data):
 
 
 def test_valuation_probe_basics():
-    t = _series((0, 1), 6)
-    probe = [[t]]
-    assert valuation_probe(lambda M: M[0][0], probe) == 1
-    zero = [[_series((), 6)]]
-    assert valuation_probe(lambda M: M[0][0], zero) == INFINITE
-    tip = [[_series((0,) * 6 + (1,), 6)]]
+    assert valuation_probe(_series((0, 1), 6)) == 1
+    assert valuation_probe(_series((), 6)) is None
     with pytest.raises(TruncationTooShortError):
-        valuation_probe(lambda M: M[0][0], tip)
+        valuation_probe(_series((0,) * 6 + (1,), 6))
 
 
-def test_valuation_probe_rejects_off_variety_curves():
-    t = _series((0, 1), 6)
-    probe = [[t]]
+def test_hensel_lift_probe_rejects_a_lift_off_its_curve(monkeypatch):
+    # g + g^2 = 1 in F_4, so B0 = g sits over the base of 1 + t, and the lift
+    # is g + t + t^2 + t^4; one with no correction stays at g, whose image 1
+    # leaves the curve at order 1
+    curve, B0 = [[_series((1, 1), 6)]], ((F4.generator,),)
+    assert hensel_lift_probe(F4, curve, B0) == [[_series((F4.generator, 1, 1, 0, 1), 6)]]
+    monkeypatch.setattr(charts, "_adder", lambda field: lambda x, y: x)
     with pytest.raises(NotOnVarietyError):
-        valuation_probe(lambda M: M[0][0], probe, defining_eqs=[lambda M: M[0][0]])
+        hensel_lift_probe(F4, curve, B0)
 
 
 def _eval_poly(field, poly, point):
@@ -388,17 +387,140 @@ def test_hensel_lift_requires_matching_base():
         hensel_lift_probe(F4, curve, B0)
 
 
+def _minors(field, M):
+    """Every 2x2 minor of a series matrix."""
+    return [series_sub(field, series_mul(field, M[i1][j1], M[i2][j2]),
+                       series_mul(field, M[i1][j2], M[i2][j1]))
+            for i1, i2 in combinations(range(len(M)), 2)
+            for j1, j2 in combinations(range(len(M[0])), 2)]
+
+
 def test_rank1_curve_stays_on_locus():
     rng = random.Random(3)
     A0 = ((1, F4.generator), (F4.generator, F4.mul(F4.generator, F4.generator)))
     assert rank_le1(F4, A0)
     curve = rank1_curve(F4, rng, A0, 6)
-    for eq in minor_equations(F4, 2, 2):
-        assert not any(eq(curve))
+    for minor in _minors(F4, curve):
+        assert not any(minor)
     assert [[s[0] for s in row] for row in curve] == [list(r) for r in A0]
 
 
 # --- multiplicity probes ----------------------------------------------------
+
+
+def test_retry_probe_resamples_and_keeps_a_doubled_truncation():
+    # a draw that returns None is resampled at the same truncation; one that
+    # reaches the truncation is redrawn at twice it, and the next draws too
+    results = iter([None, TruncationTooShortError, None, 3])
+    seen = []
+
+    def attempt(T):
+        seen.append(T)
+        out = next(results)
+        if out is TruncationTooShortError:
+            raise out("stub")
+        return out
+
+    assert charts._retry_probe(attempt, 10) == 3
+    assert seen == [10, 10, 20, 20]
+
+
+@pytest.mark.parametrize("p,e,doubled", [
+    (2, 1, [6, 12, 24, 48]), (3, 1, [8, 16, 32, 64]), (2, 2, [10, 20, 40]), (3, 2, [20, 40])])
+def test_retry_probe_doubles_the_truncation_up_to_64(p, e, doubled):
+    # from 2q + 2 over F_q, q = p**e, and past 64 the error is raised
+    seen = []
+
+    def attempt(T):
+        seen.append(T)
+        raise TruncationTooShortError("stub")
+
+    with pytest.raises(TruncationTooShortError):
+        charts._retry_probe(attempt, charts.default_truncation(field_make(p, e, 1)))
+    assert seen == doubled
+
+
+def test_retry_probe_gives_up_after_200_draws():
+    seen = []
+    with pytest.raises(NotOnVarietyError, match="^no transversal probe direction found$"):
+        charts._retry_probe(seen.append, 10)
+    assert seen == [10] * 200
+
+
+def test_lift_check_catches_a_wrong_sign_in_the_correction(monkeypatch):
+    # over F_9 a correction subtracted, not added, lifts a curve whose
+    # image is the base minus the curve's tail; at p = 2 the sign is invisible
+    rng = random.Random(5)
+    B0 = ((1, F9.generator), (F9.generator, 0))
+    curve = [[random_series(F9, rng, 8, const=x) for x in row] for row in artin_schreier(F9, B0)]
+    hensel_lift_probe(F9, curve, B0)
+    monkeypatch.setattr(charts, "_adder", lambda field: field.sub)
+    with pytest.raises(NotOnVarietyError):
+        hensel_lift_probe(F9, curve, B0)
+
+
+def _artin_schreier_plus(field, A):
+    """The defect A + A^(q) for A - A^(q)."""
+    return tuple(tuple(field.add(x, field.frobenius(x)) for x in row) for row in A)
+
+
+def _inject_sign_defect(monkeypatch, defect):
+    """One of the three sign defects that no p = 2 check can see, rebound in
+    every toyshtlab namespace until the test ends."""
+    if defect == "artin_schreier plus":
+        rebind(monkeypatch, charts.artin_schreier, _artin_schreier_plus)
+    elif defect == "sub is add":
+        rebind(monkeypatch, Field.sub, Field.add)
+    elif defect == "perp without neg":
+        rebind(monkeypatch, linalg.perp, edited(linalg, "perp", "f.neg(row[free])", "row[free]"))
+
+
+@pytest.mark.parametrize("defect,kind", [
+    (None, None),
+    ("artin_schreier plus", "exception"),
+    ("sub is add", "exception"),
+    ("perp without neg", "schubert_multiplicity"),
+])
+def test_odd_p_sign_defects_fail_the_f9_schubert_spec(monkeypatch, defect, kind):
+    # the F_9 spec of the odd_fields workload
+    _inject_sign_defect(monkeypatch, defect)
+    r = cli.run(cli.CheckSpec("schubert_decomposition", {"p": 3, "e": 1, "m": 2, "N": 3, "n": 1}))
+    assert r.verdict == ("pass" if defect is None else "fail")
+    assert {w["kind"] for w in r.counters["witnesses"]} == ({kind} if kind else set())
+
+
+@pytest.mark.parametrize("defect,error", [
+    ("artin_schreier plus", FiberEmptyError), ("sub is add", NotOnVarietyError)])
+def test_lift_check_alone_catches_the_artin_schreier_sign_defects(monkeypatch, defect, error):
+    # in the F_9 spec both defects first zero the image of some base point,
+    # which schubert_probe_base refuses; over a base whose image stays
+    # nonzero the lift's check against its curve catches each of them
+    _inject_sign_defect(monkeypatch, defect)
+    B0 = ((1, F9.generator),)
+    curve = rank1_curve(F9, random.Random(5), charts.artin_schreier(F9, B0), 8)
+    with pytest.raises(error):
+        hensel_lift_probe(F9, curve, B0)
+
+
+@pytest.mark.parametrize("spec", [
+    next(s for s in cli.DEFAULT_SUITE if s.name == "schubert_decomposition"),
+    cli.CheckSpec("schubert_decomposition", {"p": 2, "e": 1, "m": 2, "N": 4, "n": 2}),
+], ids=["default-suite", "locus"])
+def test_each_lift_is_checked_by_one_image_and_no_artin_schreier_call(monkeypatch, spec):
+    images = count_calls(monkeypatch, series_matrix_as)
+    entrywise = count_calls(monkeypatch, artin_schreier)
+    per_lift = []
+
+    def lift(*args):
+        before = len(images), len(entrywise)
+        out = hensel_lift_probe(*args)
+        per_lift.append((len(images) - before[0], len(entrywise) - before[1]))
+        return out
+
+    rebind(monkeypatch, hensel_lift_probe, lift)
+    r = cli.run(spec)
+    assert r.verdict == "pass" and r.counters["probe_orders"]
+    assert per_lift and set(per_lift) == {(1, 0)}
 
 
 def test_schubert_probe_orders_one():

@@ -638,6 +638,17 @@ def test_budget_bounds_tate_checks(name, params):
     assert not replay_witness({**w, "params": {**w["params"], "budget": 1 << 20}})
 
 
+@pytest.mark.parametrize("name", [
+    "radon_fourier_square", "picard_relation", "gamma_identity", "canonical_preimage"])
+def test_a_negative_tate_dimension_is_refused_by_name(name):
+    r = run(CheckSpec(name, {"p": 2, "e": 1, "D": -1, "c": 0}))
+    (w,) = r.counters["witnesses"]
+    assert r.verdict == "fail" and w["kind"] == "exception"
+    assert (w["type"], w["message"]) == ("DimensionMismatchError", "the Tate model needs D >= 0, got D=-1")
+    assert replay_witness(w)
+    assert not replay_witness({**w, "params": {**w["params"], "D": 2}})
+
+
 def test_check_exceptions_become_reports():
     specs = [
         CheckSpec("radon_fourier_square", {"p": 2, "e": 1, "D": 3, "c": 0}),

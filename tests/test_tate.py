@@ -59,6 +59,12 @@ def chain_for(model):
     return tuple(standard(model, i - model.c) for i in (-1, 0, 1))
 
 
+def test_model_refuses_a_negative_dimension_by_name():
+    with pytest.raises(DimensionMismatchError, match="D=-1"):
+        FiniteTateModel(F2, -1, 0)
+    assert FiniteTateModel(F2, 0, 0).vectors() == ((),)
+
+
 def test_dimension_theory_and_duality_offsets():
     m = model_q2()
     rng = random.Random(2)
