@@ -145,9 +145,11 @@ def check_chart_equivalence(params: dict, seed: int):
     # each chart is an N x N change of basis, built also where it holds one matrix
     gate(budget, "chart entries", N, 2)
     if 1 < n < N:
-        # gates, and builds, the toy-locus index the chart predicate reads;
-        # at the other levels every graph is toy and no index is read
-        toysht.toy_points(F, N, n, budget)
+        # gates, and builds, the toy-locus index the chart predicate reads,
+        # and gates its reads, every index point per chart; at the other
+        # levels every graph is toy and no index is read
+        index = toysht.toy_points(F, N, n, budget)
+        gate(budget, "(chart, index point) pairs", gauss_binomial(N, n, F.q) * len(index), 1)
     counters = {"charts": 0, "matrices": 0}
     witnesses = []
     centers = rational_subspaces(F, N, N - n, budget)
@@ -363,6 +365,8 @@ def _transversality_mismatch(A, a: int, b: int, transversal: bool) -> bool:
 def check_transversality_locus(params: dict, seed: int):
     F = _field(params, default_m=1)
     s, t = _int(params, "s"), _int(params, "t")
+    if min(s, t) < 0:
+        raise DimensionMismatchError(f"need s, t >= 0, got s={s}, t={t}")
     # gated on the ambient matrices, though only the cone index is swept
     gate(_budget(params), "matrices", F.order, s * t)
     cone = charts.rank_le1_locus(F, s, t)

@@ -414,75 +414,67 @@ def schubert_deficit(L: Subspace, W: Subspace) -> int:
     return intersection_dim(L, W)
 
 
-def schubert_decomposition_check(
-    field: Field, N: int, n: int, W: Subspace, points: list, rng
-) -> dict:
+def schubert_decomposition_check(field: Field, N: int, n: int, W: Subspace, points: list,
+                                 rng) -> dict:
     """Set-level equality of the Schubert locus with the union of
     horospherical pieces for W, the codimension-two bound on the deeper
     degeneracy locus, and sampled multiplicity-one probes.
 
     points are the nontrivial toy points of dimension n, as subspaces in
     toy_points order; a sweep of several centers passes one list to every
-    call.  L lies on a piece of W iff a rational hyperplane holds both or a
-    rational line lies in both, and on a deeper piece iff the same holds of
-    a rational (N - 2)-space or plane, each read off the cached queries
-    rational_over and rational_under.
+    call.  Both claims and the clean split the probes draw from are read in
+    one pass, schubert_pass; with no points no query is made.
     """
-    hyperplanes, lines = rational_over(W, N - 1), rational_under(W, 1)
-    report = {
-        "points": len(points),
-        "counterexamples": [],
-        "codim2_failures": [],
-        "probes": {},
-        "vacuous": not points,
-    }
-    for L in points:
-        deficit = schubert_deficit(L, W)
-        horo = hyperplanes & rational_over(L, N - 1) or lines & rational_under(L, 1)
-        if (deficit > 0) != bool(horo):
-            report["counterexamples"].append(L.basis)
-        if deficit >= 2 and not (rational_under(W, 2) & rational_under(L, 2)
-                                 or rational_over(W, N - 2) & rational_over(L, N - 2)):
-            report["codim2_failures"].append(L.basis)
+    report = {"points": len(points), "counterexamples": [], "codim2_failures": [],
+              "probes": {}, "vacuous": not points}
     if points:
-        report["probes"] = _sampled_multiplicity_probes(field, N, n, W, rng, points)
+        report["counterexamples"], report["codim2_failures"], clean = schubert_pass(
+            field, N, n, W, points)
+        centers = SchubertCenters(field, N, n, W)
+        report["probes"] = probe_draws(
+            rng, (((kind, C.basis), (kind, C), pts) for (kind, C), pts in clean.items() if pts),
+            lambda component, L0: schubert_multiplicity_probe(centers, L0, component, rng))
     return report
 
 
-def _component_points(field: Field, N: int, n: int, W: Subspace, points) -> dict:
-    """The components of the Schubert divisor of W, each mapped to the
-    points on it and on no other component, in order: ("H", H) for the
-    rational hyperplanes H through W where n < N - 1, then ("J", J) for the
-    rational lines J inside W where n > 1, in rational_subspaces order.
+def schubert_pass(field: Field, N: int, n: int, W: Subspace, points) -> tuple:
+    """One walk over the nontrivial points for the center W: the bases of
+    the set-claim counterexamples and of the codimension-two failures, and
+    each component of the Schubert divisor of W mapped to the points on it
+    and on no other, in order: ("H", H) for the rational hyperplanes H
+    through W where n < N - 1, then ("J", J) for the rational lines J inside
+    W where n > 1, in rational_subspaces order.
 
-    The lines' bits sit past the hyperplanes' in one mask, so a point is
-    clean on a component iff it shares exactly one bit with W's mask."""
+    The lines' bits sit past the hyperplanes' in one mask of the cached
+    queries rational_over and rational_under: L is on a piece of W iff its
+    mask meets W's, and clean on a component iff they share one bit, never
+    a left-out one (an H over L at n = N - 1, or a J under L at n = 1, is
+    L).  L is on a deeper piece iff the same holds of a rational
+    (N - 2)-space or plane."""
     H, J = rational_subspaces(field, N, N - 1), rational_subspaces(field, N, 1)
-    mask = (rational_over(W, N - 1) if n < N - 1 else 0) | (
-        rational_under(W, 1) << len(H) if n > 1 else 0)
-    keys = {k: ("H", H[k]) if k < len(H) else ("J", J[k - len(H)]) for k in positions(mask)}
-    out = {c: [] for c in keys.values()}
+    over, under = rational_over(W, N - 1), rational_under(W, 1) << len(H)
+    keys = {k: ("H", H[k]) if k < len(H) else ("J", J[k - len(H)])
+            for k in positions((over if n < N - 1 else 0) | (under if n > 1 else 0))}
+    counterexamples, codim2_failures, clean = [], [], {c: [] for c in keys.values()}
     for L in points:
-        on = mask & (rational_over(L, N - 1) | rational_under(L, 1) << len(H))
+        on = (over | under) & (rational_over(L, N - 1) | rational_under(L, 1) << len(H))
+        deficit = schubert_deficit(L, W)
+        if (deficit > 0) != bool(on):
+            counterexamples.append(L.basis)
+        if deficit >= 2 and not (rational_under(W, 2) & rational_under(L, 2)
+                                 or rational_over(W, N - 2) & rational_over(L, N - 2)):
+            codim2_failures.append(L.basis)
         if on.bit_count() == 1:
-            out[keys[on.bit_length() - 1]].append(L)
-    return out
+            clean[keys[on.bit_length() - 1]].append(L)
+    return counterexamples, codim2_failures, clean
 
 
-def _sampled_multiplicity_probes(field, N, n, W, rng, points):
-    """Probe every component of the Schubert divisor that carries points
-    clean of the other components, all through one SchubertCenters of W."""
-    centers = SchubertCenters(field, N, n, W)
-    out = {}
-    for component, pts in _component_points(field, N, n, W, points).items():
-        if not pts:
-            continue
-        orders = []
-        for _ in range(PROBE_REPEATS):
-            L0 = pts[randbelow(rng, len(pts))]
-            orders.append(schubert_multiplicity_probe(centers, L0, component, rng))
-        out[(component[0], component[1].basis)] = orders
-    return out
+def probe_draws(rng, components, probe) -> dict:
+    """The probe driver of both divisor checks: for each (key, target,
+    points) of components, in order, PROBE_REPEATS orders, each drawn as one
+    randbelow for the point, then probe(target, point)."""
+    return {key: [probe(target, pts[randbelow(rng, len(pts))]) for _ in range(PROBE_REPEATS)]
+            for key, target, pts in components}
 
 
 def _check_divisor_type(divisor_type: str) -> None:
@@ -542,22 +534,18 @@ def partial_frobenius_divisor_pullback_check(field: Field, N: int, n: int, divis
               "mode": "exhaustive"}
     if 1 <= n <= N - 2:
         report["mode"] = "probabilistic"
-        for mk, comp in zip(markers, comps):
-            if not comp:
-                continue
-            if divisor_type == "H":
-                level, line, key = N - n - 1, perp(mk), ("H-dual", mk.basis)
-            else:
-                level, line, key = n, mk, ("J", mk.basis)
-            orders = []
-            for _ in range(PROBE_REPEATS):
-                f = comp[randbelow(rng, len(comp))]
-                if divisor_type == "H":
-                    # dual model: the hyperplane component of right flags
-                    # becomes the line component of right flags at the
-                    # mirrored level; only the drawn flag is mapped
-                    f = FlagPoint(perp(f.big), perp(f.small), "right")
-                    f.validate()
-                orders.append(jtype_flag_pullback_probe(field, N, level, line, f, rng))
-            report["probes"][key] = orders
+        dual = divisor_type == "H"
+
+        def probe(line, f):
+            if dual:
+                # dual model: the hyperplane component of right flags becomes
+                # the line component of right flags at the mirrored level;
+                # only the drawn flag is mapped
+                f = FlagPoint(perp(f.big), perp(f.small), "right")
+                f.validate()
+            return jtype_flag_pullback_probe(field, N, N - n - 1 if dual else n, line, f, rng)
+
+        report["probes"] = probe_draws(rng, (
+            (("H-dual" if dual else "J", mk.basis), perp(mk) if dual else mk, comp)
+            for mk, comp in zip(markers, comps) if comp), probe)
     return report

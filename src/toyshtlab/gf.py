@@ -38,12 +38,13 @@ def gauss_binomial(N: int, n: int, q: int) -> int:
 
 def gate(budget: int, what: str, base: int, n: int, N: int | None = None) -> None:
     """Refuse a size above budget: base**n, or given N the n-subspaces of F_base^N.  It lies in
-    [2**(b(k - 1)), 2**(bk + 2)), b = n or n(N - n), k = bit_length(base); built only if need be.
-    A b < 0 sizes nothing and passes, for the caller to refuse as out of range."""
+    [2**(b(k - 1)), 2**(bk + 2)), b = n or n(N - n), k = bit_length(base); built only if need be,
+    so a b <= 1 (a product of sizes the caller gated) is named exactly.  A b < 0 sizes nothing
+    and passes, for the caller to refuse as out of range."""
     b, k, room = (n if N is None else n * (N - n)), base.bit_length(), budget.bit_length()
     if b < 0 or b * k + 2 < room and budget > 0:
         return
-    if b * (k - 1) > room:
+    if b > 1 and b * (k - 1) > room:
         raise BudgetExceededError(f"at least {base}**{b} {what} exceeds budget {budget}")
     size = base**n if N is None else gauss_binomial(N, n, base)
     if size > budget:

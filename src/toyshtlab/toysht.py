@@ -25,7 +25,7 @@ from .errors import (
     NotAToyShtukaError,
     TrivialPointError,
 )
-from .gf import DEFAULT_BUDGET, Field
+from .gf import DEFAULT_BUDGET, Field, gate
 from .linalg import (
     QuotientMap,
     Subspace,
@@ -250,10 +250,12 @@ def flags(field: Field, N: int, n: int, kind: str, budget: int = DEFAULT_BUDGET)
     first use and shared after, so the fiber subspaces' cached point sets
     and Frobenius images are shared too.  On every call the budget is
     checked on the points and on one trivial point's fiber, which every
-    level has (the rational subspaces), raising as enumerate_flags would."""
-    fiber = _fiber(N, n, kind)
-    _gate(N, n, field.order, budget)
-    _gate(*fiber, field.order, budget)
+    level has (the rational subspaces), raising as enumerate_flags would,
+    then on their product, which bounds the flags."""
+    fiber, q = _fiber(N, n, kind), field.order
+    _gate(N, n, q, budget)
+    _gate(*fiber, q, budget)
+    gate(budget, "flags", gauss_binomial(N, n, q) * gauss_binomial(*fiber, q), 1)
     return _flags(field, N, n, kind)
 
 

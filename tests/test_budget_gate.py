@@ -77,6 +77,8 @@ CAPS = [
     ("transversality_locus", {"p": 2, "s": 2, "t": 2}, 16, "matrices"),
     ("grassmannian_count", {"p": 2, "N": 4, "n": 4}, 16, "basis entries"),
     ("chart_equivalence", {**F4, "N": 12, "n": 0}, 144, "chart entries"),
+    # 130 charts by 130 index points, each factor far below the cap
+    ("chart_equivalence", {"p": 3, "m": 1, "N": 4, "n": 2}, 16900, "(chart, index point) pairs"),
 ]
 
 
@@ -97,6 +99,45 @@ def test_gate_admits_a_size_at_the_budget(base, n, N, size):
     gate(size, "things", base, n, N)
     with pytest.raises(BudgetExceededError, match=f"^{size} things exceeds budget {size - 1}$"):
         gate(size - 1, "things", base, n, N)
+
+
+def test_gate_names_a_product_exactly():
+    # an exponent of one sizes a number the caller has built, a product of
+    # sizes it gated: it is named as it is, however far past the budget
+    with pytest.raises(BudgetExceededError, match=r"^520 flags exceeds budget 100$"):
+        gate(100, "flags", 520, 1)
+
+
+# specs whose work was a product of sizes each within the budget, an
+# enumeration the check's budget never reached, or a negative size: each
+# comes back at once as a report whose witness replays
+UNBOUNDED = [
+    # a center's queries listed 597,871 hyperplanes and lines of F_81^7 for
+    # an empty locus (18 s)
+    ("schubert_decomposition", {"p": 3, "e": 2, "N": 7, "n": 0, "budget": 4000}, None, None),
+    # 1,093 lines with 364 planes over each (51 s)
+    ("partial_frobenius_composition", {"p": 3, "m": 1, "N": 7, "budget": 4000}, "budget_exceeded",
+     "397852 flags exceeds budget 4000"),
+    # 1,210 charts by 1,210 index points (over 60 s)
+    ("chart_equivalence", {"p": 3, "m": 1, "N": 5, "n": 2, "budget": 4000}, "budget_exceeded",
+     "1464100 (chart, index point) pairs exceeds budget 4000"),
+    # 27**5 vectors u built before a repeat of -1 raised
+    ("transversality_locus", {"p": 3, "m": 3, "s": 5, "t": -1, "budget": 1000}, "exception",
+     "need s, t >= 0, got s=5, t=-1"),
+]
+
+
+@pytest.mark.parametrize("name,params,kind,message", UNBOUNDED, ids=[u[0] for u in UNBOUNDED])
+def test_work_past_the_budget_is_refused_at_once(name, params, kind, message):
+    start = time.perf_counter()
+    r = run(CheckSpec(name, params))
+    assert time.perf_counter() - start < 1
+    if kind is None:
+        assert r.verdict == "vacuous" and r.counters["witnesses"] == []
+        return
+    (w,) = r.counters["witnesses"]
+    assert (w["kind"], w["message"]) == (kind, message)
+    assert replay_witness(w)
 
 
 def test_gate_names_an_overrun_by_its_bound():

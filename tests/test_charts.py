@@ -35,7 +35,7 @@ from toyshtlab.errors import (
     NotOnVarietyError,
     TruncationTooShortError,
 )
-from toyshtlab.divisors import _component_points
+from toyshtlab.divisors import schubert_pass
 from toyshtlab.gf import Field, field_make
 from toyshtlab.linalg import (
     echelonize,
@@ -672,7 +672,7 @@ def test_adapted_centers_match_exhaustive_search(field, N, n):
         components = [("H", H) for H in hyperplanes if n < N - 1]
         components += [("J", J) for J in rational_subspaces(field, N, 1)
                        if n > 1 and W.contains(J)]
-        clean = _component_points(field, N, n, W, locus)
+        clean = schubert_pass(field, N, n, W, locus)[2]
         assert list(clean) == components
         points = list(dict.fromkeys(L0 for pts in clean.values() for L0 in pts))
         centers = SchubertCenters(field, N, n, W)
@@ -716,7 +716,7 @@ def test_schubert_probe_base_is_one_coordinates_call_per_point(monkeypatch):
     W = rational_subspaces(F4, N, N - n)[0]
     comps = [("H", H) for H in rational_subspaces(F4, N, N - 1) if H.contains(W)]
     comps += [("J", J) for J in rational_subspaces(F4, N, 1) if W.contains(J)]
-    clean = _component_points(F4, N, n, W, nontrivial_subspaces(F4, N, n))
+    clean = schubert_pass(F4, N, n, W, nontrivial_subspaces(F4, N, n))[2]
     assert list(clean) == comps
     rng = random.Random(3)
     for _ in range(2):

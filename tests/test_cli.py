@@ -687,14 +687,15 @@ def test_chart_equivalence_names_a_level_out_of_range(n):
     assert not replay_witness({**w, "params": {**w["params"], "n": 1}})
 
 
-@pytest.mark.parametrize("s,t", [(-1, -1), (-1, 2), (2, -1)])
+@pytest.mark.parametrize("s,t", [(-1, -1), (-1, 2), (2, -1), (3, -1)])
 def test_transversality_locus_rejects_a_negative_shape(s, t):
-    # (-1, -1) passes the gate on 2 ** 1 matrices, and the cone index
-    # rejects it as any other negative shape
+    # refused by name before the gate, which (-1, -1) would pass on 2 ** 1
+    # matrices
     r = run(CheckSpec("transversality_locus", {"p": 2, "e": 1, "s": s, "t": t}))
     assert r.verdict == "fail"
     (w,) = r.counters["witnesses"]
-    assert (w["kind"], w["type"]) == ("exception", "ValueError")
+    assert (w["kind"], w["type"]) == ("exception", "DimensionMismatchError")
+    assert w["message"] == f"need s, t >= 0, got s={s}, t={t}"
     assert replay_witness(w)
     assert not replay_witness({**w, "params": {**w["params"], "s": 1, "t": 1}})
 

@@ -6,9 +6,10 @@ from operator import itemgetter
 
 import pytest
 
-from helpers import brute_force_incidence, nontrivial_subspaces
+from helpers import brute_force_incidence, count_calls, nontrivial_subspaces
 from toyshtlab import charts, divisors
 from toyshtlab.charts import jtype_flag_pullback_probe
+from toyshtlab.cli import CheckSpec, run
 from toyshtlab.divisors import (
     Family,
     HoroDivisor,
@@ -35,7 +36,15 @@ from toyshtlab.divisors import (
 )
 from toyshtlab.errors import DimensionMismatchError, SumNotZeroError
 from toyshtlab.gf import Field, field_make
-from toyshtlab.linalg import echelonize, gauss_binomial, intersect, perp, rational_subspaces
+from toyshtlab.linalg import (
+    echelonize,
+    gauss_binomial,
+    intersect,
+    perp,
+    rational_over,
+    rational_subspaces,
+    rational_under,
+)
 from toyshtlab.toysht import FlagPoint, enumerate_flags, enumerate_toysht
 
 F2 = field_make(2, 1, 1)
@@ -463,6 +472,32 @@ def test_schubert_decomposition_vacuous_over_prime_field():
     W = echelonize(F2, [(0, 0, 1, 0), (0, 0, 0, 1)], 4)
     rep = schubert_decomposition_check(F2, 4, 2, W, nontrivial_subspaces(F2, 4, 2), rng=random.Random(0))
     assert rep["vacuous"] and rep["points"] == 0
+
+
+@pytest.mark.parametrize("params", [
+    {"p": 2, "e": 1, "m": 2, "N": 3, "n": 0},
+    {"p": 2, "e": 1, "m": 2, "N": 3, "n": 3},
+    # F_81 over F_9, where a center's queries would list 597,871 rational
+    # hyperplanes and as many lines
+    {"p": 3, "e": 2, "m": 2, "N": 7, "n": 0, "budget": 4000},
+], ids=["F4-3-0", "F4-3-3", "F81-7-0"])
+def test_an_empty_locus_is_vacuous_with_no_query(params, monkeypatch):
+    over = count_calls(monkeypatch, rational_over)
+    under = count_calls(monkeypatch, rational_under)
+    r = run(CheckSpec("schubert_decomposition", params))
+    assert r.verdict == "vacuous" and r.counters["points"] == 0
+    assert over == under == []
+
+
+def test_the_schubert_sweep_queries_each_point_once_per_center(monkeypatch):
+    # F_4, N = 4, n = 2: 35 centers by 210 nontrivial points, one query of
+    # each kind per pair plus each center's own
+    over = count_calls(monkeypatch, rational_over)
+    under = count_calls(monkeypatch, rational_under)
+    r = run(CheckSpec("schubert_decomposition", {"p": 2, "e": 1, "m": 2, "N": 4, "n": 2}))
+    assert r.verdict == "pass"
+    assert (r.counters["centers"], r.counters["points"]) == (35, 35 * 210)
+    assert len(over) == len(under) == 35 * 210 + 35
 
 
 def test_pullback_check_set_and_probes():

@@ -17,7 +17,7 @@ from toyshtlab.charts import (
     jtype_flag_pullback_probe,
     schubert_multiplicity_probe,
 )
-from toyshtlab.divisors import _component_points
+from toyshtlab.divisors import schubert_pass
 from toyshtlab.gf import field_make
 from toyshtlab.linalg import echelonize, rational_subspaces
 from toyshtlab.toysht import enumerate_flags
@@ -61,7 +61,7 @@ def test_schubert_probe_draws_pinned(kind):
              if H.contains(W)]
     comps += [("J", J) for J in rational_subspaces(F4, N, 1)
               if W.contains(J)]
-    clean = _component_points(F4, N, n, W, nontrivial_subspaces(F4, N, n))
+    clean = schubert_pass(F4, N, n, W, nontrivial_subspaces(F4, N, n))[2]
     assert list(clean) == comps
     comp = next(c for c in comps if c[0] == kind and clean[c])
     for seed, pins in enumerate(SCHUBERT_PINS[kind]):

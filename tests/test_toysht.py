@@ -237,7 +237,17 @@ def test_cached_flags_keep_the_budget(kind, n):
     assert _budget_message(lambda: flags(F4, 3, n, kind, 20)) == expected
     index = flags(F4, 3, n, kind)
     assert _budget_message(lambda: flags(F4, 3, n, kind, 20)) == expected
-    assert flags(F4, 3, n, kind, 21) is index
+    # and returned at the points times a fiber, which bounds the flags
+    assert flags(F4, 3, n, kind, 21 * 5 if n in (1, 2) else 21) is index
+
+
+def test_flags_gate_the_points_times_a_fiber():
+    # F_3, N = 4, level 1: 40 points and a fiber of 13 each fit the budget,
+    # the 520 flags they bound do not
+    F3 = field_make(3, 1, 1)
+    assert _budget_message(lambda: flags(F3, 4, 1, "right", 100)) == "520 flags exceeds budget 100"
+    assert _budget_message(lambda: flags(F3, 4, 1, "right", 519)) == "520 flags exceeds budget 519"
+    assert len(flags(F3, 4, 1, "right", 520)) == 520
 
 
 def test_partial_frobenius_fixes_rational_flags():
